@@ -9,10 +9,11 @@ categories is scored as the arithmetic mean of its per-category values.
 from __future__ import annotations
 
 import statistics
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .corpus import Corpus, Publication
 from .fileio import read_records, write_records
@@ -24,6 +25,7 @@ __all__ = [
     "build_baselines",
     "read_baselines",
     "standardize_publication",
+    "standardized_score",
     "write_baselines",
 ]
 
@@ -77,27 +79,47 @@ def build_baselines(corpus: Corpus) -> BaselineTable:
     The reference population is the loaded corpus itself; even-sized cells use
     the mean of the two central values as median.
     """
-    if not corpus.publications:
+    if not len(corpus.pub_ids):
         raise ValueError("cannot build baselines from a corpus without publications")
-    groups: dict[tuple[int, str], list[int]] = defaultdict(list)
-    for pub in corpus.publications:
-        for cat in pub.subject_categories:
-            groups[(pub.year, cat)].append(pub.citation_count)
-    cells = [
-        BaselineCell(
-            year=year,
-            category=cat,
-            median_citations=float(statistics.median(counts)),
-            mean_citations=statistics.fmean(counts),
-            publication_count=len(counts),
+    names = sorted({cat for cats in corpus.category_sets for cat in cats})
+    code = {name: i for i, name in enumerate(names)}
+    # one (publication, category) pair per category of each publication
+    width = max(len(cats) for cats in corpus.category_sets)
+    slots = np.full((len(corpus.category_sets), width), -1, dtype=np.int64)
+    for row, cats in enumerate(corpus.category_sets):
+        slots[row, : len(cats)] = [code[cat] for cat in cats]
+    pair_cat = slots[corpus.pub_categories].ravel()
+    pair_pub = np.repeat(np.arange(len(corpus.pub_ids)), width)[pair_cat >= 0]
+    pair_cat = pair_cat[pair_cat >= 0]
+    year = corpus.pub_year[pair_pub]
+    citations = corpus.pub_citations[pair_pub]
+
+    order = np.lexsort((citations, pair_cat, year))
+    year, pair_cat, citations = year[order], pair_cat[order], citations[order]
+    new_cell = np.ones(len(order), dtype=bool)
+    new_cell[1:] = (year[1:] != year[:-1]) | (pair_cat[1:] != pair_cat[:-1])
+    starts = np.flatnonzero(new_cell).tolist()
+    counts = np.diff([*starts, len(order)]).tolist()
+    sorted_citations = citations.tolist()
+    cells = []
+    for start, n in zip(starts, counts):
+        group = sorted_citations[start:start + n]
+        cells.append(
+            BaselineCell(
+                year=int(year[start]),
+                category=names[pair_cat[start]],
+                median_citations=float(statistics.median(group)),
+                mean_citations=statistics.fmean(group),
+                publication_count=n,
+            )
         )
-        for (year, cat), counts in groups.items()
-    ]
     return BaselineTable(cells)
 
 
-def standardize_publication(pub: Publication, baselines: BaselineTable) -> float:
-    """Standardized citation score of one publication.
+def standardized_score(
+    year: int, citation_count: int, categories: Iterable[str], baselines: BaselineTable
+) -> float:
+    """Standardized citation score of a publication given by its fields.
 
     Per category the score is ``citation_count / median``; a zero median falls
     back to the cell mean, and a cell where both are zero scores 0 (every
@@ -105,15 +127,20 @@ def standardize_publication(pub: Publication, baselines: BaselineTable) -> float
     so it is 0 exactly when the publication is uncited.
     """
     scores = []
-    for cat in pub.subject_categories:
-        cell = baselines.get(pub.year, cat)
+    for cat in categories:
+        cell = baselines.get(year, cat)
         if cell.median_citations > 0:
-            scores.append(pub.citation_count / cell.median_citations)
+            scores.append(citation_count / cell.median_citations)
         elif cell.mean_citations > 0:
-            scores.append(pub.citation_count / cell.mean_citations)
+            scores.append(citation_count / cell.mean_citations)
         else:
             scores.append(0.0)
     return statistics.fmean(scores)
+
+
+def standardize_publication(pub: Publication, baselines: BaselineTable) -> float:
+    """Standardized citation score of one publication (see :func:`standardized_score`)."""
+    return standardized_score(pub.year, pub.citation_count, pub.subject_categories, baselines)
 
 
 def write_baselines(baselines: BaselineTable, path: str | Path) -> Path:

@@ -185,6 +185,7 @@ def _prepare(args, cfg):
     indicators_path = _setting(args, cfg, "indicators")
     if indicators_path:
         records = read_indicators(indicators_path)
+        _check_roster(records, filtered, indicators_path)
         baselines = None
     else:
         if run.baselines is not None:
@@ -193,6 +194,20 @@ def _prepare(args, cfg):
             baselines = build_baselines(filtered)
         records = compute_indicators(filtered, baselines, run.positional_udas)
     return run, filtered, baselines, records
+
+
+def _check_roster(records, corpus, path, shown: int = 5) -> None:
+    """Precomputed indicators must cover exactly the filtered roster."""
+    roster = [sci.scientist_id for sci in corpus.scientists]
+    missing = [sid for sid in roster if sid not in records]
+    extra = [sid for sid in records if sid not in corpus.scientists_by_id]
+    if missing or extra:
+        raise ValueError(
+            f"indicators file {path} does not match the roster: {len(records)} records for "
+            f"{len(roster)} scientists; {len(missing)} missing (first: "
+            f"{', '.join(missing[:shown]) or '-'}), {len(extra)} extra (first: "
+            f"{', '.join(extra[:shown]) or '-'})"
+        )
 
 
 def _cmd_indicators(args, cfg) -> int:

@@ -1,6 +1,9 @@
 """Scientist / publication / authorship data model.
 
-Loading validates referential integrity up front; the resulting
+Scientists are objects; publications and authorships, which are the bulk of
+a corpus, are held as columns: one list or integer array per field, one
+entry per input row in file order. Loading parses and validates the rows a
+column at a time and still names the first offending row. The resulting
 :class:`Corpus` is immutable, so every operation here is a pure read and
 :func:`filter_active_sds` returns a new corpus instead of mutating.
 """
@@ -10,7 +13,10 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from itertools import compress, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .fileio import read_records
 
@@ -28,6 +34,7 @@ __all__ = [
     "Rank",
     "RosterCell",
     "RosterSummary",
+    "RowView",
     "Scientist",
     "activity_rates",
     "filter_active_sds",
@@ -77,201 +84,407 @@ class Authorship:
     affiliation_id: str | None = None
 
 
+class RowView(Sequence):
+    """Read-only sequence of row objects, built from a corpus's columns on
+    first use. ``len()`` reads the columns and builds nothing."""
+
+    __slots__ = ("_length", "_build", "_rows")
+
+    def __init__(self, length: int, build: Callable[[], Iterable]):
+        self._length = length
+        self._build = build
+        self._rows: tuple | None = None
+
+    def _materialize(self) -> tuple:
+        if self._rows is None:
+            self._rows = tuple(self._build())
+            self._build = None
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._materialize())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (RowView, tuple)):
+            return self._materialize() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RowView({self._length} rows)"
+
+
+def _start(counts: np.ndarray) -> np.ndarray:
+    """Offsets of consecutive runs of the given lengths: ``[0, c0, c0+c1, ...]``."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
 class Corpus:
     """Validated, immutable collection of scientists, publications and authorships.
 
-    Construction enforces the structural invariants (unique keys, resolvable
-    references, byline positions covering ``1..author_count``); use
-    :func:`load_corpus` to build one from raw rows with per-row error context.
+    ``scientists`` is a tuple of :class:`Scientist`. Publications and
+    authorships are columns in input row order:
+
+    * ``pub_ids`` (list of str) and int64 arrays ``pub_year``,
+      ``pub_citations`` and ``pub_author_count``; ``pub_categories`` indexes
+      ``category_sets``, the distinct subject-category tuples;
+    * int64 arrays ``auth_pub`` and ``auth_scientist`` (row of the
+      publication and of the scientist, -1 for an external author) and
+      ``auth_position``; ``auth_affiliation`` indexes ``affiliations``, -1
+      where the affiliation is missing;
+    * two orderings of the authorship rows: ``by_pub`` by (publication,
+      position), so publication ``p``'s byline is
+      ``by_pub[pub_start[p]:pub_start[p + 1]]``; and ``by_scientist``, the
+      roster rows stably by scientist, ``scientist_pub_count`` of them each.
+
+    ``publications``, ``authorships``, ``publications_by_id``,
+    ``authorships_by_pub`` and ``authorships_by_scientist`` are row-object
+    views built on first access. Build a corpus with :func:`load_corpus`,
+    which enforces the structural invariants (unique keys, resolvable
+    references, byline positions covering ``1..author_count``); the
+    constructor trusts its columns.
     """
 
     __slots__ = (
         "scientists",
-        "publications",
-        "authorships",
+        "scientist_index",
         "scientists_by_id",
-        "publications_by_id",
-        "authorships_by_pub",
-        "authorships_by_scientist",
         "scientists_by_sds",
         "sds_to_uda",
         "udas",
+        "pub_ids",
+        "pub_year",
+        "pub_citations",
+        "pub_author_count",
+        "pub_categories",
+        "category_sets",
+        "pub_start",
+        "auth_pub",
+        "auth_scientist",
+        "auth_position",
+        "auth_affiliation",
+        "affiliations",
+        "by_pub",
+        "by_scientist",
+        "scientist_pub_count",
+        "_views",
     )
 
     def __init__(
         self,
         scientists: Iterable[Scientist],
-        publications: Iterable[Publication],
-        authorships: Iterable[Authorship],
+        *,
+        pub_ids: list[str],
+        pub_year: np.ndarray,
+        pub_citations: np.ndarray,
+        pub_author_count: np.ndarray,
+        pub_categories: np.ndarray,
+        category_sets: Sequence[tuple[str, ...]],
+        auth_pub: np.ndarray,
+        auth_scientist: np.ndarray,
+        auth_position: np.ndarray,
+        auth_affiliation: np.ndarray,
+        affiliations: Sequence[str],
     ):
         self.scientists = tuple(scientists)
-        self.publications = tuple(publications)
-        self.authorships = tuple(authorships)
-
-        by_id: dict[str, Scientist] = {}
-        for sci in self.scientists:
-            if sci.scientist_id in by_id:
-                raise CorpusError(f"duplicate scientist_id '{sci.scientist_id}'")
-            by_id[sci.scientist_id] = sci
-        self.scientists_by_id = by_id
-
+        ids = [sci.scientist_id for sci in self.scientists]
+        self.scientist_index = dict(zip(ids, range(len(ids))))
+        self.scientists_by_id = dict(zip(ids, self.scientists))
         sds_to_uda: dict[str, str] = {}
         by_sds: dict[str, list[Scientist]] = defaultdict(list)
         for sci in self.scientists:
-            uda = sds_to_uda.setdefault(sci.sds_code, sci.uda_code)
-            if uda != sci.uda_code:
-                raise CorpusError(
-                    f"SDS '{sci.sds_code}' mapped to both UDA '{uda}' and '{sci.uda_code}'"
-                )
+            sds_to_uda.setdefault(sci.sds_code, sci.uda_code)
             by_sds[sci.sds_code].append(sci)
-        self.sds_to_uda = dict(sds_to_uda)
+        self.sds_to_uda = sds_to_uda
         self.scientists_by_sds = {sds: tuple(group) for sds, group in by_sds.items()}
         self.udas = tuple(sorted(set(sds_to_uda.values())))
 
-        pubs_by_id: dict[str, Publication] = {}
-        for pub in self.publications:
-            if pub.pub_id in pubs_by_id:
-                raise CorpusError(f"duplicate pub_id '{pub.pub_id}'")
-            if pub.citation_count < 0:
-                raise CorpusError(f"publication '{pub.pub_id}': citation_count must be >= 0")
-            if pub.author_count < 1:
-                raise CorpusError(f"publication '{pub.pub_id}': author_count must be >= 1")
-            if not pub.subject_categories:
-                raise CorpusError(f"publication '{pub.pub_id}': subject_categories must be non-empty")
-            if len(set(pub.subject_categories)) != len(pub.subject_categories):
-                raise CorpusError(f"publication '{pub.pub_id}': duplicate subject category")
-            pubs_by_id[pub.pub_id] = pub
-        self.publications_by_id = pubs_by_id
+        self.pub_ids = pub_ids
+        self.pub_year = pub_year
+        self.pub_citations = pub_citations
+        self.pub_author_count = pub_author_count
+        self.pub_categories = pub_categories
+        self.category_sets = category_sets
+        self.auth_pub = auth_pub
+        self.auth_scientist = auth_scientist
+        self.auth_position = auth_position
+        self.auth_affiliation = auth_affiliation
+        self.affiliations = affiliations
 
-        by_pub: dict[str, list[Authorship]] = defaultdict(list)
-        by_sci: dict[str, list[Authorship]] = defaultdict(list)
-        seen_pos: set[tuple[str, int]] = set()
-        seen_link: set[tuple[str, str]] = set()
-        for auth in self.authorships:
-            if auth.pub_id not in pubs_by_id:
-                raise CorpusError(f"authorship references unknown pub_id '{auth.pub_id}'")
-            if (auth.pub_id, auth.position) in seen_pos:
-                raise CorpusError(
-                    f"duplicate byline position {auth.position} for pub_id '{auth.pub_id}'"
-                )
-            seen_pos.add((auth.pub_id, auth.position))
-            if auth.scientist_id is not None:
-                if auth.scientist_id not in by_id:
-                    raise CorpusError(
-                        f"authorship references unknown scientist_id '{auth.scientist_id}'"
-                    )
-                if (auth.pub_id, auth.scientist_id) in seen_link:
-                    raise CorpusError(
-                        f"duplicate authorship ('{auth.pub_id}', '{auth.scientist_id}')"
-                    )
-                seen_link.add((auth.pub_id, auth.scientist_id))
-                by_sci[auth.scientist_id].append(auth)
-            by_pub[auth.pub_id].append(auth)
-
-        for pub in self.publications:
-            rows = sorted(by_pub.get(pub.pub_id, []), key=lambda a: a.position)
-            positions = [a.position for a in rows]
-            if positions != list(range(1, pub.author_count + 1)):
-                raise CorpusError(
-                    f"pub_id '{pub.pub_id}': byline positions {positions} do not cover "
-                    f"1..{pub.author_count}"
-                )
-            by_pub[pub.pub_id] = rows
-        self.authorships_by_pub = {pid: tuple(rows) for pid, rows in by_pub.items()}
-        self.authorships_by_scientist = {sid: tuple(rows) for sid, rows in by_sci.items()}
+        # Bylines cover 1..author_count, so each row's byline slot is known.
+        self.pub_start = _start(pub_author_count)
+        self.by_pub = np.empty(len(auth_pub), dtype=np.int64)
+        self.by_pub[self.pub_start[auth_pub] + auth_position - 1] = np.arange(len(auth_pub))
+        roster = np.flatnonzero(auth_scientist >= 0)
+        self.by_scientist = roster[np.argsort(auth_scientist[roster], kind="stable")]
+        self.scientist_pub_count = np.bincount(auth_scientist[roster], minlength=len(ids))
+        self._views: dict[str, object] = {}
 
     def sds_codes(self) -> tuple[str, ...]:
         return tuple(sorted(self.sds_to_uda))
 
     def publication_count(self, scientist_id: str) -> int:
-        return len(self.authorships_by_scientist.get(scientist_id, ()))
+        index = self.scientist_index.get(scientist_id)
+        return 0 if index is None else int(self.scientist_pub_count[index])
+
+    # -- row-object views -------------------------------------------------
+
+    def _view(self, name: str, build: Callable[[], object]):
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = build()
+        return view
+
+    @property
+    def publications(self) -> RowView:
+        def rows():
+            sets = self.category_sets
+            return map(
+                Publication,
+                self.pub_ids,
+                self.pub_year.tolist(),
+                self.pub_citations.tolist(),
+                [sets[code] for code in self.pub_categories.tolist()],
+                self.pub_author_count.tolist(),
+            )
+
+        return self._view("publications", lambda: RowView(len(self.pub_ids), rows))
+
+    @property
+    def authorships(self) -> RowView:
+        def rows():
+            # index -1 (external author, missing affiliation) reads the None at the end
+            scientist_ids = [sci.scientist_id for sci in self.scientists] + [None]
+            affiliations = [*self.affiliations, None]
+            return map(
+                Authorship,
+                [self.pub_ids[p] for p in self.auth_pub.tolist()],
+                self.auth_position.tolist(),
+                [scientist_ids[s] for s in self.auth_scientist.tolist()],
+                [affiliations[a] for a in self.auth_affiliation.tolist()],
+            )
+
+        return self._view("authorships", lambda: RowView(len(self.auth_pub), rows))
+
+    @property
+    def publications_by_id(self) -> dict[str, Publication]:
+        return self._view("publications_by_id", lambda: dict(zip(self.pub_ids, self.publications)))
+
+    @property
+    def authorships_by_pub(self) -> dict[str, tuple[Authorship, ...]]:
+        def build():
+            rows, order, start = self.authorships, self.by_pub.tolist(), self.pub_start.tolist()
+            return {
+                pub_id: tuple(rows[i] for i in order[start[p]:start[p + 1]])
+                for p, pub_id in enumerate(self.pub_ids)
+            }
+
+        return self._view("authorships_by_pub", build)
+
+    @property
+    def authorships_by_scientist(self) -> dict[str, tuple[Authorship, ...]]:
+        def build():
+            rows, order = self.authorships, self.by_scientist.tolist()
+            start = _start(self.scientist_pub_count).tolist()
+            return {
+                sci.scientist_id: tuple(rows[i] for i in order[start[s]:start[s + 1]])
+                for s, sci in enumerate(self.scientists)
+                if start[s] < start[s + 1]
+            }
+
+        return self._view("authorships_by_scientist", build)
 
 
 # ---------------------------------------------------------------------------
-# Row parsing
+# Loading: parse a column at a time, fail on the row a row-by-row parse
+# would have failed on first
 
-def _field(row: Mapping, key: str):
-    value = row.get(key)
+_INT64 = np.iinfo(np.int64)
+
+
+def _clean(value):
     if isinstance(value, str):
         value = value.strip()
     return None if value in (None, "") else value
 
 
-def _req_str(row: Mapping, key: str, source: str, rownum: int) -> str:
-    value = _field(row, key)
-    if value is None:
-        raise CorpusError(f"{source} row {rownum}: missing '{key}'")
-    return str(value)
+def _raise_first(problems: list[tuple[int, int, str]]) -> None:
+    """Raise the problem of the earliest row; within a row, the check made first."""
+    if problems:
+        raise CorpusError(min(problems)[2])
 
 
-def _req_int(row: Mapping, key: str, source: str, rownum: int, minimum: int | None = None) -> int:
-    raw = _field(row, key)
-    if raw is None:
-        raise CorpusError(f"{source} row {rownum}: missing '{key}'")
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise CorpusError(f"{source} row {rownum}: '{key}' must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise CorpusError(f"{source} row {rownum}: '{key}' must be >= {minimum}, got {value}")
-    return value
+def _first_repeat(keys: Sequence) -> int:
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+    raise AssertionError("no repeated key")
 
 
-def _opt_int(row: Mapping, key: str, source: str, rownum: int) -> int | None:
-    raw = _field(row, key)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise CorpusError(f"{source} row {rownum}: '{key}' must be an integer, got {raw!r}") from None
+def _repeats(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Rows that repeat the key of an earlier row; ``order`` sorts the rows
+    stably by the keys."""
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for key in keys:
+        sorted_key = key[order]
+        same &= sorted_key[1:] == sorted_key[:-1]
+    return order[1:][same]
 
 
-def _parse_scientist(row: Mapping, rownum: int) -> Scientist:
-    raw_rank = _req_str(row, "rank", "scientists", rownum)
-    try:
-        rank = Rank[raw_rank.upper()]
-    except KeyError:
-        raise CorpusError(
-            f"scientists row {rownum}: rank must be one of FULL/ASSOCIATE/ASSISTANT, got {raw_rank!r}"
-        ) from None
-    return Scientist(
-        scientist_id=_req_str(row, "scientist_id", "scientists", rownum),
-        sds_code=_req_str(row, "sds_code", "scientists", rownum),
-        uda_code=_req_str(row, "uda_code", "scientists", rownum),
-        rank=rank,
-        birth_year=_opt_int(row, "birth_year", "scientists", rownum),
-    )
+class _Ints(dict):
+    """Memo of ``int()`` by raw value: a column holds few distinct values."""
+
+    def __missing__(self, raw) -> int:
+        value = self[raw] = int(raw)
+        return value
 
 
-def _parse_publication(row: Mapping, rownum: int) -> Publication:
-    raw_cats = _field(row, "subject_categories")
-    if raw_cats is None:
-        raise CorpusError(f"publications row {rownum}: missing 'subject_categories'")
-    if isinstance(raw_cats, str):
-        cats = tuple(c.strip() for c in raw_cats.split(";") if c.strip())
-    else:
-        cats = tuple(str(c).strip() for c in raw_cats if str(c).strip())
-    if not cats:
-        raise CorpusError(f"publications row {rownum}: 'subject_categories' must be non-empty")
-    return Publication(
-        pub_id=_req_str(row, "pub_id", "publications", rownum),
-        year=_req_int(row, "year", "publications", rownum),
-        citation_count=_req_int(row, "citation_count", "publications", rownum, minimum=0),
-        subject_categories=cats,
-        author_count=_req_int(row, "author_count", "publications", rownum, minimum=1),
-    )
+class _Codes(dict):
+    """Interns hashable values as consecutive integer codes; a missing value
+    (``None`` or ``""``) is -1."""
+
+    def __init__(self):
+        super().__init__({None: -1, "": -1})
+
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self) - 2
+        return code
+
+    def encode(self, values: list) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, values), np.int64, len(values))
+
+    def names(self) -> tuple:
+        return tuple(key for key in self if key not in (None, ""))
 
 
-def _parse_authorship(row: Mapping, rownum: int) -> Authorship:
-    scientist_id = _field(row, "scientist_id")
-    affiliation_id = _field(row, "affiliation_id")
-    return Authorship(
-        pub_id=_req_str(row, "pub_id", "authorships", rownum),
-        position=_req_int(row, "position", "authorships", rownum, minimum=1),
-        scientist_id=None if scientist_id is None else str(scientist_id),
-        affiliation_id=None if affiliation_id is None else str(affiliation_id),
-    )
+class _Rows:
+    """One input file, read a column at a time.
+
+    Each check records its first failing row; :meth:`check` raises the
+    earliest. Checks are made in the order a row-by-row parse makes them,
+    and a later check only wins on a strictly earlier row, so the error is
+    the one that parse would have raised.
+    """
+
+    def __init__(self, records: Iterable[Mapping], source: str):
+        self.records = records if isinstance(records, list) else list(records)
+        self.source = source
+        self._error: tuple[int, str] | None = None
+
+    def fail(self, index: int, message: str) -> None:
+        if self._error is None or index < self._error[0]:
+            self._error = (index, f"{self.source} row {index + 1}: {message}")
+
+    def check(self) -> None:
+        if self._error is not None:
+            raise CorpusError(self._error[1])
+
+    def raw(self, key: str) -> list:
+        try:
+            return list(map(dict.get, self.records, repeat(key)))
+        except TypeError:  # mappings that are not dicts
+            return [record.get(key) for record in self.records]
+
+    def text(self, key: str, required: bool = True) -> list[str]:
+        """A text column, stripped, with "" where the field is empty."""
+        values = self.raw(key)
+        try:
+            values = list(map(str.strip, values))
+        except TypeError:  # typed values: JSON numbers, null
+            values = ["" if v is None else str(v) for v in map(_clean, values)]
+        if required and "" in values:
+            self.fail(values.index(""), f"missing '{key}'")
+        return values
+
+    def _parse_int(self, index: int, raw, key: str, required: bool) -> int | None:
+        raw = _clean(raw)
+        if raw is None:
+            if required:
+                self.fail(index, f"missing '{key}'")
+            return None
+        try:
+            value = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            self.fail(index, f"'{key}' must be an integer, got {raw!r}")
+            return None
+        if not _INT64.min <= value <= _INT64.max:
+            self.fail(index, f"'{key}' must fit in a 64-bit integer, got {value}")
+            return None
+        return value
+
+    def integers(self, key: str, minimum: int | None = None) -> np.ndarray:
+        """A required integer column as int64."""
+        values = self.raw(key)
+        try:  # int() strips whitespace itself, as the field cleaning does
+            array = np.fromiter(map(_Ints().__getitem__, values), np.int64, len(values))
+        except (TypeError, ValueError, OverflowError):
+            parsed = [self._parse_int(i, v, key, True) for i, v in enumerate(values)]
+            array = np.array([0 if v is None else v for v in parsed], dtype=np.int64)
+        if minimum is not None:
+            low = np.flatnonzero(array < minimum)
+            if low.size:
+                self.fail(int(low[0]), f"'{key}' must be >= {minimum}, got {int(array[low[0]])}")
+        return array
+
+    def optional_integers(self, key: str) -> list[int | None]:
+        return [self._parse_int(i, v, key, False) for i, v in enumerate(self.raw(key))]
+
+    def ranks(self) -> list[Rank | None]:
+        names = self.text("rank")
+        ranks = [Rank.__members__.get(name.upper()) for name in names]
+        for i, (name, rank) in enumerate(zip(names, ranks)):
+            if name and rank is None:
+                self.fail(
+                    i, f"rank must be one of FULL/ASSOCIATE/ASSISTANT, got {name!r}"
+                )
+                break
+        return ranks
+
+    def category_sets(self, key: str, codes: "_CategoryCodes") -> np.ndarray:
+        """Subject categories (``;``-separated text or a list) as codes into
+        ``codes.sets``."""
+        values = self.raw(key)
+        try:
+            out = np.fromiter(map(codes.__getitem__, values), np.int64, len(values))
+        except TypeError:  # lists from JSON lines are not hashable
+            values = [tuple(v) if isinstance(v, list) else v for v in values]
+            out = np.fromiter(map(codes.__getitem__, values), np.int64, len(values))
+        missing = np.flatnonzero(out < 0)
+        if missing.size:
+            self.fail(int(missing[0]), f"missing '{key}'")
+        empty = codes.sets.get(())
+        if empty is not None:
+            self.fail(int(np.flatnonzero(out == empty)[0]), f"'{key}' must be non-empty")
+        return out
+
+
+class _CategoryCodes(dict):
+    """Raw subject-categories value -> code of its category tuple in
+    ``sets`` (-1 where the field is empty)."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = _Codes()
+
+    def __missing__(self, raw) -> int:
+        value = _clean(raw)
+        if value is None:
+            cats = None
+        elif isinstance(value, str):
+            cats = tuple(c.strip() for c in value.split(";") if c.strip())
+        else:
+            cats = tuple(str(c).strip() for c in value if str(c).strip())
+        code = self[raw] = self.sets[cats]
+        return code
 
 
 def load_corpus(
@@ -283,11 +496,114 @@ def load_corpus(
 
     Malformed rows are rejected with their 1-based record number; duplicate
     keys and dangling references are rejected naming the offending key.
+    Integers must fit in 64 bits.
     """
-    scientists = [_parse_scientist(r, i) for i, r in enumerate(scientist_records, start=1)]
-    publications = [_parse_publication(r, i) for i, r in enumerate(publication_records, start=1)]
-    authorships = [_parse_authorship(r, i) for i, r in enumerate(authorship_records, start=1)]
-    return Corpus(scientists, publications, authorships)
+    rows = _Rows(scientist_records, "scientists")
+    ranks = rows.ranks()
+    ids = rows.text("scientist_id")
+    sds_codes = rows.text("sds_code")
+    uda_codes = rows.text("uda_code")
+    birth_years = rows.optional_integers("birth_year")
+    rows.check()
+
+    rows = _Rows(publication_records, "publications")
+    categories = _CategoryCodes()
+    pub_categories = rows.category_sets("subject_categories", categories)
+    pub_ids = rows.text("pub_id")
+    pub_year = rows.integers("year")
+    pub_citations = rows.integers("citation_count", minimum=0)
+    pub_author_count = rows.integers("author_count", minimum=1)
+    rows.check()
+
+    rows = _Rows(authorship_records, "authorships")
+    auth_pub_ids = rows.text("pub_id")
+    auth_position = rows.integers("position", minimum=1)
+    auth_scientist_ids = rows.text("scientist_id", required=False)
+    auth_affiliation_ids = rows.text("affiliation_id", required=False)
+    rows.check()
+
+    scientist_index = dict(zip(ids, range(len(ids))))
+    if len(scientist_index) < len(ids):
+        raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)]}'")
+    sds_to_uda: dict[str, str] = {}
+    for sds, uda in zip(sds_codes, uda_codes):
+        first = sds_to_uda.setdefault(sds, uda)
+        if first != uda:
+            raise CorpusError(f"SDS '{sds}' mapped to both UDA '{first}' and '{uda}'")
+
+    problems = []
+    pub_index = dict(zip(pub_ids, range(len(pub_ids))))
+    if len(pub_index) < len(pub_ids):
+        row = _first_repeat(pub_ids)
+        problems.append((row, 0, f"duplicate pub_id '{pub_ids[row]}'"))
+    category_sets = categories.sets.names()
+    repeated = [code for code, cats in enumerate(category_sets) if len(set(cats)) < len(cats)]
+    if repeated:
+        row = int(np.flatnonzero(np.isin(pub_categories, repeated))[0])
+        problems.append((row, 1, f"publication '{pub_ids[row]}': duplicate subject category"))
+    _raise_first(problems)
+
+    auth_pub = np.fromiter(
+        map(pub_index.get, auth_pub_ids, repeat(-1)), np.int64, len(auth_pub_ids)
+    )
+    scientist_index[""] = -1  # external author
+    auth_scientist = np.fromiter(
+        map(scientist_index.get, auth_scientist_ids, repeat(-2)), np.int64, len(auth_scientist_ids)
+    )
+    problems = []
+    unknown = np.flatnonzero(auth_pub < 0)
+    if unknown.size:
+        row = int(unknown[0])
+        problems.append((row, 0, f"authorship references unknown pub_id '{auth_pub_ids[row]}'"))
+    repeats = _repeats(np.lexsort((auth_position, auth_pub)), auth_pub, auth_position)
+    if repeats.size:
+        row = int(repeats.min())
+        problems.append((row, 1, f"duplicate byline position {int(auth_position[row])} "
+                                 f"for pub_id '{auth_pub_ids[row]}'"))
+    unknown = np.flatnonzero(auth_scientist == -2)
+    if unknown.size:
+        row = int(unknown[0])
+        problems.append(
+            (row, 2, f"authorship references unknown scientist_id '{auth_scientist_ids[row]}'")
+        )
+    roster = np.flatnonzero(auth_scientist >= 0)
+    order = roster[np.lexsort((auth_scientist[roster], auth_pub[roster]))]
+    repeats = _repeats(order, auth_pub, auth_scientist)
+    if repeats.size:
+        row = int(repeats.min())
+        problems.append((row, 3, f"duplicate authorship ('{auth_pub_ids[row]}', "
+                                 f"'{auth_scientist_ids[row]}')"))
+    _raise_first(problems)
+
+    # With positions >= 1 and unique per publication, a byline covers
+    # 1..author_count exactly when it has author_count rows, none beyond it.
+    rows_per_pub = np.bincount(auth_pub, minlength=len(pub_ids))
+    beyond = auth_position > pub_author_count[auth_pub]
+    bad = rows_per_pub != pub_author_count
+    bad[auth_pub[beyond]] = True
+    if bad.any():
+        p = int(np.flatnonzero(bad)[0])
+        positions = sorted(auth_position[auth_pub == p].tolist())
+        raise CorpusError(
+            f"pub_id '{pub_ids[p]}': byline positions {positions} do not cover "
+            f"1..{int(pub_author_count[p])}"
+        )
+
+    affiliations = _Codes()
+    return Corpus(
+        map(Scientist, ids, sds_codes, uda_codes, ranks, birth_years),
+        pub_ids=pub_ids,
+        pub_year=pub_year,
+        pub_citations=pub_citations,
+        pub_author_count=pub_author_count,
+        pub_categories=pub_categories,
+        category_sets=category_sets,
+        auth_pub=auth_pub,
+        auth_scientist=auth_scientist,
+        auth_position=auth_position,
+        auth_affiliation=affiliations.encode(auth_affiliation_ids),
+        affiliations=affiliations.names(),
+    )
 
 
 def load_corpus_files(scientists, publications, authorships) -> Corpus:
@@ -357,8 +673,8 @@ def roster_summary(corpus: Corpus, reference_year: int | None = None) -> RosterS
     the year after the last observed publication year (the citation-snapshot
     convention). Scientists without a birth year only enter the headcounts.
     """
-    if reference_year is None and corpus.publications:
-        reference_year = max(p.year for p in corpus.publications) + 1
+    if reference_year is None and len(corpus.pub_ids):
+        reference_year = int(corpus.pub_year.max()) + 1
 
     counts: dict[tuple[str, Rank], list[int]] = defaultdict(lambda: [0, 0, 0])
     for sci in corpus.scientists:
@@ -395,31 +711,43 @@ def filter_active_sds(corpus: Corpus, threshold: float = 0.5) -> Corpus:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
-    kept_sds = set()
-    for sds, group in corpus.scientists_by_sds.items():
-        active = sum(1 for s in group if corpus.publication_count(s.scientist_id) > 0)
-        if active >= threshold * len(group):
-            kept_sds.add(sds)
+    publishing = (corpus.scientist_pub_count > 0).tolist()
+    kept_sds = {
+        sds
+        for sds, group in corpus.scientists_by_sds.items()
+        if sum(publishing[corpus.scientist_index[s.scientist_id]] for s in group)
+        >= threshold * len(group)
+    }
     if len(kept_sds) == len(corpus.scientists_by_sds):
         return corpus
 
-    kept_ids = {s.scientist_id for s in corpus.scientists if s.sds_code in kept_sds}
-    kept_pubs = set()
-    for pub in corpus.publications:
-        roster = [a.scientist_id for a in corpus.authorships_by_pub[pub.pub_id] if a.scientist_id]
-        if not roster or any(sid in kept_ids for sid in roster):
-            kept_pubs.add(pub.pub_id)
-
-    scientists = [s for s in corpus.scientists if s.scientist_id in kept_ids]
-    publications = [p for p in corpus.publications if p.pub_id in kept_pubs]
-    authorships = []
-    for auth in corpus.authorships:
-        if auth.pub_id not in kept_pubs:
-            continue
-        if auth.scientist_id is not None and auth.scientist_id not in kept_ids:
-            auth = Authorship(auth.pub_id, auth.position, None, auth.affiliation_id)
-        authorships.append(auth)
-    return Corpus(scientists, publications, authorships)
+    kept_scientist = np.array([s.sds_code in kept_sds for s in corpus.scientists], dtype=bool)
+    auth_pub, auth_scientist = corpus.auth_pub, corpus.auth_scientist
+    roster = auth_scientist >= 0
+    kept_link = roster.copy()
+    kept_link[roster] = kept_scientist[auth_scientist[roster]]
+    n_pubs = len(corpus.pub_ids)
+    kept_pub = (np.bincount(auth_pub[roster], minlength=n_pubs) == 0) | (
+        np.bincount(auth_pub[kept_link], minlength=n_pubs) > 0
+    )
+    kept_auth = kept_pub[auth_pub]
+    # new row numbers; a removed scientist, like index -1, maps to -1
+    scientist_row = np.append(np.where(kept_scientist, np.cumsum(kept_scientist) - 1, -1), -1)
+    pub_row = np.cumsum(kept_pub) - 1
+    return Corpus(
+        compress(corpus.scientists, kept_scientist.tolist()),
+        pub_ids=list(compress(corpus.pub_ids, kept_pub.tolist())),
+        pub_year=corpus.pub_year[kept_pub],
+        pub_citations=corpus.pub_citations[kept_pub],
+        pub_author_count=corpus.pub_author_count[kept_pub],
+        pub_categories=corpus.pub_categories[kept_pub],
+        category_sets=corpus.category_sets,
+        auth_pub=pub_row[auth_pub[kept_auth]],
+        auth_scientist=scientist_row[auth_scientist[kept_auth]],
+        auth_position=corpus.auth_position[kept_auth],
+        auth_affiliation=corpus.auth_affiliation[kept_auth],
+        affiliations=corpus.affiliations,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ def read_records(path: str | Path) -> list[dict]:
 
     ``.jsonl``/``.ndjson`` files are parsed one JSON object per line; anything
     else is read as UTF-8 comma-separated text with a header row and
-    double-quote escaping.
+    double-quote escaping. A leading byte-order mark is skipped.
     """
     path = Path(path)
     if path.suffix.lower() in (".jsonl", ".ndjson"):
         records = []
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -30,7 +30,7 @@ def read_records(path: str | Path) -> list[dict]:
                     raise ValueError(f"{path.name} line {lineno}: expected a JSON object")
                 records.append(obj)
         return records
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         return [dict(row) for row in csv.DictReader(fh)]
 
 

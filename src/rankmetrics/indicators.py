@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .baseline import BaselineTable, standardize_publication
+import numpy as np
+
+from .baseline import BaselineTable, standardized_score
 from .corpus import Corpus
 from .fileio import read_records, write_records
 
@@ -128,15 +130,78 @@ def byline_case_flags(affiliations: Sequence[str | None]) -> tuple[bool, bool]:
     return (False, differ)
 
 
-def _publication_weights(corpus: Corpus, pub_id: str, scheme: WeightScheme) -> list[float]:
-    byline = corpus.authorships_by_pub[pub_id]
-    n = len(byline)
-    if scheme is WeightScheme.EQUAL or n == 1:
-        return [1.0 / n] * n
-    same, differ = byline_case_flags([a.affiliation_id for a in byline])
-    if not (same or differ):
-        logger.debug("pub %s: byline pattern unrecognized, using uniform weights", pub_id)
-    return coauthor_weights(n, scheme, first_last_same=same, boundary_pairs_differ=differ)
+def _byline_flags(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`byline_case_flags` of every publication, from the affiliation
+    codes at byline positions 1, 2, n-1 and n (-1 where missing)."""
+    n = corpus.pub_author_count
+    start, end = corpus.pub_start[:-1], corpus.pub_start[1:]
+    affiliation = corpus.auth_affiliation[corpus.by_pub]
+    multi = n >= 2
+    first, last = affiliation[start], affiliation[end - 1]
+    second = affiliation[np.where(multi, start + 1, start)]
+    penult = affiliation[np.where(multi, end - 2, start)]
+    same = multi & (first >= 0) & (first == last)
+    differ = multi & ~same & (first >= 0) & (second >= 0) & (penult >= 0) & (last >= 0)
+    # front positions (0, 1) against back positions (n-2, n-1), unless they coincide
+    for front, front_pos, back, back_pos in (
+        (first, 0, penult, n - 2),
+        (first, 0, last, n - 1),
+        (second, 1, penult, n - 2),
+        (second, 1, last, n - 1),
+    ):
+        differ &= (front_pos == back_pos) | (front != back)
+    return same, differ
+
+
+def _positional_weights(corpus: Corpus) -> np.ndarray:
+    """Each authorship row's credit under the positional scheme, with
+    :func:`coauthor_weights` computed once per (author count, byline pattern)."""
+    same, differ = _byline_flags(corpus)
+    unrecognized = int(np.count_nonzero((corpus.pub_author_count > 1) & ~same & ~differ))
+    if unrecognized:
+        logger.debug("%d publications: byline pattern unrecognized, using uniform weights",
+                     unrecognized)
+    pattern = corpus.pub_author_count * 4 + same * 2 + differ
+    patterns, pub_pattern = np.unique(pattern, return_inverse=True)
+    vectors = [
+        coauthor_weights(
+            key >> 2, WeightScheme.POSITIONAL,
+            first_last_same=bool(key & 2), boundary_pairs_differ=bool(key & 1),
+        )
+        for key in patterns.tolist()
+    ]
+    offset = np.cumsum([0] + [len(v) for v in vectors[:-1]])
+    flat = np.array([w for vector in vectors for w in vector])
+    return flat[offset[pub_pattern[corpus.auth_pub]] + corpus.auth_position - 1]
+
+
+def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
+    """Standardized score of every publication with a roster author (0 for
+    the others, which are never read).
+
+    Publications are scored in the order scientists first reach them, so a
+    missing baseline cell fails on the same publication as a scientist-by-
+    scientist walk; each distinct (year, categories, citations) is scored once.
+    """
+    reached = corpus.auth_pub[corpus.by_scientist]
+    _, first = np.unique(reached, return_index=True)
+    pubs = reached[np.sort(first)]
+    sets = corpus.category_sets
+
+    class Scores(dict):
+        def __missing__(self, key):
+            year, cats, citations = key
+            score = self[key] = standardized_score(year, citations, sets[cats], baselines)
+            return score
+
+    keys = zip(
+        corpus.pub_year[pubs].tolist(),
+        corpus.pub_categories[pubs].tolist(),
+        corpus.pub_citations[pubs].tolist(),
+    )
+    scores = np.zeros(len(corpus.pub_ids))
+    scores[pubs] = np.fromiter(map(Scores().__getitem__, keys), float, len(pubs))
+    return scores
 
 
 def compute_indicators(
@@ -149,36 +214,32 @@ def compute_indicators(
     ``positional_udas`` lists the disciplines whose scientists receive
     positional co-author weights; everyone else uses uniform weights. Each
     scientist's credit is read from the weight vector of their own
-    discipline's scheme.
+    discipline's scheme. Sums run over each scientist's authorships in file
+    order, so results are the same float for float as a row-by-row loop.
     """
     positional = frozenset(positional_udas)
-    scores: dict[str, float] = {}
-    weight_cache: dict[tuple[str, WeightScheme], list[float]] = {}
-    records: dict[str, IndicatorRecord] = {}
+    n_scientists = len(corpus.scientists)
+    rows = np.flatnonzero(corpus.auth_scientist >= 0)
+    scientist = corpus.auth_scientist[rows]
+    pub = corpus.auth_pub[rows]
 
-    for sci in corpus.scientists:
-        rows = corpus.authorships_by_scientist.get(sci.scientist_id, ())
-        if not rows:
-            records[sci.scientist_id] = IndicatorRecord(sci.scientist_id, 0, None, 0.0)
-            continue
-        scheme = WeightScheme.POSITIONAL if sci.uda_code in positional else WeightScheme.EQUAL
-        score_sum = 0.0
-        fss = 0.0
-        for auth in rows:
-            score = scores.get(auth.pub_id)
-            if score is None:
-                score = standardize_publication(corpus.publications_by_id[auth.pub_id], baselines)
-                scores[auth.pub_id] = score
-            key = (auth.pub_id, scheme)
-            weights = weight_cache.get(key)
-            if weights is None:
-                weights = _publication_weights(corpus, auth.pub_id, scheme)
-                weight_cache[key] = weights
-            score_sum += score
-            fss += score * weights[auth.position - 1]
-        records[sci.scientist_id] = IndicatorRecord(
-            sci.scientist_id, len(rows), score_sum / len(rows), fss
-        )
+    score = _publication_scores(corpus, baselines)[pub]
+    weight = 1.0 / corpus.pub_author_count[pub]
+    uses_positional = np.array([s.uda_code in positional for s in corpus.scientists], dtype=bool)
+    if uses_positional.any():
+        chosen = uses_positional[scientist]
+        weight[chosen] = _positional_weights(corpus)[rows[chosen]]
+
+    n_p = np.bincount(scientist, minlength=n_scientists).tolist()
+    score_sum = np.bincount(scientist, weights=score, minlength=n_scientists).tolist()
+    fss = np.bincount(scientist, weights=score * weight, minlength=n_scientists).tolist()
+    records: dict[str, IndicatorRecord] = {}
+    for sci, count, total, credit in zip(corpus.scientists, n_p, score_sum, fss):
+        sid = sci.scientist_id
+        if count:
+            records[sid] = IndicatorRecord(sid, count, total / count, credit)
+        else:
+            records[sid] = IndicatorRecord(sid, 0, None, 0.0)
     return records
 
 

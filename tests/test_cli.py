@@ -136,3 +136,29 @@ def test_log_env_var_controls_diagnostics(corpus_dir, tmp_path, monkeypatch, cap
     finally:
         for handler in list(root.handlers):
             root.removeHandler(handler)
+
+
+def test_indicators_must_match_roster(corpus_dir, tmp_path, capsys):
+    stage1 = tmp_path / "stage1"
+    assert main(["indicators", *_inputs(corpus_dir), "--out", str(stage1)]) == 0
+    lines = (stage1 / "indicators.csv").read_text().splitlines(keepends=True)
+    removed = [line.split(",")[0] for line in lines[1:51]]
+    partial = tmp_path / "partial.csv"
+    partial.write_text("".join([lines[0], *lines[51:]]))
+    capsys.readouterr()
+
+    code = main(["analyze", *_inputs(corpus_dir), "--indicators", str(partial),
+                 "--out", str(tmp_path / "analysis")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{len(lines) - 51} records for {len(lines) - 1} scientists" in err
+    assert "50 missing" in err and "0 extra" in err
+    shown = err.split("missing (first: ")[1].split(")")[0].split(", ")
+    assert len(shown) == 5 and set(shown) <= set(removed)
+    assert not (tmp_path / "analysis" / "T8_dominance.txt").exists()
+
+    extra = tmp_path / "extra.csv"
+    extra.write_text("".join([*lines, "ghost,1,1.0,1.0\n"]))
+    assert main(["rank", *_inputs(corpus_dir), "--indicators", str(extra),
+                 "--out", str(tmp_path / "rank")]) == 1
+    assert "1 extra (first: ghost)" in capsys.readouterr().err

@@ -261,3 +261,135 @@ def test_citation_active_never_exceeds_publication_active():
     table = activity_rates(corpus, records.values())
     for (uda, rank), cell in table.cells.items():
         assert cell.citation_active <= cell.publication_active <= cell.headcount
+
+
+# ---------------------------------------------------------------------------
+# Loader error messages: the first offending row or key is named exactly
+
+
+def _load_error(scientists, publications, authorships) -> str:
+    with pytest.raises(CorpusError) as info:
+        load_corpus(scientists, publications, authorships)
+    return str(info.value)
+
+
+def test_duplicate_pub_id_message():
+    scientists, publications, authorships = tiny_rows()
+    publications.append(dict(publications[0]))
+    assert _load_error(scientists, publications, authorships) == "duplicate pub_id 'P1'"
+
+
+@pytest.mark.parametrize(
+    "file_index, row, key, expected",
+    [
+        (0, 1, "sds_code", "scientists row 2: missing 'sds_code'"),
+        (1, 0, "year", "publications row 1: missing 'year'"),
+        (2, 2, "pub_id", "authorships row 3: missing 'pub_id'"),
+    ],
+)
+def test_missing_required_field_message(file_index, row, key, expected):
+    rows = tiny_rows()
+    rows[file_index][row][key] = "  "
+    assert _load_error(*rows) == expected
+    del rows[file_index][row][key]
+    assert _load_error(*rows) == expected
+
+
+def test_non_integer_position_message():
+    scientists, publications, authorships = tiny_rows()
+    authorships[1]["position"] = " 2nd "
+    assert _load_error(scientists, publications, authorships) == (
+        "authorships row 2: 'position' must be an integer, got '2nd'"
+    )
+
+
+def test_zero_author_count_message():
+    scientists, publications, authorships = tiny_rows()
+    publications[1]["author_count"] = "0"
+    assert _load_error(scientists, publications, authorships) == (
+        "publications row 2: 'author_count' must be >= 1, got 0"
+    )
+
+
+def test_duplicate_authorship_link_message():
+    scientists, publications, authorships = tiny_rows()
+    authorships[1]["scientist_id"] = "A1"
+    assert _load_error(scientists, publications, authorships) == (
+        "duplicate authorship ('P1', 'A1')"
+    )
+
+
+def test_empty_categories_message():
+    scientists, publications, authorships = tiny_rows()
+    publications[0]["subject_categories"] = " ; ;"
+    assert _load_error(scientists, publications, authorships) == (
+        "publications row 1: 'subject_categories' must be non-empty"
+    )
+
+
+def test_first_offending_row_wins_across_checks():
+    scientists, publications, authorships = tiny_rows()
+    scientists[2]["rank"] = ""  # row 3
+    scientists[1]["uda_code"] = ""  # row 2: earlier row, later check
+    assert _load_error(scientists, publications, authorships) == "scientists row 2: missing 'uda_code'"
+    scientists[1]["uda_code"] = "U1"
+    scientists[1]["rank"] = "DEAN"  # row 2: rank is checked before the other fields
+    scientists[1]["scientist_id"] = ""
+    assert _load_error(scientists, publications, authorships) == (
+        "scientists row 2: rank must be one of FULL/ASSOCIATE/ASSISTANT, got 'DEAN'"
+    )
+
+
+def test_row_errors_come_before_reference_errors():
+    scientists, publications, authorships = tiny_rows()
+    scientists.append(dict(scientists[0]))  # duplicate scientist_id
+    authorships[3]["position"] = "x"
+    assert _load_error(scientists, publications, authorships) == (
+        "authorships row 4: 'position' must be an integer, got 'x'"
+    )
+    authorships[3]["position"] = "2"
+    assert _load_error(scientists, publications, authorships) == "duplicate scientist_id 'A1'"
+
+
+def test_incomplete_byline_message_lists_positions():
+    scientists, publications, authorships = tiny_rows()
+    authorships[1]["position"] = "3"
+    assert _load_error(scientists, publications, authorships) == (
+        "pub_id 'P1': byline positions [1, 3] do not cover 1..2"
+    )
+
+
+def test_integer_outside_int64_names_its_row():
+    scientists, publications, authorships = tiny_rows()
+    publications[1]["citation_count"] = str(2**63)
+    message = _load_error(scientists, publications, authorships)
+    assert message.startswith("publications row 2: 'citation_count'")
+    assert str(2**63) in message
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    import csv
+
+    tables = dict(zip(("scientists", "publications", "authorships"), tiny_rows()))
+    loaded = []
+    for bom in ("", "\ufeff"):
+        for suffix in ("csv", "jsonl"):
+            paths = []
+            for name, rows in tables.items():
+                path = tmp_path / f"{name}{'-bom' if bom else ''}.{suffix}"
+                with path.open("w", encoding="utf-8", newline="") as fh:
+                    fh.write(bom)
+                    if suffix == "csv":
+                        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                        writer.writeheader()
+                        writer.writerows(rows)
+                    else:
+                        fh.write("\n".join(json.dumps(r) for r in rows))
+                paths.append(path)
+            assert paths[0].read_bytes().startswith(bom.encode())
+            loaded.append(load_corpus_files(*paths))
+    plain = loaded[0]
+    for corpus in loaded[1:]:
+        assert corpus.scientists == plain.scientists
+        assert corpus.publications == plain.publications
+        assert corpus.authorships == plain.authorships

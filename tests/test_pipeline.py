@@ -109,3 +109,27 @@ def test_uda_with_empty_rank_is_excluded_from_dominance():
     assert "U2" not in counts.per_uda
     assert counts.excluded_sds == 1
     assert counts.per_uda["U1"][1] == 1
+
+
+def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch):
+    from rankmetrics.corpus import Authorship, Publication
+
+    built = []
+    for cls in (Publication, Authorship):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    run_pipeline(_run_config(corpus_paths, positional_udas=("UDA01",)))
+    assert built == []
+
+    corpus = generate(SynthConfig(seed=5, n_uda=1, sds_per_uda=1))
+    built.clear()
+    assert len(corpus.authorships) > 0 and len(corpus.publications) > 0
+    assert built == []
+    assert len(list(corpus.authorships)) == len(corpus.authorships)
+    assert built.count("Authorship") == len(corpus.authorships)
