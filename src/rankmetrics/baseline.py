@@ -8,6 +8,7 @@ categories is scored as the arithmetic mean of its per-category values.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,18 @@ class BaselineTable:
 
     def __contains__(self, key: tuple[int, str]) -> bool:
         return key in self._cells
+
+    def require(self, keys: Iterable[tuple[int, str]]) -> None:
+        """Raise one :class:`MissingBaselineError` naming how many of the
+        ``(year, category)`` keys have no cell, and the first five, sorted."""
+        missing = sorted(key for key in set(keys) if key not in self._cells)
+        if missing:
+            shown = ", ".join(f"({year}, '{category}')" for year, category in missing[:5])
+            more = ", ..." if len(missing) > 5 else ""
+            raise MissingBaselineError(
+                f"no baseline cell for {len(missing)} (year, category) "
+                f"pair{'s' if len(missing) > 1 else ''}: {shown}{more}"
+            )
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -172,4 +185,10 @@ def read_baselines(path: str | Path) -> BaselineTable:
             )
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"baselines row {i}: malformed record {row!r}") from None
+        cell = cells[-1]
+        for key, value in (("median", cell.median_citations), ("mean", cell.mean_citations)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"baselines row {i}: '{key}' must be finite and >= 0, got {value!r}")
+        if cell.publication_count < 1:
+            raise ValueError(f"baselines row {i}: 'count' must be >= 1, got {cell.publication_count}")
     return BaselineTable(cells)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 import numpy as np
 
-from .fileio import read_records
+from .fileio import Records, read_records
 
 if TYPE_CHECKING:
     from .indicators import IndicatorRecord
@@ -367,7 +367,8 @@ class _Codes(dict):
 
 
 class _Rows:
-    """One input file, read a column at a time.
+    """One input table, validated a column at a time. Row mappings are
+    transposed into columns once; :class:`Records` from a file already are.
 
     Each check records its first failing row; :meth:`check` raises the
     earliest. Checks are made in the order a row-by-row parse makes them,
@@ -375,8 +376,11 @@ class _Rows:
     the one that parse would have raised.
     """
 
-    def __init__(self, records: Iterable[Mapping], source: str):
-        self.records = records if isinstance(records, list) else list(records)
+    def __init__(self, records: Records | Iterable[Mapping], source: str):
+        if not isinstance(records, Records):
+            records = Records.from_rows(records)
+        self.columns = records.columns
+        self.length = len(records)
         self.source = source
         self._error: tuple[int, str] | None = None
 
@@ -389,10 +393,9 @@ class _Rows:
             raise CorpusError(self._error[1])
 
     def raw(self, key: str) -> list:
-        try:
-            return list(map(dict.get, self.records, repeat(key)))
-        except TypeError:  # mappings that are not dicts
-            return [record.get(key) for record in self.records]
+        """The column of ``key`` (``None`` where a row lacks it); read-only."""
+        column = self.columns.get(key)
+        return [None] * self.length if column is None else column
 
     def text(self, key: str, required: bool = True) -> list[str]:
         """A text column, stripped, with "" where the field is empty."""

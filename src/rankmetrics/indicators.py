@@ -179,14 +179,17 @@ def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
     """Standardized score of every publication with a roster author (0 for
     the others, which are never read).
 
-    Publications are scored in the order scientists first reach them, so a
-    missing baseline cell fails on the same publication as a scientist-by-
-    scientist walk; each distinct (year, categories, citations) is scored once.
+    Before scoring, every (year, category) those publications need is looked
+    up once, so all missing baseline cells are reported together. Each
+    distinct (year, categories, citations) is scored once.
     """
-    reached = corpus.auth_pub[corpus.by_scientist]
-    _, first = np.unique(reached, return_index=True)
-    pubs = reached[np.sort(first)]
+    pubs = np.flatnonzero(
+        np.bincount(corpus.auth_pub[corpus.auth_scientist >= 0], minlength=len(corpus.pub_ids))
+    )
     sets = corpus.category_sets
+    years = corpus.pub_year[pubs].tolist()
+    codes = corpus.pub_categories[pubs].tolist()
+    baselines.require((year, cat) for year, code in set(zip(years, codes)) for cat in sets[code])
 
     class Scores(dict):
         def __missing__(self, key):
@@ -194,11 +197,7 @@ def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
             score = self[key] = standardized_score(year, citations, sets[cats], baselines)
             return score
 
-    keys = zip(
-        corpus.pub_year[pubs].tolist(),
-        corpus.pub_categories[pubs].tolist(),
-        corpus.pub_citations[pubs].tolist(),
-    )
+    keys = zip(years, codes, corpus.pub_citations[pubs].tolist())
     scores = np.zeros(len(corpus.pub_ids))
     scores[pubs] = np.fromiter(map(Scores().__getitem__, keys), float, len(pubs))
     return scores

@@ -116,3 +116,48 @@ def test_export_import_round_trip(tmp_path):
     path = write_baselines(baselines, tmp_path / "baselines.csv")
     loaded = read_baselines(path)
     assert loaded.cells == baselines.cells
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2004,A,nan,1.0,0", "baselines row 2: 'median' must be finite and >= 0, got nan"),
+    ("2005,B,-3,-1,-2", "baselines row 2: 'median' must be finite and >= 0, got -3.0"),
+    ("2005,B,1,inf,2", "baselines row 2: 'mean' must be finite and >= 0, got inf"),
+    ("2005,B,1,-0.5,2", "baselines row 2: 'mean' must be finite and >= 0, got -0.5"),
+    ("2005,B,1,1,0", "baselines row 2: 'count' must be >= 1, got 0"),
+])
+def test_read_baselines_rejects_impossible_cells(row, message, tmp_path):
+    path = tmp_path / "baselines.csv"
+    path.write_text(f"year,category,median,mean,count\n2004,A,0.0,0.0,1\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        read_baselines(path)
+    assert str(info.value) == message
+
+
+def test_every_missing_cell_is_reported_before_scoring():
+    from rankmetrics import compute_indicators
+
+    scientists = [{"scientist_id": "X", "sds_code": "S1", "uda_code": "U1", "rank": "FULL"}]
+    cells = [(2004, "C1"), (2009, "C9"), (2004, "C3"), (2007, "C9"), (2005, "C2"),
+             (2006, "C1"), (2008, "C1")]
+    publications, authorships = [], []
+    for i, (year, cat) in enumerate(cells, start=1):
+        publications.append({"pub_id": f"P{i}", "year": year, "citation_count": i,
+                             "subject_categories": f"{cat};C0", "author_count": 1})
+        authorships.append({"pub_id": f"P{i}", "position": 1, "scientist_id": "X"})
+    corpus = load_corpus(scientists, publications, authorships)
+    full = build_baselines(corpus)
+    kept = [c for c in full.cells if (c.year, c.category) in {(2004, "C1"), (2008, "C1")}
+            or c.category == "C0"]
+    with pytest.raises(MissingBaselineError) as info:
+        compute_indicators(corpus, BaselineTable(kept))
+    assert str(info.value) == (
+        "no baseline cell for 5 (year, category) pairs: (2004, 'C3'), (2005, 'C2'), "
+        "(2006, 'C1'), (2007, 'C9'), (2009, 'C9')"
+    )
+    with pytest.raises(MissingBaselineError, match=r"^no baseline cell for 1 \(year, category\) "
+                                                   r"pair: \(2007, 'C9'\)$"):
+        compute_indicators(corpus, BaselineTable(
+            [c for c in full.cells if (c.year, c.category) != (2007, "C9")]))
+    too_few = [c for c in full.cells if c.category == "C0"]
+    with pytest.raises(MissingBaselineError, match=r"^no baseline cell for 7 .*\(2007, 'C9'\), \.\.\.$"):
+        compute_indicators(corpus, BaselineTable(too_few))

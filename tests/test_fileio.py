@@ -1,0 +1,165 @@
+"""Record reader: ``read_records`` reads columns but yields the same rows as a
+row-by-row reader (``csv.DictReader``, one ``json.loads`` per line)."""
+
+import csv
+import json
+
+import pytest
+
+from rankmetrics import CorpusError, load_corpus, load_corpus_files
+from rankmetrics import fileio
+from rankmetrics.fileio import Records, read_records
+
+from conftest import tiny_rows
+
+CSV_CASES = {
+    "quoted": 'a,b,c\n1,"x, y",3\n2,"two\nlines",""\n3,"say ""hi""",z\n',
+    "short_row": "a,b,c\n1,2,3\n4,5\n6\n7,8,9\n",
+    "extra_fields": "a,b\n1,2\n3,4,5,6\n7,8\n9,10,11\n",
+    "blank_lines": "a,b\n\n1,2\n\n\n3,4\n\n",
+    "header_only": "a,b,c\n",
+    "zero_bytes": "",
+    "bom": "\ufeffa,b\n1,2\n3,4\n",
+    "repeated_header_name": "a,b,a\n1,2,3\n4,5\n6,7,8,9\n",
+    "blank_header": "\n1,2\n\n3\n",
+    "mixed": 'id,v\n1,"a\nb"\n\n2\n3,x,y\n' + "".join(f"{i},{i * i}\n" for i in range(4, 40)),
+}
+
+JSONL_LINES = [
+    '{"a": 1, "b": "x"}',
+    "",
+    '{"b": "y", "a": 2}',
+    '{"a": 3}',
+    '{"a": 4, "b": null, "c": [1, 2]}',
+    "   ",
+    '{"c": "late"}',
+    '{"a": 5, "b": "z", "c": 0}',
+    "{}",
+    '\t{"a": -Infinity, "b": "\\u00e9 \\"q\\"", "c": {"d": [true, false, 1e3]}}  ',
+]
+
+
+@pytest.fixture(params=[fileio.CHUNK_ROWS, 1, 2, 3])
+def chunk_rows(request, monkeypatch):
+    """Run each case at the module's chunk size and at sizes that put chunk
+    boundaries between the interesting rows."""
+    monkeypatch.setattr(fileio, "CHUNK_ROWS", request.param)
+    return request.param
+
+
+def _dict_reader_rows(path):
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        return [dict(row) for row in csv.DictReader(fh)]
+
+
+def _json_loop_rows(path):
+    with path.open(encoding="utf-8-sig") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _columns_of(rows):
+    keys = dict.fromkeys(key for row in rows for key in row)
+    return {key: [row.get(key) for row in rows] for key in keys}
+
+
+def _assert_same_rows(records, expected):
+    assert isinstance(records, Records)
+    assert len(records) == len(expected)
+    assert list(records) == expected
+    assert [records[i] for i in range(len(records))] == expected
+    assert records[-1:] == expected[-1:]
+    if expected:
+        assert records.columns == _columns_of(expected)
+    for got, want in zip(records, expected):
+        assert list(got) == list(want)  # key order too
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_rows_match_dict_reader(case, chunk_rows, tmp_path):
+    path = tmp_path / f"{case}.csv"
+    path.write_text(CSV_CASES[case], encoding="utf-8", newline="")
+    expected = _dict_reader_rows(path)
+    _assert_same_rows(read_records(path), expected)
+
+
+def test_csv_reader_rules(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n\n1,2\n3,4,5,6\n", encoding="utf-8")
+    records = read_records(path)
+    assert len(records) == 2  # the blank line is no row
+    assert records.columns == {"a": ["1", "3"], "b": ["2", "4"], "c": [None, "5"],
+                               None: [None, ["6"]]}
+    assert records[0] == {"a": "1", "b": "2", "c": None}
+    assert records[1] == {"a": "3", "b": "4", "c": "5", None: ["6"]}
+    path.write_text("a,b,c\n", encoding="utf-8")
+    assert read_records(path).columns == {"a": [], "b": [], "c": []}
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".ndjson"])
+def test_jsonl_rows_match_line_loop(suffix, chunk_rows, tmp_path):
+    path = tmp_path / f"rows{suffix}"
+    path.write_text("\ufeff" + "\n".join(JSONL_LINES) + "\n", encoding="utf-8")
+    expected = _json_loop_rows(path)
+    _assert_same_rows(read_records(path), expected)
+    # keys an object lacks are None in the columns, back-filled for late keys
+    assert read_records(path).columns["c"] == [None, None, None, [1, 2], "late", 0, None,
+                                               {"d": [True, False, 1000.0]}]
+
+
+def test_empty_jsonl(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n\n", encoding="utf-8")
+    records = read_records(path)
+    assert len(records) == 0 and list(records) == [] and records.columns == {}
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"a": ', "rows.jsonl line 3: invalid JSON record (Expecting value)"),
+    ('{"a": 1} {"b": 2}', "rows.jsonl line 3: invalid JSON record (Extra data)"),
+    ('\ufeff{"a": 1}', "rows.jsonl line 3: invalid JSON record (Unexpected UTF-8 BOM"),
+    ("[1, 2]", "rows.jsonl line 3: expected a JSON object"),
+    ('"text"', "rows.jsonl line 3: expected a JSON object"),
+])
+def test_jsonl_errors_name_the_line(line, message, chunk_rows, tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_records(path)
+    assert str(info.value).startswith(message)
+
+
+def test_from_rows_matches_the_mappings():
+    rows = [{"a": 1}, {"b": 2, "a": 3}, {}, {"c": None}]
+    records = Records.from_rows(iter(rows))
+    _assert_same_rows(records, rows)
+    with pytest.raises(IndexError):
+        records[4]
+
+
+def test_blank_line_does_not_shift_error_row(tmp_path):
+    scientists, publications, authorships = tiny_rows()
+    authorships[2] = {"pub_id": "P2"}  # a short row: its other fields are missing
+    with pytest.raises(CorpusError) as from_rows:
+        load_corpus(scientists, publications, authorships)
+
+    paths = []
+    for name, rows in (("scientists", scientists), ("publications", publications)):
+        path = tmp_path / f"{name}.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        paths.append(path)
+    paths.append(tmp_path / "authorships.csv")
+    paths[-1].write_text(
+        "pub_id,position,scientist_id,affiliation_id\n"
+        "P1,1,A1,U01\n"
+        "P1,2,A2,U02\n"
+        "\n"
+        "P2\n"
+        "P2,2,,U03\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusError) as from_files:
+        load_corpus_files(*paths)
+    assert str(from_files.value) == str(from_rows.value) == "authorships row 3: missing 'position'"

@@ -112,6 +112,7 @@ def test_uda_with_empty_rank_is_excluded_from_dominance():
 
 
 def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch):
+    from rankmetrics import fileio
     from rankmetrics.corpus import Authorship, Publication
 
     built = []
@@ -124,7 +125,15 @@ def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting)
 
-    run_pipeline(_run_config(corpus_paths, positional_udas=("UDA01",)))
+    # no per-row dict between the CSV files and the corpus
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row dict was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio.csv, "DictReader", no_rows)
+        for method in ("__iter__", "__getitem__", "_row"):
+            patch.setattr(fileio.Records, method, no_rows)
+        run_pipeline(_run_config(corpus_paths, positional_udas=("UDA01",)))
     assert built == []
 
     corpus = generate(SynthConfig(seed=5, n_uda=1, sds_per_uda=1))
