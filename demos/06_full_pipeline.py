@@ -10,10 +10,10 @@ import tempfile
 from pathlib import Path
 
 from rankmetrics import RunConfig, format_table, run_pipeline, write_bundle
-from rankmetrics.synth import SynthConfig, generate_corpus_files
+from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 
 workdir = Path(tempfile.mkdtemp(prefix="rankmetrics_demo_"))
-paths = generate_corpus_files(SynthConfig(seed=2024), workdir / "corpus")
+paths = write_corpus_csv(generate(SynthConfig(seed=2024)), workdir / "corpus")
 print(f"synthetic corpus in {workdir / 'corpus'}")
 
 config = RunConfig(

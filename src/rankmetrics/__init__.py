@@ -38,10 +38,10 @@ from .baseline import (
     write_baselines,
 )
 from .corpus import (
-    ActivityTable,
     Authorship,
     Corpus,
     CorpusError,
+    Grid,
     Publication,
     RANKS,
     Rank,
@@ -62,7 +62,7 @@ from .indicators import (
     read_indicators,
     write_indicators,
 )
-from .pipeline import ReportBundle, RunConfig, run_pipeline, write_bundle
+from .pipeline import ReportBundle, RunConfig, analysis_tables, prepare, run_pipeline, write_bundle
 from .ranking import (
     Indicator,
     PercentileRecord,
@@ -75,5 +75,5 @@ from .ranking import (
     write_percentiles,
     write_top_flags,
 )
-from .synth import SynthConfig, generate, generate_corpus_files, write_corpus_csv
+from .synth import SynthConfig, generate, write_corpus_csv
 from .tables import Table, format_table, parse_table_csv, write_table

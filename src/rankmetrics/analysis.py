@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, RANKS, Rank
+from .corpus import Corpus, Grid, RANKS, Rank, tally
 from .indicators import IndicatorRecord
-from .ranking import Indicator, indicator_value, midranks
+from .ranking import Indicator, indicator_values, midranks
 
 __all__ = [
     "ChiSquareResult",
@@ -138,19 +138,10 @@ def dominance_counts(
     Fields where either group has no ranked member are excluded from the
     denominator (and reported in ``excluded_sds``).
     """
-    if isinstance(records, Mapping):
-        records = records.values()
     by_sds: dict[str, dict[Rank, list[float]]] = defaultdict(lambda: defaultdict(list))
-    for rec in records:
-        sci = corpus.scientists_by_id.get(rec.scientist_id)
-        if sci is None:
-            raise ValueError(f"indicator record for unknown scientist '{rec.scientist_id}'")
-        if sci.rank not in (group_a, group_b):
-            continue
-        value = indicator_value(rec, indicator)
-        if value is None:
-            continue
-        by_sds[sci.sds_code][sci.rank].append(value)
+    for sci, value in indicator_values(records, indicator, corpus):
+        if sci.rank in (group_a, group_b):
+            by_sds[sci.sds_code][sci.rank].append(value)
 
     per_uda: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     results: dict[str, DominanceResult] = {}
@@ -223,15 +214,12 @@ def bottom_top_ratio(
     values,
     bottom_fraction: float = 0.4,
     top_fraction: float = 0.2,
-    per_capita: bool = True,
 ) -> float | None:
     """Per-capita output of the weakest block over that of the strongest block.
 
     Block sizes are ``max(1, floor(fraction * n))``. 1 means a perfectly
     uniform population, values toward 0 mean concentration at the top; None
-    (undefined) when the top block has zero output. ``per_capita=False``
-    compares raw block sums instead, for reference -- note that variant yields
-    bottom_n/top_n (e.g. 2.0) on uniform populations.
+    (undefined) when the top block has zero output.
     """
     x = sorted(values)
     n = len(x)
@@ -243,14 +231,8 @@ def bottom_top_ratio(
         raise ValueError("fractions must be in (0, 1)")
     k_top = max(1, math.floor(top_fraction * n))
     k_bottom = max(1, math.floor(bottom_fraction * n))
-    top = x[n - k_top:]
-    bottom = x[:k_bottom]
-    if per_capita:
-        top_stat = math.fsum(top) / k_top
-        bottom_stat = math.fsum(bottom) / k_bottom
-    else:
-        top_stat = math.fsum(top)
-        bottom_stat = math.fsum(bottom)
+    top_stat = math.fsum(x[n - k_top:]) / k_top
+    bottom_stat = math.fsum(x[:k_bottom]) / k_bottom
     if top_stat == 0.0:
         return None
     return bottom_stat / top_stat
@@ -374,16 +356,9 @@ def concentration_rows(
     undefined (zero top output) are left out of the ratio average; if every
     field's ratio is undefined the UDA ratio is None.
     """
-    if isinstance(records, Mapping):
-        records = records.values()
     values: dict[tuple[str, Rank], list[float]] = defaultdict(list)
-    for rec in records:
-        sci = corpus.scientists_by_id.get(rec.scientist_id)
-        if sci is None:
-            raise ValueError(f"indicator record for unknown scientist '{rec.scientist_id}'")
-        value = indicator_value(rec, indicator)
-        if value is not None:
-            values[(sci.sds_code, sci.rank)].append(value)
+    for sci, value in indicator_values(records, indicator, corpus):
+        values[(sci.sds_code, sci.rank)].append(value)
 
     out: dict[tuple[str, Rank], ConcentrationRow] = {}
     for uda in corpus.udas:
@@ -411,48 +386,24 @@ def concentration_rows(
     return out
 
 
-@dataclass(frozen=True)
-class TopShareCell:
+class TopShareCell(NamedTuple):
     top_count: int = 0
     staff_count: int = 0
 
-    def merged(self, other: "TopShareCell") -> "TopShareCell":
-        return TopShareCell(
-            self.top_count + other.top_count, self.staff_count + other.staff_count
-        )
-
 
 @dataclass(frozen=True)
-class TopDistribution:
+class TopDistribution(Grid):
     """How top scientists distribute over ranks, per UDA and overall."""
 
     indicator: Indicator
-    cells: Mapping[tuple[str, Rank], TopShareCell]
     chi_square_by_uda: Mapping[str, ChiSquareResult | None]
     chi_square_overall: ChiSquareResult | None
 
-    @property
-    def udas(self) -> tuple[str, ...]:
-        return tuple(sorted({u for u, _ in self.cells}))
-
-    def cell(self, uda: str | None = None, rank: Rank | None = None) -> TopShareCell:
-        total = TopShareCell()
-        for (u, r), c in self.cells.items():
-            if (uda is None or u == uda) and (rank is None or r == rank):
-                total = total.merged(c)
-        return total
-
     def top_share(self, uda: str | None, rank: Rank) -> float | None:
-        denom = self.cell(uda).top_count
-        if denom == 0:
-            return None
-        return 100.0 * self.cell(uda, rank).top_count / denom
+        return self.percent("top_count", uda, rank)
 
     def staff_share(self, uda: str | None, rank: Rank) -> float | None:
-        denom = self.cell(uda).staff_count
-        if denom == 0:
-            return None
-        return 100.0 * self.cell(uda, rank).staff_count / denom
+        return self.percent("staff_count", uda, rank)
 
     def index(self, uda: str | None, rank: Rank) -> float | None:
         top = self.top_share(uda, rank)
@@ -462,8 +413,9 @@ class TopDistribution:
         return concentration_index(top, staff)
 
 
-def _rank_chi_square(cells: Mapping[Rank, TopShareCell]) -> ChiSquareResult | None:
-    columns = [c for c in (cells.get(r) for r in RANKS) if c and c.staff_count > 0]
+def _rank_chi_square(grid: Grid, uda: str | None) -> ChiSquareResult | None:
+    """Excellence-vs-rank test on the rank cells of ``uda`` (all UDAs when None)."""
+    columns = [c for c in (grid.cell(uda, r) for r in RANKS) if c.staff_count > 0]
     if len(columns) < 2:
         return None
     top = [c.top_count for c in columns]
@@ -481,29 +433,19 @@ def top_distribution(
     """Distribution of flagged top scientists over ranks, with the association
     test between excellence and rank (per UDA and for the whole population)."""
     top_ids = {f.scientist_id for f in flags if f.is_top and f.indicator is indicator}
-    cells: dict[tuple[str, Rank], list[int]] = defaultdict(lambda: [0, 0])
-    for sci in corpus.scientists:
-        acc = cells[(sci.uda_code, sci.rank)]
-        acc[1] += 1
-        if sci.scientist_id in top_ids:
-            acc[0] += 1
-    dist_cells = {key: TopShareCell(*acc) for key, acc in cells.items()}
-
-    chi_by_uda: dict[str, ChiSquareResult | None] = {}
-    for uda in corpus.udas:
-        chi_by_uda[uda] = _rank_chi_square(
-            {r: dist_cells.get((uda, r), TopShareCell()) for r in RANKS}
-        )
-    overall_cells = {
-        r: TopShareCell(
-            sum(c.top_count for (u, rr), c in dist_cells.items() if rr is r),
-            sum(c.staff_count for (u, rr), c in dist_cells.items() if rr is r),
-        )
-        for r in RANKS
-    }
+    scientists = corpus.scientists
+    cells = tally(
+        TopShareCell,
+        [sci.uda_code for sci in scientists],
+        [sci.rank for sci in scientists],
+        [sci.scientist_id in top_ids for sci in scientists],
+        np.ones(len(scientists)),
+    )
+    grid = Grid(TopShareCell, cells)
     return TopDistribution(
+        TopShareCell,
+        cells,
         indicator=indicator,
-        cells=dist_cells,
-        chi_square_by_uda=chi_by_uda,
-        chi_square_overall=_rank_chi_square(overall_cells),
+        chi_square_by_uda={uda: _rank_chi_square(grid, uda) for uda in corpus.udas},
+        chi_square_overall=_rank_chi_square(grid, None),
     )

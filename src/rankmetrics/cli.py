@@ -11,26 +11,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import os
 import sys
 from pathlib import Path
+from typing import Mapping
 
-from .analysis import dominance_counts, concentration_rows, top_distribution
-from .baseline import build_baselines, read_baselines, write_baselines
-from .corpus import CorpusError, Rank, filter_active_sds, load_corpus_files
-from .indicators import compute_indicators, read_indicators, write_indicators
-from .pipeline import RunConfig, run_pipeline, write_bundle
-from .ranking import Indicator, sds_percentiles, top_scientists, write_percentiles, write_top_flags
+from .baseline import write_baselines
+from .corpus import RANKS, CorpusError, load_corpus_files
+from .indicators import write_indicators
+from .pipeline import FORMAT_EXT, RunConfig, analysis_tables, prepare, run_pipeline, write_bundle
+from .ranking import INDICATORS, sds_percentiles, top_scientists, write_percentiles, write_top_flags
 from .synth import SynthConfig, generate, write_corpus_csv
-from .tables import (
-    build_chi_square_table,
-    build_concentration_table,
-    build_dominance_table,
-    build_top_distribution_table,
-    format_table,
-    write_table,
-)
+from .tables import format_table, write_table
 
 logger = logging.getLogger("rankmetrics")
 
@@ -67,8 +61,6 @@ def _setting(args: argparse.Namespace, cfg: dict[str, str], key: str, default=No
         value = cfg.get(key, default)
     if value is None or cast is None:
         return value
-    if cast is bool and isinstance(value, str):
-        return value.lower() in ("1", "true", "yes")
     return cast(value)
 
 
@@ -92,12 +84,11 @@ def _input_paths(args, cfg) -> tuple[Path, Path, Path]:
 
 def _run_config(args, cfg) -> RunConfig:
     scientists, publications, authorships = _input_paths(args, cfg)
-    baselines = _setting(args, cfg, "baselines")
     return RunConfig(
         scientists=scientists,
         publications=publications,
         authorships=authorships,
-        baselines=None if baselines is None else Path(baselines),
+        baselines=_setting(args, cfg, "baselines"),
         positional_udas=_split_udas(_setting(args, cfg, "positional_udas")),
         sds_threshold=_setting(args, cfg, "sds_threshold", 0.5, float),
         top_fraction=_setting(args, cfg, "top_fraction", 0.2, float),
@@ -119,34 +110,27 @@ def _out_dir(args, cfg, required: bool = True) -> Path | None:
 
 
 def _synth_config(args, cfg) -> SynthConfig:
-    def per_rank(prefix: str, default: SynthConfig, attr: str, cast=float):
-        base = getattr(default, attr)
-        return {
-            rank: cast(cfg.get(f"{prefix}_{rank.value.lower()}", base[rank]))
-            for rank in (Rank.FULL, Rank.ASSOCIATE, Rank.ASSISTANT)
-        }
-
+    """One key per :class:`SynthConfig` field, cast to the default's type:
+    ``<field>_full``, ``<field>_associate`` and ``<field>_assistant`` for the
+    per-rank mappings, ``year_start`` and ``year_end`` for ``years``."""
     defaults = SynthConfig()
-    seed = _setting(args, cfg, "seed", defaults.seed, int)
-    return SynthConfig(
-        seed=seed,
-        n_uda=int(cfg.get("n_uda", defaults.n_uda)),
-        sds_per_uda=int(cfg.get("sds_per_uda", defaults.sds_per_uda)),
-        scientists_per_sds=per_rank("scientists_per_sds", defaults, "scientists_per_sds", int),
-        pubs_per_scientist=float(cfg.get("pubs_per_scientist", defaults.pubs_per_scientist)),
-        count_dispersion=float(cfg.get("count_dispersion", defaults.count_dispersion)),
-        citation_dispersion=float(cfg.get("citation_dispersion", defaults.citation_dispersion)),
-        citation_mean=float(cfg.get("citation_mean", defaults.citation_mean)),
-        authors_per_pub=float(cfg.get("authors_per_pub", defaults.authors_per_pub)),
-        rank_effect=per_rank("rank_effect", defaults, "rank_effect"),
-        inactive_fraction=per_rank("inactive_fraction", defaults, "inactive_fraction"),
-        years=(
-            int(cfg.get("year_start", defaults.years[0])),
-            int(cfg.get("year_end", defaults.years[1])),
-        ),
-        categories_per_pub=int(cfg.get("categories_per_pub", defaults.categories_per_pub)),
-        n_categories=int(cfg.get("n_categories", defaults.n_categories)),
-    )
+    values = {}
+    for field in dataclasses.fields(SynthConfig):
+        default = getattr(defaults, field.name)
+        if isinstance(default, Mapping):
+            values[field.name] = {
+                rank: type(default[rank])(
+                    cfg.get(f"{field.name}_{rank.value.lower()}", default[rank])
+                )
+                for rank in RANKS
+            }
+        elif field.name == "years":
+            values[field.name] = tuple(
+                int(cfg.get(key, year)) for key, year in zip(("year_start", "year_end"), default)
+            )
+        else:
+            values[field.name] = _setting(args, cfg, field.name, default, type(default))
+    return SynthConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -177,54 +161,27 @@ def _cmd_synth(args, cfg) -> int:
 
 
 def _prepare(args, cfg):
-    """Shared load -> filter -> baselines -> indicators front end."""
+    """:func:`pipeline.prepare` on the run settings; only subcommands that
+    offer ``--indicators`` read precomputed indicators."""
     run = _run_config(args, cfg)
-    run.validate()
-    corpus = load_corpus_files(run.scientists, run.publications, run.authorships)
-    filtered = filter_active_sds(corpus, run.sds_threshold)
-    indicators_path = _setting(args, cfg, "indicators")
-    if indicators_path:
-        records = read_indicators(indicators_path)
-        _check_roster(records, filtered, indicators_path)
-        baselines = None
-    else:
-        if run.baselines is not None:
-            baselines = read_baselines(run.baselines)
-        else:
-            baselines = build_baselines(filtered)
-        records = compute_indicators(filtered, baselines, run.positional_udas)
-    return run, filtered, baselines, records
-
-
-def _check_roster(records, corpus, path, shown: int = 5) -> None:
-    """Precomputed indicators must cover exactly the filtered roster."""
-    roster = [sci.scientist_id for sci in corpus.scientists]
-    missing = [sid for sid in roster if sid not in records]
-    extra = [sid for sid in records if sid not in corpus.scientists_by_id]
-    if missing or extra:
-        raise ValueError(
-            f"indicators file {path} does not match the roster: {len(records)} records for "
-            f"{len(roster)} scientists; {len(missing)} missing (first: "
-            f"{', '.join(missing[:shown]) or '-'}), {len(extra)} extra (first: "
-            f"{', '.join(extra[:shown]) or '-'})"
-        )
+    indicators = _setting(args, cfg, "indicators") if "indicators" in args else None
+    return (run, *prepare(run, indicators))
 
 
 def _cmd_indicators(args, cfg) -> int:
     out = _out_dir(args, cfg)
-    run, filtered, baselines, records = _prepare(args, cfg)
+    _, _, _, baselines, records = _prepare(args, cfg)
     print(write_indicators(records, out / "indicators.csv"))
-    if baselines is not None:
-        print(write_baselines(baselines, out / "baselines.csv"))
+    print(write_baselines(baselines, out / "baselines.csv"))
     return 0
 
 
 def _cmd_rank(args, cfg) -> int:
     out = _out_dir(args, cfg)
-    run, filtered, _, records = _prepare(args, cfg)
+    run, _, filtered, _, records = _prepare(args, cfg)
     percentiles = []
     flags = []
-    for indicator in (Indicator.NP, Indicator.FSS, Indicator.QI):
+    for indicator in INDICATORS:
         percentiles.extend(sds_percentiles(records, indicator, filtered))
         flags.extend(top_scientists(records, indicator, filtered, run.top_fraction))
     print(write_percentiles(percentiles, out / "percentiles.csv"))
@@ -234,23 +191,10 @@ def _cmd_rank(args, cfg) -> int:
 
 def _cmd_analyze(args, cfg) -> int:
     out = _out_dir(args, cfg)
-    run, filtered, _, records = _prepare(args, cfg)
-    fmt = run.output_format
-    ext = {"text": "txt", "csv": "csv", "md": "md"}[fmt]
-    dominance = {
-        indicator: dominance_counts(records, filtered, indicator, Rank.FULL, Rank.ASSISTANT)
-        for indicator in (Indicator.NP, Indicator.FSS, Indicator.QI)
-    }
-    conc = concentration_rows(records, filtered, Indicator.FSS, run.bottom_fraction, run.top_fraction)
-    flags = top_scientists(records, Indicator.FSS, filtered, run.top_fraction)
-    dist = top_distribution(flags, filtered, Indicator.FSS)
-    for table in (
-        build_dominance_table(dominance),
-        build_concentration_table(conc),
-        build_top_distribution_table(dist),
-        build_chi_square_table(dist),
-    ):
-        print(write_table(table, out / f"{table.key}.{ext}", fmt))
+    run, _, filtered, _, records = _prepare(args, cfg)
+    ext = FORMAT_EXT[run.output_format]
+    for table in analysis_tables(run, filtered, records):
+        print(write_table(table, out / f"{table.key}.{ext}", run.output_format))
     return 0
 
 
@@ -284,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--publications", help="publications record file")
     common.add_argument("--authorships", help="authorships record file")
     common.add_argument("--baselines", help="baseline override file (year,category,median,mean,count)")
-    common.add_argument("--indicators", help="precomputed indicator file (skips recomputation)")
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=["text", "csv", "md"], help="report format (default text)")
     common.add_argument("--sds-threshold", dest="sds_threshold", type=float,
@@ -307,8 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     synth.add_argument("--seed", type=int, help="generator seed")
     sub.add_parser("indicators", parents=[common], help="export per-scientist indicators and baselines")
-    sub.add_parser("rank", parents=[common], help="export percentiles and top-scientist flags")
-    sub.add_parser("analyze", parents=[common], help="export dominance, concentration and association tables")
+    rank = sub.add_parser("rank", parents=[common], help="export percentiles and top-scientist flags")
+    analyze = sub.add_parser(
+        "analyze", parents=[common], help="export dominance, concentration and association tables"
+    )
+    for staged in (rank, analyze):
+        staged.add_argument("--indicators", help="precomputed indicator file (skips recomputation)")
     sub.add_parser("report", parents=[common], help="run the full pipeline and write every table")
     return parser
 

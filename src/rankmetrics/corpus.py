@@ -5,16 +5,18 @@ a corpus, are held as columns: one list or integer array per field, one
 entry per input row in file order. Loading parses and validates the rows a
 column at a time and still names the first offending row. The resulting
 :class:`Corpus` is immutable, so every operation here is a pure read and
-:func:`filter_active_sds` returns a new corpus instead of mutating.
+:func:`filter_active_sds` returns a new corpus instead of mutating. Per-row
+counts per UDA and rank are summed by :func:`tally` into a :class:`Grid`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
+import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,10 +27,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ActivityCell",
-    "ActivityTable",
     "Authorship",
     "Corpus",
     "CorpusError",
+    "Grid",
     "Publication",
     "RANKS",
     "Rank",
@@ -41,6 +43,7 @@ __all__ = [
     "load_corpus",
     "load_corpus_files",
     "roster_summary",
+    "tally",
 ]
 
 
@@ -226,9 +229,6 @@ class Corpus:
         self.by_scientist = roster[np.argsort(auth_scientist[roster], kind="stable")]
         self.scientist_pub_count = np.bincount(auth_scientist[roster], minlength=len(ids))
         self._views: dict[str, object] = {}
-
-    def sds_codes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sds_to_uda))
 
     def publication_count(self, scientist_id: str) -> int:
         index = self.scientist_index.get(scientist_id)
@@ -617,56 +617,89 @@ def load_corpus_files(scientists, publications, authorships) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Roster summary
+# (UDA, rank) grids
 
 @dataclass(frozen=True)
-class RosterCell:
+class Grid:
+    """One cell of a tuple type per (UDA, rank), in order of first appearance.
+
+    :meth:`cell` pools cells field by field for a UDA, a rank or the whole
+    grid, adding them in grid order, so a pooled float total is the same
+    sequence of additions on every run.
+    """
+
+    cell_type: type
+    cells: Mapping[tuple[str, Rank], tuple]
+
+    @property
+    def udas(self) -> tuple[str, ...]:
+        return tuple(sorted({u for u, _ in self.cells}))
+
+    def cell(self, uda: str | None = None, rank: Rank | None = None) -> tuple:
+        total = self.cell_type()
+        for (u, r), c in self.cells.items():
+            if (uda is None or u == uda) and (rank is None or r == rank):
+                total = self.cell_type(*map(operator.add, total, c))
+        return total
+
+    def percent(self, field: str, uda: str | None, rank: Rank) -> float | None:
+        """``field`` of the (uda, rank) cell as a percent of the UDA's pooled
+        ``field`` (of the grand total when ``uda`` is None); None when that is 0."""
+        denom = getattr(self.cell(uda), field)
+        if denom == 0:
+            return None
+        return 100.0 * getattr(self.cell(uda, rank), field) / denom
+
+
+def tally(cell_type: type, udas: Iterable[str], ranks: Iterable[Rank], *columns) -> dict:
+    """Sum per-row ``columns``, one per field of ``cell_type``, into one cell
+    per distinct (UDA, rank) of the rows, in order of first appearance.
+
+    Each cell adds its rows in row order, as a loop over the rows would; a
+    field is cast to the type of its default. A row's cell is coded from
+    the UDA's code and the rank's position in :data:`RANKS`, not from a
+    ``(uda, rank)`` tuple: hashing one per row costs more than the sums.
+    """
+    codes = _Codes()
+    uda = np.fromiter(map(codes.__getitem__, udas), np.int64)
+    key = uda * len(RANKS) + np.fromiter(map(RANKS.index, ranks), np.int64, len(uda))
+    distinct, first = np.unique(key, return_index=True)
+    names = codes.names()
+    sums = [np.bincount(key, weights=column).tolist() for column in columns]
+    casts = [type(default) for default in cell_type._field_defaults.values()]
+    return {
+        (names[k // len(RANKS)], RANKS[k % len(RANKS)]):
+            cell_type(*(cast(total[k]) for cast, total in zip(casts, sums)))
+        for k in distinct[np.argsort(first)].tolist()
+    }
+
+
+# ---------------------------------------------------------------------------
+# Roster summary
+
+class RosterCell(NamedTuple):
     headcount: int = 0
     age_total: int = 0
     aged_count: int = 0
 
-    def merged(self, other: "RosterCell") -> "RosterCell":
-        return RosterCell(
-            self.headcount + other.headcount,
-            self.age_total + other.age_total,
-            self.aged_count + other.aged_count,
-        )
-
 
 @dataclass(frozen=True)
-class RosterSummary:
+class RosterSummary(Grid):
     """Headcounts, staff shares and mean ages per UDA and rank."""
 
-    cells: Mapping[tuple[str, Rank], RosterCell]
     sds_counts: Mapping[str, int]
     reference_year: int | None
-
-    @property
-    def udas(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sds_counts))
-
-    def cell(self, uda: str | None = None, rank: Rank | None = None) -> RosterCell:
-        total = RosterCell()
-        for (u, r), c in self.cells.items():
-            if (uda is None or u == uda) and (rank is None or r == rank):
-                total = total.merged(c)
-        return total
 
     def headcount(self, uda: str | None = None, rank: Rank | None = None) -> int:
         return self.cell(uda, rank).headcount
 
     def share(self, uda: str | None, rank: Rank) -> float | None:
         """Percent of the UDA staff (or of the grand total when ``uda`` is None)."""
-        denom = self.headcount(uda)
-        if denom == 0:
-            return None
-        return 100.0 * self.headcount(uda, rank) / denom
+        return self.percent("headcount", uda, rank)
 
     def mean_age(self, uda: str | None = None, rank: Rank | None = None) -> float | None:
         cell = self.cell(uda, rank)
-        if cell.aged_count == 0:
-            return None
-        return cell.age_total / cell.aged_count
+        return cell.age_total / cell.aged_count if cell.aged_count else None
 
 
 def roster_summary(corpus: Corpus, reference_year: int | None = None) -> RosterSummary:
@@ -679,21 +712,21 @@ def roster_summary(corpus: Corpus, reference_year: int | None = None) -> RosterS
     if reference_year is None and len(corpus.pub_ids):
         reference_year = int(corpus.pub_year.max()) + 1
 
-    counts: dict[tuple[str, Rank], list[int]] = defaultdict(lambda: [0, 0, 0])
-    for sci in corpus.scientists:
-        acc = counts[(sci.uda_code, sci.rank)]
-        acc[0] += 1
-        if sci.birth_year is not None and reference_year is not None:
-            acc[1] += reference_year - sci.birth_year
-            acc[2] += 1
-
-    sds_counts: dict[str, int] = defaultdict(int)
-    for sds, uda in corpus.sds_to_uda.items():
-        sds_counts[uda] += 1
-
+    scientists = corpus.scientists
+    aged = [sci.birth_year is not None and reference_year is not None for sci in scientists]
+    ages = [reference_year - sci.birth_year if a else 0 for sci, a in zip(scientists, aged)]
+    cells = tally(
+        RosterCell,
+        [sci.uda_code for sci in scientists],
+        [sci.rank for sci in scientists],
+        np.ones(len(scientists)),
+        ages,
+        aged,
+    )
     return RosterSummary(
-        cells={key: RosterCell(*acc) for key, acc in counts.items()},
-        sds_counts=dict(sds_counts),
+        RosterCell,
+        cells,
+        sds_counts=dict(Counter(corpus.sds_to_uda.values())),
         reference_year=reference_year,
     )
 
@@ -756,51 +789,27 @@ def filter_active_sds(corpus: Corpus, threshold: float = 0.5) -> Corpus:
 # ---------------------------------------------------------------------------
 # Activity rates
 
-@dataclass(frozen=True)
-class ActivityCell:
+class ActivityCell(NamedTuple):
     headcount: int = 0
     publication_active: int = 0
     citation_active: int = 0
 
-    def merged(self, other: "ActivityCell") -> "ActivityCell":
-        return ActivityCell(
-            self.headcount + other.headcount,
-            self.publication_active + other.publication_active,
-            self.citation_active + other.citation_active,
-        )
 
-
-@dataclass(frozen=True)
-class ActivityTable:
-    """Counts of scientists with any publication / any citation impact."""
-
-    cells: Mapping[tuple[str, Rank], ActivityCell]
-
-    @property
-    def udas(self) -> tuple[str, ...]:
-        return tuple(sorted({u for u, _ in self.cells}))
-
-    def cell(self, uda: str | None = None, rank: Rank | None = None) -> ActivityCell:
-        total = ActivityCell()
-        for (u, r), c in self.cells.items():
-            if (uda is None or u == uda) and (rank is None or r == rank):
-                total = total.merged(c)
-        return total
-
-
-def activity_rates(corpus: Corpus, records: Iterable["IndicatorRecord"]) -> ActivityTable:
+def activity_rates(corpus: Corpus, records: Iterable["IndicatorRecord"]) -> Grid:
     """Per UDA and rank: how many scientists published at all, and how many
     accumulated any citation impact (positive fractional strength)."""
     by_id = {r.scientist_id: r for r in records}
-    cells: dict[tuple[str, Rank], list[int]] = defaultdict(lambda: [0, 0, 0])
-    for sci in corpus.scientists:
-        rec = by_id.get(sci.scientist_id)
-        if rec is None:
-            raise ValueError(f"no indicator record for scientist '{sci.scientist_id}'")
-        acc = cells[(sci.uda_code, sci.rank)]
-        acc[0] += 1
-        if rec.n_p >= 1:
-            acc[1] += 1
-        if rec.fss > 0:
-            acc[2] += 1
-    return ActivityTable({key: ActivityCell(*acc) for key, acc in cells.items()})
+    scientists = corpus.scientists
+    try:
+        recs = [by_id[sci.scientist_id] for sci in scientists]
+    except KeyError as exc:
+        raise ValueError(f"no indicator record for scientist '{exc.args[0]}'") from None
+    cells = tally(
+        ActivityCell,
+        [sci.uda_code for sci in scientists],
+        [sci.rank for sci in scientists],
+        np.ones(len(recs)),
+        [rec.n_p >= 1 for rec in recs],
+        [rec.fss > 0 for rec in recs],
+    )
+    return Grid(ActivityCell, cells)

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__
 from .analysis import dominance_counts, concentration_rows, top_distribution
 from .baseline import build_baselines, read_baselines
-from .corpus import Rank, activity_rates, filter_active_sds, load_corpus_files, roster_summary
-from .indicators import compute_indicators
-from .ranking import Indicator, sds_percentiles, top_scientists, uda_rank_average
+from .corpus import Corpus, Rank, activity_rates, filter_active_sds, load_corpus_files, roster_summary
+from .indicators import compute_indicators, read_indicators
+from .ranking import INDICATORS, Indicator, sds_percentiles, top_scientists, uda_rank_average
 from .tables import (
     Table,
     build_activity_table,
@@ -31,9 +32,9 @@ from .tables import (
     write_table,
 )
 
-__all__ = ["ReportBundle", "RunConfig", "run_pipeline", "write_bundle"]
+__all__ = ["ReportBundle", "RunConfig", "analysis_tables", "prepare", "run_pipeline", "write_bundle"]
 
-_FORMAT_EXT = {"text": "txt", "csv": "csv", "md": "md"}
+FORMAT_EXT = {"text": "txt", "csv": "csv", "md": "md"}
 
 
 @dataclass
@@ -64,27 +65,18 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value}")
-        if self.output_format not in _FORMAT_EXT:
-            raise ValueError(f"output_format must be one of {sorted(_FORMAT_EXT)}")
+        if self.output_format not in FORMAT_EXT:
+            raise ValueError(f"output_format must be one of {sorted(FORMAT_EXT)}")
         for name in ("scientists", "publications", "authorships", "baselines"):
             path = getattr(self, name)
             if path is not None and not Path(path).is_file():
                 raise FileNotFoundError(f"{name} file not found: {path}")
 
     def digest(self) -> str:
-        payload = {
-            "scientists": str(self.scientists),
-            "publications": str(self.publications),
-            "authorships": str(self.authorships),
-            "baselines": None if self.baselines is None else str(self.baselines),
-            "positional_udas": list(self.positional_udas),
-            "sds_threshold": self.sds_threshold,
-            "top_fraction": self.top_fraction,
-            "bottom_fraction": self.bottom_fraction,
-            "reference_year": self.reference_year,
-            "output_format": self.output_format,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        """Hash of every field; paths hash as their text."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        text = json.dumps(payload, sort_keys=True, default=str)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -93,18 +85,65 @@ class ReportBundle:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-def run_pipeline(config: RunConfig) -> ReportBundle:
-    """Run the full analysis and return every report table."""
+def prepare(config: RunConfig, indicators: str | Path | None = None):
+    """Load -> activity filter -> baselines -> indicators, returning
+    ``(corpus, filtered, baselines, records)``. With ``indicators``, the path
+    of a precomputed indicator file, the records are read from it instead and
+    must cover exactly the filtered roster; ``baselines`` is then None."""
     config.validate()
     corpus = load_corpus_files(config.scientists, config.publications, config.authorships)
     filtered = filter_active_sds(corpus, config.sds_threshold)
-
+    if indicators:
+        records = read_indicators(indicators)
+        _check_roster(records, filtered, indicators)
+        return corpus, filtered, None, records
     if config.baselines is not None:
         baselines = read_baselines(config.baselines)
     else:
         baselines = build_baselines(filtered)
     records = compute_indicators(filtered, baselines, config.positional_udas)
+    return corpus, filtered, baselines, records
 
+
+def _check_roster(records, corpus, path, shown: int = 5) -> None:
+    """Precomputed indicators must cover exactly the filtered roster."""
+    roster = [sci.scientist_id for sci in corpus.scientists]
+    missing = [sid for sid in roster if sid not in records]
+    extra = [sid for sid in records if sid not in corpus.scientists_by_id]
+    if missing or extra:
+        raise ValueError(
+            f"indicators file {path} does not match the roster: {len(records)} records for "
+            f"{len(roster)} scientists; {len(missing)} missing (first: "
+            f"{', '.join(missing[:shown]) or '-'}), {len(extra)} extra (first: "
+            f"{', '.join(extra[:shown]) or '-'})"
+        )
+
+
+def analysis_tables(
+    config: RunConfig, filtered: Corpus, records, metadata: Mapping[str, str] = ()
+) -> list[Table]:
+    """T8 dominance, T9 concentration, T10 top distribution and the
+    chi-square table, in report order."""
+    dominance = {
+        indicator: dominance_counts(records, filtered, indicator, Rank.FULL, Rank.ASSISTANT)
+        for indicator in INDICATORS
+    }
+    concentration = concentration_rows(
+        records, filtered, Indicator.FSS, config.bottom_fraction, config.top_fraction
+    )
+    flags = top_scientists(records, Indicator.FSS, filtered, config.top_fraction)
+    dist = top_distribution(flags, filtered, Indicator.FSS)
+    return [
+        build_dominance_table(dominance, metadata),
+        build_concentration_table(concentration, metadata),
+        build_top_distribution_table(dist, metadata),
+        build_chi_square_table(dist, metadata),
+    ]
+
+
+def run_pipeline(config: RunConfig) -> ReportBundle:
+    """Run the full analysis and return every report table, in report order."""
+    corpus, filtered, _, records = prepare(config)
     summary = roster_summary(filtered, config.reference_year)
     activity = activity_rates(filtered, records.values())
 
@@ -120,58 +159,21 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
     if summary.reference_year is not None:
         metadata["reference_year"] = str(summary.reference_year)
 
-    bundle = ReportBundle(metadata=metadata)
-
-    def add(table: Table):
-        bundle.tables[table.key] = table
-
-    add(build_roster_table(summary, metadata))
-    add(build_age_table(summary, metadata))
-    add(build_activity_table(activity, "publication", metadata))
-    add(build_activity_table(activity, "citation", metadata))
-
-    dominance = {}
-    for indicator in (Indicator.NP, Indicator.FSS, Indicator.QI):
-        percentiles = sds_percentiles(records, indicator, filtered)
-        add(build_percentile_table(uda_rank_average(percentiles, filtered), metadata))
-        dominance[indicator] = dominance_counts(
-            records, filtered, indicator, Rank.FULL, Rank.ASSISTANT
-        )
-    add(build_dominance_table(dominance, metadata))
-
-    add(
-        build_concentration_table(
-            concentration_rows(
-                records, filtered, Indicator.FSS, config.bottom_fraction, config.top_fraction
-            ),
-            metadata,
-        )
-    )
-    flags = top_scientists(records, Indicator.FSS, filtered, config.top_fraction)
-    dist = top_distribution(flags, filtered, Indicator.FSS)
-    add(build_top_distribution_table(dist, metadata))
-    add(build_chi_square_table(dist, metadata))
-
-    order = [
-        "T1_roster",
-        "T2_mean_age",
-        "T3_publication_active",
-        "T4_citation_active",
-        "T5_percentile_np",
-        "T6_percentile_fss",
-        "T7_percentile_qi",
-        "T8_dominance",
-        "T9_concentration",
-        "T10_top_distribution",
-        "chi_square",
+    averages = [uda_rank_average(sds_percentiles(records, i, filtered), filtered) for i in INDICATORS]
+    tables = [
+        build_roster_table(summary, metadata),
+        build_age_table(summary, metadata),
+        build_activity_table(activity, "publication", metadata),
+        build_activity_table(activity, "citation", metadata),
+        *(build_percentile_table(average, metadata) for average in averages),
+        *analysis_tables(config, filtered, records, metadata),
     ]
-    bundle.tables = {key: bundle.tables[key] for key in order}
-    return bundle
+    return ReportBundle({table.key: table for table in tables}, metadata)
 
 
 def write_bundle(bundle: ReportBundle, out_dir: str | Path, fmt: str = "text") -> list[Path]:
     """Write one file per table; returns the written paths."""
-    ext = _FORMAT_EXT[fmt]
+    ext = FORMAT_EXT[fmt]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return [

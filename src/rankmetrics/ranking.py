@@ -12,22 +12,25 @@ import enum
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, Rank
+from .corpus import Corpus, Grid, Rank, Scientist, tally
 from .fileio import read_records, write_records
 from .indicators import IndicatorRecord
 
 __all__ = [
+    "INDICATORS",
     "Indicator",
     "MeanCell",
     "PercentileRecord",
     "PercentileTable",
     "TopFlag",
     "indicator_value",
+    "indicator_values",
     "midranks",
     "read_percentiles",
     "sds_percentiles",
@@ -46,6 +49,10 @@ class Indicator(enum.Enum):
     @property
     def label(self) -> str:
         return {"n_p": "N_p", "qi": "QI", "fss": "FSS"}[self.value]
+
+
+#: The three indicators in report order: volume, total impact, mean impact.
+INDICATORS = (Indicator.NP, Indicator.FSS, Indicator.QI)
 
 
 def indicator_value(record: IndicatorRecord, indicator: Indicator) -> float | None:
@@ -89,22 +96,34 @@ def midranks(values) -> np.ndarray:
     return out
 
 
+def indicator_values(
+    records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
+    indicator: Indicator,
+    corpus: Corpus,
+) -> Iterator[tuple[Scientist, float]]:
+    """``(scientist, value)`` for every record in ``indicator``'s ranking
+    population, in record order; a record of an unknown scientist raises."""
+    if isinstance(records, Mapping):
+        records = records.values()
+    records = list(records)
+    by_id = corpus.scientists_by_id
+    try:
+        scientists = [by_id[rec.scientist_id] for rec in records]
+    except KeyError as exc:
+        raise ValueError(f"indicator record for unknown scientist '{exc.args[0]}'") from None
+    values = [indicator_value(rec, indicator) for rec in records]
+    ranked = [value is not None for value in values]
+    return zip(compress(scientists, ranked), compress(values, ranked))
+
+
 def _group_by_sds(
     records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
     indicator: Indicator,
     corpus: Corpus,
-) -> dict[str, list[tuple[str, float]]]:
-    if isinstance(records, Mapping):
-        records = records.values()
-    groups: dict[str, list[tuple[str, float]]] = defaultdict(list)
-    for rec in records:
-        sci = corpus.scientists_by_id.get(rec.scientist_id)
-        if sci is None:
-            raise ValueError(f"indicator record for unknown scientist '{rec.scientist_id}'")
-        value = indicator_value(rec, indicator)
-        if value is None:
-            continue
-        groups[sci.sds_code].append((rec.scientist_id, value))
+) -> dict[str, list[tuple[Scientist, float]]]:
+    groups: dict[str, list[tuple[Scientist, float]]] = defaultdict(list)
+    for sci, value in indicator_values(records, indicator, corpus):
+        groups[sci.sds_code].append((sci, value))
     return groups
 
 
@@ -130,14 +149,12 @@ def sds_percentiles(
         else:
             ranks = midranks([v for _, v in members])
             pcts = (100.0 * (ranks - 1.0) / (n - 1.0)).tolist()
-        for (sid, _), pct in zip(members, pcts):
-            sci = corpus.scientists_by_id[sid]
-            out.append(PercentileRecord(sid, indicator, pct, sds, sci.rank))
+        for (sci, _), pct in zip(members, pcts):
+            out.append(PercentileRecord(sci.scientist_id, indicator, pct, sds, sci.rank))
     return out
 
 
-@dataclass(frozen=True)
-class MeanCell:
+class MeanCell(NamedTuple):
     total: float = 0.0
     count: int = 0
 
@@ -145,27 +162,12 @@ class MeanCell:
     def mean(self) -> float | None:
         return self.total / self.count if self.count else None
 
-    def merged(self, other: "MeanCell") -> "MeanCell":
-        return MeanCell(self.total + other.total, self.count + other.count)
-
 
 @dataclass(frozen=True)
-class PercentileTable:
+class PercentileTable(Grid):
     """Mean percentile per UDA and rank; pooled totals via :meth:`cell`."""
 
     indicator: Indicator
-    cells: Mapping[tuple[str, Rank], MeanCell]
-
-    @property
-    def udas(self) -> tuple[str, ...]:
-        return tuple(sorted({u for u, _ in self.cells}))
-
-    def cell(self, uda: str | None = None, rank: Rank | None = None) -> MeanCell:
-        total = MeanCell()
-        for (u, r), c in self.cells.items():
-            if (uda is None or u == uda) and (rank is None or r == rank):
-                total = total.merged(c)
-        return total
 
     def mean(self, uda: str | None = None, rank: Rank | None = None) -> float | None:
         return self.cell(uda, rank).mean
@@ -173,23 +175,21 @@ class PercentileTable:
 
 def uda_rank_average(percentiles: Iterable[PercentileRecord], corpus: Corpus) -> PercentileTable:
     """Average the SDS percentiles over every UDA x rank group."""
-    sums: dict[tuple[str, Rank], list[float]] = defaultdict(lambda: [0.0, 0])
-    indicator = None
-    for rec in percentiles:
-        if indicator is None:
-            indicator = rec.indicator
-        elif rec.indicator is not indicator:
-            raise ValueError("mixed indicators in one percentile table")
-        uda = corpus.sds_to_uda[rec.sds_code]
-        acc = sums[(uda, rec.rank)]
-        acc[0] += rec.percentile
-        acc[1] += 1
-    if indicator is None:
+    percentiles = list(percentiles)
+    indicators = {rec.indicator for rec in percentiles}
+    if not indicators:
         raise ValueError("no percentile records")
-    return PercentileTable(
-        indicator=indicator,
-        cells={key: MeanCell(total, int(count)) for key, (total, count) in sums.items()},
+    if len(indicators) > 1:
+        raise ValueError("mixed indicators in one percentile table")
+    sds_to_uda = corpus.sds_to_uda
+    cells = tally(
+        MeanCell,
+        [sds_to_uda[rec.sds_code] for rec in percentiles],
+        [rec.rank for rec in percentiles],
+        [rec.percentile for rec in percentiles],
+        np.ones(len(percentiles)),
     )
+    return PercentileTable(MeanCell, cells, indicator=indicators.pop())
 
 
 def top_scientists(
@@ -213,8 +213,8 @@ def top_scientists(
         values = sorted((v for _, v in members), reverse=True)
         k = max(1, math.floor(fraction * len(members)))
         cutoff = values[k - 1]
-        for sid, value in members:
-            out.append(TopFlag(sid, indicator, value >= cutoff))
+        for sci, value in members:
+            out.append(TopFlag(sci.scientist_id, indicator, value >= cutoff))
     return out
 
 

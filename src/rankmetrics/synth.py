@@ -25,7 +25,7 @@ import numpy as np
 from .corpus import Corpus, RANKS, Rank, load_corpus
 from .fileio import write_records
 
-__all__ = ["SynthConfig", "generate", "generate_corpus_files", "write_corpus_csv"]
+__all__ = ["SynthConfig", "generate", "write_corpus_csv"]
 
 _AGE_RANGE = {Rank.FULL: (48, 68), Rank.ASSOCIATE: (38, 60), Rank.ASSISTANT: (30, 52)}
 _RANK_TAG = {Rank.FULL: "fp", Rank.ASSOCIATE: "ap", Rank.ASSISTANT: "rp"}
@@ -234,8 +234,3 @@ def write_corpus_csv(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         ),
     }
     return paths
-
-
-def generate_corpus_files(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
-    """Generate a corpus and write the three record files."""
-    return write_corpus_csv(generate(config), out_dir)

@@ -15,11 +15,11 @@ import io
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .analysis import ChiSquareResult, ConcentrationRow, DominanceCounts, TopDistribution
-from .corpus import ActivityTable, RANKS, Rank, RosterSummary
-from .ranking import Indicator, PercentileTable
+from .analysis import ConcentrationRow, DominanceCounts, TopDistribution
+from .corpus import Grid, RANKS, Rank, RosterSummary
+from .ranking import INDICATORS, Indicator, PercentileTable
 
 __all__ = [
     "Column",
@@ -220,39 +220,33 @@ def _rank_columns(kind: str) -> list[Column]:
     return [Column(_RANK_TITLES[r], kind) for r in RANKS]
 
 
+def _grid_rows(grid: Grid, row: Callable[[str | None], list], total: str = "Total") -> list[list]:
+    """One row per UDA of ``grid``, then the pooled row ``row(None)``."""
+    return [[uda, *row(uda)] for uda in grid.udas] + [[total, *row(None)]]
+
+
 def build_roster_table(summary: RosterSummary, metadata: Mapping[str, str] = ()) -> Table:
     columns = [Column("UDA"), Column("SDS", "int"), *_rank_columns("count_pct"), Column("Total", "count")]
-    rows = []
-    for uda in summary.udas:
-        rows.append(
-            [
-                uda,
-                summary.sds_counts.get(uda, 0),
-                *[(summary.headcount(uda, r), summary.share(uda, r)) for r in RANKS],
-                summary.headcount(uda),
-            ]
-        )
-    rows.append(
-        [
-            "Total",
-            sum(summary.sds_counts.values()),
-            *[(summary.headcount(None, r), summary.share(None, r)) for r in RANKS],
-            summary.headcount(),
+    sds = summary.sds_counts
+
+    def row(uda):
+        return [
+            sum(sds.values()) if uda is None else sds.get(uda, 0),
+            *[(summary.headcount(uda, r), summary.share(uda, r)) for r in RANKS],
+            summary.headcount(uda),
         ]
-    )
+
+    rows = _grid_rows(summary, row)
     return Table("T1_roster", "T1. Research staff by UDA and academic rank", columns, rows, dict(metadata))
 
 
 def build_age_table(summary: RosterSummary, metadata: Mapping[str, str] = ()) -> Table:
     columns = [Column("UDA"), *_rank_columns("dec0"), Column("Average", "dec0")]
-    rows = []
-    for uda in summary.udas:
-        rows.append([uda, *[summary.mean_age(uda, r) for r in RANKS], summary.mean_age(uda)])
-    rows.append(["Total", *[summary.mean_age(None, r) for r in RANKS], summary.mean_age()])
+    rows = _grid_rows(summary, lambda uda: [summary.mean_age(uda, r) for r in (*RANKS, None)])
     return Table("T2_mean_age", "T2. Average age of research staff by UDA and academic rank", columns, rows, dict(metadata))
 
 
-def _activity_cell(table: ActivityTable, uda, rank, attribute: str):
+def _activity_cell(table: Grid, uda, rank, attribute: str):
     cell = table.cell(uda, rank)
     count = getattr(cell, attribute)
     pct = 100.0 * count / cell.headcount if cell.headcount else None
@@ -260,7 +254,7 @@ def _activity_cell(table: ActivityTable, uda, rank, attribute: str):
 
 
 def build_activity_table(
-    activity: ActivityTable,
+    activity: Grid,
     which: str,
     metadata: Mapping[str, str] = (),
 ) -> Table:
@@ -272,15 +266,8 @@ def build_activity_table(
         "citation": ("T4_citation_active", "T4. Scientists with at least one citation"),
     }[which]
     columns = [Column("UDA"), *_rank_columns("count_pct"), Column("Total", "count_pct")]
-    rows = []
-    for uda in activity.udas:
-        rows.append(
-            [uda, *[_activity_cell(activity, uda, r, attribute) for r in RANKS],
-             _activity_cell(activity, uda, None, attribute)]
-        )
-    rows.append(
-        ["Total", *[_activity_cell(activity, None, r, attribute) for r in RANKS],
-         _activity_cell(activity, None, None, attribute)]
+    rows = _grid_rows(
+        activity, lambda uda: [_activity_cell(activity, uda, r, attribute) for r in (*RANKS, None)]
     )
     return Table(key, title, columns, rows, dict(metadata))
 
@@ -295,10 +282,7 @@ _PERCENTILE_KEYS = {
 def build_percentile_table(ptable: PercentileTable, metadata: Mapping[str, str] = ()) -> Table:
     key, title = _PERCENTILE_KEYS[ptable.indicator]
     columns = [Column("UDA"), *_rank_columns("dec2")]
-    rows = []
-    for uda in ptable.udas:
-        rows.append([uda, *[ptable.mean(uda, r) for r in RANKS]])
-    rows.append(["Total", *[ptable.mean(None, r) for r in RANKS]])
+    rows = _grid_rows(ptable, lambda uda: [ptable.mean(uda, r) for r in RANKS])
     return Table(key, title, columns, rows, dict(metadata))
 
 
@@ -306,7 +290,7 @@ def build_dominance_table(
     counts_by_indicator: Mapping[Indicator, DominanceCounts],
     metadata: Mapping[str, str] = (),
 ) -> Table:
-    order = [i for i in (Indicator.NP, Indicator.FSS, Indicator.QI) if i in counts_by_indicator]
+    order = [i for i in INDICATORS if i in counts_by_indicator]
     if not order:
         raise ValueError("no dominance counts to tabulate")
     any_counts = next(iter(counts_by_indicator.values()))
@@ -355,10 +339,7 @@ def build_concentration_table(
 
 def build_top_distribution_table(dist: TopDistribution, metadata: Mapping[str, str] = ()) -> Table:
     columns = [Column("UDA"), *_rank_columns("pct_index")]
-    rows = []
-    for uda in dist.udas:
-        rows.append([uda, *[(dist.top_share(uda, r), dist.index(uda, r)) for r in RANKS]])
-    rows.append(["Total", *[(dist.top_share(None, r), dist.index(None, r)) for r in RANKS]])
+    rows = _grid_rows(dist, lambda uda: [(dist.top_share(uda, r), dist.index(uda, r)) for r in RANKS])
     return Table(
         "T10_top_distribution",
         f"T10. Distribution of top scientists ({dist.indicator.label}) by rank, concentration index in brackets",
@@ -376,15 +357,13 @@ def build_chi_square_table(dist: TopDistribution, metadata: Mapping[str, str] = 
         Column("p-value", "dec4"),
     ]
 
-    def cells(result: ChiSquareResult | None):
+    def row(uda):
+        result = dist.chi_square_overall if uda is None else dist.chi_square_by_uda.get(uda)
         if result is None:
             return [None, None, None]
         return [result.statistic, result.degrees_of_freedom, result.p_value]
 
-    rows = []
-    for uda in dist.udas:
-        rows.append([uda, *cells(dist.chi_square_by_uda.get(uda))])
-    rows.append(["All", *cells(dist.chi_square_overall)])
+    rows = _grid_rows(dist, row, total="All")
     return Table(
         "chi_square",
         f"Association between top-scientist status ({dist.indicator.label}) and academic rank",

@@ -33,7 +33,7 @@ from rankmetrics import (
     sequence_criterion,
     write_bundle,
 )
-from rankmetrics.synth import SynthConfig, generate_corpus_files
+from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 from rankmetrics.tables import half_up
 
 
@@ -266,7 +266,7 @@ def test_c7_chi_square_numerics():
 @criterion("C8 end-to-end recovery", 30.0)
 def test_c8_end_to_end_recovery(tmp_path):
     config = SynthConfig(seed=2)  # 9 UDAs x 3 SDSs x 60 scientists (20 per rank)
-    paths = generate_corpus_files(config, tmp_path / "corpus")
+    paths = write_corpus_csv(generate(config), tmp_path / "corpus")
     run = RunConfig(
         scientists=paths["scientists"],
         publications=paths["publications"],

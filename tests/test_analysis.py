@@ -185,11 +185,6 @@ def test_ratio_block_sizes():
     assert bottom_top_ratio([1, 1, 4, 4, 10]) == pytest.approx(1.0 / 10.0)
 
 
-def test_ratio_raw_sum_variant():
-    # raw sums compare 0.4n against 0.2n values: uniform gives 2.0
-    assert bottom_top_ratio([3.0] * 10, per_capita=False) == pytest.approx(2.0)
-
-
 def test_ratio_bounds_property():
     rng = np.random.default_rng(9)
     for _ in range(200):

@@ -1,8 +1,13 @@
 """Command-line surface: subcommands, config precedence, logging env var."""
 
+import dataclasses
+
 import pytest
 
-from rankmetrics.cli import main
+from rankmetrics.cli import _build_parser, _read_config_file, _synth_config, main
+from rankmetrics.corpus import Rank
+from rankmetrics.synth import SynthConfig
+from rankmetrics.tables import parse_table_csv
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +167,79 @@ def test_indicators_must_match_roster(corpus_dir, tmp_path, capsys):
     assert main(["rank", *_inputs(corpus_dir), "--indicators", str(extra),
                  "--out", str(tmp_path / "rank")]) == 1
     assert "1 extra (first: ghost)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "synth", "indicators", "report"])
+def test_indicators_flag_only_on_rank_and_analyze(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--indicators", "x.csv"])
+    assert info.value.code == 2
+    assert "--indicators" in capsys.readouterr().err
+    for staged in ("rank", "analyze"):
+        assert _build_parser().parse_args([staged, "--indicators", "x.csv"]).indicators == "x.csv"
+
+
+def test_analyze_agrees_with_report(corpus_dir, tmp_path):
+    analyze, report = tmp_path / "analyze", tmp_path / "report"
+    assert main(["analyze", *_inputs(corpus_dir), "--format", "csv", "--out", str(analyze)]) == 0
+    assert main(["report", *_inputs(corpus_dir), "--format", "csv", "--out", str(report)]) == 0
+    for key in ("T8_dominance", "T9_concentration", "T10_top_distribution", "chi_square"):
+        metadata, header, rows = parse_table_csv(analyze / f"{key}.csv")
+        assert "config_sha256" not in metadata
+        assert (header, rows) == parse_table_csv(report / f"{key}.csv")[1:]
+
+
+def test_synth_config_from_file(tmp_path):
+    config = tmp_path / "synth.conf"
+    config.write_text(
+        "[synth]\n"
+        "seed = 5\n"
+        "n_uda = 2\n"
+        "sds_per_uda = 4\n"
+        "scientists_per_sds_full = 3\n"
+        "scientists_per_sds_associate = 4\n"
+        "scientists_per_sds_assistant = 5\n"
+        "pubs_per_scientist = 6.5\n"
+        "count_dispersion = 0.3\n"
+        "citation_dispersion = 0.7\n"
+        "citation_mean = 4.5\n"
+        "authors_per_pub = 2.5\n"
+        "rank_effect_full = 1.4\n"
+        "rank_effect_associate = 1.2\n"
+        "rank_effect_assistant = 0.9\n"
+        "inactive_fraction_full = 0.01\n"
+        "inactive_fraction_associate = 0.02\n"
+        "inactive_fraction_assistant = 0.03\n"
+        "year_start = 2001\n"
+        "year_end = 2003\n"
+        "categories_per_pub = 3\n"
+        "n_categories = 7\n"
+    )
+    expected = SynthConfig(
+        seed=5,
+        n_uda=2,
+        sds_per_uda=4,
+        scientists_per_sds={Rank.FULL: 3, Rank.ASSOCIATE: 4, Rank.ASSISTANT: 5},
+        pubs_per_scientist=6.5,
+        count_dispersion=0.3,
+        citation_dispersion=0.7,
+        citation_mean=4.5,
+        authors_per_pub=2.5,
+        rank_effect={Rank.FULL: 1.4, Rank.ASSOCIATE: 1.2, Rank.ASSISTANT: 0.9},
+        inactive_fraction={Rank.FULL: 0.01, Rank.ASSOCIATE: 0.02, Rank.ASSISTANT: 0.03},
+        years=(2001, 2003),
+        categories_per_pub=3,
+        n_categories=7,
+    )
+    for field in dataclasses.fields(SynthConfig):  # the file sets every field
+        assert getattr(expected, field.name) != getattr(SynthConfig(), field.name), field.name
+
+    args = _build_parser().parse_args(["synth"])
+    built = _synth_config(args, _read_config_file(str(config)))
+    assert built == expected
+    assert type(built.scientists_per_sds[Rank.FULL]) is int
+    assert type(built.rank_effect[Rank.FULL]) is float
+    assert _synth_config(args, {}) == SynthConfig()
+    # the flag wins over the file
+    args = _build_parser().parse_args(["synth", "--seed", "9"])
+    assert _synth_config(args, _read_config_file(str(config))).seed == 9

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rankmetrics import (
+    RANKS,
     CorpusError,
     Rank,
     activity_rates,
@@ -261,6 +262,45 @@ def test_citation_active_never_exceeds_publication_active():
     table = activity_rates(corpus, records.values())
     for (uda, rank), cell in table.cells.items():
         assert cell.citation_active <= cell.publication_active <= cell.headcount
+
+
+def _assert_pooled(pooled, parts):
+    """``pooled`` is the field-wise sum of ``parts``: integers exactly."""
+    for name, value in zip(pooled._fields, pooled):
+        total = sum(getattr(part, name) for part in parts)
+        if isinstance(value, int):
+            assert value == total, name
+        else:
+            assert value == pytest.approx(total, rel=1e-12), name
+
+
+def test_grid_marginals_pool_their_cells():
+    from rankmetrics import (
+        Indicator,
+        build_baselines,
+        compute_indicators,
+        sds_percentiles,
+        top_distribution,
+        top_scientists,
+        uda_rank_average,
+    )
+
+    corpus = generate(SynthConfig(seed=13, n_uda=4, sds_per_uda=2))
+    records = compute_indicators(corpus, build_baselines(corpus))
+    grids = [
+        roster_summary(corpus),
+        activity_rates(corpus, records.values()),
+        uda_rank_average(sds_percentiles(records, Indicator.QI, corpus), corpus),
+        top_distribution(top_scientists(records, Indicator.FSS, corpus), corpus),
+    ]
+    for grid in grids:
+        assert grid.udas == corpus.udas
+        for uda in grid.udas:
+            _assert_pooled(grid.cell(uda), [grid.cell(uda, r) for r in RANKS])
+        for rank in RANKS:
+            _assert_pooled(grid.cell(None, rank), [grid.cell(uda, rank) for uda in grid.udas])
+        _assert_pooled(grid.cell(), [grid.cell(uda) for uda in grid.udas])
+        assert grid.cell()[0] > 0
 
 
 # ---------------------------------------------------------------------------
