@@ -1,5 +1,6 @@
-"""Golden report bundles: the text and csv reports and the indicator export
-of two small synthetic corpora must stay byte-identical.
+"""Golden report bundles: the text and csv reports, the indicator export and
+the ``rank`` export (percentiles and top flags) of two small synthetic
+corpora must stay byte-identical.
 
 The inputs are written and read through relative paths, because the
 ``config_sha256`` metadata line hashes the input paths. To record new
@@ -40,6 +41,7 @@ def write_case(name: str, out: Path) -> None:
         argv = ["report", *inputs, *options, "--format", fmt, "--out", str(out / fmt)]
         assert main(argv) == 0
     assert main(["indicators", *inputs, *options, "--out", str(out / "indicators")]) == 0
+    assert main(["rank", *inputs, *options, "--out", str(out / "rank")]) == 0
 
 
 def _files(root: Path) -> dict[str, bytes]:
