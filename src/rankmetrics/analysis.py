@@ -10,15 +10,15 @@ and the Pearson chi-square association test between excellence and rank.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Grid, RANKS, Rank, tally
 from .indicators import IndicatorRecord
-from .ranking import Indicator, indicator_values, midranks
+from .ranking import Indicator, group_sort, midranks, ranked_population
 
 __all__ = [
     "ChiSquareResult",
@@ -90,22 +90,21 @@ def sequence_criterion(
     n_a, n_b = len(values_a), len(values_b)
     if n_a == 0 or n_b == 0:
         raise ValueError("both groups must be non-empty")
-    n = n_a + n_b
     ranks = midranks(list(values_a) + list(values_b))
-
-    def r_max(size: int) -> float:
-        # sum of the top `size` ranks: N + (N-1) + ... + (N-size+1)
-        return size * n - size * (size - 1) / 2.0
-
     return DominanceResult(
         group_a=group_a,
         group_b=group_b,
         r_eff_a=float(ranks[:n_a].sum()),
-        r_max_a=r_max(n_a),
+        r_max_a=_top_rank_sum(n_a, n_a + n_b),
         r_eff_b=float(ranks[n_a:].sum()),
-        r_max_b=r_max(n_b),
+        r_max_b=_top_rank_sum(n_b, n_a + n_b),
         sds_code=sds_code,
     )
+
+
+def _top_rank_sum(size: int, n: int) -> float:
+    """Sum of the top ``size`` of the ranks 1..n: n + (n-1) + ... + (n-size+1)."""
+    return size * n - size * (size - 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -136,35 +135,50 @@ def dominance_counts(
     """Count, per UDA, the fields where ``group_b`` outranks ``group_a``.
 
     Fields where either group has no ranked member are excluded from the
-    denominator (and reported in ``excluded_sds``).
+    denominator (and reported in ``excluded_sds``). Each field's result is
+    :func:`sequence_criterion` on its two groups; all fields are ranked in
+    one sort, and the midrank sums, being sums of half-integers, are exact
+    in any order.
     """
-    by_sds: dict[str, dict[Rank, list[float]]] = defaultdict(lambda: defaultdict(list))
-    for sci, value in indicator_values(records, indicator, corpus):
-        if sci.rank in (group_a, group_b):
-            by_sds[sci.sds_code][sci.rank].append(value)
+    rows, values = ranked_population(records, indicator, corpus)
+    rank = corpus.scientist_rank[rows]
+    sds = corpus.scientist_sds[rows]
+    in_a = rank == RANKS.index(group_a)
+    in_b = rank == RANKS.index(group_b)
+    # group a's members, then group b's, as sequence_criterion pools them
+    pooled = np.concatenate((sds[in_a], sds[in_b]))
+    names = corpus.sds_codes
+    midrank = group_sort(pooled, np.concatenate((values[in_a], values[in_b])), len(names)).midrank
+    split = int(in_a.sum())
+    n_a = np.bincount(pooled[:split], minlength=len(names)).tolist()
+    n_b = np.bincount(pooled[split:], minlength=len(names)).tolist()
+    r_a = np.bincount(pooled[:split], midrank[:split], minlength=len(names)).tolist()
+    r_b = np.bincount(pooled[split:], midrank[split:], minlength=len(names)).tolist()
 
-    per_uda: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+    per_uda: dict[str, tuple[int, int]] = {}
     results: dict[str, DominanceResult] = {}
-    excluded = 0
-    for sds in sorted(corpus.scientists_by_sds):
-        groups = by_sds.get(sds, {})
-        values_a, values_b = groups.get(group_a), groups.get(group_b)
-        if not values_a or not values_b:
-            excluded += 1
+    for sds_code, size_a, size_b, sum_a, sum_b in zip(names, n_a, n_b, r_a, r_b):
+        if not size_a or not size_b:
             continue
-        res = sequence_criterion(values_a, values_b, group_a, group_b, sds_code=sds)
-        results[sds] = res
-        acc = per_uda[corpus.sds_to_uda[sds]]
-        acc[1] += 1
-        if res.winner is group_b:
-            acc[0] += 1
+        res = results[sds_code] = DominanceResult(
+            group_a,
+            group_b,
+            sum_a,
+            _top_rank_sum(size_a, size_a + size_b),
+            sum_b,
+            _top_rank_sum(size_b, size_a + size_b),
+            sds_code,
+        )
+        uda = corpus.sds_to_uda[sds_code]
+        wins, counted = per_uda.get(uda, (0, 0))
+        per_uda[uda] = (wins + (res.winner is group_b), counted + 1)
     return DominanceCounts(
         indicator=indicator,
         group_a=group_a,
         group_b=group_b,
-        per_uda={uda: (w, c) for uda, (w, c) in per_uda.items()},
+        per_uda=per_uda,
         sds_results=results,
-        excluded_sds=excluded,
+        excluded_sds=len(names) - len(results),
     )
 
 
@@ -354,35 +368,38 @@ def concentration_rows(
     Gini and bottom/top ratios are computed per field, then weighted up to the
     UDA by each field's staff share of that rank. Fields whose ratio is
     undefined (zero top output) are left out of the ratio average; if every
-    field's ratio is undefined the UDA ratio is None.
+    field's ratio is undefined the UDA ratio is None. Each field's values
+    enter :func:`gini` and :func:`bottom_top_ratio` in record order.
     """
-    values: dict[tuple[str, Rank], list[float]] = defaultdict(list)
-    for sci, value in indicator_values(records, indicator, corpus):
-        values[(sci.sds_code, sci.rank)].append(value)
+    rows, values = ranked_population(records, indicator, corpus)
+    names, udas = corpus.sds_codes, corpus.udas
+    sds_uda = np.array([udas.index(corpus.sds_to_uda[sds]) for sds in names], dtype=np.int64)
+    sds = corpus.scientist_sds[rows]
+    # one block per (SDS, rank), ordered by (UDA, rank, SDS code), members in record order
+    key = (sds_uda[sds] * len(RANKS) + corpus.scientist_rank[rows]) * len(names) + sds
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(starts[1:], len(key))
+    blocks = zip((key[starts] // len(names)).tolist(), starts.tolist(), ends.tolist())
 
     out: dict[tuple[str, Rank], ConcentrationRow] = {}
-    for uda in corpus.udas:
-        sds_list = sorted(s for s, u in corpus.sds_to_uda.items() if u == uda)
-        for rank in RANKS:
-            gini_cells: list[tuple[float, int]] = []
-            ratio_cells: list[tuple[float, int]] = []
-            for sds in sds_list:
-                members = values.get((sds, rank))
-                if not members:
-                    continue
-                gini_cells.append((gini(members), len(members)))
-                ratio = bottom_top_ratio(members, bottom_fraction, top_fraction)
-                if ratio is not None:
-                    ratio_cells.append((ratio, len(members)))
-            if not gini_cells:
-                continue
-            weighted_ratio = weighted_uda_gini(ratio_cells) if ratio_cells else None
-            out[(uda, rank)] = ConcentrationRow(
-                uda_code=uda,
-                rank=rank,
-                gini=weighted_uda_gini(gini_cells),
-                bottom_top_ratio=weighted_ratio,
-            )
+    for code, cell_blocks in groupby(blocks, key=lambda block: block[0]):
+        gini_cells: list[tuple[float, int]] = []
+        ratio_cells: list[tuple[float, int]] = []
+        for _, lo, hi in cell_blocks:
+            members = values[lo:hi]
+            gini_cells.append((gini(members), hi - lo))
+            ratio = bottom_top_ratio(members, bottom_fraction, top_fraction)
+            if ratio is not None:
+                ratio_cells.append((ratio, hi - lo))
+        uda, rank = udas[code // len(RANKS)], RANKS[code % len(RANKS)]
+        out[(uda, rank)] = ConcentrationRow(
+            uda_code=uda,
+            rank=rank,
+            gini=weighted_uda_gini(gini_cells),
+            bottom_top_ratio=weighted_uda_gini(ratio_cells) if ratio_cells else None,
+        )
     return out
 
 

@@ -149,10 +149,11 @@ class Corpus:
 
     ``publications``, ``authorships``, ``publications_by_id``,
     ``authorships_by_pub`` and ``authorships_by_scientist`` are row-object
-    views built on first access. Build a corpus with :func:`load_corpus`,
-    which enforces the structural invariants (unique keys, resolvable
-    references, byline positions covering ``1..author_count``); the
-    constructor trusts its columns.
+    views built on first access, as are the integer codes ``sds_codes``,
+    ``scientist_sds`` and ``scientist_rank`` that rankings group by. Build a
+    corpus with :func:`load_corpus`, which enforces the structural invariants
+    (unique keys, resolvable references, byline positions covering
+    ``1..author_count``); the constructor trusts its columns.
     """
 
     __slots__ = (
@@ -300,6 +301,33 @@ class Corpus:
             }
 
         return self._view("authorships_by_scientist", build)
+
+    # -- SDS and rank codes -------------------------------------------------
+
+    @property
+    def sds_codes(self) -> tuple[str, ...]:
+        """Every SDS of the roster, sorted; :attr:`scientist_sds` indexes it."""
+        return self._view("sds_codes", lambda: tuple(sorted(self.sds_to_uda)))
+
+    @property
+    def scientist_sds(self) -> np.ndarray:
+        """Per scientist row, the position of its SDS in :attr:`sds_codes`,
+        so that ordering by it orders by SDS code."""
+        def build():
+            code = {sds: i for i, sds in enumerate(self.sds_codes)}
+            sds = (code[sci.sds_code] for sci in self.scientists)
+            return np.fromiter(sds, np.int64, len(self.scientists))
+
+        return self._view("scientist_sds", build)
+
+    @property
+    def scientist_rank(self) -> np.ndarray:
+        """Per scientist row, the position of its rank in :data:`RANKS`."""
+        def build():
+            ranks = (RANKS.index(sci.rank) for sci in self.scientists)
+            return np.fromiter(ranks, np.int64, len(self.scientists))
+
+        return self._view("scientist_rank", build)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "coauthor_weights",
     "compute_indicators",
     "read_indicators",
+    "require_baselines",
     "write_indicators",
 ]
 
@@ -175,21 +176,29 @@ def _positional_weights(corpus: Corpus) -> np.ndarray:
     return flat[offset[pub_pattern[corpus.auth_pub]] + corpus.auth_position - 1]
 
 
-def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
-    """Standardized score of every publication with a roster author (0 for
-    the others, which are never read).
+def require_baselines(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
+    """Check that ``baselines`` has a cell for every (year, category) of a
+    publication with a roster author, and return those publications' rows.
 
-    Before scoring, every (year, category) those publications need is looked
-    up once, so all missing baseline cells are reported together. Each
-    distinct (year, categories, citations) is scored once.
+    Each needed cell is looked up once, so all missing cells are reported
+    together in one :class:`MissingBaselineError`.
     """
     pubs = np.flatnonzero(
         np.bincount(corpus.auth_pub[corpus.auth_scientist >= 0], minlength=len(corpus.pub_ids))
     )
     sets = corpus.category_sets
-    years = corpus.pub_year[pubs].tolist()
-    codes = corpus.pub_categories[pubs].tolist()
-    baselines.require((year, cat) for year, code in set(zip(years, codes)) for cat in sets[code])
+    pairs = set(zip(corpus.pub_year[pubs].tolist(), corpus.pub_categories[pubs].tolist()))
+    baselines.require((year, cat) for year, code in pairs for cat in sets[code])
+    return pubs
+
+
+def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
+    """Standardized score of every publication with a roster author (0 for
+    the others, which are never read), after :func:`require_baselines`.
+    Each distinct (year, categories, citations) is scored once.
+    """
+    pubs = require_baselines(corpus, baselines)
+    sets = corpus.category_sets
 
     class Scores(dict):
         def __missing__(self, key):
@@ -197,7 +206,11 @@ def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
             score = self[key] = standardized_score(year, citations, sets[cats], baselines)
             return score
 
-    keys = zip(years, codes, corpus.pub_citations[pubs].tolist())
+    keys = zip(
+        corpus.pub_year[pubs].tolist(),
+        corpus.pub_categories[pubs].tolist(),
+        corpus.pub_citations[pubs].tolist(),
+    )
     scores = np.zeros(len(corpus.pub_ids))
     scores[pubs] = np.fromiter(map(Scores().__getitem__, keys), float, len(pubs))
     return scores
@@ -258,7 +271,11 @@ def write_indicators(records: Iterable[IndicatorRecord] | Mapping[str, Indicator
 
 
 def read_indicators(path: str | Path) -> dict[str, IndicatorRecord]:
+    """Indicator records by scientist id. A row with a missing, malformed,
+    non-finite or negative value, or repeating an earlier row's
+    ``scientist_id``, fails naming the row."""
     records = {}
+    rows = {}
     for i, row in enumerate(read_records(path), start=1):
         try:
             qi_raw = row.get("qi")
@@ -272,5 +289,14 @@ def read_indicators(path: str | Path) -> dict[str, IndicatorRecord]:
             )
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"indicators row {i}: malformed record {row!r}") from None
+        for key in ("n_p", "qi", "fss"):
+            value = getattr(rec, key)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"indicators row {i}: '{key}' must be finite and >= 0, got {value!r}")
+        first = rows.setdefault(rec.scientist_id, i)
+        if first != i:
+            raise ValueError(
+                f"indicators row {i}: scientist_id '{rec.scientist_id}' repeats row {first}"
+            )
         records[rec.scientist_id] = rec
     return records

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import dominance_counts, concentration_rows, top_distribution
 from .baseline import build_baselines, read_baselines
 from .corpus import Corpus, Rank, activity_rates, filter_active_sds, load_corpus_files, roster_summary
-from .indicators import compute_indicators, read_indicators
+from .indicators import compute_indicators, read_indicators, require_baselines
 from .ranking import INDICATORS, Indicator, sds_percentiles, top_scientists, uda_rank_average
 from .tables import (
     Table,
@@ -87,19 +87,24 @@ class ReportBundle:
 
 def prepare(config: RunConfig, indicators: str | Path | None = None):
     """Load -> activity filter -> baselines -> indicators, returning
-    ``(corpus, filtered, baselines, records)``. With ``indicators``, the path
-    of a precomputed indicator file, the records are read from it instead and
-    must cover exactly the filtered roster; ``baselines`` is then None."""
+    ``(corpus, filtered, baselines, records)``.
+
+    A baselines file must cover every (year, category) the filtered corpus
+    needs, also when ``indicators``, the path of a precomputed indicator
+    file, is given. The records are then read from that file and must cover
+    exactly the filtered roster; ``baselines`` is the file's table, or None
+    without one."""
     config.validate()
     corpus = load_corpus_files(config.scientists, config.publications, config.authorships)
     filtered = filter_active_sds(corpus, config.sds_threshold)
+    baselines = None if config.baselines is None else read_baselines(config.baselines)
     if indicators:
         records = read_indicators(indicators)
         _check_roster(records, filtered, indicators)
-        return corpus, filtered, None, records
-    if config.baselines is not None:
-        baselines = read_baselines(config.baselines)
-    else:
+        if baselines is not None:
+            require_baselines(filtered, baselines)
+        return corpus, filtered, baselines, records
+    if baselines is None:
         baselines = build_baselines(filtered)
     records = compute_indicators(filtered, baselines, config.positional_udas)
     return corpus, filtered, baselines, records
@@ -151,8 +156,8 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
         "tool": f"rankmetrics {__version__}",
         "config_sha256": config.digest(),
         "scientists": str(len(filtered.scientists)),
-        "publications": str(len(filtered.publications)),
-        "authorships": str(len(filtered.authorships)),
+        "publications": str(len(filtered.pub_ids)),
+        "authorships": str(len(filtered.auth_pub)),
         "sds_loaded": str(len(corpus.scientists_by_sds)),
         "sds_retained": str(len(filtered.scientists_by_sds)),
     }

@@ -4,34 +4,39 @@ All rankings are computed inside an SDS (the field where scientists compete
 nationally) and expressed as percentiles, 0 worst to 100 best, so that values
 are comparable across fields of different size and citation intensity. Ties
 receive midranks, which keeps the within-field mean percentile at exactly 50.
+
+Every SDS is ranked in one sort: records are coded by SDS and ordered by
+(SDS, value) with :func:`group_sort`, which yields the midranks, sizes and
+offsets of all fields at once.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import repeat
+from operator import attrgetter, is_not
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, Grid, Rank, Scientist, tally
+from .corpus import Corpus, Grid, Rank, tally
 from .fileio import read_records, write_records
 from .indicators import IndicatorRecord
 
 __all__ = [
+    "GroupSort",
     "INDICATORS",
     "Indicator",
     "MeanCell",
     "PercentileRecord",
     "PercentileTable",
     "TopFlag",
+    "group_sort",
     "indicator_value",
-    "indicator_values",
     "midranks",
+    "ranked_population",
     "read_percentiles",
     "sds_percentiles",
     "top_scientists",
@@ -42,6 +47,8 @@ __all__ = [
 
 
 class Indicator(enum.Enum):
+    """An indicator; its value names the :class:`IndicatorRecord` field."""
+
     NP = "n_p"
     QI = "qi"
     FSS = "fss"
@@ -65,8 +72,7 @@ def indicator_value(record: IndicatorRecord, indicator: Indicator) -> float | No
     return record.qi
 
 
-@dataclass(frozen=True)
-class PercentileRecord:
+class PercentileRecord(NamedTuple):
     scientist_id: str
     indicator: Indicator
     percentile: float
@@ -74,57 +80,93 @@ class PercentileRecord:
     rank: Rank
 
 
-@dataclass(frozen=True)
-class TopFlag:
+class TopFlag(NamedTuple):
     scientist_id: str
     indicator: Indicator
     is_top: bool
 
 
+class GroupSort(NamedTuple):
+    """Values sorted within integer groups; see :func:`group_sort`."""
+
+    order: np.ndarray
+    midrank: np.ndarray
+    size: np.ndarray
+    start: np.ndarray
+
+
+def group_sort(groups: np.ndarray, values: np.ndarray, n_groups: int) -> GroupSort:
+    """Sort ``values`` by ``(group, value)`` in one pass, for group codes
+    ``0..n_groups - 1``.
+
+    ``order`` is that sort order; ``midrank[i]`` is value ``i``'s ascending
+    rank 1..n within its group, tied values sharing the mean of their
+    positions; ``size[g]`` and ``start[g]`` are group ``g``'s member count
+    and the offset of its first member in ``order``. Values are compared
+    exactly, so ``-0.0`` ties with ``0.0``.
+    """
+    order = np.lexsort((values, groups))
+    g, v = groups[order], values[order]
+    size = np.bincount(groups, minlength=n_groups)
+    start = np.cumsum(size) - size
+    new_run = np.ones(len(v), dtype=bool)
+    new_run[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
+    first = np.flatnonzero(new_run)
+    count = np.diff(np.append(first, len(v)))
+    mids = (first - start[g[first]] + 1) + (count - 1) / 2.0
+    midrank = np.empty(len(v))
+    midrank[order] = np.repeat(mids, count)
+    return GroupSort(order, midrank, size, start)
+
+
 def midranks(values) -> np.ndarray:
     """Ascending ranks 1..n with tied values sharing the mean of their positions."""
     a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="mergesort")
-    s = a[order]
-    starts = np.r_[True, s[1:] != s[:-1]]
-    group = np.cumsum(starts) - 1
-    first = np.flatnonzero(starts) + 1
-    counts = np.diff(np.r_[np.flatnonzero(starts), len(s)])
-    mids = first + (counts - 1) / 2.0
-    out = np.empty(len(a))
-    out[order] = mids[group]
-    return out
+    return group_sort(np.zeros(len(a), dtype=np.int64), a, 1).midrank
 
 
-def indicator_values(
+def ranked_population(
     records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
     indicator: Indicator,
     corpus: Corpus,
-) -> Iterator[tuple[Scientist, float]]:
-    """``(scientist, value)`` for every record in ``indicator``'s ranking
-    population, in record order; a record of an unknown scientist raises."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, values)``: the corpus scientist row and the value of every
+    record in ``indicator``'s ranking population, in record order. A record
+    of an unknown scientist raises."""
     if isinstance(records, Mapping):
         records = records.values()
     records = list(records)
-    by_id = corpus.scientists_by_id
+    ids = list(map(attrgetter("scientist_id"), records))
     try:
-        scientists = [by_id[rec.scientist_id] for rec in records]
+        rows = np.fromiter(map(corpus.scientist_index.__getitem__, ids), np.int64, len(ids))
     except KeyError as exc:
         raise ValueError(f"indicator record for unknown scientist '{exc.args[0]}'") from None
-    values = [indicator_value(rec, indicator) for rec in records]
-    ranked = [value is not None for value in values]
-    return zip(compress(scientists, ranked), compress(values, ranked))
+    raw = list(map(attrgetter(indicator.value), records))
+    ranked = np.fromiter(map(is_not, raw, repeat(None)), bool, len(raw))
+    # None becomes NaN here and is dropped with its record
+    return rows[ranked], np.array(raw, dtype=float)[ranked]
 
 
-def _group_by_sds(
+def _by_sds(
     records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
     indicator: Indicator,
     corpus: Corpus,
-) -> dict[str, list[tuple[Scientist, float]]]:
-    groups: dict[str, list[tuple[Scientist, float]]] = defaultdict(list)
-    for sci, value in indicator_values(records, indicator, corpus):
-        groups[sci.sds_code].append((sci, value))
-    return groups
+):
+    """The ranking population sorted within SDSs, and its scientists in
+    output order: by SDS code, then in record order."""
+    rows, values = ranked_population(records, indicator, corpus)
+    sds = corpus.scientist_sds[rows]
+    ranked = group_sort(sds, values, len(corpus.sds_codes))
+    out = np.argsort(sds, kind="stable")
+    scientists = list(map(corpus.scientists.__getitem__, rows[out].tolist()))
+    return sds, values, ranked, out, scientists
+
+
+def _records(cls: type, *columns) -> list:
+    """One ``cls`` named tuple per row of ``columns``. ``tuple.__new__`` is
+    ``cls._make`` without its length check, which equal columns make moot,
+    and runs without a Python frame per record."""
+    return list(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
 def sds_percentiles(
@@ -138,20 +180,20 @@ def sds_percentiles(
     a single-scientist field scores 100 (trivially the national best). For the
     mean-impact indicator, scientists without publications are excluded from
     the population; the volume and total-impact indicators rank them at 0.
+    Records come out ordered by SDS code, and in record order within an SDS.
     """
-    out: list[PercentileRecord] = []
-    groups = _group_by_sds(records, indicator, corpus)
-    for sds in sorted(groups):
-        members = groups[sds]
-        n = len(members)
-        if n == 1:
-            pcts = [100.0]
-        else:
-            ranks = midranks([v for _, v in members])
-            pcts = (100.0 * (ranks - 1.0) / (n - 1.0)).tolist()
-        for (sci, _), pct in zip(members, pcts):
-            out.append(PercentileRecord(sci.scientist_id, indicator, pct, sds, sci.rank))
-    return out
+    sds, _, ranked, out, scientists = _by_sds(records, indicator, corpus)
+    n = ranked.size[sds]
+    pct = 100.0 * (ranked.midrank - 1.0) / np.maximum(n - 1.0, 1.0)
+    pct[n == 1] = 100.0
+    return _records(
+        PercentileRecord,
+        map(attrgetter("scientist_id"), scientists),
+        repeat(indicator),
+        pct[out].tolist(),
+        map(attrgetter("sds_code"), scientists),
+        map(attrgetter("rank"), scientists),
+    )
 
 
 class MeanCell(NamedTuple):
@@ -202,20 +244,22 @@ def top_scientists(
 
     The cutoff is the k-th largest value with ``k = max(1, floor(fraction*N))``;
     scientists tied with the cutoff value are all flagged. Every ranked
-    scientist receives a flag row (True or False).
+    scientist receives a flag row (True or False), in the order of
+    :func:`sds_percentiles`.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    groups = _group_by_sds(records, indicator, corpus)
-    out: list[TopFlag] = []
-    for sds in sorted(groups):
-        members = groups[sds]
-        values = sorted((v for _, v in members), reverse=True)
-        k = max(1, math.floor(fraction * len(members)))
-        cutoff = values[k - 1]
-        for sci, value in members:
-            out.append(TopFlag(sci.scientist_id, indicator, value >= cutoff))
-    return out
+    sds, values, ranked, out, scientists = _by_sds(records, indicator, corpus)
+    n = ranked.size[sds]
+    k = np.maximum(1, np.floor(fraction * n).astype(np.int64))
+    # the k-th largest of a field is k places from the end of its sorted block
+    cutoff = values[ranked.order][ranked.start[sds] + n - k]
+    return _records(
+        TopFlag,
+        map(attrgetter("scientist_id"), scientists),
+        repeat(indicator),
+        (values >= cutoff)[out].tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------

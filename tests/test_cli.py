@@ -169,6 +169,57 @@ def test_indicators_must_match_roster(corpus_dir, tmp_path, capsys):
     assert "1 extra (first: ghost)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("fss", "nan", "'fss' must be finite and >= 0, got nan"),
+    ("fss", "-5.0", "'fss' must be finite and >= 0, got -5.0"),
+    ("scientist_id", None, "repeats row 1"),
+])
+def test_precomputed_indicators_rejects_bad_rows(corpus_dir, tmp_path, capsys, column, value, message):
+    stage1 = tmp_path / "stage1"
+    assert main(["indicators", *_inputs(corpus_dir), "--out", str(stage1)]) == 0
+    header, first, second, *rest = (stage1 / "indicators.csv").read_text().splitlines(keepends=True)
+    if value is None:  # the second row repeats the first row's id
+        second = first.split(",")[0] + "," + second.split(",", 1)[1]
+    else:
+        fields = second.rstrip("\n").split(",")
+        fields[header.rstrip("\n").split(",").index(column)] = value
+        second = ",".join(fields) + "\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join([header, first, second, *rest]))
+    capsys.readouterr()
+    for command in ("rank", "analyze"):
+        code = main([command, *_inputs(corpus_dir), "--indicators", str(bad),
+                     "--out", str(tmp_path / command)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "indicators row 2: " in err and message in err
+        assert not any((tmp_path / command).glob("*"))
+
+
+def test_baselines_checked_with_precomputed_indicators(corpus_dir, tmp_path, capsys):
+    stage1 = tmp_path / "stage1"
+    assert main(["indicators", *_inputs(corpus_dir), "--out", str(stage1)]) == 0
+    bogus = tmp_path / "bogus.csv"
+    bogus.write_text("year,category,median,mean,count\n1900,NONE,1.0,1.0,1\n")
+    capsys.readouterr()
+    errors = []
+    for argv in (
+        ["analyze", "--indicators", str(stage1 / "indicators.csv")],
+        ["rank", "--indicators", str(stage1 / "indicators.csv")],
+        ["report"],
+    ):
+        out = tmp_path / argv[0]
+        assert main([*argv, *_inputs(corpus_dir), "--baselines", str(bogus), "--out", str(out)]) == 1
+        errors.append(capsys.readouterr().err)
+        assert not any(out.glob("*"))
+    assert "no baseline cell for" in errors[0]
+    assert errors[0] == errors[1] == errors[2]
+
+    # the baselines the indicators were computed with pass
+    assert main(["analyze", *_inputs(corpus_dir), "--indicators", str(stage1 / "indicators.csv"),
+                 "--baselines", str(stage1 / "baselines.csv"), "--out", str(tmp_path / "ok")]) == 0
+
+
 @pytest.mark.parametrize("command", ["validate", "synth", "indicators", "report"])
 def test_indicators_flag_only_on_rank_and_analyze(command, capsys):
     with pytest.raises(SystemExit) as info:

@@ -241,3 +241,18 @@ def test_export_import_round_trip(tmp_path):
     path = write_indicators(records, tmp_path / "indicators.csv")
     loaded = read_indicators(path)
     assert loaded == records
+
+
+@pytest.mark.parametrize("row, message", [
+    ("B,2,1.0,nan", "indicators row 2: 'fss' must be finite and >= 0, got nan"),
+    ("B,2,1.0,-5.0", "indicators row 2: 'fss' must be finite and >= 0, got -5.0"),
+    ("B,2,inf,1.0", "indicators row 2: 'qi' must be finite and >= 0, got inf"),
+    ("B,-1,,0.0", "indicators row 2: 'n_p' must be finite and >= 0, got -1"),
+    ("A,1,0.5,0.5", "indicators row 2: scientist_id 'A' repeats row 1"),
+])
+def test_read_indicators_rejects_bad_rows(row, message, tmp_path):
+    path = tmp_path / "indicators.csv"
+    path.write_text(f"scientist_id,n_p,qi,fss\nA,3,1.25,0.75\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        read_indicators(path)
+    assert str(info.value) == message

@@ -1,8 +1,10 @@
 """Full pipeline behaviour: completeness, determinism, degenerate inputs."""
 
+import gc
+
 import pytest
 
-from rankmetrics import Rank, RunConfig, load_corpus, run_pipeline, write_bundle
+from rankmetrics import Corpus, Rank, RunConfig, load_corpus, run_pipeline, write_bundle
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 
 EXPECTED_TABLES = [
@@ -142,3 +144,20 @@ def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch):
     assert built == []
     assert len(list(corpus.authorships)) == len(corpus.authorships)
     assert built.count("Authorship") == len(corpus.authorships)
+
+
+def test_pipeline_leaves_no_corpus_to_the_collector(corpus_paths):
+    """A corpus must be freed when the run returns, not at the next full
+    collection: a lingering one raises the peak memory of the next run."""
+    def corpora():
+        return sum(isinstance(obj, Corpus) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = corpora()
+        run_pipeline(_run_config(corpus_paths))
+        after = corpora()
+    finally:
+        gc.enable()
+    assert after == before
