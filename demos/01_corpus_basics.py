@@ -47,4 +47,4 @@ for rank in Rank:
 # Fields where under half the scientists published are dropped; MATH-2 keeps
 # exactly 1 of 2 publishing (the boundary is inclusive), MATH-1 likewise.
 filtered = filter_active_sds(corpus, threshold=0.5)
-print(f"fields retained at the 50% activity threshold: {sorted(filtered.sds_to_uda)}")
+print(f"fields retained at the 50% activity threshold: {list(filtered.sds_codes)}")

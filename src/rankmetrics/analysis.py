@@ -157,7 +157,8 @@ def dominance_counts(
 
     per_uda: dict[str, tuple[int, int]] = {}
     results: dict[str, DominanceResult] = {}
-    for sds_code, size_a, size_b, sum_a, sum_b in zip(names, n_a, n_b, r_a, r_b):
+    udas = [corpus.udas[u] for u in corpus.sds_uda.tolist()]
+    for sds_code, uda, size_a, size_b, sum_a, sum_b in zip(names, udas, n_a, n_b, r_a, r_b):
         if not size_a or not size_b:
             continue
         res = results[sds_code] = DominanceResult(
@@ -169,7 +170,6 @@ def dominance_counts(
             _top_rank_sum(size_b, size_a + size_b),
             sds_code,
         )
-        uda = corpus.sds_to_uda[sds_code]
         wins, counted = per_uda.get(uda, (0, 0))
         per_uda[uda] = (wins + (res.winner is group_b), counted + 1)
     return DominanceCounts(
@@ -373,10 +373,9 @@ def concentration_rows(
     """
     rows, values = ranked_population(records, indicator, corpus)
     names, udas = corpus.sds_codes, corpus.udas
-    sds_uda = np.array([udas.index(corpus.sds_to_uda[sds]) for sds in names], dtype=np.int64)
     sds = corpus.scientist_sds[rows]
     # one block per (SDS, rank), ordered by (UDA, rank, SDS code), members in record order
-    key = (sds_uda[sds] * len(RANKS) + corpus.scientist_rank[rows]) * len(names) + sds
+    key = (corpus.sds_uda[sds] * len(RANKS) + corpus.scientist_rank[rows]) * len(names) + sds
     order = np.argsort(key, kind="stable")
     key, values = key[order], values[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -450,13 +449,14 @@ def top_distribution(
     """Distribution of flagged top scientists over ranks, with the association
     test between excellence and rank (per UDA and for the whole population)."""
     top_ids = {f.scientist_id for f in flags if f.is_top and f.indicator is indicator}
-    scientists = corpus.scientists
+    ids = corpus.scientist_ids
     cells = tally(
         TopShareCell,
-        [sci.uda_code for sci in scientists],
-        [sci.rank for sci in scientists],
-        [sci.scientist_id in top_ids for sci in scientists],
-        np.ones(len(scientists)),
+        corpus.udas,
+        corpus.scientist_uda,
+        corpus.scientist_rank,
+        [sid in top_ids for sid in ids],
+        np.ones(len(ids)),
     )
     grid = Grid(TopShareCell, cells)
     return TopDistribution(

@@ -138,10 +138,10 @@ def _synth_config(args, cfg) -> SynthConfig:
 
 def _cmd_validate(args, cfg) -> int:
     corpus = load_corpus_files(*_input_paths(args, cfg))
-    print(f"scientists: {len(corpus.scientists)}")
-    print(f"publications: {len(corpus.publications)}")
-    print(f"authorships: {len(corpus.authorships)}")
-    print(f"sds: {len(corpus.sds_to_uda)}")
+    print(f"scientists: {len(corpus.scientist_ids)}")
+    print(f"publications: {len(corpus.pub_ids)}")
+    print(f"authorships: {len(corpus.auth_pub)}")
+    print(f"sds: {len(corpus.sds_codes)}")
     print(f"uda: {len(corpus.udas)}")
     print("OK")
     return 0
@@ -153,7 +153,7 @@ def _cmd_synth(args, cfg) -> int:
     corpus = generate(config)
     paths = write_corpus_csv(corpus, out)
     logger.info(
-        "generated %d scientists, %d publications", len(corpus.scientists), len(corpus.publications)
+        "generated %d scientists, %d publications", len(corpus.scientist_ids), len(corpus.pub_ids)
     )
     for name in ("scientists", "publications", "authorships"):
         print(paths[name])

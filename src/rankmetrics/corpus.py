@@ -1,11 +1,13 @@
 """Scientist / publication / authorship data model.
 
-Scientists are objects; publications and authorships, which are the bulk of
-a corpus, are held as columns: one list or integer array per field, one
-entry per input row in file order. Loading parses and validates the rows a
-column at a time and still names the first offending row. The resulting
-:class:`Corpus` is immutable, so every operation here is a pure read and
-:func:`filter_active_sds` returns a new corpus instead of mutating. Per-row
+A :class:`Corpus` holds each of its three tables as columns: one list or
+integer array per field, one entry per input row in file order, with a
+scientist's SDS, UDA and rank as integer codes. Loading parses and
+validates the rows a column at a time and still names the first offending
+row. The corpus is immutable, so every operation here is a pure read and
+:func:`filter_active_sds` returns a new corpus instead of mutating. Row
+objects (:class:`Scientist`, :class:`Publication`, :class:`Authorship`)
+exist only at the edge, in the views a corpus builds on request. Per-row
 counts per UDA and rank are summed by :func:`tally` into a :class:`Grid`.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -39,6 +41,7 @@ __all__ = [
     "RowView",
     "Scientist",
     "activity_rates",
+    "decode",
     "filter_active_sds",
     "load_corpus",
     "load_corpus_files",
@@ -87,31 +90,51 @@ class Authorship:
     affiliation_id: str | None = None
 
 
-class RowView(Sequence):
-    """Read-only sequence of row objects, built from a corpus's columns on
-    first use. ``len()`` reads the columns and builds nothing."""
+def decode(column) -> list:
+    """A column as a list: a list as it is, an integer array as ints, and a
+    ``(codes, names)`` pair as ``names[code]``, None where the code is -1."""
+    if isinstance(column, tuple):
+        codes, names = column
+        names = [*names, None]
+        return [names[code] for code in codes.tolist()]
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+class _LazyRows:
+    """Rows built on first use by ``build``; ``len()`` builds nothing."""
 
     __slots__ = ("_length", "_build", "_rows")
+    _container: type = tuple
 
     def __init__(self, length: int, build: Callable[[], Iterable]):
-        self._length = length
-        self._build = build
-        self._rows: tuple | None = None
+        self._length, self._build, self._rows = length, build, None
 
-    def _materialize(self) -> tuple:
-        if self._rows is None:
-            self._rows = tuple(self._build())
-            self._build = None
+    def _materialize(self):
+        if self._build is not None:
+            self._rows, self._build = self._container(self._build()), None
         return self._rows
 
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index):
-        return self._materialize()[index]
+    def __getitem__(self, key):
+        return self._materialize()[key]
 
     def __iter__(self) -> Iterator:
         return iter(self._materialize())
+
+
+class RowView(_LazyRows, Sequence):
+    """Read-only sequence of ``row_type`` objects, one per row of the
+    ``columns`` (each read by :func:`decode`). A view holds the columns, not
+    the corpus."""
+
+    __slots__ = ()
+
+    def __init__(self, row_type: type, *columns):
+        first = columns[0]
+        length = len(first[0] if isinstance(first, tuple) else first)
+        super().__init__(length, lambda: map(row_type, *map(decode, columns)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (RowView, tuple)):
@@ -124,17 +147,28 @@ class RowView(Sequence):
         return f"RowView({self._length} rows)"
 
 
+class _RowMap(_LazyRows, Mapping):
+    """Read-only mapping; ``build`` yields its items."""
+
+    __slots__ = ()
+    _container = dict
+
+
 def _start(counts: np.ndarray) -> np.ndarray:
     """Offsets of consecutive runs of the given lengths: ``[0, c0, c0+c1, ...]``."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
 class Corpus:
-    """Validated, immutable collection of scientists, publications and authorships.
+    """Validated, immutable collection of scientists, publications and
+    authorships, each table held as columns in input row order:
 
-    ``scientists`` is a tuple of :class:`Scientist`. Publications and
-    authorships are columns in input row order:
-
+    * the roster: ``scientist_ids`` (list of str; ``scientist_index`` maps an
+      id to its row), int64 arrays ``scientist_sds`` (position in
+      ``sds_codes``, the roster's SDS codes sorted) and ``scientist_rank``
+      (position in :data:`RANKS`), and ``scientist_birth_year`` (list, None
+      where unknown); ``sds_uda`` is each SDS's position in ``udas``, the
+      roster's UDA codes sorted;
     * ``pub_ids`` (list of str) and int64 arrays ``pub_year``,
       ``pub_citations`` and ``pub_author_count``; ``pub_categories`` indexes
       ``category_sets``, the distinct subject-category tuples;
@@ -147,21 +181,24 @@ class Corpus:
       ``by_pub[pub_start[p]:pub_start[p + 1]]``; and ``by_scientist``, the
       roster rows stably by scientist, ``scientist_pub_count`` of them each.
 
-    ``publications``, ``authorships``, ``publications_by_id``,
-    ``authorships_by_pub`` and ``authorships_by_scientist`` are row-object
-    views built on first access, as are the integer codes ``sds_codes``,
-    ``scientist_sds`` and ``scientist_rank`` that rankings group by. Build a
-    corpus with :func:`load_corpus`, which enforces the structural invariants
-    (unique keys, resolvable references, byline positions covering
+    Row objects exist only at the edge: ``scientists``, ``publications`` and
+    ``authorships`` are :class:`RowView` sequences, and ``scientists_by_id``
+    and ``scientists_by_sds`` (read by the benchmark harness) mappings, each
+    made afresh on every access from the columns alone; ``len()`` of any of
+    them builds no row. Build a corpus with
+    :func:`load_corpus`, which enforces the structural invariants (unique
+    keys, one UDA per SDS, resolvable references, byline positions covering
     ``1..author_count``); the constructor trusts its columns.
     """
 
     __slots__ = (
-        "scientists",
+        "scientist_ids",
         "scientist_index",
-        "scientists_by_id",
-        "scientists_by_sds",
-        "sds_to_uda",
+        "scientist_sds",
+        "scientist_rank",
+        "scientist_birth_year",
+        "sds_codes",
+        "sds_uda",
         "udas",
         "pub_ids",
         "pub_year",
@@ -178,13 +215,18 @@ class Corpus:
         "by_pub",
         "by_scientist",
         "scientist_pub_count",
-        "_views",
     )
 
     def __init__(
         self,
-        scientists: Iterable[Scientist],
         *,
+        scientist_ids: list[str],
+        scientist_sds: np.ndarray,
+        scientist_rank: np.ndarray,
+        scientist_birth_year: list[int | None],
+        sds_codes: tuple[str, ...],
+        sds_uda: np.ndarray,
+        udas: tuple[str, ...],
         pub_ids: list[str],
         pub_year: np.ndarray,
         pub_citations: np.ndarray,
@@ -197,18 +239,14 @@ class Corpus:
         auth_affiliation: np.ndarray,
         affiliations: Sequence[str],
     ):
-        self.scientists = tuple(scientists)
-        ids = [sci.scientist_id for sci in self.scientists]
-        self.scientist_index = dict(zip(ids, range(len(ids))))
-        self.scientists_by_id = dict(zip(ids, self.scientists))
-        sds_to_uda: dict[str, str] = {}
-        by_sds: dict[str, list[Scientist]] = defaultdict(list)
-        for sci in self.scientists:
-            sds_to_uda.setdefault(sci.sds_code, sci.uda_code)
-            by_sds[sci.sds_code].append(sci)
-        self.sds_to_uda = sds_to_uda
-        self.scientists_by_sds = {sds: tuple(group) for sds, group in by_sds.items()}
-        self.udas = tuple(sorted(set(sds_to_uda.values())))
+        self.scientist_ids = scientist_ids
+        self.scientist_index = dict(zip(scientist_ids, range(len(scientist_ids))))
+        self.scientist_sds = scientist_sds
+        self.scientist_rank = scientist_rank
+        self.scientist_birth_year = scientist_birth_year
+        self.sds_codes = sds_codes
+        self.sds_uda = sds_uda
+        self.udas = udas
 
         self.pub_ids = pub_ids
         self.pub_year = pub_year
@@ -228,106 +266,65 @@ class Corpus:
         self.by_pub[self.pub_start[auth_pub] + auth_position - 1] = np.arange(len(auth_pub))
         roster = np.flatnonzero(auth_scientist >= 0)
         self.by_scientist = roster[np.argsort(auth_scientist[roster], kind="stable")]
-        self.scientist_pub_count = np.bincount(auth_scientist[roster], minlength=len(ids))
-        self._views: dict[str, object] = {}
+        self.scientist_pub_count = np.bincount(auth_scientist[roster], minlength=len(scientist_ids))
 
-    def publication_count(self, scientist_id: str) -> int:
-        index = self.scientist_index.get(scientist_id)
-        return 0 if index is None else int(self.scientist_pub_count[index])
+    @property
+    def scientist_uda(self) -> np.ndarray:
+        """Per scientist row, the position of its UDA in ``udas``; computed on
+        each access."""
+        return self.sds_uda[self.scientist_sds]
 
-    # -- row-object views -------------------------------------------------
+    # -- row objects at the edge --------------------------------------------
 
-    def _view(self, name: str, build: Callable[[], object]):
-        view = self._views.get(name)
-        if view is None:
-            view = self._views[name] = build()
-        return view
+    @property
+    def scientists(self) -> RowView:
+        return RowView(
+            Scientist,
+            self.scientist_ids,
+            (self.scientist_sds, self.sds_codes),
+            (self.scientist_uda, self.udas),
+            (self.scientist_rank, RANKS),
+            self.scientist_birth_year,
+        )
 
     @property
     def publications(self) -> RowView:
-        def rows():
-            sets = self.category_sets
-            return map(
-                Publication,
-                self.pub_ids,
-                self.pub_year.tolist(),
-                self.pub_citations.tolist(),
-                [sets[code] for code in self.pub_categories.tolist()],
-                self.pub_author_count.tolist(),
-            )
-
-        return self._view("publications", lambda: RowView(len(self.pub_ids), rows))
+        return RowView(
+            Publication,
+            self.pub_ids,
+            self.pub_year,
+            self.pub_citations,
+            (self.pub_categories, self.category_sets),
+            self.pub_author_count,
+        )
 
     @property
     def authorships(self) -> RowView:
-        def rows():
-            # index -1 (external author, missing affiliation) reads the None at the end
-            scientist_ids = [sci.scientist_id for sci in self.scientists] + [None]
-            affiliations = [*self.affiliations, None]
-            return map(
-                Authorship,
-                [self.pub_ids[p] for p in self.auth_pub.tolist()],
-                self.auth_position.tolist(),
-                [scientist_ids[s] for s in self.auth_scientist.tolist()],
-                [affiliations[a] for a in self.auth_affiliation.tolist()],
-            )
-
-        return self._view("authorships", lambda: RowView(len(self.auth_pub), rows))
+        return RowView(
+            Authorship,
+            (self.auth_pub, self.pub_ids),
+            self.auth_position,
+            (self.auth_scientist, self.scientist_ids),
+            (self.auth_affiliation, self.affiliations),
+        )
 
     @property
-    def publications_by_id(self) -> dict[str, Publication]:
-        return self._view("publications_by_id", lambda: dict(zip(self.pub_ids, self.publications)))
+    def scientists_by_id(self) -> Mapping[str, Scientist]:
+        ids, rows = self.scientist_ids, self.scientists
+        return _RowMap(len(ids), lambda: zip(ids, rows))
 
     @property
-    def authorships_by_pub(self) -> dict[str, tuple[Authorship, ...]]:
-        def build():
-            rows, order, start = self.authorships, self.by_pub.tolist(), self.pub_start.tolist()
-            return {
-                pub_id: tuple(rows[i] for i in order[start[p]:start[p + 1]])
-                for p, pub_id in enumerate(self.pub_ids)
-            }
+    def scientists_by_sds(self) -> Mapping[str, tuple[Scientist, ...]]:
+        """Scientists per SDS, SDSs in order of first appearance."""
+        rows = self.scientists
 
-        return self._view("authorships_by_pub", build)
+        def groups():
+            by_sds = defaultdict(list)
+            for sci in rows:
+                by_sds[sci.sds_code].append(sci)
+            return ((sds, tuple(group)) for sds, group in by_sds.items())
 
-    @property
-    def authorships_by_scientist(self) -> dict[str, tuple[Authorship, ...]]:
-        def build():
-            rows, order = self.authorships, self.by_scientist.tolist()
-            start = _start(self.scientist_pub_count).tolist()
-            return {
-                sci.scientist_id: tuple(rows[i] for i in order[start[s]:start[s + 1]])
-                for s, sci in enumerate(self.scientists)
-                if start[s] < start[s + 1]
-            }
-
-        return self._view("authorships_by_scientist", build)
-
-    # -- SDS and rank codes -------------------------------------------------
-
-    @property
-    def sds_codes(self) -> tuple[str, ...]:
-        """Every SDS of the roster, sorted; :attr:`scientist_sds` indexes it."""
-        return self._view("sds_codes", lambda: tuple(sorted(self.sds_to_uda)))
-
-    @property
-    def scientist_sds(self) -> np.ndarray:
-        """Per scientist row, the position of its SDS in :attr:`sds_codes`,
-        so that ordering by it orders by SDS code."""
-        def build():
-            code = {sds: i for i, sds in enumerate(self.sds_codes)}
-            sds = (code[sci.sds_code] for sci in self.scientists)
-            return np.fromiter(sds, np.int64, len(self.scientists))
-
-        return self._view("scientist_sds", build)
-
-    @property
-    def scientist_rank(self) -> np.ndarray:
-        """Per scientist row, the position of its rank in :data:`RANKS`."""
-        def build():
-            ranks = (RANKS.index(sci.rank) for sci in self.scientists)
-            return np.fromiter(ranks, np.int64, len(self.scientists))
-
-        return self._view("scientist_rank", build)
+        return _RowMap(len(self.sds_codes), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +466,15 @@ class _Rows:
     def optional_integers(self, key: str) -> list[int | None]:
         return [self._parse_int(i, v, key, False) for i, v in enumerate(self.raw(key))]
 
-    def ranks(self) -> list[Rank | None]:
+    def ranks(self) -> np.ndarray:
+        """The rank column as positions in :data:`RANKS`, -1 where missing."""
         names = self.text("rank")
-        ranks = [Rank.__members__.get(name.upper()) for name in names]
-        for i, (name, rank) in enumerate(zip(names, ranks)):
-            if name and rank is None:
-                self.fail(
-                    i, f"rank must be one of FULL/ASSOCIATE/ASSISTANT, got {name!r}"
-                )
-                break
-        return ranks
+        position = {rank.value: i for i, rank in enumerate(RANKS)}
+        codes = [position.get(name.upper(), -1) for name in names]
+        bad = next((i for i, name in enumerate(names) if name and codes[i] < 0), None)
+        if bad is not None:
+            self.fail(bad, f"rank must be one of FULL/ASSOCIATE/ASSISTANT, got {names[bad]!r}")
+        return np.array(codes, dtype=np.int64)
 
     def category_sets(self, key: str, codes: "_CategoryCodes") -> np.ndarray:
         """Subject categories (``;``-separated text or a list) as codes into
@@ -532,8 +528,8 @@ def load_corpus(
     rows = _Rows(scientist_records, "scientists")
     ranks = rows.ranks()
     ids = rows.text("scientist_id")
-    sds_codes = rows.text("sds_code")
-    uda_codes = rows.text("uda_code")
+    sds_names = rows.text("sds_code")
+    uda_names = rows.text("uda_code")
     birth_years = rows.optional_integers("birth_year")
     rows.check()
 
@@ -557,10 +553,12 @@ def load_corpus(
     if len(scientist_index) < len(ids):
         raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)]}'")
     sds_to_uda: dict[str, str] = {}
-    for sds, uda in zip(sds_codes, uda_codes):
+    for sds, uda in zip(sds_names, uda_names):
         first = sds_to_uda.setdefault(sds, uda)
         if first != uda:
             raise CorpusError(f"SDS '{sds}' mapped to both UDA '{first}' and '{uda}'")
+    sds_codes = tuple(sorted(sds_to_uda))
+    udas = tuple(sorted(set(sds_to_uda.values())))
 
     problems = []
     pub_index = dict(zip(pub_ids, range(len(pub_ids))))
@@ -620,9 +618,17 @@ def load_corpus(
             f"1..{int(pub_author_count[p])}"
         )
 
+    sds_code = dict(zip(sds_codes, range(len(sds_codes))))
+    uda_code = dict(zip(udas, range(len(udas))))
     affiliations = _Codes()
     return Corpus(
-        map(Scientist, ids, sds_codes, uda_codes, ranks, birth_years),
+        scientist_ids=ids,
+        scientist_sds=np.fromiter(map(sds_code.__getitem__, sds_names), np.int64, len(ids)),
+        scientist_rank=ranks,
+        scientist_birth_year=birth_years,
+        sds_codes=sds_codes,
+        sds_uda=np.array([uda_code[sds_to_uda[sds]] for sds in sds_codes], dtype=np.int64),
+        udas=udas,
         pub_ids=pub_ids,
         pub_year=pub_year,
         pub_citations=pub_citations,
@@ -679,24 +685,22 @@ class Grid:
         return 100.0 * getattr(self.cell(uda, rank), field) / denom
 
 
-def tally(cell_type: type, udas: Iterable[str], ranks: Iterable[Rank], *columns) -> dict:
+def tally(
+    cell_type: type, udas: Sequence[str], uda: np.ndarray, rank: np.ndarray, *columns
+) -> dict:
     """Sum per-row ``columns``, one per field of ``cell_type``, into one cell
     per distinct (UDA, rank) of the rows, in order of first appearance.
 
-    Each cell adds its rows in row order, as a loop over the rows would; a
-    field is cast to the type of its default. A row's cell is coded from
-    the UDA's code and the rank's position in :data:`RANKS`, not from a
-    ``(uda, rank)`` tuple: hashing one per row costs more than the sums.
+    ``uda`` and ``rank`` are each row's position in ``udas`` and in
+    :data:`RANKS`. Each cell adds its rows in row order, as a loop over the
+    rows would; a field is cast to the type of its default.
     """
-    codes = _Codes()
-    uda = np.fromiter(map(codes.__getitem__, udas), np.int64)
-    key = uda * len(RANKS) + np.fromiter(map(RANKS.index, ranks), np.int64, len(uda))
+    key = uda * len(RANKS) + rank
     distinct, first = np.unique(key, return_index=True)
-    names = codes.names()
     sums = [np.bincount(key, weights=column).tolist() for column in columns]
     casts = [type(default) for default in cell_type._field_defaults.values()]
     return {
-        (names[k // len(RANKS)], RANKS[k % len(RANKS)]):
+        (udas[k // len(RANKS)], RANKS[k % len(RANKS)]):
             cell_type(*(cast(total[k]) for cast, total in zip(casts, sums)))
         for k in distinct[np.argsort(first)].tolist()
     }
@@ -740,21 +744,23 @@ def roster_summary(corpus: Corpus, reference_year: int | None = None) -> RosterS
     if reference_year is None and len(corpus.pub_ids):
         reference_year = int(corpus.pub_year.max()) + 1
 
-    scientists = corpus.scientists
-    aged = [sci.birth_year is not None and reference_year is not None for sci in scientists]
-    ages = [reference_year - sci.birth_year if a else 0 for sci, a in zip(scientists, aged)]
+    years = corpus.scientist_birth_year
+    aged = [year is not None and reference_year is not None for year in years]
+    ages = [reference_year - year if a else 0 for year, a in zip(years, aged)]
     cells = tally(
         RosterCell,
-        [sci.uda_code for sci in scientists],
-        [sci.rank for sci in scientists],
-        np.ones(len(scientists)),
+        corpus.udas,
+        corpus.scientist_uda,
+        corpus.scientist_rank,
+        np.ones(len(years)),
         ages,
         aged,
     )
+    sds_per_uda = np.bincount(corpus.sds_uda, minlength=len(corpus.udas)).tolist()
     return RosterSummary(
         RosterCell,
         cells,
-        sds_counts=dict(Counter(corpus.sds_to_uda.values())),
+        sds_counts=dict(zip(corpus.udas, sds_per_uda)),
         reference_year=reference_year,
     )
 
@@ -770,22 +776,21 @@ def filter_active_sds(corpus: Corpus, threshold: float = 0.5) -> Corpus:
     retained unless all their roster authors were removed; byline rows of
     retained publications that reference a removed scientist keep their
     position but lose the roster link (the author becomes external), which
-    preserves both the byline and referential-integrity invariants.
+    preserves both the byline and referential-integrity invariants. The SDS
+    and UDA codes are renumbered over the fields and disciplines kept.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
-    publishing = (corpus.scientist_pub_count > 0).tolist()
-    kept_sds = {
-        sds
-        for sds, group in corpus.scientists_by_sds.items()
-        if sum(publishing[corpus.scientist_index[s.scientist_id]] for s in group)
-        >= threshold * len(group)
-    }
-    if len(kept_sds) == len(corpus.scientists_by_sds):
+    sds = corpus.scientist_sds
+    n_sds = len(corpus.sds_codes)
+    publishing = np.bincount(sds[corpus.scientist_pub_count > 0], minlength=n_sds)
+    kept_sds = publishing >= threshold * np.bincount(sds, minlength=n_sds)
+    if kept_sds.all():
         return corpus
 
-    kept_scientist = np.array([s.sds_code in kept_sds for s in corpus.scientists], dtype=bool)
+    kept_scientist = kept_sds[sds]
+    kept_uda = np.bincount(corpus.sds_uda[kept_sds], minlength=len(corpus.udas)) > 0
     auth_pub, auth_scientist = corpus.auth_pub, corpus.auth_scientist
     roster = auth_scientist >= 0
     kept_link = roster.copy()
@@ -798,8 +803,17 @@ def filter_active_sds(corpus: Corpus, threshold: float = 0.5) -> Corpus:
     # new row numbers; a removed scientist, like index -1, maps to -1
     scientist_row = np.append(np.where(kept_scientist, np.cumsum(kept_scientist) - 1, -1), -1)
     pub_row = np.cumsum(kept_pub) - 1
+    sds_row = np.cumsum(kept_sds) - 1
+    uda_row = np.cumsum(kept_uda) - 1
+    kept = kept_scientist.tolist()
     return Corpus(
-        compress(corpus.scientists, kept_scientist.tolist()),
+        scientist_ids=list(compress(corpus.scientist_ids, kept)),
+        scientist_sds=sds_row[sds[kept_scientist]],
+        scientist_rank=corpus.scientist_rank[kept_scientist],
+        scientist_birth_year=list(compress(corpus.scientist_birth_year, kept)),
+        sds_codes=tuple(compress(corpus.sds_codes, kept_sds.tolist())),
+        sds_uda=uda_row[corpus.sds_uda[kept_sds]],
+        udas=tuple(compress(corpus.udas, kept_uda.tolist())),
         pub_ids=list(compress(corpus.pub_ids, kept_pub.tolist())),
         pub_year=corpus.pub_year[kept_pub],
         pub_citations=corpus.pub_citations[kept_pub],
@@ -827,15 +841,15 @@ def activity_rates(corpus: Corpus, records: Iterable["IndicatorRecord"]) -> Grid
     """Per UDA and rank: how many scientists published at all, and how many
     accumulated any citation impact (positive fractional strength)."""
     by_id = {r.scientist_id: r for r in records}
-    scientists = corpus.scientists
     try:
-        recs = [by_id[sci.scientist_id] for sci in scientists]
+        recs = list(map(by_id.__getitem__, corpus.scientist_ids))
     except KeyError as exc:
         raise ValueError(f"no indicator record for scientist '{exc.args[0]}'") from None
     cells = tally(
         ActivityCell,
-        [sci.uda_code for sci in scientists],
-        [sci.rank for sci in scientists],
+        corpus.udas,
+        corpus.scientist_uda,
+        corpus.scientist_rank,
         np.ones(len(recs)),
         [rec.n_p >= 1 for rec in recs],
         [rec.fss > 0 for rec in recs],

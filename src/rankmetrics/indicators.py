@@ -230,14 +230,15 @@ def compute_indicators(
     order, so results are the same float for float as a row-by-row loop.
     """
     positional = frozenset(positional_udas)
-    n_scientists = len(corpus.scientists)
+    n_scientists = len(corpus.scientist_ids)
     rows = np.flatnonzero(corpus.auth_scientist >= 0)
     scientist = corpus.auth_scientist[rows]
     pub = corpus.auth_pub[rows]
 
     score = _publication_scores(corpus, baselines)[pub]
     weight = 1.0 / corpus.pub_author_count[pub]
-    uses_positional = np.array([s.uda_code in positional for s in corpus.scientists], dtype=bool)
+    positional_uda = np.array([uda in positional for uda in corpus.udas], dtype=bool)
+    uses_positional = positional_uda[corpus.scientist_uda]
     if uses_positional.any():
         chosen = uses_positional[scientist]
         weight[chosen] = _positional_weights(corpus)[rows[chosen]]
@@ -246,8 +247,7 @@ def compute_indicators(
     score_sum = np.bincount(scientist, weights=score, minlength=n_scientists).tolist()
     fss = np.bincount(scientist, weights=score * weight, minlength=n_scientists).tolist()
     records: dict[str, IndicatorRecord] = {}
-    for sci, count, total, credit in zip(corpus.scientists, n_p, score_sum, fss):
-        sid = sci.scientist_id
+    for sid, count, total, credit in zip(corpus.scientist_ids, n_p, score_sum, fss):
         if count:
             records[sid] = IndicatorRecord(sid, count, total / count, credit)
         else:

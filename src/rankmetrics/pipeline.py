@@ -112,9 +112,9 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
 
 def _check_roster(records, corpus, path, shown: int = 5) -> None:
     """Precomputed indicators must cover exactly the filtered roster."""
-    roster = [sci.scientist_id for sci in corpus.scientists]
+    roster = corpus.scientist_ids
     missing = [sid for sid in roster if sid not in records]
-    extra = [sid for sid in records if sid not in corpus.scientists_by_id]
+    extra = [sid for sid in records if sid not in corpus.scientist_index]
     if missing or extra:
         raise ValueError(
             f"indicators file {path} does not match the roster: {len(records)} records for "
@@ -155,11 +155,11 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
     metadata = {
         "tool": f"rankmetrics {__version__}",
         "config_sha256": config.digest(),
-        "scientists": str(len(filtered.scientists)),
+        "scientists": str(len(filtered.scientist_ids)),
         "publications": str(len(filtered.pub_ids)),
         "authorships": str(len(filtered.auth_pub)),
-        "sds_loaded": str(len(corpus.scientists_by_sds)),
-        "sds_retained": str(len(filtered.scientists_by_sds)),
+        "sds_loaded": str(len(corpus.sds_codes)),
+        "sds_retained": str(len(filtered.sds_codes)),
     }
     if summary.reference_year is not None:
         metadata["reference_year"] = str(summary.reference_year)

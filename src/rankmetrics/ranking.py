@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, Grid, Rank, tally
+from .corpus import RANKS, Corpus, Grid, Rank, tally
 from .fileio import read_records, write_records
 from .indicators import IndicatorRecord
 
@@ -34,7 +34,6 @@ __all__ = [
     "PercentileTable",
     "TopFlag",
     "group_sort",
-    "indicator_value",
     "midranks",
     "ranked_population",
     "read_percentiles",
@@ -60,16 +59,6 @@ class Indicator(enum.Enum):
 
 #: The three indicators in report order: volume, total impact, mean impact.
 INDICATORS = (Indicator.NP, Indicator.FSS, Indicator.QI)
-
-
-def indicator_value(record: IndicatorRecord, indicator: Indicator) -> float | None:
-    """Value of one indicator, or None when the scientist is excluded from
-    that indicator's ranking population (mean impact of zero publications)."""
-    if indicator is Indicator.NP:
-        return float(record.n_p)
-    if indicator is Indicator.FSS:
-        return record.fss
-    return record.qi
 
 
 class PercentileRecord(NamedTuple):
@@ -125,6 +114,15 @@ def midranks(values) -> np.ndarray:
     return group_sort(np.zeros(len(a), dtype=np.int64), a, 1).midrank
 
 
+def _scientist_rows(records: list, corpus: Corpus, kind: str) -> np.ndarray:
+    """The corpus row of each record's scientist; an unknown one raises."""
+    ids = list(map(attrgetter("scientist_id"), records))
+    try:
+        return np.fromiter(map(corpus.scientist_index.__getitem__, ids), np.int64, len(ids))
+    except KeyError as exc:
+        raise ValueError(f"{kind} record for unknown scientist '{exc.args[0]}'") from None
+
+
 def ranked_population(
     records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
     indicator: Indicator,
@@ -136,11 +134,7 @@ def ranked_population(
     if isinstance(records, Mapping):
         records = records.values()
     records = list(records)
-    ids = list(map(attrgetter("scientist_id"), records))
-    try:
-        rows = np.fromiter(map(corpus.scientist_index.__getitem__, ids), np.int64, len(ids))
-    except KeyError as exc:
-        raise ValueError(f"indicator record for unknown scientist '{exc.args[0]}'") from None
+    rows = _scientist_rows(records, corpus, "indicator")
     raw = list(map(attrgetter(indicator.value), records))
     ranked = np.fromiter(map(is_not, raw, repeat(None)), bool, len(raw))
     # None becomes NaN here and is dropped with its record
@@ -152,14 +146,14 @@ def _by_sds(
     indicator: Indicator,
     corpus: Corpus,
 ):
-    """The ranking population sorted within SDSs, and its scientists in
-    output order: by SDS code, then in record order."""
+    """The ranking population sorted within SDSs, and the ids of its
+    scientists in output order: by SDS code, then in record order."""
     rows, values = ranked_population(records, indicator, corpus)
     sds = corpus.scientist_sds[rows]
     ranked = group_sort(sds, values, len(corpus.sds_codes))
     out = np.argsort(sds, kind="stable")
-    scientists = list(map(corpus.scientists.__getitem__, rows[out].tolist()))
-    return sds, values, ranked, out, scientists
+    ids = list(map(corpus.scientist_ids.__getitem__, rows[out].tolist()))
+    return rows, sds, values, ranked, out, ids
 
 
 def _records(cls: type, *columns) -> list:
@@ -182,17 +176,17 @@ def sds_percentiles(
     the population; the volume and total-impact indicators rank them at 0.
     Records come out ordered by SDS code, and in record order within an SDS.
     """
-    sds, _, ranked, out, scientists = _by_sds(records, indicator, corpus)
+    rows, sds, _, ranked, out, ids = _by_sds(records, indicator, corpus)
     n = ranked.size[sds]
     pct = 100.0 * (ranked.midrank - 1.0) / np.maximum(n - 1.0, 1.0)
     pct[n == 1] = 100.0
     return _records(
         PercentileRecord,
-        map(attrgetter("scientist_id"), scientists),
+        ids,
         repeat(indicator),
         pct[out].tolist(),
-        map(attrgetter("sds_code"), scientists),
-        map(attrgetter("rank"), scientists),
+        map(corpus.sds_codes.__getitem__, sds[out].tolist()),
+        map(RANKS.__getitem__, corpus.scientist_rank[rows[out]].tolist()),
     )
 
 
@@ -216,22 +210,24 @@ class PercentileTable(Grid):
 
 
 def uda_rank_average(percentiles: Iterable[PercentileRecord], corpus: Corpus) -> PercentileTable:
-    """Average the SDS percentiles over every UDA x rank group."""
+    """Average the SDS percentiles over every UDA x rank group; a record
+    counts in the group of its scientist's row in ``corpus``."""
     percentiles = list(percentiles)
-    indicators = {rec.indicator for rec in percentiles}
-    if not indicators:
+    if not percentiles:
         raise ValueError("no percentile records")
-    if len(indicators) > 1:
+    indicator = percentiles[0].indicator
+    if any(rec.indicator is not indicator for rec in percentiles):
         raise ValueError("mixed indicators in one percentile table")
-    sds_to_uda = corpus.sds_to_uda
+    rows = _scientist_rows(percentiles, corpus, "percentile")
     cells = tally(
         MeanCell,
-        [sds_to_uda[rec.sds_code] for rec in percentiles],
-        [rec.rank for rec in percentiles],
-        [rec.percentile for rec in percentiles],
+        corpus.udas,
+        corpus.scientist_uda[rows],
+        corpus.scientist_rank[rows],
+        list(map(attrgetter("percentile"), percentiles)),
         np.ones(len(percentiles)),
     )
-    return PercentileTable(MeanCell, cells, indicator=indicators.pop())
+    return PercentileTable(MeanCell, cells, indicator=indicator)
 
 
 def top_scientists(
@@ -249,14 +245,14 @@ def top_scientists(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    sds, values, ranked, out, scientists = _by_sds(records, indicator, corpus)
+    _, sds, values, ranked, out, ids = _by_sds(records, indicator, corpus)
     n = ranked.size[sds]
     k = np.maximum(1, np.floor(fraction * n).astype(np.int64))
     # the k-th largest of a field is k places from the end of its sorted block
     cutoff = values[ranked.order][ranked.start[sds] + n - k]
     return _records(
         TopFlag,
-        map(attrgetter("scientist_id"), scientists),
+        ids,
         repeat(indicator),
         (values >= cutoff)[out].tolist(),
     )
@@ -278,18 +274,19 @@ def write_percentiles(percentiles: Iterable[PercentileRecord], path: str | Path)
 
 
 def read_percentiles(path: str | Path, corpus: Corpus) -> list[PercentileRecord]:
+    sds, rank = corpus.scientist_sds.tolist(), corpus.scientist_rank.tolist()
     out = []
     for i, row in enumerate(read_records(path), start=1):
         try:
             sid = str(row["scientist_id"])
-            sci = corpus.scientists_by_id[sid]
+            s = corpus.scientist_index[sid]
             out.append(
                 PercentileRecord(
                     scientist_id=sid,
                     indicator=Indicator(str(row["indicator"])),
                     percentile=float(row["percentile"]),
-                    sds_code=sci.sds_code,
-                    rank=sci.rank,
+                    sds_code=corpus.sds_codes[sds[s]],
+                    rank=RANKS[rank[s]],
                 )
             )
         except (KeyError, TypeError, ValueError):

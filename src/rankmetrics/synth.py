@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, RANKS, Rank, load_corpus
+from .corpus import Corpus, RANKS, Rank, decode, load_corpus
 from .fileio import write_records
 
 __all__ = ["SynthConfig", "generate", "write_corpus_csv"]
@@ -187,50 +187,40 @@ def generate(config: SynthConfig) -> Corpus:
 
 
 def write_corpus_csv(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
-    """Write the three corpus files in their canonical column order."""
+    """Write the three corpus files in their canonical column order, from the
+    corpus's columns; a missing optional value is written empty."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "scientists": write_records(
-            out_dir / "scientists.csv",
+    tables = {
+        "scientists": (
             ["scientist_id", "sds_code", "uda_code", "rank", "birth_year"],
-            (
-                {
-                    "scientist_id": s.scientist_id,
-                    "sds_code": s.sds_code,
-                    "uda_code": s.uda_code,
-                    "rank": s.rank.value,
-                    "birth_year": "" if s.birth_year is None else s.birth_year,
-                }
-                for s in corpus.scientists
-            ),
+            corpus.scientist_ids,
+            (corpus.scientist_sds, corpus.sds_codes),
+            (corpus.scientist_uda, corpus.udas),
+            (corpus.scientist_rank, [rank.value for rank in RANKS]),
+            corpus.scientist_birth_year,
         ),
-        "publications": write_records(
-            out_dir / "publications.csv",
+        "publications": (
             ["pub_id", "year", "citation_count", "subject_categories", "author_count"],
-            (
-                {
-                    "pub_id": p.pub_id,
-                    "year": p.year,
-                    "citation_count": p.citation_count,
-                    "subject_categories": ";".join(p.subject_categories),
-                    "author_count": p.author_count,
-                }
-                for p in corpus.publications
-            ),
+            corpus.pub_ids,
+            corpus.pub_year,
+            corpus.pub_citations,
+            (corpus.pub_categories, [";".join(cats) for cats in corpus.category_sets]),
+            corpus.pub_author_count,
         ),
-        "authorships": write_records(
-            out_dir / "authorships.csv",
+        "authorships": (
             ["pub_id", "position", "scientist_id", "affiliation_id"],
-            (
-                {
-                    "pub_id": a.pub_id,
-                    "position": a.position,
-                    "scientist_id": a.scientist_id or "",
-                    "affiliation_id": a.affiliation_id or "",
-                }
-                for a in corpus.authorships
-            ),
+            (corpus.auth_pub, corpus.pub_ids),
+            corpus.auth_position,
+            (corpus.auth_scientist, corpus.scientist_ids),
+            (corpus.auth_affiliation, corpus.affiliations),
         ),
     }
-    return paths
+    return {
+        name: write_records(
+            out_dir / f"{name}.csv",
+            fields,
+            (dict(zip(fields, row)) for row in zip(*map(decode, columns))),
+        )
+        for name, (fields, *columns) in tables.items()
+    }

@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .analysis import ConcentrationRow, DominanceCounts, TopDistribution
 from .corpus import Grid, RANKS, Rank, RosterSummary
@@ -50,8 +50,8 @@ def half_up(value: float, digits: int) -> str:
 class Column:
     """Table column: ``kind`` selects the renderer.
 
-    Kinds: ``text``, ``int``, ``count`` (thousands separator), ``dec0`` /
-    ``dec2`` / ``dec3`` / ``dec4`` (fixed decimals), ``count_pct`` for
+    Kinds: ``text``, ``int``, ``count`` (thousands separator), ``dec0`` to
+    ``dec4`` (fixed decimals), ``count_pct`` for
     ``(count, percent)`` cells, ``pct_index`` for ``(share, index)`` cells,
     and ``x_of_y`` for ``(wins, counted)`` cells.
     """
@@ -72,91 +72,87 @@ class Table:
 # ---------------------------------------------------------------------------
 # Cell rendering
 
-def _render_cell(value, kind: str) -> str:
-    if value is None:
-        return ""
-    if kind == "text":
-        return str(value)
-    if kind == "int":
-        return str(int(value))
-    if kind == "count":
-        return f"{int(value):,}"
-    if kind.startswith("dec"):
-        return half_up(value, int(kind[3:]))
-    if kind == "count_pct":
-        count, pct = value
-        if pct is None:
-            return f"{int(count):,}"
-        return f"{int(count):,} ({half_up(pct, 1)}%)"
-    if kind == "pct_index":
-        share, index = value
-        if share is None:
-            return ""
-        if index is None:
-            return half_up(share, 1)
-        return f"{half_up(share, 1)} ({half_up(index, 2)})"
-    if kind == "x_of_y":
-        wins, counted = value
-        return f"{int(wins)} out of {int(counted)}"
-    raise ValueError(f"unknown column kind '{kind}'")
+def _rounded(value, digits: int) -> str:
+    return "" if value is None else half_up(value, digits)
 
 
-def _csv_headers(column: Column) -> list[str]:
-    if column.kind == "count_pct":
-        return [column.name, f"{column.name}_pct"]
-    if column.kind == "pct_index":
-        return [f"{column.name}_share", f"{column.name}_index"]
-    if column.kind == "x_of_y":
-        return [f"{column.name}_wins", f"{column.name}_counted"]
-    return [column.name]
+def _count_pct_text(value) -> str:
+    count, pct = value
+    return f"{int(count):,}" if pct is None else f"{int(count):,} ({_rounded(pct, 1)}%)"
 
 
-def _csv_cells(value, kind: str) -> list[str]:
-    if kind == "count_pct":
-        if value is None:
-            return ["", ""]
-        count, pct = value
-        return [str(int(count)), "" if pct is None else half_up(pct, 1)]
-    if kind == "pct_index":
-        if value is None:
-            return ["", ""]
-        share, index = value
-        return [
-            "" if share is None else half_up(share, 1),
-            "" if index is None else half_up(index, 2),
-        ]
-    if kind == "x_of_y":
-        if value is None:
-            return ["", ""]
-        return [str(int(value[0])), str(int(value[1]))]
-    if value is None:
-        return [""]
-    if kind in ("int", "count"):
-        return [str(int(value))]
-    if kind.startswith("dec"):
-        return [half_up(value, int(kind[3:]))]
-    return [str(value)]
+def _pct_index_text(value) -> str:
+    share, index = value
+    if share is None or index is None:
+        return _rounded(share, 1)
+    return f"{_rounded(share, 1)} ({_rounded(index, 2)})"
+
+
+class _Kind(NamedTuple):
+    """How a column kind renders a cell that is not None: ``text`` for the
+    aligned and Markdown formats; ``csv`` as one field per ``headers`` entry,
+    a format of the column name. A None cell renders as empty fields."""
+
+    headers: tuple[str, ...]
+    text: Callable[[object], str]
+    csv: Callable[[object], list[str]]
+
+
+def _decimals(digits: int) -> _Kind:
+    return _Kind(("{}",), lambda v: half_up(v, digits), lambda v: [half_up(v, digits)])
+
+
+_KINDS = {
+    "text": _Kind(("{}",), str, lambda v: [str(v)]),
+    "int": _Kind(("{}",), lambda v: str(int(v)), lambda v: [str(int(v))]),
+    "count": _Kind(("{}",), lambda v: f"{int(v):,}", lambda v: [str(int(v))]),
+    **{f"dec{digits}": _decimals(digits) for digits in range(5)},
+    "count_pct": _Kind(
+        ("{}", "{}_pct"), _count_pct_text, lambda v: [str(int(v[0])), _rounded(v[1], 1)]
+    ),
+    "pct_index": _Kind(
+        ("{}_share", "{}_index"), _pct_index_text, lambda v: [_rounded(v[0], 1), _rounded(v[1], 2)]
+    ),
+    "x_of_y": _Kind(
+        ("{}_wins", "{}_counted"),
+        lambda v: f"{int(v[0])} out of {int(v[1])}",
+        lambda v: [str(int(v[0])), str(int(v[1]))],
+    ),
+}
+
+
+def _kinds(table: Table) -> list[_Kind]:
+    try:
+        return [_KINDS[column.kind] for column in table.columns]
+    except KeyError as exc:
+        raise ValueError(f"unknown column kind '{exc.args[0]}'") from None
 
 
 def format_table(table: Table, fmt: str = "text") -> str:
     """Render a table as ``text`` (aligned), ``csv`` (delimited) or ``md``."""
+    kinds = _kinds(table)
     if fmt == "csv":
         buf = io.StringIO()
         for key, value in table.metadata.items():
             buf.write(f"# {key}: {value}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        headers: list[str] = []
-        for col in table.columns:
-            headers.extend(_csv_headers(col))
-        writer.writerow(headers)
+        writer.writerow([
+            header.format(col.name)
+            for col, kind in zip(table.columns, kinds)
+            for header in kind.headers
+        ])
         for row in table.rows:
-            cells: list[str] = []
-            for col, value in zip(table.columns, row):
-                cells.extend(_csv_cells(value, col.kind))
-            writer.writerow(cells)
+            writer.writerow([
+                cell
+                for kind, value in zip(kinds, row)
+                for cell in ([""] * len(kind.headers) if value is None else kind.csv(value))
+            ])
         return buf.getvalue()
 
-    rendered = [[_render_cell(v, c.kind) for c, v in zip(table.columns, row)] for row in table.rows]
+    rendered = [
+        ["" if value is None else kind.text(value) for kind, value in zip(kinds, row)]
+        for row in table.rows
+    ]
     headers = [c.name for c in table.columns]
 
     if fmt == "md":

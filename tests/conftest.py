@@ -1,3 +1,6 @@
+from collections import defaultdict
+from operator import attrgetter
+
 import pytest
 
 from rankmetrics import load_corpus
@@ -50,3 +53,28 @@ def single_author_corpus(entries, year=2005, category="C1"):
                 {"pub_id": pid, "position": 1, "scientist_id": sid, "affiliation_id": "U01"}
             )
     return load_corpus(scientists, publications, authorships)
+
+
+# Keyed views of a corpus, built from its row views for the tests that look
+# rows up by key; the library itself reads the columns.
+
+def publications_by_id(corpus) -> dict:
+    return {pub.pub_id: pub for pub in corpus.publications}
+
+
+def authorships_by_pub(corpus) -> dict:
+    """Every publication's byline, in position order."""
+    bylines = {pub.pub_id: [] for pub in corpus.publications}
+    for auth in corpus.authorships:
+        bylines[auth.pub_id].append(auth)
+    return {pid: tuple(sorted(rows, key=attrgetter("position"))) for pid, rows in bylines.items()}
+
+
+def authorships_by_scientist(corpus) -> dict:
+    """Each publishing roster scientist's authorships, in file order."""
+    rows = defaultdict(list)
+    for auth in corpus.authorships:
+        if auth.scientist_id is not None:
+            rows[auth.scientist_id].append(auth)
+    return {sci.scientist_id: tuple(rows[sci.scientist_id])
+            for sci in corpus.scientists if rows[sci.scientist_id]}

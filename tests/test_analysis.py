@@ -82,12 +82,14 @@ def test_winner_invariant_under_monotone_transform(a, b):
 # Gini
 
 def _gini_brute(values):
+    # sum over pairs / (2 n^2 mean), with n * mean as the total: a mean of
+    # subnormal values can round to 0 where their total does not
     x = np.asarray(values, dtype=float)
     n = x.size
-    mean = x.mean()
-    if mean == 0:
+    total = x.sum()
+    if total == 0:
         return 0.0
-    return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * mean))
+    return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * total))
 
 
 def test_gini_all_equal_is_zero():

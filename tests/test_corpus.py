@@ -17,16 +17,23 @@ from rankmetrics import (
 from rankmetrics.indicators import IndicatorRecord
 from rankmetrics.synth import SynthConfig, generate
 
-from conftest import single_author_corpus, tiny_rows
+from conftest import authorships_by_pub, publications_by_id, single_author_corpus, tiny_rows
 
 
 def test_identity_load(tiny_corpus):
     assert len(tiny_corpus.scientists) == 3
     assert len(tiny_corpus.publications) == 2
     assert len(tiny_corpus.authorships) == 4
-    assert tiny_corpus.publications_by_id["P2"].subject_categories == ("C1", "C2")
-    assert tiny_corpus.authorships_by_pub["P2"][1].scientist_id is None
-    assert tiny_corpus.sds_to_uda == {"S1": "U1", "S2": "U1"}
+    assert publications_by_id(tiny_corpus)["P2"].subject_categories == ("C1", "C2")
+    assert authorships_by_pub(tiny_corpus)["P2"][1].scientist_id is None
+    assert tiny_corpus.sds_codes == ("S1", "S2")
+    assert tiny_corpus.udas == ("U1",)
+    assert tiny_corpus.sds_uda.tolist() == [0, 0]
+    assert tiny_corpus.scientist_sds.tolist() == [0, 0, 1]
+    assert [RANKS[r] for r in tiny_corpus.scientist_rank.tolist()] == [
+        Rank.FULL, Rank.ASSISTANT, Rank.ASSOCIATE
+    ]
+    assert tiny_corpus.scientist_birth_year == [1949, 1957, None]
 
 
 def test_unknown_pub_reference():
@@ -171,14 +178,14 @@ def _sds_corpus(publishing, total, sds="SA", other_sds=True):
 def test_filter_removes_under_threshold():
     corpus = _sds_corpus(publishing=4, total=10)
     filtered = filter_active_sds(corpus, 0.5)
-    assert set(filtered.sds_to_uda) == {"SB"}
+    assert filtered.sds_codes == ("SB",)
     assert all(s.sds_code == "SB" for s in filtered.scientists)
 
 
 def test_filter_boundary_is_inclusive():
     corpus = _sds_corpus(publishing=5, total=10)
     filtered = filter_active_sds(corpus, 0.5)
-    assert set(filtered.sds_to_uda) == {"SA", "SB"}
+    assert filtered.sds_codes == ("SA", "SB")
 
 
 def test_filter_threshold_zero_is_identity():
@@ -215,12 +222,12 @@ def test_filter_unlinks_removed_coauthors():
     corpus = load_corpus(scientists, publications, authorships)
     # SA: 1 of 2 publishing = 0.5 -> removed at threshold 0.6
     filtered = filter_active_sds(corpus, 0.6)
-    assert set(filtered.sds_to_uda) == {"SB"}
+    assert filtered.sds_codes == ("SB",)
     # P1 survives through 'stays'; its second byline slot is now external
-    assert "P1" in filtered.publications_by_id
-    assert filtered.authorships_by_pub["P1"][1].scientist_id is None
+    assert "P1" in publications_by_id(filtered)
+    assert authorships_by_pub(filtered)["P1"][1].scientist_id is None
     # P2 belonged only to removed scientists and is gone
-    assert "P2" not in filtered.publications_by_id
+    assert "P2" not in publications_by_id(filtered)
 
 
 # ---------------------------------------------------------------------------

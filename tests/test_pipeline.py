@@ -113,12 +113,27 @@ def test_uda_with_empty_rank_is_excluded_from_dominance():
     assert counts.per_uda["U1"][1] == 1
 
 
-def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch):
+def _cli_args(command, paths, out):
+    """Arguments of one subcommand on the corpus files, writing under ``out``."""
+    if command == "synth":
+        config = out / "synth.conf"
+        config.parent.mkdir(parents=True, exist_ok=True)
+        config.write_text("[synth]\nn_uda = 1\nsds_per_uda = 1\n", encoding="utf-8")
+        return ["synth", "--config", str(config), "--out", str(out / "synth")]
+    inputs = [f"--{name}={paths[name]}" for name in ("scientists", "publications", "authorships")]
+    return [command, *inputs] + ([] if command == "validate" else ["--out", str(out / command)])
+
+
+CLI_COMMANDS = ["validate", "synth", "indicators", "rank", "analyze", "report"]
+
+
+def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch, tmp_path):
     from rankmetrics import fileio
-    from rankmetrics.corpus import Authorship, Publication
+    from rankmetrics.cli import main
+    from rankmetrics.corpus import Authorship, Publication, Scientist
 
     built = []
-    for cls in (Publication, Authorship):
+    for cls in (Scientist, Publication, Authorship):
         init = cls.__init__
 
         def counting(self, *args, _init=init, **kwargs):
@@ -136,28 +151,50 @@ def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch):
         for method in ("__iter__", "__getitem__", "_row"):
             patch.setattr(fileio.Records, method, no_rows)
         run_pipeline(_run_config(corpus_paths, positional_udas=("UDA01",)))
+        for command in CLI_COMMANDS:
+            assert main(_cli_args(command, corpus_paths, tmp_path)) == 0, command
     assert built == []
 
     corpus = generate(SynthConfig(seed=5, n_uda=1, sds_per_uda=1))
     built.clear()
-    assert len(corpus.authorships) > 0 and len(corpus.publications) > 0
+    assert len(corpus.scientists) > 0 and len(corpus.authorships) > 0
+    assert len(corpus.publications) > 0
     assert built == []
+    assert len(list(corpus.scientists)) == len(corpus.scientists)
+    assert built.count("Scientist") == len(corpus.scientists)
     assert len(list(corpus.authorships)) == len(corpus.authorships)
     assert built.count("Authorship") == len(corpus.authorships)
+
+
+def _corpora() -> int:
+    return sum(isinstance(obj, Corpus) for obj in gc.get_objects())
 
 
 def test_pipeline_leaves_no_corpus_to_the_collector(corpus_paths):
     """A corpus must be freed when the run returns, not at the next full
     collection: a lingering one raises the peak memory of the next run."""
-    def corpora():
-        return sum(isinstance(obj, Corpus) for obj in gc.get_objects())
-
     gc.collect()
     gc.disable()
     try:
-        before = corpora()
+        before = _corpora()
         run_pipeline(_run_config(corpus_paths))
-        after = corpora()
+        after = _corpora()
+    finally:
+        gc.enable()
+    assert after == before
+
+
+@pytest.mark.parametrize("command", ["validate", "indicators", "rank", "analyze", "report"])
+def test_cli_leaves_no_corpus_to_the_collector(corpus_paths, tmp_path, command):
+    from rankmetrics.cli import main
+
+    args = _cli_args(command, corpus_paths, tmp_path)
+    gc.collect()
+    gc.disable()
+    try:
+        before = _corpora()
+        assert main(args) == 0
+        after = _corpora()
     finally:
         gc.enable()
     assert after == before

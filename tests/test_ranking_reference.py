@@ -56,12 +56,18 @@ def reference_value(record, indicator):
     return record.qi
 
 
+def sds_udas(corpus) -> dict:
+    """Each SDS of the roster with its UDA, from the scientist rows."""
+    return {sci.sds_code: sci.uda_code for sci in corpus.scientists}
+
+
 def reference_members(records, indicator, corpus):
     if isinstance(records, dict):
         records = records.values()
+    by_id = {sci.scientist_id: sci for sci in corpus.scientists}
     out = []
     for rec in records:
-        sci = corpus.scientists_by_id[rec.scientist_id]
+        sci = by_id[rec.scientist_id]
         value = reference_value(rec, indicator)
         if value is not None:
             out.append((sci, value))
@@ -112,7 +118,8 @@ def reference_dominance(records, corpus, indicator, group_a=Rank.FULL, group_b=R
     per_uda = defaultdict(lambda: [0, 0])
     results = {}
     excluded = 0
-    for sds in sorted(corpus.scientists_by_sds):
+    udas = sds_udas(corpus)
+    for sds in sorted(udas):
         groups = by_sds.get(sds, {})
         values_a, values_b = groups.get(group_a), groups.get(group_b)
         if not values_a or not values_b:
@@ -120,7 +127,7 @@ def reference_dominance(records, corpus, indicator, group_a=Rank.FULL, group_b=R
             continue
         res = sequence_criterion(values_a, values_b, group_a, group_b, sds_code=sds)
         results[sds] = res
-        acc = per_uda[corpus.sds_to_uda[sds]]
+        acc = per_uda[udas[sds]]
         acc[1] += 1
         if res.winner is group_b:
             acc[0] += 1
@@ -137,7 +144,7 @@ def reference_concentration(records, corpus, indicator, bottom_fraction, top_fra
         values[(sci.sds_code, sci.rank)].append(value)
     out = []
     for uda in corpus.udas:
-        sds_list = sorted(s for s, u in corpus.sds_to_uda.items() if u == uda)
+        sds_list = sorted(s for s, u in sds_udas(corpus).items() if u == uda)
         for rank in RANKS:
             gini_cells, ratio_cells = [], []
             for sds in sds_list:

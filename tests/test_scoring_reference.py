@@ -3,6 +3,7 @@
 The reference walks the row views of the corpus (publications, bylines and
 each scientist's authorships as objects), one row at a time, the way the
 indicators were first specified; the library must agree with it bitwise.
+The SDS filter is checked against a direct load of the rows it keeps.
 """
 
 import statistics
@@ -12,17 +13,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankmetrics import (
+    Indicator,
     build_baselines,
     byline_case_flags,
     coauthor_weights,
     compute_indicators,
+    dominance_counts,
     filter_active_sds,
     load_corpus,
     standardize_publication,
+    top_distribution,
+    top_scientists,
 )
 from rankmetrics.baseline import BaselineCell
 from rankmetrics.indicators import IndicatorRecord, WeightScheme
+from rankmetrics.ranking import INDICATORS
 from rankmetrics.synth import SynthConfig, generate
+from rankmetrics.tables import build_chi_square_table, build_top_distribution_table
+
+from conftest import authorships_by_pub, authorships_by_scientist, publications_by_id
 
 
 def reference_baselines(corpus) -> list[BaselineCell]:
@@ -38,8 +47,10 @@ def reference_baselines(corpus) -> list[BaselineCell]:
 
 def reference_indicators(corpus, baselines, positional_udas=()) -> dict[str, IndicatorRecord]:
     records = {}
+    by_scientist = authorships_by_scientist(corpus)
+    by_id, bylines = publications_by_id(corpus), authorships_by_pub(corpus)
     for sci in corpus.scientists:
-        rows = corpus.authorships_by_scientist.get(sci.scientist_id, ())
+        rows = by_scientist.get(sci.scientist_id, ())
         if not rows:
             records[sci.scientist_id] = IndicatorRecord(sci.scientist_id, 0, None, 0.0)
             continue
@@ -47,8 +58,8 @@ def reference_indicators(corpus, baselines, positional_udas=()) -> dict[str, Ind
         score_sum = 0.0
         fss = 0.0
         for auth in rows:
-            score = standardize_publication(corpus.publications_by_id[auth.pub_id], baselines)
-            byline = corpus.authorships_by_pub[auth.pub_id]
+            score = standardize_publication(by_id[auth.pub_id], baselines)
+            byline = bylines[auth.pub_id]
             n = len(byline)
             if positional and n > 1:
                 same, differ = byline_case_flags([a.affiliation_id for a in byline])
@@ -108,17 +119,13 @@ def test_indicators_match_per_row_reference(corpus, udas):
     assert _bits(actual) == _bits(expected)
 
 
-def test_filtered_corpus_equals_corpus_loaded_from_surviving_rows(corpus):
-    # the SDS with the lowest publishing fraction falls just under the threshold
-    active = {
-        sds: sum(corpus.publication_count(s.scientist_id) > 0 for s in group) / len(group)
-        for sds, group in corpus.scientists_by_sds.items()
-    }
-    threshold = min(active.values()) + 1e-9
+def _filtered_and_direct(corpus, threshold):
+    """The filtered corpus, and the corpus loaded from the rows the filter
+    keeps: the scientists of retained SDSs, every publication with a
+    retained or no roster author, and their bylines with removed
+    scientists turned external."""
     filtered = filter_active_sds(corpus, threshold)
-    dropped = set(corpus.sds_to_uda) - set(filtered.sds_to_uda)
-    assert dropped
-
+    dropped = set(corpus.sds_codes) - set(filtered.sds_codes)
     scientists, publications, authorships = _rows(corpus)
     kept_ids = {s["scientist_id"] for s in scientists if s["sds_code"] not in dropped}
     roster = defaultdict(list)
@@ -138,12 +145,33 @@ def test_filtered_corpus_equals_corpus_loaded_from_surviving_rows(corpus):
             if a["pub_id"] in kept_pubs
         ],
     )
+    return filtered, direct
+
+
+def _assert_same_corpus(filtered, direct):
     assert filtered.scientists == direct.scientists
     assert filtered.publications == direct.publications
     assert filtered.authorships == direct.authorships
-    assert filtered.sds_to_uda == direct.sds_to_uda
-    assert filtered.authorships_by_pub == direct.authorships_by_pub
-    assert filtered.authorships_by_scientist == direct.authorships_by_scientist
+    # the roster columns, recoded over the fields and disciplines kept
+    assert filtered.sds_codes == direct.sds_codes
+    assert filtered.udas == direct.udas
+    for column in ("scientist_sds", "sds_uda", "scientist_rank"):
+        assert getattr(filtered, column).tolist() == getattr(direct, column).tolist(), column
+    assert filtered.scientist_birth_year == direct.scientist_birth_year
+    assert authorships_by_pub(filtered) == authorships_by_pub(direct)
+    assert authorships_by_scientist(filtered) == authorships_by_scientist(direct)
+
+
+def test_filtered_corpus_equals_corpus_loaded_from_surviving_rows(corpus):
+    # the SDS with the lowest publishing fraction falls just under the threshold
+    publishing = authorships_by_scientist(corpus)
+    groups = defaultdict(list)
+    for sci in corpus.scientists:
+        groups[sci.sds_code].append(sci.scientist_id in publishing)
+    threshold = min(sum(group) / len(group) for group in groups.values()) + 1e-9
+    filtered, direct = _filtered_and_direct(corpus, threshold)
+    assert len(filtered.sds_codes) < len(corpus.sds_codes)
+    _assert_same_corpus(filtered, direct)
     baselines = build_baselines(filtered)
     assert baselines.cells == build_baselines(direct).cells
     for positional in ((), filtered.udas):
@@ -153,6 +181,31 @@ def test_filtered_corpus_equals_corpus_loaded_from_surviving_rows(corpus):
         assert _bits(compute_indicators(filtered, baselines, positional)) == _bits(
             reference_indicators(filtered, baselines, positional)
         )
+
+
+def test_filter_dropping_a_whole_uda_drops_its_rows(corpus):
+    # unlink every UDA02 scientist from their bylines: both of its SDSs fall
+    # to no publishing scientist, and the other fields stay well above half
+    scientists, publications, authorships = _rows(corpus)
+    silent = {s["scientist_id"] for s in scientists if s["uda_code"] == "UDA02"}
+    unlinked = load_corpus(scientists, publications, [
+        dict(a, scientist_id=None) if a["scientist_id"] in silent else a for a in authorships
+    ])
+    filtered, direct = _filtered_and_direct(unlinked, 0.5)
+    assert "UDA02" in unlinked.udas
+    assert filtered.udas == tuple(uda for uda in unlinked.udas if uda != "UDA02")
+    assert filtered.sds_codes == tuple(s for s in unlinked.sds_codes if not s.startswith("UDA02"))
+    _assert_same_corpus(filtered, direct)
+
+    records = compute_indicators(filtered, build_baselines(filtered))
+    for indicator in INDICATORS:
+        assert dominance_counts(records, filtered, indicator).excluded_sds == dominance_counts(
+            records, direct, indicator
+        ).excluded_sds
+    dist = top_distribution(top_scientists(records, Indicator.FSS, filtered), filtered)
+    assert set(dist.chi_square_by_uda) == set(filtered.udas)
+    for table in (build_top_distribution_table(dist), build_chi_square_table(dist)):
+        assert [row[0] for row in table.rows[:-1]] == list(filtered.udas)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankmetrics import Rank, build_baselines, load_corpus_files
+from rankmetrics import RANKS, Rank, build_baselines, load_corpus_files
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 
 
@@ -52,8 +52,8 @@ def test_rank_effect_orders_mean_output():
     corpus = generate(cfg)
     means = {}
     for rank in (Rank.FULL, Rank.ASSISTANT):
-        group = [s for s in corpus.scientists if s.rank is rank]
-        means[rank] = np.mean([corpus.publication_count(s.scientist_id) for s in group])
+        group = corpus.scientist_rank == RANKS.index(rank)
+        means[rank] = np.mean(corpus.scientist_pub_count[group])
     assert means[Rank.FULL] > means[Rank.ASSISTANT]
 
 
@@ -66,9 +66,9 @@ def test_inactive_fraction_respected():
         inactive_fraction={Rank.FULL: 0.0, Rank.ASSOCIATE: 0.0, Rank.ASSISTANT: 0.2},
     )
     corpus = generate(cfg)
-    assistants = [s for s in corpus.scientists if s.rank is Rank.ASSISTANT]
-    inactive = sum(1 for s in assistants if corpus.publication_count(s.scientist_id) == 0)
-    assert inactive / len(assistants) == pytest.approx(0.2, abs=0.03)
+    assistants = corpus.scientist_rank == RANKS.index(Rank.ASSISTANT)
+    inactive = np.count_nonzero(corpus.scientist_pub_count[assistants] == 0)
+    assert inactive / np.count_nonzero(assistants) == pytest.approx(0.2, abs=0.03)
 
 
 def test_citation_skew_median_at_most_mean():

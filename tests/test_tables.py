@@ -75,3 +75,76 @@ def test_csv_round_trip_preserves_values(tmp_path):
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         format_table(_table(), "xml")
+
+
+KINDS = ["int", "count", "dec0", "dec1", "dec2", "dec3", "dec4", "count_pct", "pct_index", "x_of_y"]
+
+
+def _kinds_table():
+    """Every column kind: a full value, None, and composites with one part None."""
+    columns = [Column("name"), Column("text", "text")] + [Column(kind, kind) for kind in KINDS]
+    rows = [
+        ["full", "a b", 7, 12345, 2.5, 0.25, 35.125, 0.56045, 0.00005,
+         (10764, 35.05), (39.15, 1.055), (8, 176)],
+        ["none", None, None, None, None, None, None, None, None, None, None, None],
+        ["part", 5, 0, 999, -0.5, 1.05, 2.675, 1.0, 0.12345, (955, None), (12.0, None), (0, 9)],
+        ["part2", "", 3.9, 1000.0, 0.4999, 0.05, 0.005, 0.0005, 1.23455,
+         (0, 0.0), (None, 1.2), (3, 3)],
+    ]
+    return Table("kinds", "Every column kind", columns, rows, {"tool": "test"})
+
+
+# recorded from the per-kind renderers that the kind table replaced
+KINDS_RENDERED = {
+    "text": (
+        "Every column kind\n"
+        "# tool: test\n"
+        "name   text  int   count  dec0  dec1   dec2   dec3    dec4       count_pct    pct_index        x_of_y\n"
+        "-----------------------------------------------------------------------------------------------------\n"
+        "full    a b    7  12,345     3   0.3  35.13  0.560  0.0001  10,764 (35.1%)  39.2 (1.06)  8 out of 176\n"
+        "none\n"
+        "part      5    0     999    -1   1.1   2.68  1.000  0.1235             955         12.0    0 out of 9\n"
+        "part2          3   1,000     0   0.1   0.01  0.001  1.2346        0 (0.0%)                 3 out of 3\n"
+    ),
+    "md": (
+        "## Every column kind\n"
+        "\n"
+        "*tool: test*\n"
+        "\n"
+        "| name | text | int | count | dec0 | dec1 | dec2 | dec3 | dec4 | count_pct | pct_index | x_of_y |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+        "| full | a b | 7 | 12,345 | 3 | 0.3 | 35.13 | 0.560 | 0.0001 | 10,764 (35.1%) | 39.2 (1.06) | 8 out of 176 |\n"
+        "| none |  |  |  |  |  |  |  |  |  |  |  |\n"
+        "| part | 5 | 0 | 999 | -1 | 1.1 | 2.68 | 1.000 | 0.1235 | 955 | 12.0 | 0 out of 9 |\n"
+        "| part2 |  | 3 | 1,000 | 0 | 0.1 | 0.01 | 0.001 | 1.2346 | 0 (0.0%) |  | 3 out of 3 |\n"
+    ),
+    "csv": (
+        "# tool: test\n"
+        "name,text,int,count,dec0,dec1,dec2,dec3,dec4,count_pct,count_pct_pct,"
+        "pct_index_share,pct_index_index,x_of_y_wins,x_of_y_counted\n"
+        "full,a b,7,12345,3,0.3,35.13,0.560,0.0001,10764,35.1,39.2,1.06,8,176\n"
+        "none,,,,,,,,,,,,,,\n"
+        "part,5,0,999,-1,1.1,2.68,1.000,0.1235,955,,12.0,,0,9\n"
+        "part2,,3,1000,0,0.1,0.01,0.001,1.2346,0,0.0,,1.20,3,3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(KINDS_RENDERED))
+def test_every_kind_renders_as_recorded(fmt):
+    assert format_table(_kinds_table(), fmt) == KINDS_RENDERED[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(KINDS_RENDERED))
+@pytest.mark.parametrize("kind, value", [("x_of_y", (None, 5)), ("x_of_y", (5, None)),
+                                         ("count_pct", (None, 5.0))])
+def test_composite_without_its_count_raises(fmt, kind, value):
+    with pytest.raises(TypeError):
+        format_table(Table("k", "t", [Column("c", kind)], [[value]]), fmt)
+
+
+@pytest.mark.parametrize("fmt", sorted(KINDS_RENDERED))
+@pytest.mark.parametrize("kind", ["bogus", "dec"])
+def test_unknown_kind_raises(fmt, kind):
+    with pytest.raises(ValueError, match="column kind"):
+        format_table(Table("k", "t", [Column("c", kind)], [[1.0]]), fmt)
