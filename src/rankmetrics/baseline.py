@@ -8,16 +8,14 @@ categories is scored as the arithmetic mean of its per-category values.
 
 from __future__ import annotations
 
-import math
 import statistics
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import Corpus, Publication
-from .fileio import read_records, write_records
+from .fileio import FieldParser, read_records, write_records
 
 __all__ = [
     "BaselineCell",
@@ -35,8 +33,7 @@ class MissingBaselineError(ValueError):
     """No baseline cell exists for a (year, category) pair."""
 
 
-@dataclass(frozen=True)
-class BaselineCell:
+class BaselineCell(NamedTuple):
     year: int
     category: str
     median_citations: float
@@ -157,38 +154,20 @@ def standardize_publication(pub: Publication, baselines: BaselineTable) -> float
 
 
 def write_baselines(baselines: BaselineTable, path: str | Path) -> Path:
-    rows = (
-        {
-            "year": c.year,
-            "category": c.category,
-            "median": repr(c.median_citations),
-            "mean": repr(c.mean_citations),
-            "count": c.publication_count,
-        }
-        for c in baselines.cells
-    )
-    return write_records(path, ["year", "category", "median", "mean", "count"], rows)
+    return write_records(path, ["year", "category", "median", "mean", "count"], baselines.cells)
 
 
 def read_baselines(path: str | Path) -> BaselineTable:
-    cells = []
-    for i, row in enumerate(read_records(path), start=1):
-        try:
-            cells.append(
-                BaselineCell(
-                    year=int(row["year"]),
-                    category=str(row["category"]),
-                    median_citations=float(row["median"]),
-                    mean_citations=float(row["mean"]),
-                    publication_count=int(row["count"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"baselines row {i}: malformed record {row!r}") from None
-        cell = cells[-1]
-        for key, value in (("median", cell.median_citations), ("mean", cell.mean_citations)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"baselines row {i}: '{key}' must be finite and >= 0, got {value!r}")
-        if cell.publication_count < 1:
-            raise ValueError(f"baselines row {i}: 'count' must be >= 1, got {cell.publication_count}")
-    return BaselineTable(cells)
+    """The cells of a file :func:`write_baselines` wrote. A row with a
+    missing or malformed value, a non-finite or negative median or mean, a
+    count below 1, or repeating an earlier row's (year, category), fails
+    naming the row."""
+    rows = FieldParser(read_records(path), "baselines")
+    year = rows.integers("year").tolist()
+    category = rows.text("category")
+    median = rows.numbers("median", float)
+    mean = rows.numbers("mean", float)
+    count = rows.integers("count", minimum=1).tolist()
+    rows.unique("(year, category)", list(zip(year, category)))
+    rows.check()
+    return BaselineTable(map(BaselineCell, year, category, median, mean, count))

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTu
 
 import numpy as np
 
-from .fileio import Records, read_records
+from .fileio import FieldParser, _clean, _first_repeat, read_records
 
 if TYPE_CHECKING:
     from .indicators import IndicatorRecord
@@ -328,31 +328,12 @@ class Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Loading: parse a column at a time, fail on the row a row-by-row parse
-# would have failed on first
-
-_INT64 = np.iinfo(np.int64)
-
-
-def _clean(value):
-    if isinstance(value, str):
-        value = value.strip()
-    return None if value in (None, "") else value
-
+# Loading: FieldParser types each field; checks across rows use the columns
 
 def _raise_first(problems: list[tuple[int, int, str]]) -> None:
     """Raise the problem of the earliest row; within a row, the check made first."""
     if problems:
         raise CorpusError(min(problems)[2])
-
-
-def _first_repeat(keys: Sequence) -> int:
-    seen = set()
-    for i, key in enumerate(keys):
-        if key in seen:
-            return i
-        seen.add(key)
-    raise AssertionError("no repeated key")
 
 
 def _repeats(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
@@ -363,14 +344,6 @@ def _repeats(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
         sorted_key = key[order]
         same &= sorted_key[1:] == sorted_key[:-1]
     return order[1:][same]
-
-
-class _Ints(dict):
-    """Memo of ``int()`` by raw value: a column holds few distinct values."""
-
-    def __missing__(self, raw) -> int:
-        value = self[raw] = int(raw)
-        return value
 
 
 class _Codes(dict):
@@ -391,80 +364,11 @@ class _Codes(dict):
         return tuple(key for key in self if key not in (None, ""))
 
 
-class _Rows:
-    """One input table, validated a column at a time. Row mappings are
-    transposed into columns once; :class:`Records` from a file already are.
+class _Rows(FieldParser):
+    """One corpus input table: the :class:`FieldParser` kinds plus ranks and
+    subject categories; a failure raises :class:`CorpusError`."""
 
-    Each check records its first failing row; :meth:`check` raises the
-    earliest. Checks are made in the order a row-by-row parse makes them,
-    and a later check only wins on a strictly earlier row, so the error is
-    the one that parse would have raised.
-    """
-
-    def __init__(self, records: Records | Iterable[Mapping], source: str):
-        if not isinstance(records, Records):
-            records = Records.from_rows(records)
-        self.columns = records.columns
-        self.length = len(records)
-        self.source = source
-        self._error: tuple[int, str] | None = None
-
-    def fail(self, index: int, message: str) -> None:
-        if self._error is None or index < self._error[0]:
-            self._error = (index, f"{self.source} row {index + 1}: {message}")
-
-    def check(self) -> None:
-        if self._error is not None:
-            raise CorpusError(self._error[1])
-
-    def raw(self, key: str) -> list:
-        """The column of ``key`` (``None`` where a row lacks it); read-only."""
-        column = self.columns.get(key)
-        return [None] * self.length if column is None else column
-
-    def text(self, key: str, required: bool = True) -> list[str]:
-        """A text column, stripped, with "" where the field is empty."""
-        values = self.raw(key)
-        try:
-            values = list(map(str.strip, values))
-        except TypeError:  # typed values: JSON numbers, null
-            values = ["" if v is None else str(v) for v in map(_clean, values)]
-        if required and "" in values:
-            self.fail(values.index(""), f"missing '{key}'")
-        return values
-
-    def _parse_int(self, index: int, raw, key: str, required: bool) -> int | None:
-        raw = _clean(raw)
-        if raw is None:
-            if required:
-                self.fail(index, f"missing '{key}'")
-            return None
-        try:
-            value = int(raw)
-        except (TypeError, ValueError, OverflowError):
-            self.fail(index, f"'{key}' must be an integer, got {raw!r}")
-            return None
-        if not _INT64.min <= value <= _INT64.max:
-            self.fail(index, f"'{key}' must fit in a 64-bit integer, got {value}")
-            return None
-        return value
-
-    def integers(self, key: str, minimum: int | None = None) -> np.ndarray:
-        """A required integer column as int64."""
-        values = self.raw(key)
-        try:  # int() strips whitespace itself, as the field cleaning does
-            array = np.fromiter(map(_Ints().__getitem__, values), np.int64, len(values))
-        except (TypeError, ValueError, OverflowError):
-            parsed = [self._parse_int(i, v, key, True) for i, v in enumerate(values)]
-            array = np.array([0 if v is None else v for v in parsed], dtype=np.int64)
-        if minimum is not None:
-            low = np.flatnonzero(array < minimum)
-            if low.size:
-                self.fail(int(low[0]), f"'{key}' must be >= {minimum}, got {int(array[low[0]])}")
-        return array
-
-    def optional_integers(self, key: str) -> list[int | None]:
-        return [self._parse_int(i, v, key, False) for i, v in enumerate(self.raw(key))]
+    error = CorpusError
 
     def ranks(self) -> np.ndarray:
         """The rank column as positions in :data:`RANKS`, -1 where missing."""
@@ -530,7 +434,7 @@ def load_corpus(
     ids = rows.text("scientist_id")
     sds_names = rows.text("sds_code")
     uda_names = rows.text("uda_code")
-    birth_years = rows.optional_integers("birth_year")
+    birth_years = rows.numbers("birth_year", int, required=False)
     rows.check()
 
     rows = _Rows(publication_records, "publications")
@@ -551,7 +455,7 @@ def load_corpus(
 
     scientist_index = dict(zip(ids, range(len(ids))))
     if len(scientist_index) < len(ids):
-        raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)]}'")
+        raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)[0]]}'")
     sds_to_uda: dict[str, str] = {}
     for sds, uda in zip(sds_names, uda_names):
         first = sds_to_uda.setdefault(sds, uda)
@@ -563,7 +467,7 @@ def load_corpus(
     problems = []
     pub_index = dict(zip(pub_ids, range(len(pub_ids))))
     if len(pub_index) < len(pub_ids):
-        row = _first_repeat(pub_ids)
+        row = _first_repeat(pub_ids)[0]
         problems.append((row, 0, f"duplicate pub_id '{pub_ids[row]}'"))
     category_sets = categories.sets.names()
     repeated = [code for code, cats in enumerate(category_sets) if len(set(cats)) < len(cats)]

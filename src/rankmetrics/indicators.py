@@ -22,15 +22,14 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .baseline import BaselineTable, standardized_score
 from .corpus import Corpus
-from .fileio import read_records, write_records
+from .fileio import FieldParser, read_records, write_records
 
 __all__ = [
     "IndicatorRecord",
@@ -51,8 +50,7 @@ class WeightScheme(enum.Enum):
     POSITIONAL = "POSITIONAL"
 
 
-@dataclass(frozen=True)
-class IndicatorRecord:
+class IndicatorRecord(NamedTuple):
     scientist_id: str
     n_p: int
     qi: float | None
@@ -258,45 +256,19 @@ def compute_indicators(
 def write_indicators(records: Iterable[IndicatorRecord] | Mapping[str, IndicatorRecord], path: str | Path) -> Path:
     if isinstance(records, Mapping):
         records = records.values()
-    rows = (
-        {
-            "scientist_id": r.scientist_id,
-            "n_p": r.n_p,
-            "qi": "" if r.qi is None else repr(r.qi),
-            "fss": repr(r.fss),
-        }
-        for r in sorted(records, key=lambda r: r.scientist_id)
-    )
-    return write_records(path, ["scientist_id", "n_p", "qi", "fss"], rows)
+    rows = sorted(records, key=lambda r: r.scientist_id)
+    return write_records(path, list(IndicatorRecord._fields), rows)
 
 
 def read_indicators(path: str | Path) -> dict[str, IndicatorRecord]:
     """Indicator records by scientist id. A row with a missing, malformed,
     non-finite or negative value, or repeating an earlier row's
     ``scientist_id``, fails naming the row."""
-    records = {}
-    rows = {}
-    for i, row in enumerate(read_records(path), start=1):
-        try:
-            qi_raw = row.get("qi")
-            if isinstance(qi_raw, str):
-                qi_raw = qi_raw.strip()
-            rec = IndicatorRecord(
-                scientist_id=str(row["scientist_id"]),
-                n_p=int(row["n_p"]),
-                qi=None if qi_raw in (None, "") else float(qi_raw),
-                fss=float(row["fss"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"indicators row {i}: malformed record {row!r}") from None
-        for key in ("n_p", "qi", "fss"):
-            value = getattr(rec, key)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"indicators row {i}: '{key}' must be finite and >= 0, got {value!r}")
-        first = rows.setdefault(rec.scientist_id, i)
-        if first != i:
-            raise ValueError(
-                f"indicators row {i}: scientist_id '{rec.scientist_id}' repeats row {first}"
-            )
-        records[rec.scientist_id] = rec
-    return records
+    rows = FieldParser(read_records(path), "indicators")
+    ids = rows.text("scientist_id")
+    n_p = rows.integers("n_p", minimum=0).tolist()
+    qi = rows.numbers("qi", float, required=False)
+    fss = rows.numbers("fss", float)
+    rows.unique("scientist_id", ids)
+    rows.check()
+    return dict(zip(ids, map(IndicatorRecord, ids, n_p, qi, fss)))

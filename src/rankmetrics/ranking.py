@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .corpus import RANKS, Corpus, Grid, Rank, tally
-from .fileio import read_records, write_records
+from .fileio import FieldParser, read_records, write_records
 from .indicators import IndicatorRecord
 
 __all__ = [
@@ -263,44 +263,33 @@ def top_scientists(
 
 def write_percentiles(percentiles: Iterable[PercentileRecord], path: str | Path) -> Path:
     rows = (
-        {
-            "scientist_id": p.scientist_id,
-            "indicator": p.indicator.value,
-            "percentile": repr(p.percentile),
-        }
+        (p.scientist_id, p.indicator.value, p.percentile)
         for p in sorted(percentiles, key=lambda p: (p.indicator.value, p.scientist_id))
     )
     return write_records(path, ["scientist_id", "indicator", "percentile"], rows)
 
 
 def read_percentiles(path: str | Path, corpus: Corpus) -> list[PercentileRecord]:
+    """The records of a file :func:`write_percentiles` wrote, each in its
+    scientist's SDS and rank in ``corpus``. A row with a missing or
+    malformed value, an unknown scientist or indicator, or repeating an
+    earlier row's (scientist_id, indicator), fails naming the row."""
+    rows = FieldParser(read_records(path), "percentiles")
+    ids, scientist = rows.known("scientist_id", corpus.scientist_index)
+    names, indicator = rows.known("indicator", {i.value: i for i in Indicator})
+    percentile = rows.numbers("percentile", float)
+    rows.unique("(scientist_id, indicator)", list(zip(ids, names)))
+    rows.check()
     sds, rank = corpus.scientist_sds.tolist(), corpus.scientist_rank.tolist()
-    out = []
-    for i, row in enumerate(read_records(path), start=1):
-        try:
-            sid = str(row["scientist_id"])
-            s = corpus.scientist_index[sid]
-            out.append(
-                PercentileRecord(
-                    scientist_id=sid,
-                    indicator=Indicator(str(row["indicator"])),
-                    percentile=float(row["percentile"]),
-                    sds_code=corpus.sds_codes[sds[s]],
-                    rank=RANKS[rank[s]],
-                )
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"percentiles row {i}: malformed record {row!r}") from None
-    return out
+    return [
+        PercentileRecord(sid, ind, pct, corpus.sds_codes[sds[s]], RANKS[rank[s]])
+        for sid, ind, pct, s in zip(ids, indicator, percentile, scientist)
+    ]
 
 
 def write_top_flags(flags: Iterable[TopFlag], path: str | Path) -> Path:
     rows = (
-        {
-            "scientist_id": f.scientist_id,
-            "indicator": f.indicator.value,
-            "is_top": "true" if f.is_top else "false",
-        }
+        (f.scientist_id, f.indicator.value, "true" if f.is_top else "false")
         for f in sorted(flags, key=lambda f: (f.indicator.value, f.scientist_id))
     )
     return write_records(path, ["scientist_id", "indicator", "is_top"], rows)

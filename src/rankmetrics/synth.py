@@ -220,7 +220,7 @@ def write_corpus_csv(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         name: write_records(
             out_dir / f"{name}.csv",
             fields,
-            (dict(zip(fields, row)) for row in zip(*map(decode, columns))),
+            zip(*map(decode, columns)),
         )
         for name, (fields, *columns) in tables.items()
     }

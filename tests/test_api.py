@@ -72,3 +72,48 @@ def test_corpus_attributes_the_benchmark_reads(tiny_corpus, monkeypatch):
     monkeypatch.undo()
     assert tiny_corpus.scientists_by_id["A3"].sds_code == "S2"
     assert [s.scientist_id for s in tiny_corpus.scientists_by_sds["S1"]] == ["A1", "A2"]
+
+
+# perfbench/bench_trace.py counts rows and bytes per call of fileio.read_records
+# (the `fileio.read_records.rows` and `fileio.read_records.bytes` metrics of
+# perfbench/run.py), so every reader must read each of its files through one
+# call of it.
+def test_every_reader_calls_read_records_once_per_file(tmp_path, monkeypatch):
+    from rankmetrics import fileio
+    from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
+
+    corpus = generate(SynthConfig(seed=3, n_uda=1, sds_per_uda=1))
+    files = write_corpus_csv(corpus, tmp_path)
+    baselines = rankmetrics.build_baselines(corpus)
+    records = rankmetrics.compute_indicators(corpus, baselines)
+    percentiles = rankmetrics.sds_percentiles(records, rankmetrics.Indicator.FSS, corpus)
+    side = {
+        "baselines": rankmetrics.write_baselines(baselines, tmp_path / "baselines.csv"),
+        "indicators": rankmetrics.write_indicators(records, tmp_path / "indicators.csv"),
+        "percentiles": rankmetrics.write_percentiles(percentiles, tmp_path / "percentiles.csv"),
+    }
+
+    original = fileio.read_records
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    for name in MODULES:
+        module = importlib.import_module(f"rankmetrics.{name}")
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counting)
+
+    paths = [files[name] for name in ("scientists", "publications", "authorships")]
+    rankmetrics.load_corpus_files(*paths)
+    assert calls == paths
+    for name, read in (
+        ("baselines", rankmetrics.read_baselines),
+        ("indicators", rankmetrics.read_indicators),
+        ("percentiles", lambda path: rankmetrics.ranking.read_percentiles(path, corpus)),
+    ):
+        calls.clear()
+        read(side[name])
+        assert calls == [side[name]], name

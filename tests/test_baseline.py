@@ -124,6 +124,8 @@ def test_export_import_round_trip(tmp_path):
     ("2005,B,1,inf,2", "baselines row 2: 'mean' must be finite and >= 0, got inf"),
     ("2005,B,1,-0.5,2", "baselines row 2: 'mean' must be finite and >= 0, got -0.5"),
     ("2005,B,1,1,0", "baselines row 2: 'count' must be >= 1, got 0"),
+    ("2005,  ,1,1,1", "baselines row 2: missing 'category'"),
+    (" 2004 , A ,1,1,1", "baselines row 2: (year, category) (2004, 'A') repeats row 1"),
 ])
 def test_read_baselines_rejects_impossible_cells(row, message, tmp_path):
     path = tmp_path / "baselines.csv"
@@ -161,3 +163,28 @@ def test_every_missing_cell_is_reported_before_scoring():
     too_few = [c for c in full.cells if c.category == "C0"]
     with pytest.raises(MissingBaselineError, match=r"^no baseline cell for 7 .*\(2007, 'C9'\), \.\.\.$"):
         compute_indicators(corpus, BaselineTable(too_few))
+
+
+@pytest.mark.parametrize("row, message", [
+    ('{"year": 2005, "category": "B", "median": 1, "mean": 1, "count": 1.5}',
+     "baselines row 2: 'count' must be an integer, got 1.5"),
+    ('{"year": 2005.0, "category": "B", "median": 1, "mean": 1, "count": 1}',
+     "baselines row 2: 'year' must be an integer, got 2005.0"),
+    ('{"year": 2005, "category": "B", "median": true, "mean": 1, "count": 1}',
+     "baselines row 2: 'median' must be a number, got True"),
+    ('{"year": 2005, "median": 1, "mean": 1, "count": 1}', "baselines row 2: missing 'category'"),
+])
+def test_read_baselines_rejects_typed_json_rows(row, message, tmp_path):
+    path = tmp_path / "baselines.jsonl"
+    path.write_text(
+        '{"year": 2004, "category": "A", "median": 0.0, "mean": 0.0, "count": 1}\n' + row + "\n"
+    )
+    with pytest.raises(ValueError) as info:
+        read_baselines(path)
+    assert str(info.value) == message
+
+
+def test_read_baselines_strips_text(tmp_path):
+    path = tmp_path / "baselines.csv"
+    path.write_text("year,category,median,mean,count\n 2004 , C1 ,2.0,3.5, 4 \n")
+    assert read_baselines(path).get(2004, "C1") == BaselineCell(2004, "C1", 2.0, 3.5, 4)

@@ -440,3 +440,48 @@ def test_byte_order_mark_is_skipped(tmp_path):
         assert corpus.scientists == plain.scientists
         assert corpus.publications == plain.publications
         assert corpus.authorships == plain.authorships
+
+
+def _typed_jsonl(tmp_path, rows_by_file) -> list:
+    """Write each table as JSON lines with its integer fields as JSON numbers."""
+    integer_fields = {"birth_year", "year", "citation_count", "author_count", "position"}
+    paths = []
+    for name, rows in zip(("scientists", "publications", "authorships"), rows_by_file):
+        typed = [
+            {k: int(v) if k in integer_fields and isinstance(v, str) and v else v
+             for k, v in row.items()}
+            for row in rows
+        ]
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in typed), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("changes, expected", [
+    ({(1, 0, "year"): 2004.7}, "publications row 1: 'year' must be an integer, got 2004.7"),
+    ({(1, 1, "citation_count"): True},
+     "publications row 2: 'citation_count' must be an integer, got True"),
+    # equal to the int before it, so an int() memo keyed by value would hit
+    ({(1, 0, "year"): 2004, (1, 1, "year"): 2004.0},
+     "publications row 2: 'year' must be an integer, got 2004.0"),
+    ({(1, 1, "author_count"): 2.0}, "publications row 2: 'author_count' must be an integer, got 2.0"),
+    ({(2, 0, "position"): True}, "authorships row 1: 'position' must be an integer, got True"),
+    ({(0, 0, "birth_year"): 1949.0}, "scientists row 1: 'birth_year' must be an integer, got 1949.0"),
+    ({(0, 2, "birth_year"): False}, "scientists row 3: 'birth_year' must be an integer, got False"),
+])
+def test_json_float_or_boolean_in_an_integer_field_names_its_row(changes, expected, tmp_path):
+    rows = tiny_rows()
+    for (table, row, key), value in changes.items():
+        rows[table][row][key] = value
+    paths = _typed_jsonl(tmp_path, rows)
+    with pytest.raises(CorpusError) as info:
+        load_corpus_files(*paths)
+    assert str(info.value) == expected
+    assert _load_error(*rows) == expected  # row mappings go through the same parser
+
+
+def test_typed_json_integers_load_as_their_text(tmp_path):
+    typed = load_corpus_files(*_typed_jsonl(tmp_path, tiny_rows()))
+    assert typed.publications == load_corpus(*tiny_rows()).publications
+    assert typed.scientist_birth_year == [1949, 1957, None]

@@ -247,8 +247,10 @@ def test_export_import_round_trip(tmp_path):
     ("B,2,1.0,nan", "indicators row 2: 'fss' must be finite and >= 0, got nan"),
     ("B,2,1.0,-5.0", "indicators row 2: 'fss' must be finite and >= 0, got -5.0"),
     ("B,2,inf,1.0", "indicators row 2: 'qi' must be finite and >= 0, got inf"),
-    ("B,-1,,0.0", "indicators row 2: 'n_p' must be finite and >= 0, got -1"),
+    ("B,-1,,0.0", "indicators row 2: 'n_p' must be >= 0, got -1"),
     ("A,1,0.5,0.5", "indicators row 2: scientist_id 'A' repeats row 1"),
+    (" A ,1,0.5,0.5", "indicators row 2: scientist_id 'A' repeats row 1"),
+    ("  ,1,0.5,0.5", "indicators row 2: missing 'scientist_id'"),
 ])
 def test_read_indicators_rejects_bad_rows(row, message, tmp_path):
     path = tmp_path / "indicators.csv"
@@ -256,3 +258,31 @@ def test_read_indicators_rejects_bad_rows(row, message, tmp_path):
     with pytest.raises(ValueError) as info:
         read_indicators(path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("row, message", [
+    ('{"scientist_id": "B", "n_p": 2.9, "qi": 1.0, "fss": 1.0}',
+     "indicators row 2: 'n_p' must be an integer, got 2.9"),
+    ('{"scientist_id": "B", "n_p": true, "qi": 1.0, "fss": 1.0}',
+     "indicators row 2: 'n_p' must be an integer, got True"),
+    ('{"scientist_id": "B", "n_p": 3.0, "qi": 1.0, "fss": 1.0}',
+     "indicators row 2: 'n_p' must be an integer, got 3.0"),
+    ('{"scientist_id": "B", "n_p": 2, "qi": 1.0, "fss": false}',
+     "indicators row 2: 'fss' must be a number, got False"),
+    ('{"n_p": 2, "qi": 1.0, "fss": 1.0}', "indicators row 2: missing 'scientist_id'"),
+])
+def test_read_indicators_rejects_typed_json_rows(row, message, tmp_path):
+    path = tmp_path / "indicators.jsonl"
+    path.write_text('{"scientist_id": "A", "n_p": 3, "qi": 1.25, "fss": 0.75}\n' + row + "\n")
+    with pytest.raises(ValueError) as info:
+        read_indicators(path)
+    assert str(info.value) == message
+
+
+def test_read_indicators_strips_text(tmp_path):
+    path = tmp_path / "indicators.csv"
+    path.write_text("scientist_id,n_p,qi,fss\n A ,3, 1.25 ,0.75\nB, 0 , ,0.0\n")
+    assert read_indicators(path) == {
+        "A": IndicatorRecord("A", 3, 1.25, 0.75),
+        "B": IndicatorRecord("B", 0, None, 0.0),
+    }

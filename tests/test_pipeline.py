@@ -142,14 +142,15 @@ def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch, tmp_path):
 
         monkeypatch.setattr(cls, "__init__", counting)
 
-    # no per-row dict between the CSV files and the corpus
+    # no per-row dict between the CSV files and the corpus: records are
+    # columns only
     def no_rows(*args, **kwargs):
         raise AssertionError("a row dict was built")
 
+    for method in ("__iter__", "__getitem__", "_row"):
+        assert not hasattr(fileio.Records, method), method
     with monkeypatch.context() as patch:
         patch.setattr(fileio.csv, "DictReader", no_rows)
-        for method in ("__iter__", "__getitem__", "_row"):
-            patch.setattr(fileio.Records, method, no_rows)
         run_pipeline(_run_config(corpus_paths, positional_udas=("UDA01",)))
         for command in CLI_COMMANDS:
             assert main(_cli_args(command, corpus_paths, tmp_path)) == 0, command

@@ -200,3 +200,25 @@ def test_top_flags_export(tmp_path):
     assert "scientist_id,indicator,is_top" in text
     assert "b,fss,true" in text
     assert "a,fss,false" in text
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ghost,fss,50.0", "percentiles row 3: unknown scientist_id 'ghost'"),
+    ("c,volume,50.0", "percentiles row 3: unknown indicator 'volume'"),
+    ("a, fss ,50.0", "percentiles row 3: (scientist_id, indicator) ('a', 'fss') repeats row 1"),
+    ("  ,fss,50.0", "percentiles row 3: missing 'scientist_id'"),
+])
+def test_read_percentiles_names_the_bad_row(row, message, tmp_path):
+    corpus = _corpus_for({"a": 1.0, "b": 2.0, "c": 3.0})
+    path = tmp_path / "p.csv"
+    path.write_text(f"scientist_id,indicator,percentile\na,fss,0.0\nb,fss,50.0\n{row}\nc,qi,1.0\n")
+    with pytest.raises(ValueError) as info:
+        read_percentiles(path, corpus)
+    assert str(info.value) == message
+
+
+def test_read_percentiles_strips_text(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("scientist_id,indicator,percentile\n a , fss , 100.0 \n")
+    (record,) = read_percentiles(path, _corpus_for({"a": 1.0, "b": 2.0}))
+    assert record == ("a", Indicator.FSS, 100.0, "S1", Rank.FULL)
