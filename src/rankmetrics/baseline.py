@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import Corpus, Publication
-from .fileio import FieldParser, read_records, write_records
+from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
     "BaselineCell",
@@ -162,12 +162,13 @@ def read_baselines(path: str | Path) -> BaselineTable:
     missing or malformed value, a non-finite or negative median or mean, a
     count below 1, or repeating an earlier row's (year, category), fails
     naming the row."""
-    rows = FieldParser(read_records(path), "baselines")
-    year = rows.integers("year").tolist()
-    category = rows.text("category")
-    median = rows.numbers("median", float)
-    mean = rows.numbers("mean", float)
-    count = rows.integers("count", minimum=1).tolist()
-    rows.unique("(year, category)", list(zip(year, category)))
-    rows.check()
-    return BaselineTable(map(BaselineCell, year, category, median, mean, count))
+    schema = {
+        "year": Integer(),
+        "category": Text(),
+        "median": Number(float),
+        "mean": Number(float),
+        "count": Integer(minimum=1),
+    }
+    parser = FieldParser("baselines", schema, unique=("(year, category)", ("year", "category")))
+    year, category, median, mean, count = read_records(path, parser).columns.values()
+    return BaselineTable(map(BaselineCell, year.tolist(), category, median, mean, count.tolist()))

@@ -2,13 +2,15 @@
 
 A :class:`Corpus` holds each of its three tables as columns: one list or
 integer array per field, one entry per input row in file order, with a
-scientist's SDS, UDA and rank as integer codes. Loading parses and
-validates the rows a column at a time and still names the first offending
-row. The corpus is immutable, so every operation here is a pure read and
-:func:`filter_active_sds` returns a new corpus instead of mutating. Row
-objects (:class:`Scientist`, :class:`Publication`, :class:`Authorship`)
-exist only at the edge, in the views a corpus builds on request. Per-row
-counts per UDA and rank are summed by :func:`tally` into a :class:`Grid`.
+scientist's SDS, UDA and rank as integer codes. Loading types each input
+table through one schema, a chunk of rows at a time as a file is read, and
+still names the first offending row; checks across rows and files run once
+on the typed columns. The corpus is immutable, so every operation here is a
+pure read and :func:`filter_active_sds` returns a new corpus instead of
+mutating. Row objects (:class:`Scientist`, :class:`Publication`,
+:class:`Authorship`) exist only at the edge, in the views a corpus builds on
+request. Per-row counts per UDA and rank are summed by :func:`tally` into a
+:class:`Grid`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,20 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTu
 
 import numpy as np
 
-from .fileio import FieldParser, _clean, _first_repeat, read_records
+from .fileio import (
+    Code,
+    Coded,
+    FieldParser,
+    Integer,
+    Number,
+    Records,
+    Text,
+    _clean,
+    _first,
+    _first_repeat,
+    _text,
+    read_records,
+)
 
 if TYPE_CHECKING:
     from .indicators import IndicatorRecord
@@ -328,7 +343,8 @@ class Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Loading: FieldParser types each field; checks across rows use the columns
+# Loading: each table is typed chunk by chunk as it is read; checks across
+# rows and files run once on the typed columns
 
 def _raise_first(problems: list[tuple[int, int, str]]) -> None:
     """Raise the problem of the earliest row; within a row, the check made first."""
@@ -346,76 +362,144 @@ def _repeats(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return order[1:][same]
 
 
-class _Codes(dict):
-    """Interns hashable values as consecutive integer codes; a missing value
-    (``None`` or ``""``) is -1."""
+def _sorted(names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each name's position among the sorted names, and the sorted names."""
+    ordered = tuple(sorted(names))
+    position = dict(zip(ordered, range(len(ordered))))
+    return np.array([position[name] for name in names], dtype=np.int64), ordered
 
-    def __init__(self):
-        super().__init__({None: -1, "": -1})
 
-    def __missing__(self, key) -> int:
-        code = self[key] = len(self) - 2
-        return code
+class _Table(Records):
+    """A corpus table typed through its schema (see :func:`_schema`)."""
 
-    def encode(self, values: list) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, values), np.int64, len(values))
-
-    def names(self) -> tuple:
-        return tuple(key for key in self if key not in (None, ""))
+    __slots__ = ()
 
 
 class _Rows(FieldParser):
-    """One corpus input table: the :class:`FieldParser` kinds plus ranks and
-    subject categories; a failure raises :class:`CorpusError`."""
+    """One corpus input table; a failure raises :class:`CorpusError`."""
 
     error = CorpusError
 
-    def ranks(self) -> np.ndarray:
-        """The rank column as positions in :data:`RANKS`, -1 where missing."""
-        names = self.text("rank")
-        position = {rank.value: i for i, rank in enumerate(RANKS)}
-        codes = [position.get(name.upper(), -1) for name in names]
-        bad = next((i for i, name in enumerate(names) if name and codes[i] < 0), None)
-        if bad is not None:
-            self.fail(bad, f"rank must be one of FULL/ASSOCIATE/ASSISTANT, got {names[bad]!r}")
-        return np.array(codes, dtype=np.int64)
+    def parse(self, chunks: Iterable[Records]) -> _Table:
+        table = super().parse(chunks)
+        return _Table(table.columns, len(table))
 
-    def category_sets(self, key: str, codes: "_CategoryCodes") -> np.ndarray:
-        """Subject categories (``;``-separated text or a list) as codes into
-        ``codes.sets``."""
-        values = self.raw(key)
-        try:
-            out = np.fromiter(map(codes.__getitem__, values), np.int64, len(values))
-        except TypeError:  # lists from JSON lines are not hashable
-            values = [tuple(v) if isinstance(v, list) else v for v in values]
-            out = np.fromiter(map(codes.__getitem__, values), np.int64, len(values))
-        missing = np.flatnonzero(out < 0)
-        if missing.size:
-            self.fail(int(missing[0]), f"missing '{key}'")
-        empty = codes.sets.get(())
-        if empty is not None:
-            self.fail(int(np.flatnonzero(out == empty)[0]), f"'{key}' must be non-empty")
+
+_RANK_POSITION = {rank.value: i for i, rank in enumerate(RANKS)}
+
+
+class _Ranks(Coded):
+    """Kind: the rank as its position in :data:`RANKS`."""
+
+    def code(self, raw) -> int:
+        name = _text(raw)
+        return _RANK_POSITION.get(name.upper(), -2) if name else -1
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
+        out = super().__call__(rows, key, values)
+        bad = _first(out == -2)
+        if bad is not None:
+            name = _text(values[bad])
+            rows.fail(bad, f"rank must be one of FULL/ASSOCIATE/ASSISTANT, got {name!r}")
         return out
 
 
-class _CategoryCodes(dict):
-    """Raw subject-categories value -> code of its category tuple in
-    ``sets`` (-1 where the field is empty)."""
+class _CategorySets(Coded):
+    """Kind: subject categories (``;``-separated text or a list) as codes of
+    the distinct category tuples, in order of first appearance; a row with
+    none fails. The column is the pair ``(codes, category tuples)``."""
+
+    memo_types = {*Coded.memo_types, tuple}
 
     def __init__(self):
+        self.sets: dict[tuple[str, ...], int] = {}
         super().__init__()
-        self.sets = _Codes()
 
-    def __missing__(self, raw) -> int:
+    def code(self, raw) -> int:
         value = _clean(raw)
         if value is None:
-            cats = None
-        elif isinstance(value, str):
+            return -1
+        if isinstance(value, str):
             cats = tuple(c.strip() for c in value.split(";") if c.strip())
         else:
             cats = tuple(str(c).strip() for c in value if str(c).strip())
-        code = self[raw] = self.sets[cats]
-        return code
+        return self.sets.setdefault(cats, len(self.sets))
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
+        if list in set(map(type, values)):
+            # JSON lists as hashable tuples of text, so that the memo keeps
+            # [1] and [true] apart (1 == True)
+            values = [tuple(map(str, v)) if isinstance(v, list) else v for v in values]
+        out = super().__call__(rows, key, values)
+        empty = self.sets.get(())
+        if empty is not None and (row := _first(out == empty)) is not None:
+            rows.fail(row, f"'{key}' must be non-empty")
+        return out
+
+    def join(self, parts: list) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+        return super().join(parts), tuple(self.sets)
+
+
+class _Reference(Text):
+    """Kind: text resolved to a row number through ``index``, -2 where the
+    index lacks it. Only the first such value is kept: the column is the
+    pair ``(rows, (row, text) of the first unknown value or None)``, as an
+    unknown reference is reported after every row check."""
+
+    def __init__(self, index: Mapping, required: bool = True):
+        super().__init__(required)
+        self.index = index
+        self.unresolved: tuple[int, str] | None = None
+
+    def _resolve(self, values: Sequence) -> np.ndarray:
+        return np.fromiter(map(self.index.get, values, repeat(-2)), np.int64, len(values))
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
+        try:  # raw values are mostly the index's keys as they are
+            out = self._resolve(values)
+        except TypeError:  # unhashable JSON values
+            out = None
+        if out is None or (out == -2).any():  # stripped text, empty or unknown
+            text = super().__call__(rows, key, values)
+            out = self._resolve(text)
+            unknown = _first(out == -2)
+            if self.unresolved is None and unknown is not None:
+                self.unresolved = (rows.offset + unknown, text[unknown])
+        return out
+
+    def join(self, parts: list) -> tuple[np.ndarray, tuple[int, str] | None]:
+        return super().join(parts), self.unresolved
+
+
+def _schema(source: str, scientists: _Table | None = None,
+            publications: _Table | None = None) -> _Rows:
+    """The parser of one corpus table, fields in the order a row is checked.
+    The authorships resolve their references through the typed roster and
+    publications, a chunk at a time."""
+    if source == "scientists":
+        return _Rows(source, {
+            "rank": _Ranks(),
+            "scientist_id": Text(),
+            "sds_code": Code(),
+            "uda_code": Code(),
+            "birth_year": Number(int, required=False),
+        })
+    if source == "publications":
+        return _Rows(source, {
+            "subject_categories": _CategorySets(),
+            "pub_id": Text(),
+            "year": Integer(),
+            "citation_count": Integer(minimum=0),
+            "author_count": Integer(minimum=1),
+        })
+    ids, pub_ids = scientists.columns["scientist_id"], publications.columns["pub_id"]
+    external = {"": -1, None: -1}
+    return _Rows(source, {
+        "pub_id": _Reference(dict(zip(pub_ids, range(len(pub_ids))))),
+        "position": Integer(minimum=1),
+        "scientist_id": _Reference({**dict(zip(ids, range(len(ids)))), **external}, False),
+        "affiliation_id": Code(required=False),
+    })
 
 
 def load_corpus(
@@ -427,85 +511,73 @@ def load_corpus(
 
     Malformed rows are rejected with their 1-based record number; duplicate
     keys and dangling references are rejected naming the offending key.
-    Integers must fit in 64 bits.
+    Integers must fit in 64 bits. Each table of row mappings is typed as one
+    chunk through the schema :func:`load_corpus_files` types each chunk of a
+    file with, and the tables that function passes are typed already. Row
+    checks come first, table by table; then the checks across rows and
+    files: duplicate scientists and an SDS in two UDAs, then duplicate
+    publications and categories, then unknown references and repeated
+    bylines or authorships, then byline coverage.
     """
-    rows = _Rows(scientist_records, "scientists")
-    ranks = rows.ranks()
-    ids = rows.text("scientist_id")
-    sds_names = rows.text("sds_code")
-    uda_names = rows.text("uda_code")
-    birth_years = rows.numbers("birth_year", int, required=False)
-    rows.check()
+    tables: dict[str, _Table] = {}
+    for source, table in (("scientists", scientist_records),
+                          ("publications", publication_records),
+                          ("authorships", authorship_records)):
+        if not isinstance(table, _Table):
+            table = _schema(source, **tables).parse([Records.from_rows(table)])
+        tables[source] = table
+    ranks, ids, (scientist_sds, sds_names), (scientist_uda, uda_names), birth_years = (
+        tables["scientists"].columns.values()
+    )
+    (pub_categories, category_sets), pub_ids, pub_year, pub_citations, pub_author_count = (
+        tables["publications"].columns.values()
+    )
+    ((auth_pub, unknown_pub), auth_position, (auth_scientist, unknown_scientist),
+     (auth_affiliation, affiliations)) = tables["authorships"].columns.values()
 
-    rows = _Rows(publication_records, "publications")
-    categories = _CategoryCodes()
-    pub_categories = rows.category_sets("subject_categories", categories)
-    pub_ids = rows.text("pub_id")
-    pub_year = rows.integers("year")
-    pub_citations = rows.integers("citation_count", minimum=0)
-    pub_author_count = rows.integers("author_count", minimum=1)
-    rows.check()
-
-    rows = _Rows(authorship_records, "authorships")
-    auth_pub_ids = rows.text("pub_id")
-    auth_position = rows.integers("position", minimum=1)
-    auth_scientist_ids = rows.text("scientist_id", required=False)
-    auth_affiliation_ids = rows.text("affiliation_id", required=False)
-    rows.check()
-
-    scientist_index = dict(zip(ids, range(len(ids))))
-    if len(scientist_index) < len(ids):
+    if len(set(ids)) < len(ids):
         raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)[0]]}'")
-    sds_to_uda: dict[str, str] = {}
-    for sds, uda in zip(sds_names, uda_names):
-        first = sds_to_uda.setdefault(sds, uda)
-        if first != uda:
-            raise CorpusError(f"SDS '{sds}' mapped to both UDA '{first}' and '{uda}'")
-    sds_codes = tuple(sorted(sds_to_uda))
-    udas = tuple(sorted(set(sds_to_uda.values())))
+    first_uda = scientist_uda[np.unique(scientist_sds, return_index=True)[1]]  # per SDS code
+    row = _first(scientist_uda != first_uda[scientist_sds])
+    if row is not None:
+        code = scientist_sds[row]
+        raise CorpusError(f"SDS '{sds_names[code]}' mapped to both UDA "
+                          f"'{uda_names[first_uda[code]]}' and '{uda_names[scientist_uda[row]]}'")
 
     problems = []
-    pub_index = dict(zip(pub_ids, range(len(pub_ids))))
-    if len(pub_index) < len(pub_ids):
+    if len(set(pub_ids)) < len(pub_ids):
         row = _first_repeat(pub_ids)[0]
         problems.append((row, 0, f"duplicate pub_id '{pub_ids[row]}'"))
-    category_sets = categories.sets.names()
     repeated = [code for code, cats in enumerate(category_sets) if len(set(cats)) < len(cats)]
     if repeated:
         row = int(np.flatnonzero(np.isin(pub_categories, repeated))[0])
         problems.append((row, 1, f"publication '{pub_ids[row]}': duplicate subject category"))
     _raise_first(problems)
 
-    auth_pub = np.fromiter(
-        map(pub_index.get, auth_pub_ids, repeat(-1)), np.int64, len(auth_pub_ids)
-    )
-    scientist_index[""] = -1  # external author
-    auth_scientist = np.fromiter(
-        map(scientist_index.get, auth_scientist_ids, repeat(-2)), np.int64, len(auth_scientist_ids)
-    )
+    # A repeat among rows with an unknown publication follows the first of
+    # them, whose unknown pub_id is reported instead; so only rows that
+    # resolved are compared.
     problems = []
-    unknown = np.flatnonzero(auth_pub < 0)
-    if unknown.size:
-        row = int(unknown[0])
-        problems.append((row, 0, f"authorship references unknown pub_id '{auth_pub_ids[row]}'"))
-    repeats = _repeats(np.lexsort((auth_position, auth_pub)), auth_pub, auth_position)
+    if unknown_pub:
+        row, text = unknown_pub
+        problems.append((row, 0, f"authorship references unknown pub_id '{text}'"))
+    linked = np.flatnonzero(auth_pub >= 0)
+    order = linked[np.lexsort((auth_position[linked], auth_pub[linked]))]
+    repeats = _repeats(order, auth_pub, auth_position)
     if repeats.size:
         row = int(repeats.min())
         problems.append((row, 1, f"duplicate byline position {int(auth_position[row])} "
-                                 f"for pub_id '{auth_pub_ids[row]}'"))
-    unknown = np.flatnonzero(auth_scientist == -2)
-    if unknown.size:
-        row = int(unknown[0])
-        problems.append(
-            (row, 2, f"authorship references unknown scientist_id '{auth_scientist_ids[row]}'")
-        )
-    roster = np.flatnonzero(auth_scientist >= 0)
-    order = roster[np.lexsort((auth_scientist[roster], auth_pub[roster]))]
+                                 f"for pub_id '{pub_ids[auth_pub[row]]}'"))
+    if unknown_scientist:
+        row, text = unknown_scientist
+        problems.append((row, 2, f"authorship references unknown scientist_id '{text}'"))
+    linked = linked[auth_scientist[linked] >= 0]
+    order = linked[np.lexsort((auth_scientist[linked], auth_pub[linked]))]
     repeats = _repeats(order, auth_pub, auth_scientist)
     if repeats.size:
         row = int(repeats.min())
-        problems.append((row, 3, f"duplicate authorship ('{auth_pub_ids[row]}', "
-                                 f"'{auth_scientist_ids[row]}')"))
+        problems.append((row, 3, f"duplicate authorship ('{pub_ids[auth_pub[row]]}', "
+                                 f"'{ids[auth_scientist[row]]}')"))
     _raise_first(problems)
 
     # With positions >= 1 and unique per publication, a byline covers
@@ -522,16 +594,17 @@ def load_corpus(
             f"1..{int(pub_author_count[p])}"
         )
 
-    sds_code = dict(zip(sds_codes, range(len(sds_codes))))
-    uda_code = dict(zip(udas, range(len(udas))))
-    affiliations = _Codes()
+    sds_position, sds_codes = _sorted(sds_names)
+    uda_position, udas = _sorted(uda_names)
+    sds_uda = np.empty(len(sds_codes), dtype=np.int64)
+    sds_uda[sds_position] = uda_position[first_uda]
     return Corpus(
         scientist_ids=ids,
-        scientist_sds=np.fromiter(map(sds_code.__getitem__, sds_names), np.int64, len(ids)),
+        scientist_sds=sds_position[scientist_sds],
         scientist_rank=ranks,
         scientist_birth_year=birth_years,
         sds_codes=sds_codes,
-        sds_uda=np.array([uda_code[sds_to_uda[sds]] for sds in sds_codes], dtype=np.int64),
+        sds_uda=sds_uda,
         udas=udas,
         pub_ids=pub_ids,
         pub_year=pub_year,
@@ -542,16 +615,26 @@ def load_corpus(
         auth_pub=auth_pub,
         auth_scientist=auth_scientist,
         auth_position=auth_position,
-        auth_affiliation=affiliations.encode(auth_affiliation_ids),
-        affiliations=affiliations.names(),
+        auth_affiliation=auth_affiliation,
+        affiliations=affiliations,
     )
 
 
 def load_corpus_files(scientists, publications, authorships) -> Corpus:
-    """Load a corpus from three record files (CSV or JSON lines)."""
-    return load_corpus(
-        read_records(scientists), read_records(publications), read_records(authorships)
-    )
+    """Load a corpus from three record files (CSV or JSON lines).
+
+    The rules and messages are those of :func:`load_corpus`. Each file is
+    typed a chunk at a time as it is read, and read only once the files
+    before it are typed and checked, so errors come in file order: the first
+    bad row or line of scientists, then of publications, then of
+    authorships, and only then the checks across rows and files. An invalid
+    JSON line in the authorships is not reached while a scientists row is bad.
+    """
+    tables: dict[str, _Table] = {}
+    for source, path in (("scientists", scientists), ("publications", publications),
+                         ("authorships", authorships)):
+        tables[source] = read_records(path, _schema(source, **tables))
+    return load_corpus(*tables.values())
 
 
 # ---------------------------------------------------------------------------

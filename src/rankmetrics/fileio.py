@@ -1,8 +1,13 @@
 """Record I/O shared by the data modules: CSV with a header row, or JSON lines.
 
-Files are read straight into columns (:class:`Records`), a few hundred rows
-at a time, so no per-row object outlives the read. :class:`FieldParser` is
-the one place where those columns become typed values.
+A file is read :data:`CHUNK_ROWS` rows at a time, each chunk transposed into
+columns (:class:`Records`). Given a :class:`FieldParser`, :func:`read_records`
+types every chunk as soon as it is read, through the parser's schema (field
+-> kind), and keeps only the typed values: int64 arrays, interned codes and
+the text a caller keeps. No file-wide column of raw strings is ever built,
+so a load holds its typed result plus one chunk. Each chunk is checked before
+the next is read, so the error is the first offending row's, in file order.
+Without a parser, the raw columns of the chunks are joined.
 """
 
 from __future__ import annotations
@@ -12,53 +17,65 @@ import json
 import math
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "FieldParser", "Records", "read_records", "write_records"]
+__all__ = ["CHUNK_ROWS", "Code", "Coded", "FieldParser", "Integer", "Kind", "Known", "Number",
+           "Records", "Text", "read_records", "write_records"]
 
-#: Rows read and transposed into columns per step. A chunk's row lists die
-#: in a young-generation collection; transposing a whole file at once keeps
-#: millions of them alive, and full collections re-walk them.
+#: Rows read, transposed and typed per step. A chunk's raw cells and row
+#: lists die young: loading the 10x benchmark corpus (686k rows) runs two
+#: generation-0 collections at 256 rows, and at 4096 rows, whose chunk
+#: lists survive into the older generations, 1,530/139/12 collections of
+#: generations 0/1/2 and about 40% more CPU.
 CHUNK_ROWS = 256
 
 
 class Records:
     """The rows of one table, held as columns.
 
-    ``columns`` maps each field to a list with one value per row, ``None``
-    where a row lacks the field; it is not to be modified. ``len()`` is the
-    row count. The values of a CSV row longer than the header are a list
-    under the key ``None``, so the columns are what :class:`csv.DictReader`
-    yields, transposed.
+    ``columns`` maps each field to a sequence with one value per row; it is
+    not to be modified. ``len()`` is the row count. Raw columns hold ``None``
+    where a row lacks the field, and the values of a CSV row longer than the
+    header are a list under the key ``None``, so they are what
+    :class:`csv.DictReader` yields, transposed. Typed columns are what a
+    :class:`FieldParser` made of them.
     """
 
     __slots__ = ("columns", "_length")
 
-    def __init__(self):
-        self.columns: dict = {}
-        self._length = 0
+    def __init__(self, columns: dict | None = None, length: int = 0):
+        self.columns: dict = {} if columns is None else columns
+        self._length = length
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping]) -> "Records":
         """Transpose row mappings into columns; a key missing from a row is
         ``None`` in its column."""
-        records = cls()
-        records._append_rows(rows if isinstance(rows, list) else list(rows))
-        return records
-
-    def _append_rows(self, rows: list[Mapping]) -> None:
+        rows = rows if isinstance(rows, list) else list(rows)
+        columns = {}
         for key in dict.fromkeys(chain.from_iterable(rows)):
-            if key not in self.columns:  # a late key: None in the rows before
-                self.columns[key] = [None] * self._length
-        for key, column in self.columns.items():
             try:
-                values = list(map(dict.get, rows, repeat(key)))
+                columns[key] = list(map(dict.get, rows, repeat(key)))
             except TypeError:  # mappings that are not dicts
-                values = [row.get(key) for row in rows]
-            column.extend(values)
-        self._length += len(rows)
+                columns[key] = [row.get(key) for row in rows]
+        return cls(columns, len(rows))
+
+    @classmethod
+    def join(cls, chunks: Iterable["Records"]) -> "Records":
+        """The raw chunks of one file as one table; a key first seen in a
+        later chunk is ``None`` in the rows before it."""
+        records = cls()
+        for chunk in chunks:
+            for key in chunk.columns:
+                if key not in records.columns:
+                    records.columns[key] = [None] * records._length
+            for key, column in records.columns.items():
+                values = chunk.columns.get(key)
+                column.extend(repeat(None, len(chunk)) if values is None else values)
+            records._length += len(chunk)
+        return records
 
     def __len__(self) -> int:
         return self._length
@@ -67,39 +84,35 @@ class Records:
         return f"Records({self._length} rows, fields {list(self.columns)})"
 
 
-def _read_csv(fh) -> Records:
-    records = Records()
+# Both readers yield at least one chunk, the last one possibly empty.
+
+def _csv_chunks(fh) -> Iterator[Records]:
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None:
-        return records
+        yield Records()
+        return
     width = len(header)
-    columns = [[] for _ in range(width)]
-    extras: dict[int, list] = {}
-    n = 0
-    while chunk := list(islice(reader, CHUNK_ROWS)):
+    # a repeated header name holds the value of its last column, as in DictReader
+    last = {name: i for i, name in enumerate(header)}
+    while True:
+        chunk = list(islice(reader, CHUNK_ROWS))
+        rows, extras = chunk, None
         lengths = set(map(len, chunk))
         if 0 in lengths or lengths != {width}:
-            rows = []
+            rows, extras = [], []
             for row in chunk:
                 if not row:  # blank line, skipped as csv.DictReader does
                     continue
-                if len(row) > width:
-                    extras[n + len(rows)] = row[width:]
-                    row = row[:width]
-                rows.append(row + [None] * (width - len(row)))
-            chunk = rows
-        for column, values in zip(columns, zip(*chunk)):
-            column.extend(values)
-        n += len(chunk)
-
-    # a repeated header name holds the value of its last column, as in DictReader
-    last = {name: i for i, name in enumerate(header)}
-    records.columns = {name: columns[i] for name, i in last.items()}
-    records._length = n
-    if extras:
-        records.columns[None] = [extras.get(i) for i in range(n)]
-    return records
+                extras.append(row[width:] or None)
+                rows.append(row[:width] + [None] * (width - len(row)))
+        columns = list(zip(*rows)) or [()] * width
+        records = Records({name: columns[i] for name, i in last.items()}, len(rows))
+        if extras and any(extras):
+            records.columns[None] = extras
+        yield records
+        if len(chunk) < CHUNK_ROWS:
+            return
 
 
 #: ``json.loads`` minus its per-call set-up: on a stripped line, a value
@@ -117,10 +130,10 @@ def _json_object(line: str, name: str, lineno: int) -> dict:
     return obj
 
 
-def _read_jsonl(fh, name: str) -> Records:
-    records = Records()
+def _jsonl_chunks(fh, name: str) -> Iterator[Records]:
     lines = enumerate(fh, start=1)
-    while chunk := list(islice(lines, CHUNK_ROWS)):
+    while True:
+        chunk = list(islice(lines, CHUNK_ROWS))
         rows = []
         for lineno, line in chunk:
             line = line.strip()
@@ -131,14 +144,19 @@ def _read_jsonl(fh, name: str) -> Records:
             except (StopIteration, json.JSONDecodeError):
                 end = -1
             if end != len(line) or not isinstance(obj, dict):
+                if rows:  # the rows before a bad line are checked first
+                    yield Records.from_rows(rows)
+                    rows = []
                 obj = _json_object(line, name, lineno)
             rows.append(obj)
-        records._append_rows(rows)
-    return records
+        yield Records.from_rows(rows)
+        if len(chunk) < CHUNK_ROWS:
+            return
 
 
-def read_records(path: str | Path) -> Records:
-    """Read tabular records into columns (see :class:`Records`).
+def read_records(path: str | Path, parser: "FieldParser | None" = None) -> Records:
+    """Read tabular records into columns (see :class:`Records`), typed by
+    ``parser`` chunk by chunk when one is given (see :meth:`FieldParser.parse`).
 
     ``.jsonl``/``.ndjson`` files are parsed one JSON object per line; blank
     lines are skipped, and a key missing from an object is ``None`` in its
@@ -148,11 +166,10 @@ def read_records(path: str | Path) -> Records:
     leading byte-order mark is skipped.
     """
     path = Path(path)
-    if path.suffix.lower() in (".jsonl", ".ndjson"):
-        with path.open(encoding="utf-8-sig") as fh:
-            return _read_jsonl(fh, path.name)
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        return _read_csv(fh)
+    jsonl = path.suffix.lower() in (".jsonl", ".ndjson")
+    with path.open(encoding="utf-8-sig", newline=None if jsonl else "") as fh:
+        chunks = _jsonl_chunks(fh, path.name) if jsonl else _csv_chunks(fh)
+        return Records.join(chunks) if parser is None else parser.parse(chunks)
 
 
 def write_records(path: str | Path, fieldnames: list[str], rows: Iterable[Sequence]) -> Path:
@@ -172,6 +189,9 @@ def write_records(path: str | Path, fieldnames: list[str], rows: Iterable[Sequen
 
 _INT64 = np.iinfo(np.int64)
 _KIND_NAMES = {int: "an integer", float: "a number"}
+# Raw value types a memo may key on: True == 1 == 1.0 would share an entry.
+_TEXT_TYPES = {str, type(None)}
+_INT_TYPES = {str, int, type(None)}
 
 
 def _clean(value):
@@ -180,61 +200,96 @@ def _clean(value):
     return None if value in (None, "") else value
 
 
-class _Ints(dict):
-    """Memo of ``int()`` by raw value: a column holds few distinct values."""
+def _text(raw) -> str:
+    """A raw value as stripped text, "" where it is empty."""
+    raw = _clean(raw)
+    return "" if raw is None else str(raw)
 
-    def __missing__(self, raw) -> int:
-        value = self[raw] = int(raw)
+
+def _int(raw) -> int | None:
+    """A raw str or int as an int, None where it is empty; OverflowError
+    outside 64 bits."""
+    raw = _clean(raw)
+    if raw is None:
+        return None
+    value = int(raw)
+    if not _INT64.min <= value <= _INT64.max:
+        raise OverflowError(value)
+    return value
+
+
+class _Memo(dict):
+    """``fn(raw)`` by raw value: a column holds few distinct values."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, raw):
+        value = self[raw] = self.fn(raw)
         return value
 
 
 class FieldParser:
-    """One input table, turned into typed values a column at a time. Row
-    mappings are transposed into columns once; :class:`Records` from a file
-    already are.
+    """Types one input table, chunk by chunk, through its schema.
 
-    Each check records its first failing row; :meth:`check` raises the
-    earliest as :attr:`error`, ``"<source> row <n>: <message>"``. Checks
-    are made in the order a row-by-row parse makes them, and a later check
-    only wins on a strictly earlier row, so the error is the one that parse
-    would have raised.
+    ``schema`` maps each field to its :class:`Kind`, in the order a
+    row-by-row parse checks a row's fields. A kind's memos persist across
+    chunks. With ``unique = (name, fields)``, a row whose typed ``fields``
+    repeat an earlier row's fails, naming both rows.
+
+    ``offset`` counts the rows of the chunks before the current one, so each
+    failure names its row in the file. After each chunk :meth:`check` raises
+    the earliest failure as :attr:`error`, ``"<source> row <n>: <message>"``;
+    a later check only wins on a strictly earlier row, so the error is the
+    one a row-by-row parse would have raised.
     """
 
     error: type[Exception] = ValueError
 
-    def __init__(self, records: Records | Iterable[Mapping], source: str):
-        if not isinstance(records, Records):
-            records = Records.from_rows(records)
-        self.columns = records.columns
-        self.length = len(records)
+    def __init__(self, source: str, schema: Mapping, unique: tuple[str, tuple] | None = None):
         self.source = source
+        self.schema = schema
+        self.unique = unique
+        self.offset = 0
         self._error: tuple[int, str] | None = None
+        self._seen: dict = {}
 
     def fail(self, index: int, message: str) -> None:
-        if self._error is None or index < self._error[0]:
-            self._error = (index, f"{self.source} row {index + 1}: {message}")
+        """Record a failure of the current chunk's row ``index``."""
+        row = self.offset + index
+        if self._error is None or row < self._error[0]:
+            self._error = (row, f"{self.source} row {row + 1}: {message}")
 
     def check(self) -> None:
         if self._error is not None:
             raise self.error(self._error[1])
 
-    def raw(self, key: str) -> list:
-        """The column of ``key`` (``None`` where a row lacks it); read-only."""
-        column = self.columns.get(key)
-        return [None] * self.length if column is None else column
+    def parse(self, chunks: Iterable[Records]) -> Records:
+        """Type and check each chunk (at least one) before taking the next;
+        the typed columns of all of them, in schema order."""
+        parts: dict = {key: [] for key in self.schema}
+        for chunk in chunks:
+            length = len(chunk)
+            for key, kind in self.schema.items():
+                values = chunk.columns.get(key)
+                parts[key].append(kind(self, key, (None,) * length if values is None else values))
+            if self.unique:
+                self._check_unique(*self.unique, [parts[key][-1] for key in self.unique[1]])
+            self.check()
+            self.offset += length
+        return Records({key: kind.join(parts[key]) for key, kind in self.schema.items()}, self.offset)
 
-    def text(self, key: str, required: bool = True) -> list[str]:
-        """A text column, stripped, with "" where the field is empty."""
-        values = self.raw(key)
-        try:
-            values = list(map(str.strip, values))
-        except TypeError:  # typed values: JSON numbers, null
-            values = ["" if v is None else str(v) for v in map(_clean, values)]
-        if required and "" in values:
-            self.fail(values.index(""), f"missing '{key}'")
-        return values
+    def _check_unique(self, name: str, fields: tuple, columns: list) -> None:
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        keys = columns[0] if len(fields) == 1 else zip(*columns)
+        for i, key in enumerate(keys, start=self.offset):
+            first = self._seen.setdefault(key, i)
+            if first != i:
+                self.fail(i - self.offset, f"{name} {key!r} repeats row {first + 1}")
+                return
 
-    def _number(self, index: int, raw, key: str, required: bool, kind: type):
+    def number(self, index: int, raw, key: str, required: bool, kind: type):
         """``raw`` as ``kind``: an int that fits in 64 bits, or a finite
         float >= 0. None where it is empty or malformed; a bool is
         malformed, and so is a float for an int, as ``kind()`` would
@@ -258,44 +313,141 @@ class FieldParser:
             self.fail(index, f"'{key}' must be finite and >= 0, got {value!r}")
         return value
 
-    def integers(self, key: str, minimum: int | None = None) -> np.ndarray:
-        """A required integer column as int64."""
-        values = self.raw(key)
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in ``mask``, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+class Kind:
+    """How one field's raw values become typed: calling a kind with
+    ``(parser, key, values)`` types one chunk's values (``None`` where a row
+    lacks the field) and reports each failing row through
+    :meth:`FieldParser.fail`; :meth:`join` makes the column of the parts."""
+
+    def join(self, parts: list):
+        if isinstance(parts[0], np.ndarray):
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return list(chain.from_iterable(parts))
+
+
+class Text(Kind):
+    """Kind: stripped text, "" where the field is empty (a failure when
+    ``required``)."""
+
+    def __init__(self, required: bool = True):
+        self.required = required
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list[str]:
+        try:
+            out = list(map(str.strip, values))
+        except TypeError:  # typed values: JSON numbers, null
+            out = list(map(_text, values))
+        if self.required and "" in out:
+            rows.fail(out.index(""), f"missing '{key}'")
+        return out
+
+
+class Known(Text):
+    """Kind: required text that must be a key of ``index``; a value it lacks
+    fails as unknown."""
+
+    def __init__(self, index: Mapping):
+        super().__init__()
+        self.index = index
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list[str]:
+        out = super().__call__(rows, key, values)
+        unknown = next((i for i, value in enumerate(out) if value not in self.index), None)
+        if unknown is not None:
+            rows.fail(unknown, f"unknown {key} {out[unknown]!r}")
+        return out
+
+
+class Integer(Kind):
+    """Kind: a required integer as int64, at least ``minimum`` if given."""
+
+    def __init__(self, minimum: int | None = None):
+        self.minimum = minimum
+        self.memo = _Memo(_int)
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
         try:  # int() strips whitespace itself, as the field cleaning does
-            # True == 1 and 2004.0 == 2004 would hit the memo's int entries
-            if not set(map(type, values)) <= {str, int}:
+            if not set(map(type, values)) <= _INT_TYPES:
                 raise TypeError
-            array = np.fromiter(map(_Ints().__getitem__, values), np.int64, len(values))
-        except (TypeError, ValueError, OverflowError):
-            parsed = [self._number(i, v, key, True, int) for i, v in enumerate(values)]
+            array = np.fromiter(map(self.memo.__getitem__, values), np.int64, len(values))
+        except (TypeError, ValueError, OverflowError):  # None, bad text, floats, bools
+            parsed = [rows.number(i, v, key, True, int) for i, v in enumerate(values)]
             array = np.array([0 if v is None else v for v in parsed], dtype=np.int64)
-        if minimum is not None:
-            low = np.flatnonzero(array < minimum)
-            if low.size:
-                self.fail(int(low[0]), f"'{key}' must be >= {minimum}, got {int(array[low[0]])}")
+        if self.minimum is not None:
+            low = _first(array < self.minimum)
+            if low is not None:
+                rows.fail(low, f"'{key}' must be >= {self.minimum}, got {int(array[low])}")
         return array
 
-    def numbers(self, key: str, kind: type, required: bool = True) -> list:
-        """A column of ``kind`` values (see :meth:`_number`), None where an
-        optional field is empty."""
-        return [self._number(i, v, key, required, kind) for i, v in enumerate(self.raw(key))]
 
-    def known(self, key: str, index: Mapping) -> tuple[list[str], list]:
-        """A required text column, and ``index[value]`` of each value; a
-        value ``index`` lacks fails as unknown."""
-        values = self.text(key)
-        found = list(map(index.get, values))
-        if None in found:
-            row = found.index(None)
-            self.fail(row, f"unknown {key} {values[row]!r}")
-        return values, found
+class Number(Kind):
+    """Kind: ``kind`` values (see :meth:`FieldParser.number`) as a list,
+    None where an optional field is empty; at most ``maximum`` if given."""
 
-    def unique(self, name: str, keys: Sequence) -> None:
-        """Fail on the first row whose key repeats an earlier row's, naming both."""
-        rows = _first_repeat(keys)
-        if rows is not None:
-            row, first = rows
-            self.fail(row, f"{name} {keys[row]!r} repeats row {first + 1}")
+    def __init__(self, kind: type, required: bool = True, maximum: float | None = None):
+        self.kind, self.required, self.maximum = kind, required, maximum
+        self.memo = _Memo(_int)
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list:
+        out = None
+        if self.kind is int and set(map(type, values)) <= _INT_TYPES:
+            try:
+                out = list(map(self.memo.__getitem__, values))
+            except (ValueError, OverflowError):
+                pass
+        if out is None or (self.required and None in out):
+            out = [rows.number(i, v, key, self.required, self.kind) for i, v in enumerate(values)]
+        if self.maximum is not None:
+            over = next((i for i, v in enumerate(out) if v is not None and v > self.maximum), None)
+            if over is not None:
+                rows.fail(over, f"'{key}' must be <= {self.maximum}, got {out[over]!r}")
+        return out
+
+
+class Coded(Kind):
+    """Kind: each value's :meth:`code` as int64, memoized by raw value;
+    code -1 means the field is empty (a failure when ``required``)."""
+
+    required = True
+    memo_types = _TEXT_TYPES
+
+    def __init__(self):
+        self.memo = _Memo(self.code)
+
+    def code(self, raw) -> int:
+        raise NotImplementedError
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
+        code = self.memo.__getitem__ if set(map(type, values)) <= self.memo_types else self.code
+        out = np.fromiter(map(code, values), np.int64, len(values))
+        missing = _first(out == -1) if self.required else None
+        if missing is not None:
+            rows.fail(missing, f"missing '{key}'")
+        return out
+
+
+class Code(Coded):
+    """Kind: text interned as consecutive codes in order of first
+    appearance, -1 where the field is empty; the column is the pair
+    ``(codes, names)``."""
+
+    def __init__(self, required: bool = True):
+        self.required = required
+        self.names: dict[str, int] = {}
+        super().__init__()
+
+    def code(self, raw) -> int:
+        value = _text(raw)
+        return self.names.setdefault(value, len(self.names)) if value else -1
+
+    def join(self, parts: list) -> tuple[np.ndarray, tuple[str, ...]]:
+        return super().join(parts), tuple(self.names)
 
 
 def _first_repeat(keys: Iterable) -> tuple[int, int] | None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .baseline import BaselineTable, standardized_score
 from .corpus import Corpus
-from .fileio import FieldParser, read_records, write_records
+from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
     "IndicatorRecord",
@@ -264,11 +264,12 @@ def read_indicators(path: str | Path) -> dict[str, IndicatorRecord]:
     """Indicator records by scientist id. A row with a missing, malformed,
     non-finite or negative value, or repeating an earlier row's
     ``scientist_id``, fails naming the row."""
-    rows = FieldParser(read_records(path), "indicators")
-    ids = rows.text("scientist_id")
-    n_p = rows.integers("n_p", minimum=0).tolist()
-    qi = rows.numbers("qi", float, required=False)
-    fss = rows.numbers("fss", float)
-    rows.unique("scientist_id", ids)
-    rows.check()
-    return dict(zip(ids, map(IndicatorRecord, ids, n_p, qi, fss)))
+    schema = {
+        "scientist_id": Text(),
+        "n_p": Integer(minimum=0),
+        "qi": Number(float, required=False),
+        "fss": Number(float),
+    }
+    parser = FieldParser("indicators", schema, unique=("scientist_id", ("scientist_id",)))
+    ids, n_p, qi, fss = read_records(path, parser).columns.values()
+    return dict(zip(ids, map(IndicatorRecord, ids, n_p.tolist(), qi, fss)))

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .corpus import RANKS, Corpus, Grid, Rank, tally
-from .fileio import FieldParser, read_records, write_records
+from .fileio import FieldParser, Known, Number, read_records, write_records
 from .indicators import IndicatorRecord
 
 __all__ = [
@@ -272,18 +272,21 @@ def write_percentiles(percentiles: Iterable[PercentileRecord], path: str | Path)
 def read_percentiles(path: str | Path, corpus: Corpus) -> list[PercentileRecord]:
     """The records of a file :func:`write_percentiles` wrote, each in its
     scientist's SDS and rank in ``corpus``. A row with a missing or
-    malformed value, an unknown scientist or indicator, or repeating an
-    earlier row's (scientist_id, indicator), fails naming the row."""
-    rows = FieldParser(read_records(path), "percentiles")
-    ids, scientist = rows.known("scientist_id", corpus.scientist_index)
-    names, indicator = rows.known("indicator", {i.value: i for i in Indicator})
-    percentile = rows.numbers("percentile", float)
-    rows.unique("(scientist_id, indicator)", list(zip(ids, names)))
-    rows.check()
+    malformed value, a percentile above 100, an unknown scientist or
+    indicator, or repeating an earlier row's (scientist_id, indicator),
+    fails naming the row."""
+    schema = {
+        "scientist_id": Known(corpus.scientist_index),
+        "indicator": Known({i.value: i for i in Indicator}),
+        "percentile": Number(float, maximum=100),
+    }
+    parser = FieldParser("percentiles", schema,
+                         unique=("(scientist_id, indicator)", ("scientist_id", "indicator")))
+    ids, names, percentile = read_records(path, parser).columns.values()
     sds, rank = corpus.scientist_sds.tolist(), corpus.scientist_rank.tolist()
     return [
-        PercentileRecord(sid, ind, pct, corpus.sds_codes[sds[s]], RANKS[rank[s]])
-        for sid, ind, pct, s in zip(ids, indicator, percentile, scientist)
+        PercentileRecord(sid, Indicator(name), pct, corpus.sds_codes[sds[s]], RANKS[rank[s]])
+        for sid, name, pct, s in zip(ids, names, percentile, map(corpus.scientist_index.__getitem__, ids))
     ]
 
 

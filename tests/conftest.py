@@ -3,7 +3,7 @@ from operator import attrgetter
 
 import pytest
 
-from rankmetrics import load_corpus
+from rankmetrics import fileio, load_corpus
 
 
 def tiny_rows():
@@ -24,6 +24,14 @@ def tiny_rows():
         {"pub_id": "P2", "position": "2", "scientist_id": "", "affiliation_id": "U03"},
     ]
     return scientists, publications, authorships
+
+
+@pytest.fixture(params=[fileio.CHUNK_ROWS, 1, 2, 3])
+def chunk_rows(request, monkeypatch):
+    """Run each case at the module's chunk size and at sizes that put chunk
+    boundaries between the interesting rows."""
+    monkeypatch.setattr(fileio, "CHUNK_ROWS", request.param)
+    return request.param
 
 
 @pytest.fixture

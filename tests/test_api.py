@@ -96,9 +96,9 @@ def test_every_reader_calls_read_records_once_per_file(tmp_path, monkeypatch):
     original = fileio.read_records
     calls = []
 
-    def counting(path):
+    def counting(path, *args):
         calls.append(path)
-        return original(path)
+        return original(path, *args)
 
     for name in MODULES:
         module = importlib.import_module(f"rankmetrics.{name}")

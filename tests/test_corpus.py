@@ -481,7 +481,220 @@ def test_json_float_or_boolean_in_an_integer_field_names_its_row(changes, expect
     assert _load_error(*rows) == expected  # row mappings go through the same parser
 
 
+def test_json_category_lists_keep_their_text():
+    scientists, publications, authorships = tiny_rows()
+    publications[0]["subject_categories"] = [1]
+    publications[1]["subject_categories"] = [True]  # equal to 1 as a dict key
+    corpus = load_corpus(scientists, publications, authorships)
+    assert [corpus.category_sets[code] for code in corpus.pub_categories] == [("1",), ("True",)]
+
+
 def test_typed_json_integers_load_as_their_text(tmp_path):
     typed = load_corpus_files(*_typed_jsonl(tmp_path, tiny_rows()))
     assert typed.publications == load_corpus(*tiny_rows()).publications
     assert typed.scientist_birth_year == [1949, 1957, None]
+
+
+# ---------------------------------------------------------------------------
+# The same messages from files typed a chunk at a time: CSV and JSON lines,
+# with chunk boundaries between every pair of rows (the `chunk_rows` fixture)
+
+DELETE = object()
+
+# (edits, message): each edit is (table, row, key, value); a value of DELETE
+# removes the key, and a row of None appends a copy of the table's first row.
+FILE_CASES = {
+    "duplicate_pub_id": ([(1, None, None, None)], "duplicate pub_id 'P1'"),
+    "blank_sds_code": ([(0, 1, "sds_code", "  ")], "scientists row 2: missing 'sds_code'"),
+    "absent_year": ([(1, 0, "year", DELETE)], "publications row 1: missing 'year'"),
+    "blank_pub_id": ([(2, 2, "pub_id", "  ")], "authorships row 3: missing 'pub_id'"),
+    "non_integer_position": ([(2, 1, "position", " 2nd ")],
+                             "authorships row 2: 'position' must be an integer, got '2nd'"),
+    "zero_author_count": ([(1, 1, "author_count", "0")],
+                          "publications row 2: 'author_count' must be >= 1, got 0"),
+    "bad_rank": ([(0, 2, "rank", "EMERITUS")],
+                 "scientists row 3: rank must be one of FULL/ASSOCIATE/ASSISTANT, got 'EMERITUS'"),
+    "empty_categories": ([(1, 0, "subject_categories", " ; ;")],
+                         "publications row 1: 'subject_categories' must be non-empty"),
+    "earlier_row_later_check": ([(0, 2, "rank", ""), (0, 1, "uda_code", "")],
+                                "scientists row 2: missing 'uda_code'"),
+    "rank_checked_first": ([(0, 1, "rank", "DEAN"), (0, 1, "scientist_id", "")],
+                           "scientists row 2: rank must be one of FULL/ASSOCIATE/ASSISTANT, got 'DEAN'"),
+    "row_error_before_duplicate_id": ([(0, None, None, None), (2, 3, "position", "x")],
+                                      "authorships row 4: 'position' must be an integer, got 'x'"),
+    "duplicate_scientist_id": ([(0, None, None, None)], "duplicate scientist_id 'A1'"),
+    "sds_in_two_udas": ([(0, 1, "uda_code", "U2")], "SDS 'S1' mapped to both UDA 'U1' and 'U2'"),
+    "duplicate_category": ([(1, 0, "subject_categories", "C1;C1")],
+                           "publication 'P1': duplicate subject category"),
+    "integer_outside_int64": ([(1, 1, "citation_count", str(2**63))],
+                              f"publications row 2: 'citation_count' must fit in a 64-bit "
+                              f"integer, got {2**63}"),
+    "incomplete_byline": ([(2, 1, "position", "3")],
+                          "pub_id 'P1': byline positions [1, 3] do not cover 1..2"),
+    "duplicate_authorship": ([(2, 1, "scientist_id", "A1")], "duplicate authorship ('P1', 'A1')"),
+    # across chunk boundaries
+    "unknown_pub_id_in_a_later_chunk": ([(2, 3, "pub_id", "P9")],
+                                        "authorship references unknown pub_id 'P9'"),
+    "unknown_scientist_id_in_a_later_chunk": ([(2, 3, "scientist_id", " A9 ")],
+                                              "authorship references unknown scientist_id 'A9'"),
+    "unknown_pub_id_before_a_bad_row": ([(2, 0, "pub_id", "P9"), (2, 3, "position", "x")],
+                                        "authorships row 4: 'position' must be an integer, got 'x'"),
+    "unknown_scientist_before_unknown_pub": (
+        [(2, 1, "scientist_id", "A9"), (2, 3, "pub_id", "P9")],
+        "authorship references unknown scientist_id 'A9'",
+    ),
+    "duplicate_byline_across_rows_2_and_3": (
+        [(2, 2, "pub_id", "P1"), (2, 2, "position", "2")],
+        "duplicate byline position 2 for pub_id 'P1'",
+    ),
+    "required_key_first_in_a_later_row": (
+        [(2, 0, "position", DELETE), (2, 1, "position", DELETE), (2, 2, "position", DELETE)],
+        "authorships row 1: missing 'position'",
+    ),
+    # typed JSON values (as text in CSV)
+    "float_year": ([(1, 0, "year", 2004.7)],
+                   "publications row 1: 'year' must be an integer, got 2004.7"),
+    "boolean_citations": ([(1, 1, "citation_count", True)],
+                          "publications row 2: 'citation_count' must be an integer, got True"),
+    "float_equal_to_an_earlier_int": ([(1, 0, "year", 2004), (1, 1, "year", 2004.0)],
+                                      "publications row 2: 'year' must be an integer, got 2004.0"),
+    "float_birth_year": ([(0, 0, "birth_year", 1949.0)],
+                         "scientists row 1: 'birth_year' must be an integer, got 1949.0"),
+    "boolean_position": ([(2, 0, "position", True)],
+                         "authorships row 1: 'position' must be an integer, got True"),
+}
+
+
+def _edited_rows(edits) -> tuple:
+    rows = tiny_rows()
+    for table, row, key, value in edits:
+        if row is None:
+            rows[table].append(dict(rows[table][0]))
+        elif value is DELETE:
+            del rows[table][row][key]
+        else:
+            rows[table][row][key] = value
+    return rows
+
+
+def _as_int(value):
+    try:
+        return int(value)
+    except ValueError:
+        return value
+
+
+def _write_tables(tmp_path, rows_by_file, suffix: str) -> list:
+    """Write each table as CSV (a missing key empty) or JSON lines (integer
+    text as JSON numbers, a missing key absent)."""
+    import csv
+
+    if suffix == "jsonl":
+        rows_by_file = [[{k: _as_int(v) if isinstance(v, str) else v for k, v in row.items()}
+                         for row in rows] for rows in rows_by_file]
+    paths = []
+    for name, rows in zip(("scientists", "publications", "authorships"), rows_by_file):
+        path = tmp_path / f"{name}.{suffix}"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            if suffix == "jsonl":
+                fh.write("".join(json.dumps(row) + "\n" for row in rows))
+            else:
+                fields = list(dict.fromkeys(key for row in rows for key in row))
+                writer = csv.DictWriter(fh, fieldnames=fields)
+                writer.writeheader()
+                writer.writerows(rows)
+        paths.append(path)
+    return paths
+
+
+def _rows_in(path) -> list:
+    """The row mappings a file holds, as a row-by-row reader sees them."""
+    import csv
+
+    with path.open(encoding="utf-8", newline="") as fh:
+        if path.suffix == ".csv":
+            return list(csv.DictReader(fh))
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_file_errors_match_row_errors_at_every_chunk_size(case, suffix, chunk_rows, tmp_path):
+    edits, message = FILE_CASES[case]
+    paths = _write_tables(tmp_path, _edited_rows(edits), suffix)
+    with pytest.raises(CorpusError) as info:
+        load_corpus_files(*paths)
+    assert str(info.value) == _load_error(*map(_rows_in, paths))
+    if suffix == "jsonl" or not any(isinstance(value, (int, float)) for *_, value in edits):
+        assert str(info.value) == message  # typed JSON values are text in CSV
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_optional_keys_first_in_a_later_row_load_as_rows_do(suffix, chunk_rows, tmp_path):
+    rows = tiny_rows()
+    for row in rows[0][:2]:
+        del row["birth_year"]
+    for row in rows[2][:3]:
+        del row["affiliation_id"]
+    rows[2][1]["scientist_id"] = " A2 "
+    paths = _write_tables(tmp_path, rows, suffix)
+    loaded, expected = load_corpus_files(*paths), load_corpus(*map(_rows_in, paths))
+    assert loaded.scientists == expected.scientists
+    assert loaded.publications == expected.publications
+    assert loaded.authorships == expected.authorships
+    assert loaded.scientist_birth_year == [None, None, None]
+    assert loaded.affiliations == ("U03",)
+
+
+def test_errors_come_in_file_order(chunk_rows, tmp_path):
+    """Each file is typed and checked before the next is read, and a bad row
+    before an invalid JSON line of the same file is reported first."""
+    rows = tiny_rows()
+    rows[0][1]["rank"] = "DEAN"
+    paths = _typed_jsonl(tmp_path, rows)
+    with paths[2].open("a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    bad_rank = "scientists row 2: rank must be one of FULL/ASSOCIATE/ASSISTANT, got 'DEAN'"
+    with pytest.raises(CorpusError) as info:
+        load_corpus_files(*paths)
+    assert str(info.value) == bad_rank
+
+    with paths[0].open("a", encoding="utf-8") as fh:
+        fh.write("[1, 2]\n")
+    with pytest.raises(CorpusError) as info:
+        load_corpus_files(*paths)
+    assert str(info.value) == bad_rank
+
+    rows[0][1]["rank"] = "FULL"
+    paths = _typed_jsonl(tmp_path, rows)
+    with paths[2].open("a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    with pytest.raises(ValueError) as info:
+        load_corpus_files(*paths)
+    assert str(info.value).startswith("authorships.jsonl line 5: invalid JSON record")
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_load_peak_stays_near_the_corpus_it_returns(suffix, tmp_path):
+    """Typing each chunk as it is read holds no file-wide column of raw
+    cells: the traced peak of a load stays within 2.5x of what the loaded
+    corpus keeps."""
+    import tracemalloc
+
+    from rankmetrics.synth import write_corpus_csv
+
+    paths = write_corpus_csv(generate(SynthConfig()), tmp_path)
+    paths = [paths[name] for name in ("scientists", "publications", "authorships")]
+    if suffix == "jsonl":
+        paths = _typed_jsonl(tmp_path, [_rows_in(path) for path in paths])
+    load_corpus_files(*paths)  # one-time allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        corpus = load_corpus_files(*paths)
+        retained, peak = (value - before for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.auth_pub) > 50_000
+    assert peak <= 2.5 * retained, (peak, retained)

@@ -22,7 +22,6 @@ from rankmetrics import (
     write_indicators,
     write_percentiles,
 )
-from rankmetrics import fileio
 from rankmetrics.baseline import BaselineCell, BaselineTable
 from rankmetrics.fileio import Records, read_records
 from rankmetrics.ranking import read_percentiles
@@ -54,14 +53,6 @@ JSONL_LINES = [
     "{}",
     '\t{"a": -Infinity, "b": "\\u00e9 \\"q\\"", "c": {"d": [true, false, 1e3]}}  ',
 ]
-
-
-@pytest.fixture(params=[fileio.CHUNK_ROWS, 1, 2, 3])
-def chunk_rows(request, monkeypatch):
-    """Run each case at the module's chunk size and at sizes that put chunk
-    boundaries between the interesting rows."""
-    monkeypatch.setattr(fileio, "CHUNK_ROWS", request.param)
-    return request.param
 
 
 def _dict_reader_rows(path):
@@ -187,6 +178,10 @@ values = st.one_of(
     st.sampled_from([5e-324, 0.0, -0.0, 1e308, 1.7976931348623157e308, 0.1]),
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
 )
+percentiles = st.one_of(
+    st.sampled_from([5e-324, 0.0, -0.0, 0.1, 99.99999999999999, 100.0]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
 
 
 def _bits(value):
@@ -230,7 +225,7 @@ def test_percentiles_round_trip_bitwise(tmp_path_factory, scientist_ids, data):
         [],
     )
     records = [
-        PercentileRecord(sid, indicator, data.draw(values), f"S{i % 2}", Rank.FULL)
+        PercentileRecord(sid, indicator, data.draw(percentiles), f"S{i % 2}", Rank.FULL)
         for i, sid in enumerate(scientist_ids)
         for indicator in data.draw(st.sets(st.sampled_from(Indicator)))
     ]

@@ -207,6 +207,8 @@ def test_top_flags_export(tmp_path):
     ("c,volume,50.0", "percentiles row 3: unknown indicator 'volume'"),
     ("a, fss ,50.0", "percentiles row 3: (scientist_id, indicator) ('a', 'fss') repeats row 1"),
     ("  ,fss,50.0", "percentiles row 3: missing 'scientist_id'"),
+    ("c,fss,150.0", "percentiles row 3: 'percentile' must be <= 100, got 150.0"),
+    ("c,fss,1e300", "percentiles row 3: 'percentile' must be <= 100, got 1e+300"),
 ])
 def test_read_percentiles_names_the_bad_row(row, message, tmp_path):
     corpus = _corpus_for({"a": 1.0, "b": 2.0, "c": 3.0})
