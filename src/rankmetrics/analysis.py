@@ -5,6 +5,11 @@ Covers the dominance comparison of two rank groups pooled within a field
 configuration), inequality of output (Gini coefficient, bottom-40%/top-20%
 ratio), the over/under-representation index of a rank among top scientists,
 and the Pearson chi-square association test between excellence and rank.
+
+The inequality measures of many blocks come from one kernel: blocks of one
+length are gathered into one matrix, members in their given order, and each
+statistic is computed row-wise, so a block gets the same bits as it would
+alone. :func:`gini` and :func:`bottom_top_ratio` are one-block calls of it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -42,8 +48,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Dominance of one rank group over another
 
-@dataclass(frozen=True)
-class DominanceResult:
+class DominanceResult(NamedTuple):
     """Rank-sum distance of two groups from their maximal-dominance layouts.
 
     Both groups are pooled and ranked ascending with midranks (best value gets
@@ -102,8 +107,10 @@ def sequence_criterion(
     )
 
 
-def _top_rank_sum(size: int, n: int) -> float:
-    """Sum of the top ``size`` of the ranks 1..n: n + (n-1) + ... + (n-size+1)."""
+def _top_rank_sum(size, n):
+    """Sum of the top ``size`` of the ranks 1..n: n + (n-1) + ... + (n-size+1).
+
+    Works on ints and on int64 arrays alike, exactly below 2**53."""
     return size * n - size * (size - 1) / 2.0
 
 
@@ -150,28 +157,27 @@ def dominance_counts(
     names = corpus.sds_codes
     midrank = group_sort(pooled, np.concatenate((values[in_a], values[in_b])), len(names)).midrank
     split = int(in_a.sum())
-    n_a = np.bincount(pooled[:split], minlength=len(names)).tolist()
-    n_b = np.bincount(pooled[split:], minlength=len(names)).tolist()
-    r_a = np.bincount(pooled[:split], midrank[:split], minlength=len(names)).tolist()
-    r_b = np.bincount(pooled[split:], midrank[split:], minlength=len(names)).tolist()
+    n_a = np.bincount(pooled[:split], minlength=len(names))
+    n_b = np.bincount(pooled[split:], minlength=len(names))
+    kept = np.flatnonzero((n_a > 0) & (n_b > 0))
+    n_a, n_b = n_a[kept], n_b[kept]
+    r_a = np.bincount(pooled[:split], midrank[:split], minlength=len(names))[kept]
+    r_b = np.bincount(pooled[split:], midrank[split:], minlength=len(names))[kept]
+    max_a = _top_rank_sum(n_a, n_a + n_b)
+    max_b = _top_rank_sum(n_b, n_a + n_b)
 
-    per_uda: dict[str, tuple[int, int]] = {}
-    results: dict[str, DominanceResult] = {}
-    udas = [corpus.udas[u] for u in corpus.sds_uda.tolist()]
-    for sds_code, uda, size_a, size_b, sum_a, sum_b in zip(names, udas, n_a, n_b, r_a, r_b):
-        if not size_a or not size_b:
-            continue
-        res = results[sds_code] = DominanceResult(
-            group_a,
-            group_b,
-            sum_a,
-            _top_rank_sum(size_a, size_a + size_b),
-            sum_b,
-            _top_rank_sum(size_b, size_a + size_b),
-            sds_code,
+    # per UDA, in the order of each UDA's first counted SDS
+    uda = corpus.sds_uda[kept]
+    counted = np.bincount(uda, minlength=len(corpus.udas)).tolist()
+    wins = np.bincount(uda[max_b - r_b < max_a - r_a], minlength=len(corpus.udas)).tolist()
+    per_uda = {corpus.udas[u]: (wins[u], counted[u]) for u in dict.fromkeys(uda.tolist())}
+    results = {
+        code: DominanceResult(group_a, group_b, eff_a, top_a, eff_b, top_b, code)
+        for code, eff_a, top_a, eff_b, top_b in zip(
+            map(names.__getitem__, kept.tolist()),
+            r_a.tolist(), max_a.tolist(), r_b.tolist(), max_b.tolist(),
         )
-        wins, counted = per_uda.get(uda, (0, 0))
-        per_uda[uda] = (wins + (res.winner is group_b), counted + 1)
+    }
     return DominanceCounts(
         indicator=indicator,
         group_a=group_a,
@@ -185,28 +191,70 @@ def dominance_counts(
 # ---------------------------------------------------------------------------
 # Inequality measures
 
+def _block_stats(
+    values: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    bottom_fraction: float,
+    top_fraction: float,
+    caller: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gini coefficient and bottom/top ratio of every block
+    ``values[start:start + size]``; the ratio is NaN where it is undefined.
+
+    Blocks of one length ``n`` form one C-contiguous ``(blocks, n)`` matrix,
+    members in their given order, so each row sums exactly as the 1-D
+    ``.sum()`` of its block. See :func:`gini` and :func:`bottom_top_ratio`.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{caller} requires finite values")
+    if (values < 0).any():
+        raise ValueError(f"{caller} requires non-negative values")
+    if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
+        raise ValueError("fractions must be in (0, 1)")
+    g = np.empty(len(sizes))
+    ratio = np.empty(len(sizes))
+    # not np.unique, which imports numpy.ma on first use (about 1.5 MB resident)
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        idx = np.flatnonzero(sizes == n)
+        m = values[starts[idx, None] + np.arange(n)]
+        total = m.sum(axis=1)
+        # stable, as Python's sorted(): tied 0.0 and -0.0 keep their order
+        xs = np.sort(m, axis=1, kind="stable")
+        spread = (total != 0.0) & (xs[:, 0] != xs[:, -1])
+        weighted = ((2.0 * np.arange(1, n + 1) - n - 1.0) * xs).sum(axis=1)
+        gi = np.divide(weighted, n * total, out=np.zeros(len(idx)), where=spread)
+        # min(1.0, max(0.0, g)), which np.clip would not match on -0.0
+        gi = np.where(gi > 0, gi, 0.0)
+        g[idx] = np.where(gi < 1, gi, 1.0)
+        k_top = max(1, math.floor(top_fraction * n))
+        k_bottom = max(1, math.floor(bottom_fraction * n))
+        top = np.array([math.fsum(r) for r in xs[:, n - k_top:].tolist()]) / k_top
+        bottom = np.array([math.fsum(r) for r in xs[:, :k_bottom].tolist()]) / k_bottom
+        ratio[idx] = np.divide(bottom, top, out=np.full(len(idx), np.nan), where=top != 0.0)
+    return g, ratio
+
+
+def _one_block(values, caller: str, bottom_fraction: float = 0.4, top_fraction: float = 0.2):
+    """``(gini, ratio)`` of ``values`` as one block of :func:`_block_stats`."""
+    x = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    if x.size == 0:
+        raise ValueError(f"{caller} requires at least one value")
+    g, ratio = _block_stats(
+        x.ravel(), np.zeros(1, dtype=np.intp), np.array([x.size]), bottom_fraction, top_fraction, caller
+    )
+    return float(g[0]), float(ratio[0])
+
+
 def gini(values) -> float:
     """Population Gini coefficient: mean absolute difference over twice the mean.
 
     0 means every value is equal, 1 maximal inequality; an all-zero vector is
     defined as 0. Computed with the sorted-index identity, which matches the
-    O(n^2) pairwise definition to float precision.
+    O(n^2) pairwise definition to float precision. Values must be finite and
+    non-negative.
     """
-    x = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if x.size == 0:
-        raise ValueError("gini requires at least one value")
-    if np.any(x < 0):
-        raise ValueError("gini requires non-negative values")
-    total = float(x.sum())
-    if total == 0.0:
-        return 0.0
-    xs = np.sort(x)
-    if xs[0] == xs[-1]:
-        return 0.0
-    n = x.size
-    i = np.arange(1, n + 1, dtype=float)
-    g = float(((2.0 * i - n - 1.0) * xs).sum() / (n * total))
-    return min(1.0, max(0.0, g))
+    return _one_block(values, "gini")[0]
 
 
 def weighted_uda_gini(per_sds: Iterable[tuple[float, int]]) -> float:
@@ -231,25 +279,14 @@ def bottom_top_ratio(
 ) -> float | None:
     """Per-capita output of the weakest block over that of the strongest block.
 
-    Block sizes are ``max(1, floor(fraction * n))``. 1 means a perfectly
-    uniform population, values toward 0 mean concentration at the top; None
-    (undefined) when the top block has zero output.
+    Block sizes are ``max(1, floor(fraction * n))`` and each block's output is
+    the correctly rounded ``math.fsum`` of its sorted values. 1 means a
+    perfectly uniform population, values toward 0 mean concentration at the
+    top; None (undefined) when the top block has zero output. Values must be
+    finite and non-negative.
     """
-    x = sorted(values)
-    n = len(x)
-    if n == 0:
-        raise ValueError("bottom_top_ratio requires at least one value")
-    if x[0] < 0:
-        raise ValueError("bottom_top_ratio requires non-negative values")
-    if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
-        raise ValueError("fractions must be in (0, 1)")
-    k_top = max(1, math.floor(top_fraction * n))
-    k_bottom = max(1, math.floor(bottom_fraction * n))
-    top_stat = math.fsum(x[n - k_top:]) / k_top
-    bottom_stat = math.fsum(x[:k_bottom]) / k_bottom
-    if top_stat == 0.0:
-        return None
-    return bottom_stat / top_stat
+    ratio = _one_block(values, "bottom_top_ratio", bottom_fraction, top_fraction)[1]
+    return None if math.isnan(ratio) else ratio
 
 
 def concentration_index(top_share: float, staff_share: float) -> float:
@@ -368,8 +405,9 @@ def concentration_rows(
     Gini and bottom/top ratios are computed per field, then weighted up to the
     UDA by each field's staff share of that rank. Fields whose ratio is
     undefined (zero top output) are left out of the ratio average; if every
-    field's ratio is undefined the UDA ratio is None. Each field's values
-    enter :func:`gini` and :func:`bottom_top_ratio` in record order.
+    field's ratio is undefined the UDA ratio is None. Every field's values
+    enter one :func:`gini`/:func:`bottom_top_ratio` kernel call in record
+    order, and each cell adds its fields in SDS-code order.
     """
     rows, values = ranked_population(records, indicator, corpus)
     names, udas = corpus.sds_codes, corpus.udas
@@ -379,24 +417,19 @@ def concentration_rows(
     order = np.argsort(key, kind="stable")
     key, values = key[order], values[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    ends = np.append(starts[1:], len(key))
-    blocks = zip((key[starts] // len(names)).tolist(), starts.tolist(), ends.tolist())
+    sizes = np.diff(np.append(starts, len(key)))
+    g, ratio = _block_stats(values, starts, sizes, bottom_fraction, top_fraction, "concentration_rows")
+    blocks = zip((key[starts] // len(names)).tolist(), g.tolist(), ratio.tolist(), sizes.tolist())
 
     out: dict[tuple[str, Rank], ConcentrationRow] = {}
-    for code, cell_blocks in groupby(blocks, key=lambda block: block[0]):
-        gini_cells: list[tuple[float, int]] = []
-        ratio_cells: list[tuple[float, int]] = []
-        for _, lo, hi in cell_blocks:
-            members = values[lo:hi]
-            gini_cells.append((gini(members), hi - lo))
-            ratio = bottom_top_ratio(members, bottom_fraction, top_fraction)
-            if ratio is not None:
-                ratio_cells.append((ratio, hi - lo))
+    for code, cell_blocks in groupby(blocks, key=itemgetter(0)):
+        cell_blocks = list(cell_blocks)
+        ratio_cells = [(r, size) for _, _, r, size in cell_blocks if not math.isnan(r)]
         uda, rank = udas[code // len(RANKS)], RANKS[code % len(RANKS)]
         out[(uda, rank)] = ConcentrationRow(
             uda_code=uda,
             rank=rank,
-            gini=weighted_uda_gini(gini_cells),
+            gini=weighted_uda_gini((gi, size) for _, gi, _, size in cell_blocks),
             bottom_top_ratio=weighted_uda_gini(ratio_cells) if ratio_cells else None,
         )
     return out

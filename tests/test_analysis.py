@@ -1,10 +1,13 @@
 """Dominance criterion, inequality measures, concentration index, chi-square."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankmetrics import (
+    DominanceResult,
     Indicator,
     IndicatorRecord,
     Rank,
@@ -111,6 +114,15 @@ def test_gini_negative_rejected():
         gini([1.0, -0.1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gini_rejects_non_finite(bad):
+    # a NaN or an infinity must not read as perfect equality (0.0)
+    with pytest.raises(ValueError, match="gini requires finite values"):
+        gini([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        gini(np.array([1.0, 2.0, bad]))
+
+
 def test_gini_empty_rejected():
     with pytest.raises(ValueError):
         gini([])
@@ -199,6 +211,15 @@ def test_ratio_bounds_property():
                 k_bot = max(1, int(0.4 * len(values)))
                 ordered = np.sort(values)
                 assert ordered[:k_bot].mean() == pytest.approx(ordered[-k_top:].mean())
+
+
+@pytest.mark.parametrize(
+    "values", [[math.nan, 1, 2, 3, 4], [1, 2, math.nan, 3, 4], [1, 2, 3, math.inf], [-math.inf, 1.0]]
+)
+def test_ratio_rejects_non_finite(values):
+    # wherever a NaN sits, it fails rather than giving nan or a number that depends on its place
+    with pytest.raises(ValueError, match="bottom_top_ratio requires finite values"):
+        bottom_top_ratio(values)
 
 
 def test_ratio_validates_input():
@@ -332,6 +353,28 @@ def test_concentration_rows_weighting():
     g2 = gini([1.0, 2.0])
     assert full.gini == pytest.approx((3 * g1 + 2 * g2) / 5)
     assert full.bottom_top_ratio is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_concentration_rows_rejects_non_finite(bad):
+    corpus, records = _two_rank_corpus()
+    records["a21"] = IndicatorRecord("a21", 1, 9.0, bad)
+    with pytest.raises(ValueError, match="concentration_rows requires finite values"):
+        concentration_rows(records, corpus, Indicator.FSS)
+    assert concentration_rows(records, corpus, Indicator.QI)[("U1", Rank.ASSISTANT)].gini > 0
+
+
+def test_dominance_result_by_keyword():
+    res = DominanceResult(
+        group_a=Rank.FULL, group_b=Rank.ASSISTANT, r_eff_a=7.0, r_max_a=9.0, r_eff_b=8.0,
+        r_max_b=9.0, sds_code="S1",
+    )
+    assert (res.r_diff_a, res.r_diff_b, res.winner) == (2.0, 1.0, Rank.ASSISTANT)
+    tie = DominanceResult(group_a="A", group_b="B", r_eff_a=3.5, r_max_a=5.0, r_eff_b=3.5, r_max_b=5.0)
+    assert (tie.r_diff_a, tie.r_diff_b, tie.winner, tie.sds_code) == (1.5, 1.5, None, None)
+    assert sequence_criterion([1.0], [2.0], "A", "B", "S1") == DominanceResult(
+        group_a="A", group_b="B", r_eff_a=1.0, r_max_a=2.0, r_eff_b=2.0, r_max_b=2.0, sds_code="S1"
+    )
 
 
 def test_top_distribution_shares_and_index():

@@ -3,7 +3,9 @@
 The references below rank one SDS at a time from per-field Python lists,
 the way percentiles, top flags, dominance and concentration were first
 written; the library ranks every field in one grouped sort and must agree
-with them bitwise, in the same output order.
+with them bitwise, in the same output order. The Gini coefficient and the
+bottom/top ratio are frozen copies of the one-field-at-a-time versions the
+library's batched kernel replaced.
 """
 
 import math
@@ -46,6 +48,42 @@ def reference_midranks(values) -> np.ndarray:
     out = np.empty(len(a))
     out[order] = mids[group]
     return out
+
+
+def reference_gini(values) -> float:
+    x = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    if x.size == 0:
+        raise ValueError("gini requires at least one value")
+    if np.any(x < 0):
+        raise ValueError("gini requires non-negative values")
+    total = float(x.sum())
+    if total == 0.0:
+        return 0.0
+    xs = np.sort(x)
+    if xs[0] == xs[-1]:
+        return 0.0
+    n = x.size
+    i = np.arange(1, n + 1, dtype=float)
+    g = float(((2.0 * i - n - 1.0) * xs).sum() / (n * total))
+    return min(1.0, max(0.0, g))
+
+
+def reference_bottom_top_ratio(values, bottom_fraction=0.4, top_fraction=0.2):
+    x = sorted(values)
+    n = len(x)
+    if n == 0:
+        raise ValueError("bottom_top_ratio requires at least one value")
+    if x[0] < 0:
+        raise ValueError("bottom_top_ratio requires non-negative values")
+    if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
+        raise ValueError("fractions must be in (0, 1)")
+    k_top = max(1, math.floor(top_fraction * n))
+    k_bottom = max(1, math.floor(bottom_fraction * n))
+    top_stat = math.fsum(x[n - k_top:]) / k_top
+    bottom_stat = math.fsum(x[:k_bottom]) / k_bottom
+    if top_stat == 0.0:
+        return None
+    return bottom_stat / top_stat
 
 
 def reference_value(record, indicator):
@@ -151,8 +189,8 @@ def reference_concentration(records, corpus, indicator, bottom_fraction, top_fra
                 members = values.get((sds, rank))
                 if not members:
                     continue
-                gini_cells.append((gini(members), len(members)))
-                ratio = bottom_top_ratio(members, bottom_fraction, top_fraction)
+                gini_cells.append((reference_gini(members), len(members)))
+                ratio = reference_bottom_top_ratio(members, bottom_fraction, top_fraction)
                 if ratio is not None:
                     ratio_cells.append((ratio, len(members)))
             if not gini_cells:
@@ -276,3 +314,66 @@ def test_edge_fields_match_reference():
     _check_all(records, corpus)
     assert dominance_counts(records, corpus, Indicator.FSS).excluded_sds == 3
     assert dominance_counts(records, corpus, Indicator.QI).excluded_sds == 4
+
+
+# Blocks of 1-300 members cross numpy's 8-way unrolled and 128-element
+# pairwise summation, so a row of the batched kernel must sum exactly as the
+# block alone. Values come with ties, 0.0 and -0.0, all-equal blocks and
+# all-zero blocks (undefined ratio).
+BLOCK_VALUES = {
+    "spread": lambda rng, n: rng.uniform(0.0, 100.0, n),
+    "skewed": lambda rng, n: rng.pareto(1.5, n) * rng.integers(0, 2, n),
+    "tied": lambda rng, n: rng.choice([0.0, -0.0, 1.0, 2.5, 3.0], n),
+    "equal": lambda rng, n: np.full(n, rng.choice([4.2, 1e-300, 7.0])),
+    "zero": lambda rng, n: rng.choice([0.0, -0.0], n),
+}
+BLOCK = st.tuples(
+    st.sampled_from(sorted(SDS_UDA)),
+    st.sampled_from(RANKS),
+    st.integers(1, 300),
+    st.sampled_from(sorted(BLOCK_VALUES)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(BLOCK, min_size=1, max_size=6),
+    st.sampled_from([(0.4, 0.2), (0.5, 0.1), (0.05, 0.3)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_concentration_matches_reference_on_long_blocks(blocks, fractions, seed):
+    rng = np.random.default_rng(seed)
+    members = [
+        (sds, rank, value)
+        for sds, rank, n, kind in blocks
+        for value in BLOCK_VALUES[kind](rng, n).tolist()
+    ]
+    scientists = [
+        {"scientist_id": f"A{i:04d}", "sds_code": sds, "uda_code": SDS_UDA[sds],
+         "rank": rank.value, "birth_year": ""}
+        for i, (sds, rank, _) in enumerate(members)
+    ]
+    records = [IndicatorRecord(f"A{i:04d}", 0, None, value) for i, (_, _, value) in enumerate(members)]
+    rng.shuffle(records)
+    corpus = load_corpus(scientists, [], [])
+    rows = concentration_rows(records, corpus, Indicator.FSS, *fractions)
+    actual = [
+        (uda, rank, row.gini.hex(), _hex(row.bottom_top_ratio)) for (uda, rank), row in rows.items()
+    ]
+    assert actual == reference_concentration(records, corpus, Indicator.FSS, *fractions)
+
+
+FIELD_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 5e-324]), st.floats(0.0, 1e6, allow_subnormal=True)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(FIELD_VALUE, min_size=1, max_size=300),
+    st.sampled_from([(0.4, 0.2), (0.5, 0.1), (0.05, 0.3)]),
+)
+def test_one_block_matches_reference(values, fractions):
+    assert gini(values).hex() == reference_gini(values).hex()
+    assert gini(np.array(values)).hex() == reference_gini(values).hex()
+    assert _hex(bottom_top_ratio(values, *fractions)) == _hex(reference_bottom_top_ratio(values, *fractions))
