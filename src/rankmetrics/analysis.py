@@ -15,6 +15,7 @@ alone. :func:`gini` and :func:`bottom_top_ratio` are one-block calls of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -306,58 +307,32 @@ class ChiSquareResult:
     p_value: float
 
 
-def _regularized_upper_gamma(s: float, x: float) -> float:
-    """Q(s, x), the upper regularized incomplete gamma, to ~1e-14 relative.
-
-    Series expansion of P(s, x) below s+1, Lentz continued fraction above;
-    no lookup tables.
-    """
-    if s <= 0:
-        raise ValueError("shape must be positive")
-    if x < 0:
-        raise ValueError("argument must be non-negative")
-    if x == 0.0:
-        return 1.0
-    log_prefix = -x + s * math.log(x) - math.lgamma(s)
-    if x < s + 1.0:
-        ap = s
-        term = total = 1.0 / s
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        p = total * math.exp(log_prefix)
-        return min(1.0, max(0.0, 1.0 - p))
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    q = math.exp(log_prefix) * h
-    return min(1.0, max(0.0, q))
-
-
 def chi_square_upper_tail(statistic: float, df: int) -> float:
-    """P(X >= statistic) for a chi-square variable with ``df`` degrees of freedom."""
+    """P(X >= statistic) for a chi-square variable with ``df`` degrees of
+    freedom: Q(df/2, y) with y = statistic/2, the upper regularized
+    incomplete gamma, in its closed form for integer ``df``: ``df // 2``
+    Poisson-like terms ``y**a * exp(-y) / gamma(a + 1)``, ``a = k + (df % 2)/2``,
+    plus ``erfc(sqrt(y))`` when ``df`` is odd."""
+    try:
+        df = operator.index(df)
+    except TypeError:
+        raise ValueError(f"degrees of freedom must be an integer, got {df!r}") from None
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    return _regularized_upper_gamma(df / 2.0, statistic / 2.0)
+    if not statistic >= 0:
+        raise ValueError(f"statistic must be non-negative, got {statistic}")
+    y = statistic / 2.0
+    if y == 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    half = (df % 2) / 2.0
+    log_y = math.log(y)
+    terms = [math.exp((k + half) * log_y - y - math.lgamma(k + half + 1.0))
+             for k in range(df // 2)]
+    if half:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(1.0, math.fsum(terms))
 
 
 def chi_square_independence(contingency) -> ChiSquareResult:

@@ -59,9 +59,6 @@ class BaselineTable:
         except KeyError:
             raise MissingBaselineError(f"no baseline cell for ({year}, '{category}')") from None
 
-    def __contains__(self, key: tuple[int, str]) -> bool:
-        return key in self._cells
-
     def require(self, keys: Iterable[tuple[int, str]]) -> None:
         """Raise one :class:`MissingBaselineError` naming how many of the
         ``(year, category)`` keys have no cell, and the first five, sorted."""

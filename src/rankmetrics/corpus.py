@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -174,6 +174,7 @@ def _start(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
+@dataclass(eq=False, repr=False, slots=True, kw_only=True)
 class Corpus:
     """Validated, immutable collection of scientists, publications and
     authorships, each table held as columns in input row order:
@@ -190,11 +191,13 @@ class Corpus:
     * int64 arrays ``auth_pub`` and ``auth_scientist`` (row of the
       publication and of the scientist, -1 for an external author) and
       ``auth_position``; ``auth_affiliation`` indexes ``affiliations``, -1
-      where the affiliation is missing;
-    * two orderings of the authorship rows: ``by_pub`` by (publication,
-      position), so publication ``p``'s byline is
-      ``by_pub[pub_start[p]:pub_start[p + 1]]``; and ``by_scientist``, the
-      roster rows stably by scientist, ``scientist_pub_count`` of them each.
+      where the affiliation is missing.
+
+    The constructor takes those columns by keyword and derives the rest:
+    ``scientist_index``; ``by_pub``, the authorship rows by (publication,
+    position), so publication ``p``'s byline is
+    ``by_pub[pub_start[p]:pub_start[p + 1]]``; and ``scientist_pub_count``,
+    each scientist's number of authorships.
 
     Row objects exist only at the edge: ``scientists``, ``publications`` and
     ``authorships`` are :class:`RowView` sequences, and ``scientists_by_id``
@@ -206,82 +209,38 @@ class Corpus:
     ``1..author_count``); the constructor trusts its columns.
     """
 
-    __slots__ = (
-        "scientist_ids",
-        "scientist_index",
-        "scientist_sds",
-        "scientist_rank",
-        "scientist_birth_year",
-        "sds_codes",
-        "sds_uda",
-        "udas",
-        "pub_ids",
-        "pub_year",
-        "pub_citations",
-        "pub_author_count",
-        "pub_categories",
-        "category_sets",
-        "pub_start",
-        "auth_pub",
-        "auth_scientist",
-        "auth_position",
-        "auth_affiliation",
-        "affiliations",
-        "by_pub",
-        "by_scientist",
-        "scientist_pub_count",
-    )
+    scientist_ids: list[str]
+    scientist_sds: np.ndarray
+    scientist_rank: np.ndarray
+    scientist_birth_year: list[int | None]
+    sds_codes: tuple[str, ...]
+    sds_uda: np.ndarray
+    udas: tuple[str, ...]
+    pub_ids: list[str]
+    pub_year: np.ndarray
+    pub_citations: np.ndarray
+    pub_author_count: np.ndarray
+    pub_categories: np.ndarray
+    category_sets: Sequence[tuple[str, ...]]
+    auth_pub: np.ndarray
+    auth_scientist: np.ndarray
+    auth_position: np.ndarray
+    auth_affiliation: np.ndarray
+    affiliations: Sequence[str]
+    scientist_index: dict[str, int] = field(init=False)
+    pub_start: np.ndarray = field(init=False)
+    by_pub: np.ndarray = field(init=False)
+    scientist_pub_count: np.ndarray = field(init=False)
 
-    def __init__(
-        self,
-        *,
-        scientist_ids: list[str],
-        scientist_sds: np.ndarray,
-        scientist_rank: np.ndarray,
-        scientist_birth_year: list[int | None],
-        sds_codes: tuple[str, ...],
-        sds_uda: np.ndarray,
-        udas: tuple[str, ...],
-        pub_ids: list[str],
-        pub_year: np.ndarray,
-        pub_citations: np.ndarray,
-        pub_author_count: np.ndarray,
-        pub_categories: np.ndarray,
-        category_sets: Sequence[tuple[str, ...]],
-        auth_pub: np.ndarray,
-        auth_scientist: np.ndarray,
-        auth_position: np.ndarray,
-        auth_affiliation: np.ndarray,
-        affiliations: Sequence[str],
-    ):
-        self.scientist_ids = scientist_ids
-        self.scientist_index = dict(zip(scientist_ids, range(len(scientist_ids))))
-        self.scientist_sds = scientist_sds
-        self.scientist_rank = scientist_rank
-        self.scientist_birth_year = scientist_birth_year
-        self.sds_codes = sds_codes
-        self.sds_uda = sds_uda
-        self.udas = udas
-
-        self.pub_ids = pub_ids
-        self.pub_year = pub_year
-        self.pub_citations = pub_citations
-        self.pub_author_count = pub_author_count
-        self.pub_categories = pub_categories
-        self.category_sets = category_sets
-        self.auth_pub = auth_pub
-        self.auth_scientist = auth_scientist
-        self.auth_position = auth_position
-        self.auth_affiliation = auth_affiliation
-        self.affiliations = affiliations
-
+    def __post_init__(self):
+        self.scientist_index = dict(zip(self.scientist_ids, range(len(self.scientist_ids))))
         # Bylines cover 1..author_count, so each row's byline slot is known.
-        self.pub_start = _start(pub_author_count)
+        auth_pub = self.auth_pub
+        self.pub_start = _start(self.pub_author_count)
         self.by_pub = np.empty(len(auth_pub), dtype=np.int64)
-        self.by_pub[self.pub_start[auth_pub] + auth_position - 1] = np.arange(len(auth_pub))
-        roster = np.flatnonzero(auth_scientist >= 0)
-        self.by_scientist = roster[np.argsort(auth_scientist[roster], kind="stable")]
-        self.scientist_pub_count = np.bincount(auth_scientist[roster], minlength=len(scientist_ids))
+        self.by_pub[self.pub_start[auth_pub] + self.auth_position - 1] = np.arange(len(auth_pub))
+        roster = self.auth_scientist[self.auth_scientist >= 0]
+        self.scientist_pub_count = np.bincount(roster, minlength=len(self.scientist_ids))
 
     @property
     def scientist_uda(self) -> np.ndarray:
@@ -369,20 +328,10 @@ def _sorted(names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.array([position[name] for name in names], dtype=np.int64), ordered
 
 
-class _Table(Records):
-    """A corpus table typed through its schema (see :func:`_schema`)."""
-
-    __slots__ = ()
-
-
 class _Rows(FieldParser):
     """One corpus input table; a failure raises :class:`CorpusError`."""
 
     error = CorpusError
-
-    def parse(self, chunks: Iterable[Records]) -> _Table:
-        table = super().parse(chunks)
-        return _Table(table.columns, len(table))
 
 
 _RANK_POSITION = {rank.value: i for i, rank in enumerate(RANKS)}
@@ -471,8 +420,8 @@ class _Reference(Text):
         return super().join(parts), self.unresolved
 
 
-def _schema(source: str, scientists: _Table | None = None,
-            publications: _Table | None = None) -> _Rows:
+def _schema(source: str, scientists: Records | None = None,
+            publications: Records | None = None) -> _Rows:
     """The parser of one corpus table, fields in the order a row is checked.
     The authorships resolve their references through the typed roster and
     publications, a chunk at a time."""
@@ -519,11 +468,11 @@ def load_corpus(
     publications and categories, then unknown references and repeated
     bylines or authorships, then byline coverage.
     """
-    tables: dict[str, _Table] = {}
+    tables: dict[str, Records] = {}
     for source, table in (("scientists", scientist_records),
                           ("publications", publication_records),
                           ("authorships", authorship_records)):
-        if not isinstance(table, _Table):
+        if not isinstance(table, Records):  # row mappings
             table = _schema(source, **tables).parse([Records.from_rows(table)])
         tables[source] = table
     ranks, ids, (scientist_sds, sds_names), (scientist_uda, uda_names), birth_years = (
@@ -630,7 +579,7 @@ def load_corpus_files(scientists, publications, authorships) -> Corpus:
     authorships, and only then the checks across rows and files. An invalid
     JSON line in the authorships is not reached while a scientists row is bad.
     """
-    tables: dict[str, _Table] = {}
+    tables: dict[str, Records] = {}
     for source, path in (("scientists", scientists), ("publications", publications),
                          ("authorships", authorships)):
         tables[source] = read_records(path, _schema(source, **tables))
@@ -827,7 +776,11 @@ class ActivityCell(NamedTuple):
 def activity_rates(corpus: Corpus, records: Iterable["IndicatorRecord"]) -> Grid:
     """Per UDA and rank: how many scientists published at all, and how many
     accumulated any citation impact (positive fractional strength)."""
+    records = list(records)
     by_id = {r.scientist_id: r for r in records}
+    if len(by_id) < len(records):
+        row = _first_repeat(r.scientist_id for r in records)[0]
+        raise ValueError(f"repeated indicator record for scientist '{records[row].scientist_id}'")
     try:
         recs = list(map(by_id.__getitem__, corpus.scientist_ids))
     except KeyError as exc:

@@ -7,7 +7,7 @@ types every chunk as soon as it is read, through the parser's schema (field
 the text a caller keeps. No file-wide column of raw strings is ever built,
 so a load holds its typed result plus one chunk. Each chunk is checked before
 the next is read, so the error is the first offending row's, in file order.
-Without a parser, the raw columns of the chunks are joined.
+A file is only ever read through a parser.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ class Records:
 
     ``columns`` maps each field to a sequence with one value per row; it is
     not to be modified. ``len()`` is the row count. Raw columns hold ``None``
-    where a row lacks the field, and the values of a CSV row longer than the
-    header are a list under the key ``None``, so they are what
-    :class:`csv.DictReader` yields, transposed. Typed columns are what a
+    where a row lacks the field; typed columns are what a
     :class:`FieldParser` made of them.
     """
 
@@ -62,21 +60,6 @@ class Records:
                 columns[key] = [row.get(key) for row in rows]
         return cls(columns, len(rows))
 
-    @classmethod
-    def join(cls, chunks: Iterable["Records"]) -> "Records":
-        """The raw chunks of one file as one table; a key first seen in a
-        later chunk is ``None`` in the rows before it."""
-        records = cls()
-        for chunk in chunks:
-            for key in chunk.columns:
-                if key not in records.columns:
-                    records.columns[key] = [None] * records._length
-            for key, column in records.columns.items():
-                values = chunk.columns.get(key)
-                column.extend(repeat(None, len(chunk)) if values is None else values)
-            records._length += len(chunk)
-        return records
-
     def __len__(self) -> int:
         return self._length
 
@@ -96,21 +79,13 @@ def _csv_chunks(fh) -> Iterator[Records]:
     # a repeated header name holds the value of its last column, as in DictReader
     last = {name: i for i, name in enumerate(header)}
     while True:
-        chunk = list(islice(reader, CHUNK_ROWS))
-        rows, extras = chunk, None
+        chunk = rows = list(islice(reader, CHUNK_ROWS))
         lengths = set(map(len, chunk))
         if 0 in lengths or lengths != {width}:
-            rows, extras = [], []
-            for row in chunk:
-                if not row:  # blank line, skipped as csv.DictReader does
-                    continue
-                extras.append(row[width:] or None)
-                rows.append(row[:width] + [None] * (width - len(row)))
+            # blank lines are skipped, as csv.DictReader does
+            rows = [row[:width] + [None] * (width - len(row)) for row in chunk if row]
         columns = list(zip(*rows)) or [()] * width
-        records = Records({name: columns[i] for name, i in last.items()}, len(rows))
-        if extras and any(extras):
-            records.columns[None] = extras
-        yield records
+        yield Records({name: columns[i] for name, i in last.items()}, len(rows))
         if len(chunk) < CHUNK_ROWS:
             return
 
@@ -154,22 +129,22 @@ def _jsonl_chunks(fh, name: str) -> Iterator[Records]:
             return
 
 
-def read_records(path: str | Path, parser: "FieldParser | None" = None) -> Records:
-    """Read tabular records into columns (see :class:`Records`), typed by
-    ``parser`` chunk by chunk when one is given (see :meth:`FieldParser.parse`).
+def read_records(path: str | Path, parser: "FieldParser") -> Records:
+    """Read tabular records into columns typed by ``parser``, chunk by chunk
+    (see :meth:`FieldParser.parse`).
 
     ``.jsonl``/``.ndjson`` files are parsed one JSON object per line; blank
     lines are skipped, and a key missing from an object is ``None`` in its
     column. Anything else is read as UTF-8 comma-separated text with a header
     row and double-quote escaping; blank lines are skipped, so they shift no
-    row number, and the fields missing from a short row are ``None``. A
-    leading byte-order mark is skipped.
+    row number, the fields missing from a short row are ``None``, and fields
+    beyond the header are ignored. A leading byte-order mark is skipped.
     """
     path = Path(path)
     jsonl = path.suffix.lower() in (".jsonl", ".ndjson")
     with path.open(encoding="utf-8-sig", newline=None if jsonl else "") as fh:
         chunks = _jsonl_chunks(fh, path.name) if jsonl else _csv_chunks(fh)
-        return Records.join(chunks) if parser is None else parser.parse(chunks)
+        return parser.parse(chunks)
 
 
 def write_records(path: str | Path, fieldnames: list[str], rows: Iterable[Sequence]) -> Path:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .corpus import RANKS, Corpus, Grid, Rank, tally
-from .fileio import FieldParser, Known, Number, read_records, write_records
+from .fileio import FieldParser, Known, Number, _first_repeat, read_records, write_records
 from .indicators import IndicatorRecord
 
 __all__ = [
@@ -115,12 +115,16 @@ def midranks(values) -> np.ndarray:
 
 
 def _scientist_rows(records: list, corpus: Corpus, kind: str) -> np.ndarray:
-    """The corpus row of each record's scientist; an unknown one raises."""
+    """The corpus row of each record's scientist; an unknown scientist or a
+    second record of one raises."""
     ids = list(map(attrgetter("scientist_id"), records))
     try:
-        return np.fromiter(map(corpus.scientist_index.__getitem__, ids), np.int64, len(ids))
+        rows = np.fromiter(map(corpus.scientist_index.__getitem__, ids), np.int64, len(ids))
     except KeyError as exc:
         raise ValueError(f"{kind} record for unknown scientist '{exc.args[0]}'") from None
+    if len(rows) and np.bincount(rows).max() > 1:
+        raise ValueError(f"repeated {kind} record for scientist '{ids[_first_repeat(ids)[0]]}'")
+    return rows
 
 
 def ranked_population(

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from rankmetrics import (
     Indicator,
@@ -245,8 +246,6 @@ def test_c6_percentile_invariants():
 
 @criterion("C7 chi-square numerics", 1.0)
 def test_c7_chi_square_numerics():
-    from scipy import integrate
-
     res = chi_square_independence([[12, 18, 30], [4, 6, 10]])
     assert res.statistic == 0.0
     assert res.p_value == 1.0

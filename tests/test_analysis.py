@@ -289,13 +289,26 @@ def test_upper_tail_against_quadrature():
         assert chi_square_upper_tail(statistic, df) == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("df", range(1, 41))
+def test_upper_tail_against_gammaincc(df):
+    from scipy.special import gammaincc
+
+    for statistic in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.841, 6.635, 10.0, 30.0, 100.0,
+                      300.0, 700.0, 1400.0):
+        expected = gammaincc(df / 2.0, statistic / 2.0)
+        assert chi_square_upper_tail(statistic, df) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_upper_tail_edge_cases():
     assert chi_square_upper_tail(0.0, 1) == 1.0
     assert chi_square_upper_tail(1e6, 1) == 0.0
+    assert [chi_square_upper_tail(math.inf, df) for df in (1, 2, 3)] == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         chi_square_upper_tail(-1.0, 1)
     with pytest.raises(ValueError):
         chi_square_upper_tail(1.0, 0)
+    with pytest.raises(ValueError):
+        chi_square_upper_tail(3.0, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +335,15 @@ def _two_rank_corpus():
         sid: IndicatorRecord(sid, 1 if v > 0 else 0, v or None, v) for sid, v in values.items()
     }
     return corpus, records
+
+
+def test_repeated_record_is_rejected():
+    corpus, records = _two_rank_corpus()
+    repeated = [*records.values(), records["a20"]]
+    with pytest.raises(ValueError, match="repeated indicator record for scientist 'a20'"):
+        dominance_counts(repeated, corpus, Indicator.FSS)
+    with pytest.raises(ValueError, match="repeated indicator record for scientist 'a20'"):
+        concentration_rows(repeated, corpus)
 
 
 def test_dominance_counts():

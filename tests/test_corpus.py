@@ -261,6 +261,12 @@ def test_activity_requires_all_records(tiny_corpus):
         activity_rates(tiny_corpus, _records(A1=(1, 3.0, 3.0), A2=(0, None, 0.0)))
 
 
+def test_activity_rejects_repeated_records(tiny_corpus):
+    records = _records(A1=(1, 3.0, 3.0), A2=(1, 3.0, 1.5), A3=(1, 0.0, 0.0))
+    with pytest.raises(ValueError, match="repeated indicator record for scientist 'A2'"):
+        activity_rates(tiny_corpus, [*records, IndicatorRecord("A2", 0, None, 0.0)])
+
+
 def test_citation_active_never_exceeds_publication_active():
     corpus = generate(SynthConfig(seed=11, n_uda=3, sds_per_uda=2))
     from rankmetrics import build_baselines, compute_indicators

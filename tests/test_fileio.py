@@ -1,10 +1,12 @@
-"""Record I/O: ``read_records`` holds the rows of a row-by-row reader
-(``csv.DictReader``, one ``json.loads`` per line) as columns, and every
-writer's file reads back bit for bit."""
+"""Record I/O: ``read_records`` through a pass-through parser holds the rows
+of a row-by-row reader (``csv.DictReader``, one ``json.loads`` per line) as
+columns, and every writer's file reads back bit for bit."""
 
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,7 @@ from rankmetrics import (
     write_percentiles,
 )
 from rankmetrics.baseline import BaselineCell, BaselineTable
-from rankmetrics.fileio import Records, read_records
+from rankmetrics.fileio import FieldParser, Kind, Records, read_records
 from rankmetrics.ranking import read_percentiles
 
 from conftest import tiny_rows
@@ -55,65 +57,74 @@ JSONL_LINES = [
 ]
 
 
+class _Raw(Kind):
+    """Kind: the raw values as they are."""
+
+    def __call__(self, rows, key, values):
+        return list(values)
+
+
+def _read(path, fields):
+    """The file's columns ``fields``, as read, through a pass-through parser."""
+    return read_records(path, FieldParser(path.name, {key: _Raw() for key in fields}))
+
+
 def _dict_reader_rows(path):
+    """The header's fields and the rows, without the fields beyond the header."""
     with path.open(encoding="utf-8-sig", newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        rows = [{k: v for k, v in row.items() if k is not None} for row in reader]
+        return dict.fromkeys(reader.fieldnames or ()), rows
 
 
 def _json_loop_rows(path):
     with path.open(encoding="utf-8-sig") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return dict.fromkeys(key for row in rows for key in row), rows
 
 
-def _columns_of(rows):
-    keys = dict.fromkeys(key for row in rows for key in row)
-    return {key: [row.get(key) for row in rows] for key in keys}
-
-
-def _assert_same_rows(records, expected):
+def _assert_same_rows(records, fields, expected):
     assert isinstance(records, Records)
     assert len(records) == len(expected)
-    if expected:
-        columns = _columns_of(expected)
-        assert records.columns == columns
-        assert list(records.columns) == list(columns)  # key order too
+    assert records.columns == {key: [row.get(key) for row in expected] for key in fields}
+    assert list(records.columns) == list(fields)  # key order too
 
 
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
 def test_csv_rows_match_dict_reader(case, chunk_rows, tmp_path):
     path = tmp_path / f"{case}.csv"
     path.write_text(CSV_CASES[case], encoding="utf-8", newline="")
-    expected = _dict_reader_rows(path)
-    _assert_same_rows(read_records(path), expected)
+    fields, expected = _dict_reader_rows(path)
+    _assert_same_rows(_read(path, fields), fields, expected)
 
 
 def test_csv_reader_rules(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,c\n\n1,2\n3,4,5,6\n", encoding="utf-8")
-    records = read_records(path)
+    records = _read(path, "abc")
     assert len(records) == 2  # the blank line is no row
-    assert records.columns == {"a": ["1", "3"], "b": ["2", "4"], "c": [None, "5"],
-                               None: [None, ["6"]]}
+    # a short row is padded with None; the fields beyond the header are dropped
+    assert records.columns == {"a": ["1", "3"], "b": ["2", "4"], "c": [None, "5"]}
     path.write_text("a,b,c\n", encoding="utf-8")
-    assert read_records(path).columns == {"a": [], "b": [], "c": []}
+    assert _read(path, "abc").columns == {"a": [], "b": [], "c": []}
 
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".ndjson"])
 def test_jsonl_rows_match_line_loop(suffix, chunk_rows, tmp_path):
     path = tmp_path / f"rows{suffix}"
     path.write_text("\ufeff" + "\n".join(JSONL_LINES) + "\n", encoding="utf-8")
-    expected = _json_loop_rows(path)
-    _assert_same_rows(read_records(path), expected)
-    # keys an object lacks are None in the columns, back-filled for late keys
-    assert read_records(path).columns["c"] == [None, None, None, [1, 2], "late", 0, None,
-                                               {"d": [True, False, 1000.0]}]
+    fields, expected = _json_loop_rows(path)
+    _assert_same_rows(_read(path, fields), fields, expected)
+    # keys an object lacks are None in the columns, also before a late key
+    assert _read(path, "c").columns["c"] == [None, None, None, [1, 2], "late", 0, None,
+                                             {"d": [True, False, 1000.0]}]
 
 
 def test_empty_jsonl(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("\n\n", encoding="utf-8")
-    records = read_records(path)
-    assert len(records) == 0 and records.columns == {}
+    records = _read(path, "a")
+    assert len(records) == 0 and records.columns == {"a": []}
 
 
 @pytest.mark.parametrize("line, message", [
@@ -127,13 +138,36 @@ def test_jsonl_errors_name_the_line(line, message, chunk_rows, tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n' + line + "\n", encoding="utf-8")
     with pytest.raises(ValueError) as info:
-        read_records(path)
+        _read(path, "a")
     assert str(info.value).startswith(message)
 
 
 def test_from_rows_matches_the_mappings():
     rows = [{"a": 1}, {"b": 2, "a": 3}, {}, {"c": None}]
-    _assert_same_rows(Records.from_rows(iter(rows)), rows)
+    _assert_same_rows(Records.from_rows(iter(rows)), "abc", rows)
+
+
+def _corpus_columns(corpus):
+    values = {f.name: getattr(corpus, f.name) for f in dataclasses.fields(corpus)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+def test_extra_csv_fields_are_ignored(chunk_rows, tmp_path):
+    """Scientists and authorships rows with fields beyond the header load the
+    corpus the same rows load without them."""
+    loaded = []
+    for extra in (False, True):
+        paths = []
+        for name, rows in zip(("scientists", "publications", "authorships"), tiny_rows()):
+            lines = [",".join(rows[0])]
+            for i, row in enumerate(rows):
+                tail = ["x", "", "9"][:i] if extra and name != "publications" else []
+                lines.append(",".join([*row.values(), *tail]))
+            paths.append(tmp_path / f"{name}{extra}.csv")
+            paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded.append(load_corpus_files(*paths))
+    assert _corpus_columns(loaded[1]) == _corpus_columns(loaded[0])
+    assert _corpus_columns(loaded[0]) == _corpus_columns(load_corpus(*tiny_rows()))
 
 
 def test_blank_line_does_not_shift_error_row(tmp_path):

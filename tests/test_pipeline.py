@@ -147,7 +147,7 @@ def test_pipeline_builds_no_row_objects(corpus_paths, monkeypatch, tmp_path):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row dict was built")
 
-    for method in ("__iter__", "__getitem__", "_row"):
+    for method in ("__iter__", "__getitem__", "_row", "join"):
         assert not hasattr(fileio.Records, method), method
     with monkeypatch.context() as patch:
         patch.setattr(fileio.csv, "DictReader", no_rows)

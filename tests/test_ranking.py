@@ -124,6 +124,18 @@ def test_uda_rank_average_simple():
     assert table.cell("U1", Rank.FULL).count == 2
 
 
+def test_repeated_record_is_rejected():
+    corpus = _corpus_for({"a": 1.0, "b": 2.0})
+    records = [IndicatorRecord("a", 1, 1.0, 1.0), IndicatorRecord("b", 1, 2.0, 2.0),
+               IndicatorRecord("a", 1, 5.0, 5.0)]
+    for rank in (sds_percentiles, top_scientists):
+        with pytest.raises(ValueError, match="repeated indicator record for scientist 'a'"):
+            rank(records, Indicator.FSS, corpus)
+    pcts = sds_percentiles(records[:2], Indicator.FSS, corpus)
+    with pytest.raises(ValueError, match="repeated percentile record for scientist 'b'"):
+        uda_rank_average([*pcts, pcts[1]], corpus)
+
+
 # ---------------------------------------------------------------------------
 # Top scientists
 
