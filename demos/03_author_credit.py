@@ -30,12 +30,14 @@ for byline in (["U1", "U2", "U1"], ["U1", "U2", "U3", "U4"], ["U1", None, "U3", 
 
 # End to end: N_p counts publications, QI averages standardized scores, FSS
 # sums score x own-position weight. UDA02 uses the positional scheme here.
+# The indicators are columns aligned to the corpus's scientist rows; QI is NaN
+# where it is absent, and a record read by scientist id shows it as None.
 corpus = generate(SynthConfig(seed=3, n_uda=2, sds_per_uda=1))
-records = compute_indicators(corpus, build_baselines(corpus), positional_udas=["UDA02"])
+table = compute_indicators(corpus, build_baselines(corpus), positional_udas=["UDA02"])
 
-active = [r for r in records.values() if r.n_p > 0]
-idle = [r for r in records.values() if r.n_p == 0]
-print(f"\n{len(active)} active scientists, {len(idle)} without publications")
-best = max(active, key=lambda r: r.fss)
+active = table.n_p > 0
+print(f"\n{int(active.sum())} active scientists, {int((~active).sum())} without publications")
+best = table[corpus.scientist_ids[int(table.fss.argmax())]]
 print(f"strongest scientist: n_p={best.n_p}, qi={best.qi:.2f}, fss={best.fss:.2f}")
-print(f"inactive scientists report qi=ABSENT, fss=0: {idle[0].qi is None and idle[0].fss == 0.0}")
+idle = table[corpus.scientist_ids[int(active.argmin())]]
+print(f"inactive scientists report qi=ABSENT, fss=0: {idle.qi is None and idle.fss == 0.0}")

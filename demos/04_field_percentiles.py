@@ -18,7 +18,10 @@ from rankmetrics.synth import SynthConfig, generate
 corpus = generate(SynthConfig(seed=4))
 records = compute_indicators(corpus, build_baselines(corpus))
 
+# One percentile per ranked scientist row, as columns bound to the corpus.
 percentiles = sds_percentiles(records, Indicator.FSS, corpus)
+print(f"{len(percentiles)} scientists ranked; overall mean percentile "
+      f"{percentiles.percentile.mean():.2f}")
 table = uda_rank_average(percentiles, corpus)
 print("mean FSS percentile by rank (pooled over all UDAs):")
 for rank in Rank:

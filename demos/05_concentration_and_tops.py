@@ -30,7 +30,7 @@ for (uda, rank), row in sorted(rows.items(), key=lambda kv: (kv[0][0], kv[0][1].
 
 flags = top_scientists(records, Indicator.FSS, corpus, fraction=0.2)
 dist = top_distribution(flags, corpus, Indicator.FSS)
-print(f"\ntop scientists flagged: {sum(f.is_top for f in flags)} of {len(flags)}")
+print(f"\ntop scientists flagged: {int(flags.is_top.sum())} of {len(flags)}")
 print("share of top scientists by rank, concentration index in brackets:")
 for rank in Rank:
     share = dist.top_share(None, rank)

@@ -55,6 +55,7 @@ from .corpus import (
 )
 from .indicators import (
     IndicatorRecord,
+    IndicatorTable,
     WeightScheme,
     byline_case_flags,
     coauthor_weights,

@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus, Grid, RANKS, Rank, tally
-from .indicators import IndicatorRecord
-from .ranking import Indicator, group_sort, midranks, ranked_population
+from .indicators import IndicatorTable
+from .ranking import Indicator, TopFlagColumn, group_sort, midranks, ranked_population
 
 __all__ = [
     "ChiSquareResult",
@@ -134,7 +134,7 @@ class DominanceCounts:
 
 
 def dominance_counts(
-    records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
+    table: IndicatorTable,
     corpus: Corpus,
     indicator: Indicator,
     group_a: Rank = Rank.FULL,
@@ -148,7 +148,7 @@ def dominance_counts(
     one sort, and the midrank sums, being sums of half-integers, are exact
     in any order.
     """
-    rows, values = ranked_population(records, indicator, corpus)
+    rows, values = ranked_population(table, indicator, corpus)
     rank = corpus.scientist_rank[rows]
     sds = corpus.scientist_sds[rows]
     in_a = rank == RANKS.index(group_a)
@@ -369,7 +369,7 @@ class ConcentrationRow:
 
 
 def concentration_rows(
-    records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
+    table: IndicatorTable,
     corpus: Corpus,
     indicator: Indicator = Indicator.FSS,
     bottom_fraction: float = 0.4,
@@ -381,13 +381,13 @@ def concentration_rows(
     UDA by each field's staff share of that rank. Fields whose ratio is
     undefined (zero top output) are left out of the ratio average; if every
     field's ratio is undefined the UDA ratio is None. Every field's values
-    enter one :func:`gini`/:func:`bottom_top_ratio` kernel call in record
-    order, and each cell adds its fields in SDS-code order.
+    enter one :func:`gini`/:func:`bottom_top_ratio` kernel call in corpus
+    row order, and each cell adds its fields in SDS-code order.
     """
-    rows, values = ranked_population(records, indicator, corpus)
+    rows, values = ranked_population(table, indicator, corpus)
     names, udas = corpus.sds_codes, corpus.udas
     sds = corpus.scientist_sds[rows]
-    # one block per (SDS, rank), ordered by (UDA, rank, SDS code), members in record order
+    # one block per (SDS, rank), ordered by (UDA, rank, SDS code), members in row order
     key = (corpus.sds_uda[sds] * len(RANKS) + corpus.scientist_rank[rows]) * len(names) + sds
     order = np.argsort(key, kind="stable")
     key, values = key[order], values[order]
@@ -450,22 +450,17 @@ def _rank_chi_square(grid: Grid, uda: str | None) -> ChiSquareResult | None:
 
 
 def top_distribution(
-    flags,
+    flags: TopFlagColumn,
     corpus: Corpus,
     indicator: Indicator = Indicator.FSS,
 ) -> TopDistribution:
     """Distribution of flagged top scientists over ranks, with the association
-    test between excellence and rank (per UDA and for the whole population)."""
-    top_ids = {f.scientist_id for f in flags if f.is_top and f.indicator is indicator}
-    ids = corpus.scientist_ids
-    cells = tally(
-        TopShareCell,
-        corpus.udas,
-        corpus.scientist_uda,
-        corpus.scientist_rank,
-        [sid in top_ids for sid in ids],
-        np.ones(len(ids)),
-    )
+    test between excellence and rank (per UDA and for the whole population).
+    Flags of another indicator than ``indicator`` raise."""
+    if flags.indicator is not indicator:
+        raise ValueError(f"top flags of {flags.indicator.label} given for {indicator.label}")
+    top = np.isin(np.arange(len(corpus.scientist_ids)), flags.bound_to(corpus).rows[flags.is_top])
+    cells = tally(TopShareCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank, top, np.ones(len(top)))
     grid = Grid(TopShareCell, cells)
     return TopDistribution(
         TopShareCell,

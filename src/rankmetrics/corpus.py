@@ -46,6 +46,7 @@ __all__ = [
     "ActivityCell",
     "Authorship",
     "Corpus",
+    "CorpusColumns",
     "CorpusError",
     "Grid",
     "Publication",
@@ -248,6 +249,21 @@ class Corpus:
         each access."""
         return self.sds_uda[self.scientist_sds]
 
+    def rows_of(self, ids: Sequence[str], source: str = "indicator records") -> np.ndarray:
+        """The row of each of ``ids``, which must name every roster scientist once; a repeat
+        raises naming the first, missing or unknown ids with counts and the first five."""
+        rows = np.fromiter(map(self.scientist_index.get, ids, repeat(-1)), np.int64, len(ids))
+        seen = np.bincount(rows + 1, minlength=len(self.scientist_ids) + 1)[1:]
+        if seen.max(initial=0) > 1:
+            raise ValueError(f"repeated indicator record for scientist '{ids[_first_repeat(ids)[0]]}'")
+        missing = list(compress(self.scientist_ids, (seen == 0).tolist()))
+        extra = list(compress(ids, (rows < 0).tolist()))
+        if missing or extra:
+            raise ValueError(f"roster mismatch in {source}: {len(ids)} records for {len(seen)} scientists; "
+                             f"{len(missing)} missing (first: {', '.join(missing[:5]) or '-'}), "
+                             f"{len(extra)} extra (first: {', '.join(extra[:5]) or '-'})")
+        return rows
+
     # -- row objects at the edge --------------------------------------------
 
     @property
@@ -299,6 +315,20 @@ class Corpus:
             return ((sds, tuple(group)) for sds, group in by_sds.items())
 
         return _RowMap(len(self.sds_codes), groups)
+
+
+class CorpusColumns:
+    """Columns over the rows of their ``corpus``, read as ``record`` tuples only at the edge."""
+
+    def bound_to(self, corpus: Corpus):
+        """Self, bound to ``corpus``; columns of another corpus, as the unfiltered one, raise."""
+        if self.corpus is not corpus:
+            raise ValueError(f"{type(self).__name__} is bound to another corpus")
+        return self
+
+    def _build(self, rows: slice = slice(None)) -> list:
+        """The records of a slice of the rows, built without a Python frame per record."""
+        return list(map(tuple.__new__, repeat(self.record), zip(*self._fields(rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -775,23 +805,12 @@ class ActivityCell(NamedTuple):
 
 def activity_rates(corpus: Corpus, records: Iterable["IndicatorRecord"]) -> Grid:
     """Per UDA and rank: how many scientists published at all, and how many
-    accumulated any citation impact (positive fractional strength)."""
+    accumulated any citation impact (positive fractional strength); one
+    record per roster scientist (see :meth:`Corpus.rows_of`)."""
     records = list(records)
-    by_id = {r.scientist_id: r for r in records}
-    if len(by_id) < len(records):
-        row = _first_repeat(r.scientist_id for r in records)[0]
-        raise ValueError(f"repeated indicator record for scientist '{records[row].scientist_id}'")
-    try:
-        recs = list(map(by_id.__getitem__, corpus.scientist_ids))
-    except KeyError as exc:
-        raise ValueError(f"no indicator record for scientist '{exc.args[0]}'") from None
-    cells = tally(
-        ActivityCell,
-        corpus.udas,
-        corpus.scientist_uda,
-        corpus.scientist_rank,
-        np.ones(len(recs)),
-        [rec.n_p >= 1 for rec in recs],
-        [rec.fss > 0 for rec in recs],
-    )
+    rows = corpus.rows_of([r.scientist_id for r in records])
+    active = np.zeros((2, len(rows)), dtype=bool)
+    active[:, rows] = [[r.n_p >= 1 for r in records], [r.fss > 0 for r in records]]
+    cells = tally(ActivityCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank,
+                  np.ones(len(rows)), *active)
     return Grid(ActivityCell, cells)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "Code", "Coded", "FieldParser", "Integer", "Kind", "Known", "Number",
+__all__ = ["CHUNK_ROWS", "Code", "Coded", "FieldParser", "Integer", "Kind", "Number",
            "Records", "Text", "read_records", "write_records"]
 
 #: Rows read, transposed and typed per step. A chunk's raw cells and row
@@ -323,22 +323,6 @@ class Text(Kind):
         return out
 
 
-class Known(Text):
-    """Kind: required text that must be a key of ``index``; a value it lacks
-    fails as unknown."""
-
-    def __init__(self, index: Mapping):
-        super().__init__()
-        self.index = index
-
-    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list[str]:
-        out = super().__call__(rows, key, values)
-        unknown = next((i for i, value in enumerate(out) if value not in self.index), None)
-        if unknown is not None:
-            rows.fail(unknown, f"unknown {key} {out[unknown]!r}")
-        return out
-
-
 class Integer(Kind):
     """Kind: a required integer as int64, at least ``minimum`` if given."""
 
@@ -363,10 +347,10 @@ class Integer(Kind):
 
 class Number(Kind):
     """Kind: ``kind`` values (see :meth:`FieldParser.number`) as a list,
-    None where an optional field is empty; at most ``maximum`` if given."""
+    None where an optional field is empty."""
 
-    def __init__(self, kind: type, required: bool = True, maximum: float | None = None):
-        self.kind, self.required, self.maximum = kind, required, maximum
+    def __init__(self, kind: type, required: bool = True):
+        self.kind, self.required = kind, required
         self.memo = _Memo(_int)
 
     def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list:
@@ -378,10 +362,6 @@ class Number(Kind):
                 pass
         if out is None or (self.required and None in out):
             out = [rows.number(i, v, key, self.required, self.kind) for i, v in enumerate(values)]
-        if self.maximum is not None:
-            over = next((i for i, v in enumerate(out) if v is not None and v > self.maximum), None)
-            if over is not None:
-                rows.fail(over, f"'{key}' must be <= {self.maximum}, got {out[over]!r}")
         return out
 
 

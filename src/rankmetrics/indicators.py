@@ -22,17 +22,19 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .baseline import BaselineTable, standardized_score
-from .corpus import Corpus
+from .corpus import Corpus, CorpusColumns
 from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
     "IndicatorRecord",
+    "IndicatorTable",
     "WeightScheme",
     "byline_case_flags",
     "coauthor_weights",
@@ -55,6 +57,43 @@ class IndicatorRecord(NamedTuple):
     n_p: int
     qi: float | None
     fss: float
+
+
+@dataclass(frozen=True, eq=False)
+class IndicatorTable(CorpusColumns, Mapping):
+    """The indicators of every scientist of ``corpus`` as columns aligned to its
+    rows, ``n_p`` (int64), ``qi`` (float64, NaN where absent) and ``fss``; a
+    read-only mapping of each scientist's :class:`IndicatorRecord` by id."""
+
+    corpus: Corpus
+    n_p: np.ndarray
+    qi: np.ndarray
+    fss: np.ndarray
+    record = IndicatorRecord
+
+    @classmethod
+    def resolve(cls, corpus: Corpus, ids, n_p, qi, fss, source: str = "indicator records") -> IndicatorTable:
+        """The table of columns in any row order, one per id (:meth:`Corpus.rows_of`)."""
+        order = np.argsort(corpus.rows_of(ids, source))
+        return cls(corpus, *(np.asarray(c, t)[order] for c, t in ((n_p, np.int64), (qi, float), (fss, float))))
+
+    def _fields(self, rows: slice):
+        qi = self.qi[rows]
+        return (self.corpus.scientist_ids[rows], self.n_p[rows].tolist(),
+                np.where(np.isnan(qi), None, qi).tolist(), self.fss[rows].tolist())
+
+    def __getitem__(self, scientist_id: str) -> IndicatorRecord:
+        row = self.corpus.scientist_index[scientist_id]
+        return self._build(slice(row, row + 1))[0]
+
+    def __iter__(self):
+        return iter(self.corpus.scientist_ids)
+
+    def __len__(self) -> int:
+        return len(self.n_p)
+
+    def values(self) -> list[IndicatorRecord]:
+        return self._build()
 
 
 def coauthor_weights(
@@ -218,7 +257,7 @@ def compute_indicators(
     corpus: Corpus,
     baselines: BaselineTable,
     positional_udas: Collection[str] = (),
-) -> dict[str, IndicatorRecord]:
+) -> IndicatorTable:
     """Compute the three indicators for every roster scientist.
 
     ``positional_udas`` lists the disciplines whose scientists receive
@@ -241,27 +280,21 @@ def compute_indicators(
         chosen = uses_positional[scientist]
         weight[chosen] = _positional_weights(corpus)[rows[chosen]]
 
-    n_p = np.bincount(scientist, minlength=n_scientists).tolist()
-    score_sum = np.bincount(scientist, weights=score, minlength=n_scientists).tolist()
-    fss = np.bincount(scientist, weights=score * weight, minlength=n_scientists).tolist()
-    records: dict[str, IndicatorRecord] = {}
-    for sid, count, total, credit in zip(corpus.scientist_ids, n_p, score_sum, fss):
-        if count:
-            records[sid] = IndicatorRecord(sid, count, total / count, credit)
-        else:
-            records[sid] = IndicatorRecord(sid, 0, None, 0.0)
-    return records
+    n_p = np.bincount(scientist, minlength=n_scientists)
+    score_sum = np.bincount(scientist, weights=score, minlength=n_scientists)
+    qi = np.divide(score_sum, n_p, out=np.full(n_scientists, np.nan), where=n_p > 0)
+    fss = np.bincount(scientist, weights=score * weight, minlength=n_scientists)
+    return IndicatorTable(corpus, n_p, qi, fss)
 
 
-def write_indicators(records: Iterable[IndicatorRecord] | Mapping[str, IndicatorRecord], path: str | Path) -> Path:
-    if isinstance(records, Mapping):
-        records = records.values()
-    rows = sorted(records, key=lambda r: r.scientist_id)
+def write_indicators(table: Mapping[str, IndicatorRecord], path: str | Path) -> Path:
+    rows = sorted(table.values(), key=lambda r: r.scientist_id)
     return write_records(path, list(IndicatorRecord._fields), rows)
 
 
-def read_indicators(path: str | Path) -> dict[str, IndicatorRecord]:
-    """Indicator records by scientist id. A row with a missing, malformed,
+def read_indicators(path: str | Path, corpus: Corpus) -> IndicatorTable:
+    """The table of an indicators file, whose rows must cover the roster of
+    ``corpus`` once each, in any order. A row with a missing, malformed,
     non-finite or negative value, or repeating an earlier row's
     ``scientist_id``, fails naming the row."""
     schema = {
@@ -271,5 +304,5 @@ def read_indicators(path: str | Path) -> dict[str, IndicatorRecord]:
         "fss": Number(float),
     }
     parser = FieldParser("indicators", schema, unique=("scientist_id", ("scientist_id",)))
-    ids, n_p, qi, fss = read_records(path, parser).columns.values()
-    return dict(zip(ids, map(IndicatorRecord, ids, n_p.tolist(), qi, fss)))
+    columns = read_records(path, parser).columns.values()
+    return IndicatorTable.resolve(corpus, *columns, source=f"indicators file {path}")

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import dominance_counts, concentration_rows, top_distribution
 from .baseline import build_baselines, read_baselines
 from .corpus import Corpus, Rank, activity_rates, filter_active_sds, load_corpus_files, roster_summary
-from .indicators import compute_indicators, read_indicators, require_baselines
+from .indicators import IndicatorTable, compute_indicators, read_indicators, require_baselines
 from .ranking import INDICATORS, Indicator, sds_percentiles, top_scientists, uda_rank_average
 from .tables import (
     Table,
@@ -99,8 +99,7 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
     filtered = filter_active_sds(corpus, config.sds_threshold)
     baselines = None if config.baselines is None else read_baselines(config.baselines)
     if indicators:
-        records = read_indicators(indicators)
-        _check_roster(records, filtered, indicators)
+        records = read_indicators(indicators, filtered)
         if baselines is not None:
             require_baselines(filtered, baselines)
         return corpus, filtered, baselines, records
@@ -110,22 +109,8 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
     return corpus, filtered, baselines, records
 
 
-def _check_roster(records, corpus, path, shown: int = 5) -> None:
-    """Precomputed indicators must cover exactly the filtered roster."""
-    roster = corpus.scientist_ids
-    missing = [sid for sid in roster if sid not in records]
-    extra = [sid for sid in records if sid not in corpus.scientist_index]
-    if missing or extra:
-        raise ValueError(
-            f"indicators file {path} does not match the roster: {len(records)} records for "
-            f"{len(roster)} scientists; {len(missing)} missing (first: "
-            f"{', '.join(missing[:shown]) or '-'}), {len(extra)} extra (first: "
-            f"{', '.join(extra[:shown]) or '-'})"
-        )
-
-
 def analysis_tables(
-    config: RunConfig, filtered: Corpus, records, metadata: Mapping[str, str] = ()
+    config: RunConfig, filtered: Corpus, records: IndicatorTable, metadata: Mapping[str, str] = ()
 ) -> list[Table]:
     """T8 dominance, T9 concentration, T10 top distribution and the
     chi-square table, in report order."""

@@ -5,9 +5,9 @@ nationally) and expressed as percentiles, 0 worst to 100 best, so that values
 are comparable across fields of different size and citation intensity. Ties
 receive midranks, which keeps the within-field mean percentile at exactly 50.
 
-Every SDS is ranked in one sort: records are coded by SDS and ordered by
-(SDS, value) with :func:`group_sort`, which yields the midranks, sizes and
-offsets of all fields at once.
+Every SDS is ranked in one sort: scientist rows are coded by SDS and ordered
+by (SDS, value) with :func:`group_sort`, which yields the midranks, sizes and
+offsets of all fields at once. Results are columns over those rows.
 """
 
 from __future__ import annotations
@@ -15,28 +15,28 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, is_not
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import RANKS, Corpus, Grid, Rank, tally
-from .fileio import FieldParser, Known, Number, _first_repeat, read_records, write_records
-from .indicators import IndicatorRecord
+from .corpus import RANKS, Corpus, CorpusColumns, Grid, Rank, tally
+from .fileio import write_records
+from .indicators import IndicatorTable
 
 __all__ = [
     "GroupSort",
     "INDICATORS",
     "Indicator",
     "MeanCell",
+    "PercentileColumn",
     "PercentileRecord",
     "PercentileTable",
     "TopFlag",
+    "TopFlagColumn",
     "group_sort",
     "midranks",
     "ranked_population",
-    "read_percentiles",
     "sds_percentiles",
     "top_scientists",
     "uda_rank_average",
@@ -46,7 +46,7 @@ __all__ = [
 
 
 class Indicator(enum.Enum):
-    """An indicator; its value names the :class:`IndicatorRecord` field."""
+    """An indicator; its value names the :class:`IndicatorTable` column."""
 
     NP = "n_p"
     QI = "qi"
@@ -73,6 +73,52 @@ class TopFlag(NamedTuple):
     scientist_id: str
     indicator: Indicator
     is_top: bool
+
+
+@dataclass(frozen=True, eq=False)
+class _RankedColumn(CorpusColumns, Sequence):
+    """One value per ranked scientist row ``rows``, a read-only sequence of
+    records; the value column is named after the record's third field."""
+
+    corpus: Corpus
+    indicator: Indicator
+    rows: np.ndarray
+
+    def _fields(self, rows: slice):
+        corpus, scientist = self.corpus, self.rows[rows]
+        fields = (
+            map(corpus.scientist_ids.__getitem__, scientist.tolist()),
+            repeat(self.indicator),
+            getattr(self, self.record._fields[2])[rows].tolist(),
+            map(corpus.sds_codes.__getitem__, corpus.scientist_sds[scientist].tolist()),
+            map(RANKS.__getitem__, corpus.scientist_rank[scientist].tolist()),
+        )
+        return fields[:len(self.record._fields)]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self._build())
+
+    def __getitem__(self, index):
+        return self._build()[index]
+
+
+@dataclass(frozen=True, eq=False)
+class PercentileColumn(_RankedColumn):
+    """SDS percentiles of one indicator; see :func:`sds_percentiles`."""
+
+    percentile: np.ndarray
+    record = PercentileRecord
+
+
+@dataclass(frozen=True, eq=False)
+class TopFlagColumn(_RankedColumn):
+    """Top-scientist flags of one indicator; see :func:`top_scientists`."""
+
+    is_top: np.ndarray
+    record = TopFlag
 
 
 class GroupSort(NamedTuple):
@@ -114,84 +160,39 @@ def midranks(values) -> np.ndarray:
     return group_sort(np.zeros(len(a), dtype=np.int64), a, 1).midrank
 
 
-def _scientist_rows(records: list, corpus: Corpus, kind: str) -> np.ndarray:
-    """The corpus row of each record's scientist; an unknown scientist or a
-    second record of one raises."""
-    ids = list(map(attrgetter("scientist_id"), records))
-    try:
-        rows = np.fromiter(map(corpus.scientist_index.__getitem__, ids), np.int64, len(ids))
-    except KeyError as exc:
-        raise ValueError(f"{kind} record for unknown scientist '{exc.args[0]}'") from None
-    if len(rows) and np.bincount(rows).max() > 1:
-        raise ValueError(f"repeated {kind} record for scientist '{ids[_first_repeat(ids)[0]]}'")
-    return rows
-
-
 def ranked_population(
-    records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
-    indicator: Indicator,
-    corpus: Corpus,
+    table: IndicatorTable, indicator: Indicator, corpus: Corpus
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, values)``: the corpus scientist row and the value of every
-    record in ``indicator``'s ranking population, in record order. A record
-    of an unknown scientist raises."""
-    if isinstance(records, Mapping):
-        records = records.values()
-    records = list(records)
-    rows = _scientist_rows(records, corpus, "indicator")
-    raw = list(map(attrgetter(indicator.value), records))
-    ranked = np.fromiter(map(is_not, raw, repeat(None)), bool, len(raw))
-    # None becomes NaN here and is dropped with its record
-    return rows[ranked], np.array(raw, dtype=float)[ranked]
+    """``(rows, values)``: the corpus scientist rows in ``indicator``'s
+    ranking population, ascending, and their values. QI ranks only the
+    scientists with a value; N_p and FSS rank every scientist."""
+    values = getattr(table.bound_to(corpus), indicator.value)
+    rows = np.flatnonzero(~np.isnan(values)) if indicator is Indicator.QI else np.arange(len(values))
+    return rows, values[rows].astype(float)
 
 
-def _by_sds(
-    records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
-    indicator: Indicator,
-    corpus: Corpus,
-):
-    """The ranking population sorted within SDSs, and the ids of its
-    scientists in output order: by SDS code, then in record order."""
-    rows, values = ranked_population(records, indicator, corpus)
+def _by_sds(table: IndicatorTable, indicator: Indicator, corpus: Corpus):
+    """The population sorted within SDSs, and its output order: by SDS, then row."""
+    rows, values = ranked_population(table, indicator, corpus)
     sds = corpus.scientist_sds[rows]
     ranked = group_sort(sds, values, len(corpus.sds_codes))
-    out = np.argsort(sds, kind="stable")
-    ids = list(map(corpus.scientist_ids.__getitem__, rows[out].tolist()))
-    return rows, sds, values, ranked, out, ids
+    return rows, sds, values, ranked, np.argsort(sds, kind="stable")
 
 
-def _records(cls: type, *columns) -> list:
-    """One ``cls`` named tuple per row of ``columns``. ``tuple.__new__`` is
-    ``cls._make`` without its length check, which equal columns make moot,
-    and runs without a Python frame per record."""
-    return list(map(tuple.__new__, repeat(cls), zip(*columns)))
-
-
-def sds_percentiles(
-    records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
-    indicator: Indicator,
-    corpus: Corpus,
-) -> list[PercentileRecord]:
+def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> PercentileColumn:
     """Percentile of every scientist within their SDS for one indicator.
 
     With N ranked scientists the percentile is ``100 * (midrank - 1) / (N - 1)``;
     a single-scientist field scores 100 (trivially the national best). For the
     mean-impact indicator, scientists without publications are excluded from
     the population; the volume and total-impact indicators rank them at 0.
-    Records come out ordered by SDS code, and in record order within an SDS.
+    Rows come out ordered by SDS code, and by corpus row within an SDS.
     """
-    rows, sds, _, ranked, out, ids = _by_sds(records, indicator, corpus)
+    rows, sds, _, ranked, out = _by_sds(table, indicator, corpus)
     n = ranked.size[sds]
     pct = 100.0 * (ranked.midrank - 1.0) / np.maximum(n - 1.0, 1.0)
     pct[n == 1] = 100.0
-    return _records(
-        PercentileRecord,
-        ids,
-        repeat(indicator),
-        pct[out].tolist(),
-        map(corpus.sds_codes.__getitem__, sds[out].tolist()),
-        map(RANKS.__getitem__, corpus.scientist_rank[rows[out]].tolist()),
-    )
+    return PercentileColumn(corpus, indicator, rows[out], pct[out])
 
 
 class MeanCell(NamedTuple):
@@ -213,53 +214,34 @@ class PercentileTable(Grid):
         return self.cell(uda, rank).mean
 
 
-def uda_rank_average(percentiles: Iterable[PercentileRecord], corpus: Corpus) -> PercentileTable:
-    """Average the SDS percentiles over every UDA x rank group; a record
+def uda_rank_average(percentiles: PercentileColumn, corpus: Corpus) -> PercentileTable:
+    """Average the SDS percentiles over every UDA x rank group; a percentile
     counts in the group of its scientist's row in ``corpus``."""
-    percentiles = list(percentiles)
-    if not percentiles:
+    rows = percentiles.bound_to(corpus).rows
+    if not len(rows):
         raise ValueError("no percentile records")
-    indicator = percentiles[0].indicator
-    if any(rec.indicator is not indicator for rec in percentiles):
-        raise ValueError("mixed indicators in one percentile table")
-    rows = _scientist_rows(percentiles, corpus, "percentile")
-    cells = tally(
-        MeanCell,
-        corpus.udas,
-        corpus.scientist_uda[rows],
-        corpus.scientist_rank[rows],
-        list(map(attrgetter("percentile"), percentiles)),
-        np.ones(len(percentiles)),
-    )
-    return PercentileTable(MeanCell, cells, indicator=indicator)
+    uda, rank = corpus.scientist_uda[rows], corpus.scientist_rank[rows]
+    cells = tally(MeanCell, corpus.udas, uda, rank, percentiles.percentile, np.ones(len(rows)))
+    return PercentileTable(MeanCell, cells, indicator=percentiles.indicator)
 
 
-def top_scientists(
-    records: Mapping[str, IndicatorRecord] | Iterable[IndicatorRecord],
-    indicator: Indicator,
-    corpus: Corpus,
-    fraction: float = 0.2,
-) -> list[TopFlag]:
+def top_scientists(table: IndicatorTable, indicator: Indicator, corpus: Corpus,
+                   fraction: float = 0.2) -> TopFlagColumn:
     """Flag scientists in the top ``fraction`` of their SDS ranking.
 
     The cutoff is the k-th largest value with ``k = max(1, floor(fraction*N))``;
     scientists tied with the cutoff value are all flagged. Every ranked
-    scientist receives a flag row (True or False), in the order of
+    scientist receives a flag (True or False), in the order of
     :func:`sds_percentiles`.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    _, sds, values, ranked, out, ids = _by_sds(records, indicator, corpus)
+    rows, sds, values, ranked, out = _by_sds(table, indicator, corpus)
     n = ranked.size[sds]
     k = np.maximum(1, np.floor(fraction * n).astype(np.int64))
     # the k-th largest of a field is k places from the end of its sorted block
     cutoff = values[ranked.order][ranked.start[sds] + n - k]
-    return _records(
-        TopFlag,
-        ids,
-        repeat(indicator),
-        (values >= cutoff)[out].tolist(),
-    )
+    return TopFlagColumn(corpus, indicator, rows[out], (values >= cutoff)[out])
 
 
 # ---------------------------------------------------------------------------
@@ -271,27 +253,6 @@ def write_percentiles(percentiles: Iterable[PercentileRecord], path: str | Path)
         for p in sorted(percentiles, key=lambda p: (p.indicator.value, p.scientist_id))
     )
     return write_records(path, ["scientist_id", "indicator", "percentile"], rows)
-
-
-def read_percentiles(path: str | Path, corpus: Corpus) -> list[PercentileRecord]:
-    """The records of a file :func:`write_percentiles` wrote, each in its
-    scientist's SDS and rank in ``corpus``. A row with a missing or
-    malformed value, a percentile above 100, an unknown scientist or
-    indicator, or repeating an earlier row's (scientist_id, indicator),
-    fails naming the row."""
-    schema = {
-        "scientist_id": Known(corpus.scientist_index),
-        "indicator": Known({i.value: i for i in Indicator}),
-        "percentile": Number(float, maximum=100),
-    }
-    parser = FieldParser("percentiles", schema,
-                         unique=("(scientist_id, indicator)", ("scientist_id", "indicator")))
-    ids, names, percentile = read_records(path, parser).columns.values()
-    sds, rank = corpus.scientist_sds.tolist(), corpus.scientist_rank.tolist()
-    return [
-        PercentileRecord(sid, Indicator(name), pct, corpus.sds_codes[sds[s]], RANKS[rank[s]])
-        for sid, name, pct, s in zip(ids, names, percentile, map(corpus.scientist_index.__getitem__, ids))
-    ]
 
 
 def write_top_flags(flags: Iterable[TopFlag], path: str | Path) -> Path:

@@ -3,7 +3,7 @@ from operator import attrgetter
 
 import pytest
 
-from rankmetrics import fileio, load_corpus
+from rankmetrics import IndicatorTable, fileio, load_corpus
 
 
 def tiny_rows():
@@ -61,6 +61,13 @@ def single_author_corpus(entries, year=2005, category="C1"):
                 {"pub_id": pid, "position": 1, "scientist_id": sid, "affiliation_id": "U01"}
             )
     return load_corpus(scientists, publications, authorships)
+
+
+def indicator_table(corpus, records) -> IndicatorTable:
+    """The indicator table of ``corpus`` from hand-written
+    :class:`IndicatorRecord` values, given in any order."""
+    columns = list(zip(*records)) or [()] * 4
+    return IndicatorTable.resolve(corpus, *map(list, columns))
 
 
 # Keyed views of a corpus, built from its row views for the tests that look

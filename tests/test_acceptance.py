@@ -37,6 +37,8 @@ from rankmetrics import (
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 from rankmetrics.tables import half_up
 
+from conftest import indicator_table
+
 
 def criterion(label, budget_seconds):
     def decorate(fn):
@@ -223,7 +225,7 @@ def test_c6_percentile_invariants():
             )
             values[sid] = value
     corpus = load_corpus(scientists, [], [])
-    records = {sid: IndicatorRecord(sid, 1, v, v) for sid, v in values.items()}
+    records = indicator_table(corpus, [IndicatorRecord(sid, 1, v, v) for sid, v in values.items()])
     pcts = sds_percentiles(records, Indicator.FSS, corpus)
 
     per_sds = {}
@@ -235,9 +237,9 @@ def test_c6_percentile_invariants():
         assert max(group) == 100.0
         assert abs(float(np.mean(group)) - 50.0) <= 1e-9
 
-    transformed = {
-        sid: IndicatorRecord(sid, 1, v, math.exp(v / 4.0)) for sid, v in values.items()
-    }
+    transformed = indicator_table(
+        corpus, [IndicatorRecord(sid, 1, v, math.exp(v / 4.0)) for sid, v in values.items()]
+    )
     pcts_t = sds_percentiles(transformed, Indicator.FSS, corpus)
     original = {(p.scientist_id): p.percentile for p in pcts}
     for rec in pcts_t:

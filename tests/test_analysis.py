@@ -12,19 +12,24 @@ from rankmetrics import (
     IndicatorRecord,
     Rank,
     bottom_top_ratio,
+    build_baselines,
     chi_square_independence,
     chi_square_upper_tail,
+    compute_indicators,
     concentration_index,
     concentration_rows,
     dominance_counts,
     gini,
+    read_indicators,
     sequence_criterion,
     top_distribution,
     top_scientists,
     weighted_uda_gini,
+    write_indicators,
 )
+from rankmetrics.synth import SynthConfig, generate
 
-from conftest import single_author_corpus
+from conftest import indicator_table, single_author_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +336,19 @@ def _two_rank_corpus():
         entries.append((f"a2{i}", "S2", "U1", "ASSISTANT", []))
         values[f"a2{i}"] = v
     corpus = single_author_corpus(entries)
-    records = {
-        sid: IndicatorRecord(sid, 1 if v > 0 else 0, v or None, v) for sid, v in values.items()
-    }
-    return corpus, records
+    records = [IndicatorRecord(sid, 1 if v > 0 else 0, v or None, v) for sid, v in values.items()]
+    return corpus, indicator_table(corpus, records)
 
 
-def test_repeated_record_is_rejected():
+def test_repeated_record_is_rejected(tmp_path):
     corpus, records = _two_rank_corpus()
-    repeated = [*records.values(), records["a20"]]
     with pytest.raises(ValueError, match="repeated indicator record for scientist 'a20'"):
-        dominance_counts(repeated, corpus, Indicator.FSS)
-    with pytest.raises(ValueError, match="repeated indicator record for scientist 'a20'"):
-        concentration_rows(repeated, corpus)
+        indicator_table(corpus, [*records.values(), records["a20"]])
+    path = write_indicators(records, tmp_path / "indicators.csv")
+    with path.open("a") as fh:
+        fh.write("a20,1,8.0,8.0\n")
+    with pytest.raises(ValueError, match="indicators row 10: scientist_id 'a20' repeats row 3"):
+        read_indicators(path, corpus)
 
 
 def test_dominance_counts():
@@ -358,10 +363,9 @@ def test_dominance_counts():
 def test_dominance_excludes_sds_with_empty_group():
     entries = [("f", "S1", "U1", "FULL", []), ("g", "S2", "U1", "FULL", [])]
     corpus = single_author_corpus(entries)
-    records = {
-        "f": IndicatorRecord("f", 1, 1.0, 1.0),
-        "g": IndicatorRecord("g", 1, 1.0, 1.0),
-    }
+    records = indicator_table(
+        corpus, [IndicatorRecord("f", 1, 1.0, 1.0), IndicatorRecord("g", 1, 1.0, 1.0)]
+    )
     counts = dominance_counts(records, corpus, Indicator.FSS)
     assert counts.per_uda == {}
     assert counts.excluded_sds == 2
@@ -379,8 +383,10 @@ def test_concentration_rows_weighting():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_concentration_rows_rejects_non_finite(bad):
-    corpus, records = _two_rank_corpus()
+    corpus, table = _two_rank_corpus()
+    records = dict(table)
     records["a21"] = IndicatorRecord("a21", 1, 9.0, bad)
+    records = indicator_table(corpus, records.values())
     with pytest.raises(ValueError, match="concentration_rows requires finite values"):
         concentration_rows(records, corpus, Indicator.FSS)
     assert concentration_rows(records, corpus, Indicator.QI)[("U1", Rank.ASSISTANT)].gini > 0
@@ -411,3 +417,12 @@ def test_top_distribution_shares_and_index():
     assert dist.index("U1", Rank.FULL) == pytest.approx((100.0 * 2 / 3) / staff_share)
     assert dist.chi_square_by_uda["U1"] is not None
     assert dist.chi_square_overall is not None
+
+
+def test_top_distribution_rejects_flags_of_another_indicator():
+    corpus = generate(SynthConfig(seed=3, n_uda=2, sds_per_uda=2))
+    records = compute_indicators(corpus, build_baselines(corpus))
+    flags = top_scientists(records, Indicator.NP, corpus, 0.2)
+    assert flags.is_top.any()
+    with pytest.raises(ValueError, match="top flags of N_p given for FSS"):
+        top_distribution(flags, corpus, Indicator.FSS)

@@ -74,6 +74,49 @@ def test_corpus_attributes_the_benchmark_reads(tiny_corpus, monkeypatch):
     assert [s.scientist_id for s in tiny_corpus.scientists_by_sds["S1"]] == ["A1", "A2"]
 
 
+# perfbench/bench_workloads.py's sweep makes these calls and attribute reads
+# on one indicator table per weighting set; an API change should fail here
+# before it fails the benchmark.
+def test_calls_the_benchmark_sweep_makes(tiny_corpus):
+    rm = rankmetrics
+    filtered = rm.filter_active_sds(tiny_corpus, 0.25)
+    baselines = rm.build_baselines(filtered)
+    summary = rm.roster_summary(filtered)
+    for udas in ((), filtered.udas):
+        records = rm.compute_indicators(filtered, baselines, udas)
+        activity = rm.activity_rates(filtered, records.values())
+        averages, dominance = {}, {}
+        for indicator in (rm.Indicator.NP, rm.Indicator.FSS, rm.Indicator.QI):
+            percentiles = rm.sds_percentiles(records, indicator, filtered)
+            groups = {}
+            for p in percentiles:
+                groups.setdefault(p.sds_code, []).append(p.percentile)
+            assert sorted(groups) == ["S1", "S2"]
+            averages[indicator] = rm.uda_rank_average(percentiles, filtered)
+            dominance[indicator] = rm.dominance_counts(
+                records, filtered, indicator, rm.Rank.FULL, rm.Rank.ASSISTANT
+            )
+        conc = rm.concentration_rows(records, filtered, rm.Indicator.FSS, 0.4, 0.2)
+        flags = rm.top_scientists(records, rm.Indicator.FSS, filtered, 0.2)
+        dist = rm.top_distribution(flags, filtered, rm.Indicator.FSS)
+        tables = rm.tables
+        built = [
+            tables.build_roster_table(summary),
+            tables.build_age_table(summary),
+            tables.build_activity_table(activity, "publication"),
+            tables.build_activity_table(activity, "citation"),
+            *(tables.build_percentile_table(averages[i]) for i in averages),
+            tables.build_dominance_table(dominance),
+            tables.build_concentration_table(conc),
+            tables.build_top_distribution_table(dist),
+            tables.build_chi_square_table(dist),
+        ]
+        assert all(rm.format_table(table, "text") for table in built)
+        # A1 and A2 share their one publication, so they tie in S1
+        fss = averages[rm.Indicator.FSS]
+        assert fss.mean(None, rm.Rank.FULL) == fss.mean(None, rm.Rank.ASSISTANT) == 50.0
+
+
 # perfbench/bench_trace.py counts rows and bytes per call of fileio.read_records
 # (the `fileio.read_records.rows` and `fileio.read_records.bytes` metrics of
 # perfbench/run.py), so every reader must read each of its files through one
@@ -86,11 +129,9 @@ def test_every_reader_calls_read_records_once_per_file(tmp_path, monkeypatch):
     files = write_corpus_csv(corpus, tmp_path)
     baselines = rankmetrics.build_baselines(corpus)
     records = rankmetrics.compute_indicators(corpus, baselines)
-    percentiles = rankmetrics.sds_percentiles(records, rankmetrics.Indicator.FSS, corpus)
     side = {
         "baselines": rankmetrics.write_baselines(baselines, tmp_path / "baselines.csv"),
         "indicators": rankmetrics.write_indicators(records, tmp_path / "indicators.csv"),
-        "percentiles": rankmetrics.write_percentiles(percentiles, tmp_path / "percentiles.csv"),
     }
 
     original = fileio.read_records
@@ -111,8 +152,7 @@ def test_every_reader_calls_read_records_once_per_file(tmp_path, monkeypatch):
     assert calls == paths
     for name, read in (
         ("baselines", rankmetrics.read_baselines),
-        ("indicators", rankmetrics.read_indicators),
-        ("percentiles", lambda path: rankmetrics.ranking.read_percentiles(path, corpus)),
+        ("indicators", lambda path: rankmetrics.read_indicators(path, corpus)),
     ):
         calls.clear()
         read(side[name])

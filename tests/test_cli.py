@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, config precedence, logging env var."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -167,6 +168,24 @@ def test_indicators_must_match_roster(corpus_dir, tmp_path, capsys):
     assert main(["rank", *_inputs(corpus_dir), "--indicators", str(extra),
                  "--out", str(tmp_path / "rank")]) == 1
     assert "1 extra (first: ghost)" in capsys.readouterr().err
+
+
+def test_shuffled_indicators_file_gives_the_same_outputs(corpus_dir, tmp_path):
+    stage1 = tmp_path / "stage1"
+    assert main(["indicators", *_inputs(corpus_dir), "--out", str(stage1)]) == 0
+    header, *rows = (stage1 / "indicators.csv").read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join([header, *rows]))
+    outputs = {}
+    for name, path in (("sorted", stage1 / "indicators.csv"), ("shuffled", shuffled)):
+        out = tmp_path / name
+        for command in ("rank", "analyze"):
+            assert main([command, *_inputs(corpus_dir), "--indicators", str(path),
+                         "--out", str(out)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["sorted"]) == 6
+    assert outputs["shuffled"] == outputs["sorted"]
 
 
 @pytest.mark.parametrize("column, value, message", [

@@ -1,6 +1,6 @@
 """Record I/O: ``read_records`` through a pass-through parser holds the rows
 of a row-by-row reader (``csv.DictReader``, one ``json.loads`` per line) as
-columns, and every writer's file reads back bit for bit."""
+columns, and the indicators and baselines files read back bit for bit."""
 
 import csv
 import dataclasses
@@ -12,21 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from rankmetrics import (
     CorpusError,
-    Indicator,
     IndicatorRecord,
-    PercentileRecord,
-    Rank,
     load_corpus,
     load_corpus_files,
     read_baselines,
     read_indicators,
     write_baselines,
     write_indicators,
-    write_percentiles,
 )
 from rankmetrics.baseline import BaselineCell, BaselineTable
 from rankmetrics.fileio import FieldParser, Kind, Records, read_records
-from rankmetrics.ranking import read_percentiles
 
 from conftest import tiny_rows
 
@@ -212,10 +207,6 @@ values = st.one_of(
     st.sampled_from([5e-324, 0.0, -0.0, 1e308, 1.7976931348623157e308, 0.1]),
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
 )
-percentiles = st.one_of(
-    st.sampled_from([5e-324, 0.0, -0.0, 0.1, 99.99999999999999, 100.0]),
-    st.floats(min_value=0.0, max_value=100.0),
-)
 
 
 def _bits(value):
@@ -228,8 +219,11 @@ def _bits(value):
 def test_indicators_round_trip_bitwise(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("ind") / "indicators.csv"
     records = {sid: IndicatorRecord(sid, n_p, qi, fss) for sid, (n_p, qi, fss) in rows.items()}
-    loaded = read_indicators(write_indicators(records, path))
-    assert list(loaded) == sorted(records)
+    roster = load_corpus(
+        [{"scientist_id": sid, "sds_code": "S1", "uda_code": "U1", "rank": "FULL"} for sid in rows], [], []
+    )
+    loaded = read_indicators(write_indicators(records, path), roster)
+    assert list(loaded) == list(records)
     assert {sid: (r.n_p, _bits(r.qi), _bits(r.fss)) for sid, r in loaded.items()} == {
         sid: (n_p, _bits(qi), _bits(fss)) for sid, (n_p, qi, fss) in rows.items()
     }
@@ -246,26 +240,4 @@ def test_baselines_round_trip_bitwise(tmp_path_factory, rows):
              c.publication_count) for c in loaded.cells] == [
         (*key, _bits(median), _bits(mean), count)
         for key, (median, mean, count) in sorted(rows.items())
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(ids, min_size=1, max_size=6, unique=True), st.data())
-def test_percentiles_round_trip_bitwise(tmp_path_factory, scientist_ids, data):
-    corpus = load_corpus(
-        [{"scientist_id": sid, "sds_code": f"S{i % 2}", "uda_code": "U1", "rank": "FULL"}
-         for i, sid in enumerate(scientist_ids)],
-        [],
-        [],
-    )
-    records = [
-        PercentileRecord(sid, indicator, data.draw(percentiles), f"S{i % 2}", Rank.FULL)
-        for i, sid in enumerate(scientist_ids)
-        for indicator in data.draw(st.sets(st.sampled_from(Indicator)))
-    ]
-    path = tmp_path_factory.mktemp("pct") / "percentiles.csv"
-    loaded = read_percentiles(write_percentiles(records, path), corpus)
-    in_file_order = sorted(records, key=lambda r: (r.indicator.value, r.scientist_id))
-    assert [(*r[:2], _bits(r.percentile), *r[3:]) for r in loaded] == [
-        (*r[:2], _bits(r.percentile), *r[3:]) for r in in_file_order
     ]

@@ -17,6 +17,8 @@ from rankmetrics import (
     write_indicators,
 )
 
+from conftest import indicator_table, single_author_corpus
+
 POSITIONAL = WeightScheme.POSITIONAL
 EQUAL = WeightScheme.EQUAL
 
@@ -239,8 +241,59 @@ def test_export_import_round_trip(tmp_path):
         "idle": IndicatorRecord("idle", 0, None, 0.0),
     }
     path = write_indicators(records, tmp_path / "indicators.csv")
-    loaded = read_indicators(path)
+    loaded = read_indicators(path, _roster("idle", "X"))
     assert loaded == records
+    assert (loaded.n_p.tolist(), loaded.fss.tolist()) == ([0, 3], [0.0, 0.75])
+    assert math.isnan(loaded.qi[0]) and loaded.qi[1] == 1.25
+
+
+def _roster(*ids):
+    return single_author_corpus([(sid, "S1", "U1", "FULL", []) for sid in ids])
+
+
+def test_read_indicators_must_cover_the_roster(tmp_path):
+    path = tmp_path / "indicators.csv"
+    path.write_text("scientist_id,n_p,qi,fss\nA,3,1.25,0.75\nghost,0,,0.0\nB,0,,0.0\n")
+    assert read_indicators(path, _roster("B", "A", "ghost"))["A"] == ("A", 3, 1.25, 0.75)
+    with pytest.raises(ValueError) as info:
+        read_indicators(path, _roster("A", "B", "C", "D"))
+    assert str(info.value) == (
+        f"roster mismatch in indicators file {path}: 3 records for 4 scientists; "
+        "2 missing (first: C, D), 1 extra (first: ghost)"
+    )
+
+
+@pytest.mark.parametrize("ids, message", [
+    (list("ACDEFG"), "6 records for 7 scientists; 1 missing (first: B), 0 extra (first: -)"),
+    ([*"GFEDCBA", "ghost"], "8 records for 7 scientists; 0 missing (first: -), 1 extra (first: ghost)"),
+    ([], "0 records for 7 scientists; 7 missing (first: A, B, C, D, E), 0 extra (first: -)"),
+    ([f"x{i}" for i in range(6)],
+     "6 records for 7 scientists; 7 missing (first: A, B, C, D, E), 6 extra (first: x0, x1, x2, x3, x4)"),
+])
+def test_rows_of_names_the_roster_mismatch(ids, message):
+    with pytest.raises(ValueError) as info:
+        _roster(*"ABCDEFG").rows_of(ids, source="the test records")
+    assert str(info.value) == f"roster mismatch in the test records: {message}"
+
+
+def test_rows_of_gives_each_id_its_roster_row():
+    corpus = _roster("B", "A", "C")
+    assert corpus.rows_of(["C", "A", "B"]).tolist() == [corpus.scientist_index[s] for s in "CAB"]
+    assert sorted(corpus.rows_of(corpus.scientist_ids).tolist()) == [0, 1, 2]
+
+
+def test_indicator_table_is_a_mapping_in_roster_order():
+    corpus = _roster("B", "A", "C")
+    records = [IndicatorRecord("A", 2, 0.5, 1.0), IndicatorRecord("C", 0, None, 0.0),
+               IndicatorRecord("B", 1, 3.0, 3.0)]
+    table = indicator_table(corpus, records)
+    assert list(table) == corpus.scientist_ids and len(table) == 3
+    assert [r.scientist_id for r in table.values()] == corpus.scientist_ids
+    assert dict(table) == {r.scientist_id: r for r in records}
+    assert table["C"] == ("C", 0, None, 0.0) and "C" in table
+    assert "ghost" not in table and table.get("ghost") is None
+    with pytest.raises(KeyError):
+        table["ghost"]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -256,7 +309,7 @@ def test_read_indicators_rejects_bad_rows(row, message, tmp_path):
     path = tmp_path / "indicators.csv"
     path.write_text(f"scientist_id,n_p,qi,fss\nA,3,1.25,0.75\n{row}\n")
     with pytest.raises(ValueError) as info:
-        read_indicators(path)
+        read_indicators(path, _roster("A", "B"))
     assert str(info.value) == message
 
 
@@ -275,14 +328,14 @@ def test_read_indicators_rejects_typed_json_rows(row, message, tmp_path):
     path = tmp_path / "indicators.jsonl"
     path.write_text('{"scientist_id": "A", "n_p": 3, "qi": 1.25, "fss": 0.75}\n' + row + "\n")
     with pytest.raises(ValueError) as info:
-        read_indicators(path)
+        read_indicators(path, _roster("A", "B"))
     assert str(info.value) == message
 
 
 def test_read_indicators_strips_text(tmp_path):
     path = tmp_path / "indicators.csv"
     path.write_text("scientist_id,n_p,qi,fss\n A ,3, 1.25 ,0.75\nB, 0 , ,0.0\n")
-    assert read_indicators(path) == {
+    assert read_indicators(path, _roster("A", "B")) == {
         "A": IndicatorRecord("A", 3, 1.25, 0.75),
         "B": IndicatorRecord("B", 0, None, 0.0),
     }

@@ -8,23 +8,20 @@ from rankmetrics import (
     Indicator,
     IndicatorRecord,
     Rank,
+    build_baselines,
+    compute_indicators,
+    concentration_rows,
+    dominance_counts,
+    filter_active_sds,
     midranks,
     sds_percentiles,
+    top_distribution,
     top_scientists,
     uda_rank_average,
-    write_percentiles,
     write_top_flags,
 )
-from rankmetrics.ranking import read_percentiles
 
-from conftest import single_author_corpus
-
-
-def _fss_records(values_by_id):
-    return {
-        sid: IndicatorRecord(sid, 1 if v > 0 else 0, v if v > 0 else None, v)
-        for sid, v in values_by_id.items()
-    }
+from conftest import indicator_table, single_author_corpus
 
 
 def _corpus_for(values_by_id, sds="S1", uda="U1", rank="FULL"):
@@ -35,7 +32,7 @@ def _corpus_for(values_by_id, sds="S1", uda="U1", rank="FULL"):
 def _pcts(values, indicator=Indicator.FSS):
     ids = {f"x{i}": v for i, v in enumerate(values)}
     corpus = _corpus_for(ids)
-    recs = {sid: IndicatorRecord(sid, 1, 1.0, v) for sid, v in ids.items()}
+    recs = indicator_table(corpus, [IndicatorRecord(sid, 1, 1.0, v) for sid, v in ids.items()])
     out = sds_percentiles(recs, indicator, corpus)
     return {p.scientist_id: p.percentile for p in out}
 
@@ -57,11 +54,11 @@ def test_singleton_sds_scores_100():
 def test_qi_excludes_inactive():
     ids = {"a": 2.0, "b": 1.0, "idle": 0.0}
     corpus = _corpus_for(ids)
-    recs = {
-        "a": IndicatorRecord("a", 1, 2.0, 2.0),
-        "b": IndicatorRecord("b", 1, 1.0, 1.0),
-        "idle": IndicatorRecord("idle", 0, None, 0.0),
-    }
+    recs = indicator_table(corpus, [
+        IndicatorRecord("a", 1, 2.0, 2.0),
+        IndicatorRecord("b", 1, 1.0, 1.0),
+        IndicatorRecord("idle", 0, None, 0.0),
+    ])
     qi = sds_percentiles(recs, Indicator.QI, corpus)
     assert {p.scientist_id for p in qi} == {"a", "b"}
     fss = sds_percentiles(recs, Indicator.FSS, corpus)
@@ -111,11 +108,11 @@ def test_uda_rank_average_simple():
         ("a1", "S1", "U1", "ASSISTANT", []),
     ]
     corpus = single_author_corpus(entries)
-    recs = {
-        "f1": IndicatorRecord("f1", 1, 1.0, 3.0),
-        "f2": IndicatorRecord("f2", 1, 1.0, 1.0),
-        "a1": IndicatorRecord("a1", 1, 1.0, 2.0),
-    }
+    recs = indicator_table(corpus, [
+        IndicatorRecord("f1", 1, 1.0, 3.0),
+        IndicatorRecord("f2", 1, 1.0, 1.0),
+        IndicatorRecord("a1", 1, 1.0, 2.0),
+    ])
     pcts = sds_percentiles(recs, Indicator.FSS, corpus)
     table = uda_rank_average(pcts, corpus)
     assert table.mean("U1", Rank.FULL) == pytest.approx(50.0)  # percentiles 100 and 0
@@ -128,12 +125,49 @@ def test_repeated_record_is_rejected():
     corpus = _corpus_for({"a": 1.0, "b": 2.0})
     records = [IndicatorRecord("a", 1, 1.0, 1.0), IndicatorRecord("b", 1, 2.0, 2.0),
                IndicatorRecord("a", 1, 5.0, 5.0)]
+    with pytest.raises(ValueError, match="repeated indicator record for scientist 'a'"):
+        indicator_table(corpus, records)
+    with pytest.raises(ValueError, match="repeated indicator record for scientist 'a'"):
+        corpus.rows_of(["b", "a", "ghost", "a"])
+
+
+def test_columns_read_as_records():
+    corpus = single_author_corpus([
+        ("b", "S2", "U1", "ASSISTANT", []), ("a", "S1", "U1", "FULL", []), ("c", "S1", "U1", "FULL", []),
+    ])
+    recs = indicator_table(corpus, [IndicatorRecord(sid, 1, 1.0, v) for sid, v in
+                                    (("c", 1.0), ("a", 3.0), ("b", 2.0))])
+    pcts = sds_percentiles(recs, Indicator.FSS, corpus)
+    # by SDS code, then by corpus row
+    expected = [("a", Indicator.FSS, 100.0, "S1", Rank.FULL), ("c", Indicator.FSS, 0.0, "S1", Rank.FULL),
+                ("b", Indicator.FSS, 100.0, "S2", Rank.ASSISTANT)]
+    assert list(pcts) == expected and len(pcts) == 3
+    assert (pcts[0], pcts[-1], pcts[1:]) == (expected[0], expected[-1], expected[1:])
+    with pytest.raises(IndexError):
+        pcts[3]
+    flags = top_scientists(recs, Indicator.FSS, corpus, 0.5)
+    assert list(flags) == [("a", Indicator.FSS, True), ("c", Indicator.FSS, False), ("b", Indicator.FSS, True)]
+    assert flags.is_top.tolist() == [True, False, True]
+
+
+def test_columns_of_another_corpus_are_rejected():
+    corpus = single_author_corpus([
+        ("a", "S1", "U1", "FULL", [3]), ("b", "S1", "U1", "ASSISTANT", [1]), ("idle", "S2", "U1", "FULL", []),
+    ])
+    filtered = filter_active_sds(corpus, 0.5)
+    assert filtered.scientist_ids == ["a", "b"]
+    unfiltered = compute_indicators(corpus, build_baselines(corpus))
     for rank in (sds_percentiles, top_scientists):
-        with pytest.raises(ValueError, match="repeated indicator record for scientist 'a'"):
-            rank(records, Indicator.FSS, corpus)
-    pcts = sds_percentiles(records[:2], Indicator.FSS, corpus)
-    with pytest.raises(ValueError, match="repeated percentile record for scientist 'b'"):
-        uda_rank_average([*pcts, pcts[1]], corpus)
+        with pytest.raises(ValueError, match="IndicatorTable is bound to another corpus"):
+            rank(unfiltered, Indicator.FSS, filtered)
+    for analyze in (dominance_counts, concentration_rows):
+        with pytest.raises(ValueError, match="IndicatorTable is bound to another corpus"):
+            analyze(unfiltered, filtered, Indicator.FSS)
+    table = compute_indicators(filtered, build_baselines(filtered))
+    with pytest.raises(ValueError, match="PercentileColumn is bound to another corpus"):
+        uda_rank_average(sds_percentiles(table, Indicator.FSS, filtered), corpus)
+    with pytest.raises(ValueError, match="TopFlagColumn is bound to another corpus"):
+        top_distribution(top_scientists(table, Indicator.FSS, filtered), corpus, Indicator.FSS)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +176,7 @@ def test_repeated_record_is_rejected():
 def _flags(values, fraction=0.2):
     ids = {f"x{i}": v for i, v in enumerate(values)}
     corpus = _corpus_for(ids)
-    recs = {sid: IndicatorRecord(sid, 1, v, v) for sid, v in ids.items()}
+    recs = indicator_table(corpus, [IndicatorRecord(sid, 1, v, v) for sid, v in ids.items()])
     flags = top_scientists(recs, Indicator.FSS, corpus, fraction)
     return {f.scientist_id: f.is_top for f in flags}
 
@@ -192,47 +226,13 @@ def test_top_count_lower_bound_property():
 # ---------------------------------------------------------------------------
 # Exports
 
-def test_percentile_round_trip(tmp_path):
-    ids = {"a": 1.0, "b": 2.0, "c": 3.0}
-    corpus = _corpus_for(ids)
-    recs = {sid: IndicatorRecord(sid, 1, v, v) for sid, v in ids.items()}
-    pcts = sds_percentiles(recs, Indicator.FSS, corpus)
-    path = write_percentiles(pcts, tmp_path / "p.csv")
-    loaded = read_percentiles(path, corpus)
-    assert sorted(loaded, key=lambda p: p.scientist_id) == sorted(pcts, key=lambda p: p.scientist_id)
-
-
 def test_top_flags_export(tmp_path):
     ids = {"a": 1.0, "b": 2.0}
     corpus = _corpus_for(ids)
-    recs = {sid: IndicatorRecord(sid, 1, v, v) for sid, v in ids.items()}
+    recs = indicator_table(corpus, [IndicatorRecord(sid, 1, v, v) for sid, v in ids.items()])
     flags = top_scientists(recs, Indicator.FSS, corpus, 0.5)
     path = write_top_flags(flags, tmp_path / "flags.csv")
     text = path.read_text()
     assert "scientist_id,indicator,is_top" in text
     assert "b,fss,true" in text
     assert "a,fss,false" in text
-
-
-@pytest.mark.parametrize("row, message", [
-    ("ghost,fss,50.0", "percentiles row 3: unknown scientist_id 'ghost'"),
-    ("c,volume,50.0", "percentiles row 3: unknown indicator 'volume'"),
-    ("a, fss ,50.0", "percentiles row 3: (scientist_id, indicator) ('a', 'fss') repeats row 1"),
-    ("  ,fss,50.0", "percentiles row 3: missing 'scientist_id'"),
-    ("c,fss,150.0", "percentiles row 3: 'percentile' must be <= 100, got 150.0"),
-    ("c,fss,1e300", "percentiles row 3: 'percentile' must be <= 100, got 1e+300"),
-])
-def test_read_percentiles_names_the_bad_row(row, message, tmp_path):
-    corpus = _corpus_for({"a": 1.0, "b": 2.0, "c": 3.0})
-    path = tmp_path / "p.csv"
-    path.write_text(f"scientist_id,indicator,percentile\na,fss,0.0\nb,fss,50.0\n{row}\nc,qi,1.0\n")
-    with pytest.raises(ValueError) as info:
-        read_percentiles(path, corpus)
-    assert str(info.value) == message
-
-
-def test_read_percentiles_strips_text(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("scientist_id,indicator,percentile\n a , fss , 100.0 \n")
-    (record,) = read_percentiles(path, _corpus_for({"a": 1.0, "b": 2.0}))
-    assert record == ("a", Indicator.FSS, 100.0, "S1", Rank.FULL)

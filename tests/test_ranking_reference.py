@@ -3,7 +3,8 @@
 The references below rank one SDS at a time from per-field Python lists,
 the way percentiles, top flags, dominance and concentration were first
 written; the library ranks every field in one grouped sort and must agree
-with them bitwise, in the same output order. The Gini coefficient and the
+with them bitwise, in the same output order, the references reading the
+records of an indicator table in corpus row order. The Gini coefficient and the
 bottom/top ratio are frozen copies of the one-field-at-a-time versions the
 library's batched kernel replaced.
 """
@@ -32,6 +33,8 @@ from rankmetrics.analysis import bottom_top_ratio, gini, sequence_criterion, wei
 from rankmetrics.indicators import IndicatorRecord
 from rankmetrics.ranking import INDICATORS, midranks
 from rankmetrics.synth import SynthConfig, generate
+
+from conftest import indicator_table
 
 FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.5)
 
@@ -100,8 +103,6 @@ def sds_udas(corpus) -> dict:
 
 
 def reference_members(records, indicator, corpus):
-    if isinstance(records, dict):
-        records = records.values()
     by_id = {sci.scientist_id: sci for sci in corpus.scientists}
     out = []
     for rec in records:
@@ -217,16 +218,21 @@ def _flag_bits(flags):
     return [(f.scientist_id, f.indicator, f.is_top) for f in flags]
 
 
-def _check_all(records, corpus, fractions=FRACTIONS):
+def _column_bits(table):
+    return [(column.dtype.str, column.tobytes()) for column in (table.n_p, table.qi, table.fss)]
+
+
+def _check_all(table, corpus, fractions=FRACTIONS):
+    records = table.values()
     for indicator in INDICATORS:
-        assert _percentile_bits(sds_percentiles(records, indicator, corpus)) == reference_percentiles(
+        assert _percentile_bits(sds_percentiles(table, indicator, corpus)) == reference_percentiles(
             records, indicator, corpus
         )
         for fraction in fractions:
-            assert _flag_bits(top_scientists(records, indicator, corpus, fraction)) == (
+            assert _flag_bits(top_scientists(table, indicator, corpus, fraction)) == (
                 reference_top_flags(records, indicator, corpus, fraction)
             ), fraction
-        counts = dominance_counts(records, corpus, indicator)
+        counts = dominance_counts(table, corpus, indicator)
         assert (
             list(counts.per_uda.items()),
             [_dominance_bits(res) for res in counts.sds_results.values()],
@@ -234,7 +240,7 @@ def _check_all(records, corpus, fractions=FRACTIONS):
         ) == reference_dominance(records, corpus, indicator)
         assert list(counts.sds_results) == [res.sds_code for res in counts.sds_results.values()]
         for bottom, top in ((0.4, 0.2), (0.5, 0.1)):
-            rows = concentration_rows(records, corpus, indicator, bottom, top)
+            rows = concentration_rows(table, corpus, indicator, bottom, top)
             actual = [
                 (uda, rank, row.gini.hex(), _hex(row.bottom_top_ratio))
                 for (uda, rank), row in rows.items()
@@ -254,10 +260,12 @@ def test_generated_corpus_matches_reference(scored):
 
 
 def test_shuffled_records_match_reference(scored):
-    corpus, records = scored
-    shuffled = list(records.values())
+    corpus, table = scored
+    shuffled = table.values()
     random.Random(7).shuffle(shuffled)
-    _check_all(shuffled, corpus, fractions=(0.2,))
+    from_shuffled = indicator_table(corpus, shuffled)
+    assert _column_bits(from_shuffled) == _column_bits(table)
+    _check_all(from_shuffled, corpus, fractions=(0.2,))
 
 
 def test_midranks_match_reference_with_signed_zeros():
@@ -295,8 +303,11 @@ def _population(members):
 @given(st.lists(MEMBER, min_size=1, max_size=30), st.randoms(use_true_random=False))
 def test_tied_populations_match_reference(members, rng):
     corpus, records = _population(members)
+    in_order = indicator_table(corpus, records)
     rng.shuffle(records)
-    _check_all(records, corpus)
+    table = indicator_table(corpus, records)
+    assert _column_bits(table) == _column_bits(in_order)
+    _check_all(table, corpus)
 
 
 def test_edge_fields_match_reference():
@@ -311,9 +322,10 @@ def test_edge_fields_match_reference():
         ("S4", Rank.ASSISTANT, 3, 0.0, 2.0),
     ])
     records.reverse()
-    _check_all(records, corpus)
-    assert dominance_counts(records, corpus, Indicator.FSS).excluded_sds == 3
-    assert dominance_counts(records, corpus, Indicator.QI).excluded_sds == 4
+    table = indicator_table(corpus, records)
+    _check_all(table, corpus)
+    assert dominance_counts(table, corpus, Indicator.FSS).excluded_sds == 3
+    assert dominance_counts(table, corpus, Indicator.QI).excluded_sds == 4
 
 
 # Blocks of 1-300 members cross numpy's 8-way unrolled and 128-element
@@ -356,11 +368,12 @@ def test_concentration_matches_reference_on_long_blocks(blocks, fractions, seed)
     records = [IndicatorRecord(f"A{i:04d}", 0, None, value) for i, (_, _, value) in enumerate(members)]
     rng.shuffle(records)
     corpus = load_corpus(scientists, [], [])
-    rows = concentration_rows(records, corpus, Indicator.FSS, *fractions)
+    table = indicator_table(corpus, records)
+    rows = concentration_rows(table, corpus, Indicator.FSS, *fractions)
     actual = [
         (uda, rank, row.gini.hex(), _hex(row.bottom_top_ratio)) for (uda, rank), row in rows.items()
     ]
-    assert actual == reference_concentration(records, corpus, Indicator.FSS, *fractions)
+    assert actual == reference_concentration(table.values(), corpus, Indicator.FSS, *fractions)
 
 
 FIELD_VALUE = st.one_of(

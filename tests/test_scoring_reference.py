@@ -198,9 +198,10 @@ def test_filter_dropping_a_whole_uda_drops_its_rows(corpus):
     _assert_same_corpus(filtered, direct)
 
     records = compute_indicators(filtered, build_baselines(filtered))
+    direct_records = compute_indicators(direct, build_baselines(direct))
     for indicator in INDICATORS:
         assert dominance_counts(records, filtered, indicator).excluded_sds == dominance_counts(
-            records, direct, indicator
+            direct_records, direct, indicator
         ).excluded_sds
     dist = top_distribution(top_scientists(records, Indicator.FSS, filtered), filtered)
     assert set(dist.chi_square_by_uda) == set(filtered.udas)
