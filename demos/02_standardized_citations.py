@@ -9,8 +9,8 @@ shows exactly that.
 
 import statistics
 
-from rankmetrics import build_baselines, standardize_publication
-from rankmetrics.corpus import Publication
+from rankmetrics import build_baselines
+from rankmetrics.baseline import standardized_score
 from rankmetrics.synth import SynthConfig, generate
 
 corpus = generate(SynthConfig(seed=11, n_uda=2, sds_per_uda=2))
@@ -25,24 +25,23 @@ print(f"\nexample cell {cell.year}/{cell.category}: "
       f"median={cell.median_citations}, mean={cell.mean_citations:.2f}, n={cell.publication_count}")
 
 # A publication at its cell median scores exactly 1.
-at_median = Publication("demo", cell.year, int(cell.median_citations), (cell.category,), 1)
-print(f"publication cited {at_median.citation_count}x scores "
-      f"{standardize_publication(at_median, baselines):.3f}")
+at_median = int(cell.median_citations)
+print(f"publication cited {at_median}x scores "
+      f"{standardized_score(cell.year, at_median, (cell.category,), baselines):.3f}")
 
 # Multi-category publications take the mean of their per-category scores.
 other = baselines.cells[1]
-both = Publication("demo2", cell.year, 10, (cell.category,), 1)
-print(f"cited 10x in {cell.category}: {standardize_publication(both, baselines):.3f}")
+print(f"cited 10x in {cell.category}: "
+      f"{standardized_score(cell.year, 10, (cell.category,), baselines):.3f}")
 if other.year == cell.year:
-    two_cat = Publication("demo3", cell.year, 10, (cell.category, other.category), 1)
+    two_cat = standardized_score(cell.year, 10, (cell.category, other.category), baselines)
     print(f"cited 10x in {cell.category}+{other.category}: "
-          f"{standardize_publication(two_cat, baselines):.3f} (mean of the two cell scores)")
+          f"{two_cat:.3f} (mean of the two cell scores)")
 
 # Sanity: within a cell, at least half the members score <= 1 by construction.
 scores = []
 for pub in corpus.publications:
     if pub.year == cell.year and cell.category in pub.subject_categories:
-        scores.append(standardize_publication(
-            Publication(pub.pub_id, pub.year, pub.citation_count, (cell.category,), 1), baselines))
+        scores.append(standardized_score(pub.year, pub.citation_count, (cell.category,), baselines))
 print(f"\nshare of cell members scoring <= 1: "
       f"{sum(s <= 1 for s in scores)}/{len(scores)} (median score {statistics.median(scores):.2f})")

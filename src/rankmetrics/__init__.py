@@ -34,7 +34,6 @@ from .baseline import (
     MissingBaselineError,
     build_baselines,
     read_baselines,
-    standardize_publication,
     write_baselines,
 )
 from .corpus import (

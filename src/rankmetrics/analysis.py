@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Grid, RANKS, Rank, tally
+from .corpus import Corpus, Grid, RANKS, Rank, stable_order, tally
 from .indicators import IndicatorTable
 from .ranking import Indicator, TopFlagColumn, group_sort, midranks, ranked_population
 
@@ -389,7 +389,7 @@ def concentration_rows(
     sds = corpus.scientist_sds[rows]
     # one block per (SDS, rank), ordered by (UDA, rank, SDS code), members in row order
     key = (corpus.sds_uda[sds] * len(RANKS) + corpus.scientist_rank[rows]) * len(names) + sds
-    order = np.argsort(key, kind="stable")
+    order = stable_order(key)
     key, values = key[order], values[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     sizes = np.diff(np.append(starts, len(key)))

@@ -8,13 +8,14 @@ categories is scored as the arithmetic mean of its per-category values.
 
 from __future__ import annotations
 
+import math
 import statistics
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, Publication
+from .corpus import Corpus, stable_order
 from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "MissingBaselineError",
     "build_baselines",
     "read_baselines",
-    "standardize_publication",
     "standardized_score",
     "write_baselines",
 ]
@@ -84,42 +84,40 @@ def build_baselines(corpus: Corpus) -> BaselineTable:
     cell occurring in the corpus.
 
     The reference population is the loaded corpus itself; even-sized cells use
-    the mean of the two central values as median.
+    the mean of the two central values as median. Pairs of a publication
+    and a category are sorted by cell, then by citations within each cell;
+    medians are taken in Python ints and means as ``math.fsum(counts) / n``,
+    as :func:`statistics.median` and :func:`statistics.fmean` take them.
     """
     if not len(corpus.pub_ids):
         raise ValueError("cannot build baselines from a corpus without publications")
     names = sorted({cat for cats in corpus.category_sets for cat in cats})
     code = {name: i for i, name in enumerate(names)}
-    # one (publication, category) pair per category of each publication
     width = max(len(cats) for cats in corpus.category_sets)
     slots = np.full((len(corpus.category_sets), width), -1, dtype=np.int64)
     for row, cats in enumerate(corpus.category_sets):
         slots[row, : len(cats)] = [code[cat] for cat in cats]
-    pair_cat = slots[corpus.pub_categories].ravel()
-    pair_pub = np.repeat(np.arange(len(corpus.pub_ids)), width)[pair_cat >= 0]
-    pair_cat = pair_cat[pair_cat >= 0]
-    year = corpus.pub_year[pair_pub]
-    citations = corpus.pub_citations[pair_pub]
-
-    order = np.lexsort((citations, pair_cat, year))
-    year, pair_cat, citations = year[order], pair_cat[order], citations[order]
-    new_cell = np.ones(len(order), dtype=bool)
-    new_cell[1:] = (year[1:] != year[:-1]) | (pair_cat[1:] != pair_cat[:-1])
-    starts = np.flatnonzero(new_cell).tolist()
-    counts = np.diff([*starts, len(order)]).tolist()
-    sorted_citations = citations.tolist()
+    years, year = np.unique(corpus.pub_year, return_inverse=True)
+    # one (publication, category) pair per category of each publication
+    pair_cat = slots[corpus.pub_categories]
+    paired = pair_cat >= 0
+    pair_cell = (year[:, None] * len(names) + pair_cat)[paired]
+    order = stable_order(pair_cell)
+    cell = pair_cell[order]
+    citations = np.broadcast_to(corpus.pub_citations[:, None], paired.shape)[paired][order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1)).tolist()
+    ends = [*starts[1:], len(cell)]
+    for start, end in zip(starts, ends):
+        citations[start:end].sort()
+    counts, years = citations.tolist(), years.tolist()
     cells = []
-    for start, n in zip(starts, counts):
-        group = sorted_citations[start:start + n]
-        cells.append(
-            BaselineCell(
-                year=int(year[start]),
-                category=names[pair_cat[start]],
-                median_citations=float(statistics.median(group)),
-                mean_citations=statistics.fmean(group),
-                publication_count=n,
-            )
-        )
+    for start, end, key in zip(starts, ends, cell[starts].tolist()):
+        group, n = counts[start:end], end - start
+        mid = n // 2
+        median = group[mid] if n % 2 else (group[mid - 1] + group[mid]) / 2
+        year_code, category = divmod(key, len(names))
+        cells.append(BaselineCell(years[year_code], names[category], float(median),
+                                  math.fsum(group) / n, n))
     return BaselineTable(cells)
 
 
@@ -143,11 +141,6 @@ def standardized_score(
         else:
             scores.append(0.0)
     return statistics.fmean(scores)
-
-
-def standardize_publication(pub: Publication, baselines: BaselineTable) -> float:
-    """Standardized citation score of one publication (see :func:`standardized_score`)."""
-    return standardized_score(pub.year, pub.citation_count, pub.subject_categories, baselines)
 
 
 def write_baselines(baselines: BaselineTable, path: str | Path) -> Path:

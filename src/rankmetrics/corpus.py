@@ -62,6 +62,7 @@ __all__ = [
     "load_corpus",
     "load_corpus_files",
     "roster_summary",
+    "stable_order",
     "tally",
 ]
 
@@ -173,6 +174,24 @@ class _RowMap(_LazyRows, Mapping):
 def _start(counts: np.ndarray) -> np.ndarray:
     """Offsets of consecutive runs of the given lengths: ``[0, c0, c0+c1, ...]``."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def stable_order(*keys: np.ndarray) -> np.ndarray:
+    """The order that sorts rows stably by ``keys``, the first key most
+    significant: ``np.lexsort(keys[::-1])``, as one stable ``argsort`` per key
+    from the last. An integer key spanning fewer than 2**16 values is sorted
+    as its ``uint16`` offset from its minimum, which numpy radix-sorts."""
+    order = None
+    for key in reversed(keys):
+        if order is not None:
+            key = key[order]
+        if key.dtype.kind in "iu" and key.size:
+            low = key.min()
+            if int(key.max()) - int(low) < 1 << 16:
+                key = (key - low).astype(np.uint16)
+        step = np.argsort(key, kind="stable")
+        order = step if order is None else order[step]
+    return order
 
 
 @dataclass(eq=False, repr=False, slots=True, kw_only=True)
@@ -534,15 +553,15 @@ def load_corpus(
     _raise_first(problems)
 
     # A repeat among rows with an unknown publication follows the first of
-    # them, whose unknown pub_id is reported instead; so only rows that
-    # resolved are compared.
+    # them, whose unknown pub_id is reported instead; so only repeats of rows
+    # that resolved count. Whole columns are sorted, so no subset is copied.
     problems = []
     if unknown_pub:
         row, text = unknown_pub
         problems.append((row, 0, f"authorship references unknown pub_id '{text}'"))
-    linked = np.flatnonzero(auth_pub >= 0)
-    order = linked[np.lexsort((auth_position[linked], auth_pub[linked]))]
-    repeats = _repeats(order, auth_pub, auth_position)
+    linked = auth_pub >= 0
+    repeats = _repeats(stable_order(auth_pub, auth_position), auth_pub, auth_position)
+    repeats = repeats[linked[repeats]]
     if repeats.size:
         row = int(repeats.min())
         problems.append((row, 1, f"duplicate byline position {int(auth_position[row])} "
@@ -550,9 +569,9 @@ def load_corpus(
     if unknown_scientist:
         row, text = unknown_scientist
         problems.append((row, 2, f"authorship references unknown scientist_id '{text}'"))
-    linked = linked[auth_scientist[linked] >= 0]
-    order = linked[np.lexsort((auth_scientist[linked], auth_pub[linked]))]
-    repeats = _repeats(order, auth_pub, auth_scientist)
+    linked &= auth_scientist >= 0
+    repeats = _repeats(stable_order(auth_pub, auth_scientist), auth_pub, auth_scientist)
+    repeats = repeats[linked[repeats]]
     if repeats.size:
         row = int(repeats.min())
         problems.append((row, 3, f"duplicate authorship ('{pub_ids[auth_pub[row]]}', "

@@ -28,7 +28,7 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baseline import BaselineTable, standardized_score
+from .baseline import BaselineTable
 from .corpus import Corpus, CorpusColumns
 from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
@@ -213,6 +213,24 @@ def _positional_weights(corpus: Corpus) -> np.ndarray:
     return flat[offset[pub_pattern[corpus.auth_pub]] + corpus.auth_position - 1]
 
 
+def _scored_cells(corpus: Corpus, baselines: BaselineTable):
+    """The rows of the publications with a roster author, each one's index
+    into the distinct (year, category set) pairs among them, and those pairs
+    as ``(year, categories)``, once ``baselines`` is checked to have every
+    (year, category) cell they need."""
+    pubs = np.flatnonzero(
+        np.bincount(corpus.auth_pub[corpus.auth_scientist >= 0], minlength=len(corpus.pub_ids))
+    )
+    years, year = np.unique(corpus.pub_year[pubs], return_inverse=True)
+    n_sets = len(corpus.category_sets)
+    codes, pub_cell = np.unique(year * n_sets + corpus.pub_categories[pubs], return_inverse=True)
+    year_code, set_code = np.divmod(codes, n_sets)
+    sets = map(corpus.category_sets.__getitem__, set_code.tolist())
+    cells = list(zip(years[year_code].tolist(), sets))
+    baselines.require((year, cat) for year, cats in cells for cat in cats)
+    return pubs, pub_cell, cells
+
+
 def require_baselines(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
     """Check that ``baselines`` has a cell for every (year, category) of a
     publication with a roster author, and return those publications' rows.
@@ -220,37 +238,37 @@ def require_baselines(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
     Each needed cell is looked up once, so all missing cells are reported
     together in one :class:`MissingBaselineError`.
     """
-    pubs = np.flatnonzero(
-        np.bincount(corpus.auth_pub[corpus.auth_scientist >= 0], minlength=len(corpus.pub_ids))
-    )
-    sets = corpus.category_sets
-    pairs = set(zip(corpus.pub_year[pubs].tolist(), corpus.pub_categories[pubs].tolist()))
-    baselines.require((year, cat) for year, code in pairs for cat in sets[code])
-    return pubs
+    return _scored_cells(corpus, baselines)[0]
 
 
 def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
-    """Standardized score of every publication with a roster author (0 for
-    the others, which are never read), after :func:`require_baselines`.
-    Each distinct (year, categories, citations) is scored once.
+    """:func:`~.baseline.standardized_score` of every publication with a
+    roster author (0 for the others, which are never read), from one row of
+    divisors per (year, category set) pair. The mean over categories is
+    ``fmean``'s ``math.fsum(scores) / k``; for k <= 2 plain addition is that
+    sum, as the float sum of two floats is correctly rounded.
     """
-    pubs = require_baselines(corpus, baselines)
-    sets = corpus.category_sets
-
-    class Scores(dict):
-        def __missing__(self, key):
-            year, cats, citations = key
-            score = self[key] = standardized_score(year, citations, sets[cats], baselines)
-            return score
-
-    keys = zip(
-        corpus.pub_year[pubs].tolist(),
-        corpus.pub_categories[pubs].tolist(),
-        corpus.pub_citations[pubs].tolist(),
-    )
-    scores = np.zeros(len(corpus.pub_ids))
-    scores[pubs] = np.fromiter(map(Scores().__getitem__, keys), float, len(pubs))
-    return scores
+    pubs, pub_cell, cells = _scored_cells(corpus, baselines)
+    size = np.array([len(cats) for _, cats in cells], dtype=np.int64)
+    # at least two columns; a slot past a publication's categories scores 0
+    divisor = np.zeros((len(cells), max(2, size.max(initial=0))))
+    for row, (year, cats) in enumerate(cells):
+        for slot, cat in enumerate(cats):
+            cell = baselines.get(year, cat)
+            if cell.median_citations > 0:
+                divisor[row, slot] = cell.median_citations
+            elif cell.mean_citations > 0:
+                divisor[row, slot] = cell.mean_citations
+    divisor, k = divisor[pub_cell], size[pub_cell]
+    scores = np.divide(corpus.pub_citations[pubs, None], divisor,
+                       out=np.zeros(divisor.shape), where=divisor > 0)
+    mean = (scores[:, 0] + scores[:, 1]) / k
+    many = np.flatnonzero(k > 2)
+    for row, n in zip(many.tolist(), k[many].tolist()):
+        mean[row] = math.fsum(scores[row, :n]) / n
+    out = np.zeros(len(corpus.pub_ids))
+    out[pubs] = mean
+    return out
 
 
 def compute_indicators(
@@ -283,7 +301,8 @@ def compute_indicators(
     n_p = np.bincount(scientist, minlength=n_scientists)
     score_sum = np.bincount(scientist, weights=score, minlength=n_scientists)
     qi = np.divide(score_sum, n_p, out=np.full(n_scientists, np.nan), where=n_p > 0)
-    fss = np.bincount(scientist, weights=score * weight, minlength=n_scientists)
+    # float even without authorships, where bincount of no weights is int64
+    fss = np.bincount(scientist, weights=score * weight, minlength=n_scientists).astype(float)
     return IndicatorTable(corpus, n_p, qi, fss)
 
 

@@ -5,7 +5,7 @@ nationally) and expressed as percentiles, 0 worst to 100 best, so that values
 are comparable across fields of different size and citation intensity. Ties
 receive midranks, which keeps the within-field mean percentile at exactly 50.
 
-Every SDS is ranked in one sort: scientist rows are coded by SDS and ordered
+Every SDS is ranked at once: scientist rows are coded by SDS and ordered
 by (SDS, value) with :func:`group_sort`, which yields the midranks, sizes and
 offsets of all fields at once. Results are columns over those rows.
 """
@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import RANKS, Corpus, CorpusColumns, Grid, Rank, tally
+from .corpus import RANKS, Corpus, CorpusColumns, Grid, Rank, stable_order, tally
 from .fileio import write_records
 from .indicators import IndicatorTable
 
@@ -131,16 +131,18 @@ class GroupSort(NamedTuple):
 
 
 def group_sort(groups: np.ndarray, values: np.ndarray, n_groups: int) -> GroupSort:
-    """Sort ``values`` by ``(group, value)`` in one pass, for group codes
-    ``0..n_groups - 1``.
+    """Sort ``values`` by ``(group, value)``, for group codes
+    ``0..n_groups - 1``, with :func:`~.corpus.stable_order`: a stable sort of
+    the values, then a stable sort of their groups (a radix sort below 2**16).
 
-    ``order`` is that sort order; ``midrank[i]`` is value ``i``'s ascending
-    rank 1..n within its group, tied values sharing the mean of their
-    positions; ``size[g]`` and ``start[g]`` are group ``g``'s member count
-    and the offset of its first member in ``order``. Values are compared
-    exactly, so ``-0.0`` ties with ``0.0``.
+    ``order`` is that sort order, the one of ``np.lexsort((values, groups))``;
+    ``midrank[i]`` is value ``i``'s ascending rank 1..n within its group,
+    tied values sharing the mean of their positions; ``size[g]`` and
+    ``start[g]`` are group ``g``'s member count and the offset of its first
+    member in ``order``. Values are compared exactly, so ``-0.0`` ties with
+    ``0.0``.
     """
-    order = np.lexsort((values, groups))
+    order = stable_order(groups, values)
     g, v = groups[order], values[order]
     size = np.bincount(groups, minlength=n_groups)
     start = np.cumsum(size) - size
@@ -176,7 +178,7 @@ def _by_sds(table: IndicatorTable, indicator: Indicator, corpus: Corpus):
     rows, values = ranked_population(table, indicator, corpus)
     sds = corpus.scientist_sds[rows]
     ranked = group_sort(sds, values, len(corpus.sds_codes))
-    return rows, sds, values, ranked, np.argsort(sds, kind="stable")
+    return rows, sds, values, ranked, stable_order(sds)
 
 
 def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> PercentileColumn:

@@ -7,11 +7,9 @@ from rankmetrics import (
     build_baselines,
     load_corpus,
     read_baselines,
-    standardize_publication,
     write_baselines,
 )
-from rankmetrics.baseline import BaselineCell, BaselineTable
-from rankmetrics.corpus import Publication
+from rankmetrics.baseline import BaselineCell, BaselineTable, standardized_score
 
 
 def _corpus(citations, year=2005, category="C1"):
@@ -30,7 +28,8 @@ def _corpus(citations, year=2005, category="C1"):
 
 
 def _pub(citations, year=2005, categories=("C1",)):
-    return Publication("PX", year, citations, tuple(categories), 1)
+    """The leading arguments of :func:`standardized_score` for one publication."""
+    return year, citations, tuple(categories)
 
 
 def test_cell_median_and_mean():
@@ -53,43 +52,43 @@ def test_even_count_median_is_mean_of_central_values():
 
 def test_standardize_single_category():
     baselines = build_baselines(_corpus([0, 2, 10]))
-    assert standardize_publication(_pub(6), baselines) == pytest.approx(3.0)
+    assert standardized_score(*_pub(6), baselines) == pytest.approx(3.0)
 
 
 def test_standardize_at_median_is_one():
     baselines = build_baselines(_corpus([0, 2, 10]))
-    assert standardize_publication(_pub(2), baselines) == pytest.approx(1.0)
+    assert standardized_score(*_pub(2), baselines) == pytest.approx(1.0)
 
 
 def test_standardize_multi_category_mean():
     baselines = BaselineTable(
         [BaselineCell(2005, "C1", 2.0, 3.0, 5), BaselineCell(2005, "C2", 4.0, 5.0, 5)]
     )
-    score = standardize_publication(_pub(4, categories=("C1", "C2")), baselines)
+    score = standardized_score(*_pub(4, categories=("C1", "C2")), baselines)
     assert score == pytest.approx(1.5)  # mean(4/2, 4/4)
 
 
 def test_missing_cell_names_year_and_category():
     baselines = build_baselines(_corpus([1]))
     with pytest.raises(MissingBaselineError, match=r"\(2007, 'C9'\)"):
-        standardize_publication(_pub(1, year=2007, categories=("C9",)), baselines)
+        standardized_score(*_pub(1, year=2007, categories=("C9",)), baselines)
 
 
 def test_zero_median_falls_back_to_mean():
     baselines = build_baselines(_corpus([0, 0, 6]))  # median 0, mean 2
-    assert standardize_publication(_pub(6), baselines) == pytest.approx(3.0)
+    assert standardized_score(*_pub(6), baselines) == pytest.approx(3.0)
 
 
 def test_all_zero_cell_scores_zero():
     baselines = build_baselines(_corpus([0, 0]))
-    assert standardize_publication(_pub(0), baselines) == 0.0
+    assert standardized_score(*_pub(0), baselines) == 0.0
 
 
 def test_score_zero_iff_uncited():
     baselines = build_baselines(_corpus([0, 1, 2, 5]))
-    assert standardize_publication(_pub(0), baselines) == 0.0
+    assert standardized_score(*_pub(0), baselines) == 0.0
     for c in (1, 2, 9):
-        assert standardize_publication(_pub(c), baselines) > 0.0
+        assert standardized_score(*_pub(c), baselines) > 0.0
 
 
 def test_scaling_cell_leaves_scores_unchanged():
@@ -99,15 +98,15 @@ def test_scaling_cell_leaves_scores_unchanged():
         scaled = build_baselines(_corpus([k * c for c in citations]))
         assert scaled.get(2005, "C1").median_citations == k * base.get(2005, "C1").median_citations
         for c in citations:
-            assert standardize_publication(_pub(k * c), scaled) == pytest.approx(
-                standardize_publication(_pub(c), base)
+            assert standardized_score(*_pub(k * c), scaled) == pytest.approx(
+                standardized_score(*_pub(c), base)
             )
 
 
 def test_median_property_half_at_most_one():
     citations = [0, 1, 1, 2, 3, 5, 8, 13, 40]
     baselines = build_baselines(_corpus(citations))
-    scores = [standardize_publication(_pub(c), baselines) for c in citations]
+    scores = [standardized_score(*_pub(c), baselines) for c in citations]
     assert sum(1 for s in scores if s <= 1.0) >= len(scores) / 2
 
 

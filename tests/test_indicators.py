@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from rankmetrics import (
     read_indicators,
     write_indicators,
 )
+from rankmetrics.baseline import BaselineTable
 
 from conftest import indicator_table, single_author_corpus
 
@@ -245,6 +247,21 @@ def test_export_import_round_trip(tmp_path):
     assert loaded == records
     assert (loaded.n_p.tolist(), loaded.fss.tolist()) == ([0, 3], [0.0, 0.75])
     assert math.isnan(loaded.qi[0]) and loaded.qi[1] == 1.25
+
+
+def test_indicators_without_authorships_are_floats(tmp_path):
+    # np.bincount of no weights is int64; FSS must stay float64 all the same
+    scientists = [{"scientist_id": sid, "sds_code": "S1", "uda_code": "U1", "rank": "FULL"}
+                  for sid in "AB"]
+    corpus = load_corpus(scientists, [], [])
+    table = compute_indicators(corpus, BaselineTable([]))
+    assert (table.n_p.dtype, table.qi.dtype, table.fss.dtype) == (np.int64, np.float64, np.float64)
+    path = write_indicators(table, tmp_path / "indicators.csv")
+    assert path.read_text().splitlines() == ["scientist_id,n_p,qi,fss", "A,0,,0.0", "B,0,,0.0"]
+    loaded = read_indicators(path, corpus)
+    assert loaded.values() == table.values() == [("A", 0, None, 0.0), ("B", 0, None, 0.0)]
+    for column in ("n_p", "qi", "fss"):
+        assert getattr(loaded, column).dtype == getattr(table, column).dtype, column
 
 
 def _roster(*ids):

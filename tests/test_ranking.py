@@ -20,6 +20,8 @@ from rankmetrics import (
     uda_rank_average,
     write_top_flags,
 )
+from rankmetrics.corpus import stable_order
+from rankmetrics.ranking import group_sort
 
 from conftest import indicator_table, single_author_corpus
 
@@ -96,6 +98,31 @@ def test_midranks_match_naive():
             mask = values == v
             naive[mask] = naive[mask].mean()
         assert np.allclose(got, naive)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_sort_order_is_the_lexsort_order(data):
+    # group codes spanning fewer and more than the 2**16 values of a radix sort
+    n_groups = data.draw(st.sampled_from([1, 3, 2**16 - 1, 2**16, 2**16 + 1, 100_000]))
+    n = data.draw(st.integers(0, 40))
+    codes = st.sampled_from([0, n_groups // 2, n_groups - 1]) | st.integers(0, n_groups - 1)
+    groups = np.array(data.draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.int64)
+    values = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 1e300]), min_size=n, max_size=n)))
+    ranked = group_sort(groups, values, n_groups)
+    assert ranked.order.tolist() == np.lexsort((values, groups)).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stable_order_is_the_lexsort_order(data):
+    low, high = data.draw(st.sampled_from([(0, 3), (-3, 2**16 - 4), (0, 2**16), (-2**63, 2**63 - 1)]))
+    n = data.draw(st.integers(1, 40))
+    ends = st.sampled_from([low, high]) | st.integers(low, high)
+    keys = [np.array(data.draw(st.lists(ends, min_size=n, max_size=n)), dtype=np.int64)
+            for _ in range(data.draw(st.integers(1, 3)))]
+    assert stable_order(*keys).tolist() == np.lexsort(keys[::-1]).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from rankmetrics import (
     dominance_counts,
     filter_active_sds,
     load_corpus,
-    standardize_publication,
     top_distribution,
     top_scientists,
 )
-from rankmetrics.baseline import BaselineCell
+from rankmetrics.baseline import BaselineCell, standardized_score
 from rankmetrics.indicators import IndicatorRecord, WeightScheme
 from rankmetrics.ranking import INDICATORS
 from rankmetrics.synth import SynthConfig, generate
@@ -58,7 +57,8 @@ def reference_indicators(corpus, baselines, positional_udas=()) -> dict[str, Ind
         score_sum = 0.0
         fss = 0.0
         for auth in rows:
-            score = standardize_publication(by_id[auth.pub_id], baselines)
+            pub = by_id[auth.pub_id]
+            score = standardized_score(pub.year, pub.citation_count, pub.subject_categories, baselines)
             byline = bylines[auth.pub_id]
             n = len(byline)
             if positional and n > 1:
@@ -103,9 +103,12 @@ def _rows(corpus) -> tuple[list[dict], list[dict], list[dict]]:
     return scientists, publications, authorships
 
 
-@pytest.fixture(scope="module", params=[3, 404, 1811])
+@pytest.fixture(scope="module", params=[
+    (seed, categories) for categories in (1, 2, 3) for seed in (3, 404, 1811)
+], ids=lambda param: f"{param[0]}-{param[1]}cat")
 def corpus(request):
-    return generate(SynthConfig(seed=request.param, n_uda=4, sds_per_uda=2))
+    seed, categories = request.param
+    return generate(SynthConfig(seed=seed, n_uda=4, sds_per_uda=2, categories_per_pub=categories))
 
 
 @pytest.mark.parametrize("udas", ["none", "two", "all"])
@@ -117,6 +120,57 @@ def test_indicators_match_per_row_reference(corpus, udas):
     actual = compute_indicators(corpus, baselines, positional)
     assert list(actual) == list(expected)
     assert _bits(actual) == _bits(expected)
+
+
+def _hand_built_corpus():
+    """Cells no generated corpus has: (2020, ZOO) with a zero median and a
+    positive mean, the all-zero (1990, MID), and (1990, ALG), even-sized with
+    a middle pair near 2**62 whose int64 sum would overflow; the years 1990
+    and 2020 only, and categories first seen in the order ZOO, MID, ALG."""
+    big = 2**62
+    publications = [
+        ("p1", 2020, 0, ["ZOO"]),
+        ("p2", 2020, 0, ["ZOO", "MID"]),
+        ("p3", 2020, 9, ["ZOO", "MID", "ALG"]),
+        ("p4", 1990, 0, ["MID"]),
+        ("p5", 1990, 0, ["MID", "ALG", "ZOO"]),
+        ("p6", 1990, big + 1, ["ALG"]),
+        ("p7", 1990, big + 3, ["ALG", "ZOO"]),
+        ("p8", 1990, 2**63 - 1, ["ALG", "ZOO"]),
+        ("p9", 2020, 7, ["ALG"]),
+    ]
+    scientists = [
+        {"scientist_id": sid, "sds_code": sds, "uda_code": "U1", "rank": "FULL"}
+        for sid, sds in (("A", "S1"), ("B", "S1"), ("C", "S2"), ("idle", "S2"))
+    ]
+    bylines = {"p1": ["A"], "p2": ["B", None], "p3": ["A", "B", "C"], "p4": [None, "C"],
+               "p5": ["C"], "p6": ["A", None, "B"], "p7": ["B"], "p8": ["C", "A"], "p9": [None]}
+    authorships = [
+        {"pub_id": pub_id, "position": position, "scientist_id": sid,
+         "affiliation_id": "I1" if position in (1, len(byline)) else "I2"}
+        for pub_id, byline in bylines.items()
+        for position, sid in enumerate(byline, start=1)
+    ]
+    return load_corpus(scientists, [
+        {"pub_id": pub_id, "year": year, "citation_count": citations,
+         "subject_categories": cats, "author_count": len(bylines[pub_id])}
+        for pub_id, year, citations, cats in publications
+    ], authorships)
+
+
+@pytest.mark.parametrize("positional", [(), ("U1",)])
+def test_hand_built_cells_match_per_row_reference(positional):
+    corpus = _hand_built_corpus()
+    baselines = build_baselines(corpus)
+    assert baselines.cells == tuple(reference_baselines(corpus))
+    cell = baselines.get(2020, "ZOO")
+    assert (cell.median_citations, cell.mean_citations) == (0.0, 3.0)
+    assert baselines.get(1990, "MID")[2:4] == (0.0, 0.0)
+    assert baselines.get(1990, "ALG").median_citations == (2**62 + 1 + 2**62 + 3) / 2
+    expected = reference_indicators(corpus, baselines, positional)
+    actual = compute_indicators(corpus, baselines, positional)
+    assert _bits(actual) == _bits(expected)
+    assert expected["idle"] == ("idle", 0, None, 0.0)
 
 
 def _filtered_and_direct(corpus, threshold):
