@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus, Grid, RANKS, Rank, stable_order, tally
 from .indicators import IndicatorTable
-from .ranking import Indicator, TopFlagColumn, group_sort, midranks, ranked_population
+from .ranking import Indicator, TopFlagColumn, midranks, ranked_population, sds_ranking, sorted_midranks
 
 __all__ = [
     "ChiSquareResult",
@@ -123,8 +124,18 @@ class DominanceCounts:
     group_a: Rank
     group_b: Rank
     per_uda: Mapping[str, tuple[int, int]]  # uda -> (b_wins, fields counted)
-    sds_results: Mapping[str, DominanceResult]
     excluded_sds: int
+    # the counted fields' codes, then their r_eff_a, r_max_a, r_eff_b and r_max_b columns
+    _per_sds: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def sds_results(self) -> Mapping[str, DominanceResult]:
+        """Each counted field's :class:`DominanceResult` by SDS code, in code order."""
+        codes, *columns = self._per_sds
+        return {
+            code: DominanceResult(self.group_a, self.group_b, eff_a, top_a, eff_b, top_b, code)
+            for code, eff_a, top_a, eff_b, top_b in zip(codes, *(c.tolist() for c in columns))
+        }
 
     @property
     def total(self) -> tuple[int, int]:
@@ -145,25 +156,31 @@ def dominance_counts(
     Fields where either group has no ranked member are excluded from the
     denominator (and reported in ``excluded_sds``). Each field's result is
     :func:`sequence_criterion` on its two groups; all fields are ranked in
-    one sort, and the midrank sums, being sums of half-integers, are exact
-    in any order.
+    one sort, the indicator's :func:`~.ranking.sds_ranking`, whose order
+    keeps the two groups' members sorted by (SDS, value), and the midrank
+    sums, being sums of half-integers, are exact in any order. The two
+    groups must differ.
     """
-    rows, values = ranked_population(table, indicator, corpus)
-    rank = corpus.scientist_rank[rows]
-    sds = corpus.scientist_sds[rows]
-    in_a = rank == RANKS.index(group_a)
-    in_b = rank == RANKS.index(group_b)
-    # group a's members, then group b's, as sequence_criterion pools them
-    pooled = np.concatenate((sds[in_a], sds[in_b]))
+    if group_a == group_b:
+        raise ValueError(f"dominance needs two different rank groups, got {group_a.value} twice")
+    code_a, code_b = RANKS.index(group_a), RANKS.index(group_b)
+    ranking = sds_ranking(table, indicator, corpus)
+    order = ranking.ranked.order
+    rank = corpus.scientist_rank[ranking.rows[order]]
+    member = (rank == code_a) | (rank == code_b)
+    in_a = rank[member] == code_a
+    # both groups' members, still in the ranking's (SDS, value) order
+    pooled = order[member]
+    sds = ranking.sds[pooled]
     names = corpus.sds_codes
-    midrank = group_sort(pooled, np.concatenate((values[in_a], values[in_b])), len(names)).midrank
-    split = int(in_a.sum())
-    n_a = np.bincount(pooled[:split], minlength=len(names))
-    n_b = np.bincount(pooled[split:], minlength=len(names))
+    size = np.bincount(sds, minlength=len(names))
+    midrank = sorted_midranks(sds, ranking.values[pooled], np.cumsum(size) - size)
+    n_a = np.bincount(sds[in_a], minlength=len(names))
+    n_b = size - n_a
     kept = np.flatnonzero((n_a > 0) & (n_b > 0))
     n_a, n_b = n_a[kept], n_b[kept]
-    r_a = np.bincount(pooled[:split], midrank[:split], minlength=len(names))[kept]
-    r_b = np.bincount(pooled[split:], midrank[split:], minlength=len(names))[kept]
+    r_a = np.bincount(sds[in_a], midrank[in_a], minlength=len(names))[kept]
+    r_b = np.bincount(sds[~in_a], midrank[~in_a], minlength=len(names))[kept]
     max_a = _top_rank_sum(n_a, n_a + n_b)
     max_b = _top_rank_sum(n_b, n_a + n_b)
 
@@ -172,20 +189,13 @@ def dominance_counts(
     counted = np.bincount(uda, minlength=len(corpus.udas)).tolist()
     wins = np.bincount(uda[max_b - r_b < max_a - r_a], minlength=len(corpus.udas)).tolist()
     per_uda = {corpus.udas[u]: (wins[u], counted[u]) for u in dict.fromkeys(uda.tolist())}
-    results = {
-        code: DominanceResult(group_a, group_b, eff_a, top_a, eff_b, top_b, code)
-        for code, eff_a, top_a, eff_b, top_b in zip(
-            map(names.__getitem__, kept.tolist()),
-            r_a.tolist(), max_a.tolist(), r_b.tolist(), max_b.tolist(),
-        )
-    }
     return DominanceCounts(
         indicator=indicator,
         group_a=group_a,
         group_b=group_b,
         per_uda=per_uda,
-        sds_results=results,
-        excluded_sds=len(names) - len(results),
+        excluded_sds=len(names) - len(kept),
+        _per_sds=(list(map(names.__getitem__, kept.tolist())), r_a, max_a, r_b, max_b),
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -63,12 +63,15 @@ class IndicatorRecord(NamedTuple):
 class IndicatorTable(CorpusColumns, Mapping):
     """The indicators of every scientist of ``corpus`` as columns aligned to its
     rows, ``n_p`` (int64), ``qi`` (float64, NaN where absent) and ``fss``; a
-    read-only mapping of each scientist's :class:`IndicatorRecord` by id."""
+    read-only mapping of each scientist's :class:`IndicatorRecord` by id.
+    Each indicator's ranking within SDSs is built on first use and kept with
+    the table (see :mod:`.ranking`)."""
 
     corpus: Corpus
     n_p: np.ndarray
     qi: np.ndarray
     fss: np.ndarray
+    _rankings: dict = field(init=False, repr=False, default_factory=dict)
     record = IndicatorRecord
 
     @classmethod

@@ -8,6 +8,10 @@ receive midranks, which keeps the within-field mean percentile at exactly 50.
 Every SDS is ranked at once: scientist rows are coded by SDS and ordered
 by (SDS, value) with :func:`group_sort`, which yields the midranks, sizes and
 offsets of all fields at once. Results are columns over those rows.
+
+Each indicator is ranked once per :class:`IndicatorTable`: :func:`sds_ranking`
+keeps the sort on the table, read-only, and percentiles, top flags and the
+dominance comparison of :mod:`.analysis` all read it.
 """
 
 from __future__ import annotations
@@ -32,12 +36,15 @@ __all__ = [
     "PercentileColumn",
     "PercentileRecord",
     "PercentileTable",
+    "SdsRanking",
     "TopFlag",
     "TopFlagColumn",
     "group_sort",
     "midranks",
     "ranked_population",
     "sds_percentiles",
+    "sds_ranking",
+    "sorted_midranks",
     "top_scientists",
     "uda_rank_average",
     "write_percentiles",
@@ -102,7 +109,10 @@ class _RankedColumn(CorpusColumns, Sequence):
         return iter(self._build())
 
     def __getitem__(self, index):
-        return self._build()[index]
+        if isinstance(index, slice):
+            return self._build(index)
+        row = range(len(self.rows))[index]
+        return self._build(slice(row, row + 1))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,17 +153,23 @@ def group_sort(groups: np.ndarray, values: np.ndarray, n_groups: int) -> GroupSo
     ``0.0``.
     """
     order = stable_order(groups, values)
-    g, v = groups[order], values[order]
     size = np.bincount(groups, minlength=n_groups)
     start = np.cumsum(size) - size
-    new_run = np.ones(len(v), dtype=bool)
-    new_run[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
-    first = np.flatnonzero(new_run)
-    count = np.diff(np.append(first, len(v)))
-    mids = (first - start[g[first]] + 1) + (count - 1) / 2.0
-    midrank = np.empty(len(v))
-    midrank[order] = np.repeat(mids, count)
+    midrank = np.empty(len(values))
+    midrank[order] = sorted_midranks(groups[order], values[order], start)
     return GroupSort(order, midrank, size, start)
+
+
+def sorted_midranks(groups: np.ndarray, values: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The midrank of each of the rows sorted by ``(group, value)``: its rank
+    1..n within its group, runs of equal values sharing the mean of their
+    positions; ``start[g]`` is the offset of group ``g``'s first row."""
+    new_run = np.ones(len(values), dtype=bool)
+    new_run[1:] = (groups[1:] != groups[:-1]) | (values[1:] != values[:-1])
+    first = np.flatnonzero(new_run)
+    count = np.diff(np.append(first, len(values)))
+    mids = (first - start[groups[first]] + 1) + (count - 1) / 2.0
+    return np.repeat(mids, count)
 
 
 def midranks(values) -> np.ndarray:
@@ -173,12 +189,31 @@ def ranked_population(
     return rows, values[rows].astype(float)
 
 
-def _by_sds(table: IndicatorTable, indicator: Indicator, corpus: Corpus):
-    """The population sorted within SDSs, and its output order: by SDS, then row."""
-    rows, values = ranked_population(table, indicator, corpus)
-    sds = corpus.scientist_sds[rows]
-    ranked = group_sort(sds, values, len(corpus.sds_codes))
-    return rows, sds, values, ranked, stable_order(sds)
+class SdsRanking(NamedTuple):
+    """One indicator's population ranked within SDSs; see :func:`sds_ranking`."""
+
+    rows: np.ndarray  # the population's corpus scientist rows, ascending
+    sds: np.ndarray  # their SDS codes
+    values: np.ndarray  # their values
+    ranked: GroupSort  # the rows sorted by (SDS, value)
+    out: np.ndarray  # the output order: by SDS, then row
+
+
+def sds_ranking(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> SdsRanking:
+    """``indicator``'s :func:`ranked_population` sorted within SDSs by
+    :func:`group_sort`, built on the first call for a table and kept with it;
+    its arrays are read-only."""
+    rankings = table.bound_to(corpus)._rankings
+    ranking = rankings.get(indicator)
+    if ranking is None:
+        rows, values = ranked_population(table, indicator, corpus)
+        sds = corpus.scientist_sds[rows]
+        ranking = SdsRanking(rows, sds, values, group_sort(sds, values, len(corpus.sds_codes)),
+                             stable_order(sds))
+        for array in (rows, sds, values, *ranking.ranked, ranking.out):
+            array.flags.writeable = False
+        rankings[indicator] = ranking
+    return ranking
 
 
 def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> PercentileColumn:
@@ -190,7 +225,7 @@ def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus)
     the population; the volume and total-impact indicators rank them at 0.
     Rows come out ordered by SDS code, and by corpus row within an SDS.
     """
-    rows, sds, _, ranked, out = _by_sds(table, indicator, corpus)
+    rows, sds, _, ranked, out = sds_ranking(table, indicator, corpus)
     n = ranked.size[sds]
     pct = 100.0 * (ranked.midrank - 1.0) / np.maximum(n - 1.0, 1.0)
     pct[n == 1] = 100.0
@@ -238,7 +273,7 @@ def top_scientists(table: IndicatorTable, indicator: Indicator, corpus: Corpus,
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    rows, sds, values, ranked, out = _by_sds(table, indicator, corpus)
+    rows, sds, values, ranked, out = sds_ranking(table, indicator, corpus)
     n = ranked.size[sds]
     k = np.maximum(1, np.floor(fraction * n).astype(np.int64))
     # the k-th largest of a field is k places from the end of its sorted block

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankmetrics import (
+    RANKS,
     Indicator,
     IndicatorRecord,
     Rank,
@@ -20,8 +21,9 @@ from rankmetrics import (
     uda_rank_average,
     write_top_flags,
 )
+from rankmetrics import ranking
 from rankmetrics.corpus import stable_order
-from rankmetrics.ranking import group_sort
+from rankmetrics.ranking import INDICATORS, group_sort, sds_ranking
 
 from conftest import indicator_table, single_author_corpus
 
@@ -177,6 +179,73 @@ def test_columns_read_as_records():
     assert flags.is_top.tolist() == [True, False, True]
 
 
+def _three_rank_table():
+    """Two SDSs with members of every rank, values with ties; one idle scientist."""
+    ranks = ("FULL", "ASSOCIATE", "ASSISTANT")
+    entries = [(f"s{i}", f"S{i % 2 + 1}", "U1", ranks[i % 3], []) for i in range(12)]
+    corpus = single_author_corpus(entries)
+    records = [IndicatorRecord(sid, i % 4, None if i == 5 else float(i % 5), float(i % 3))
+               for i, (sid, *_) in enumerate(entries)]
+    return corpus, indicator_table(corpus, records)
+
+
+def test_ranked_columns_index_like_lists():
+    corpus, table = _three_rank_table()
+    for column in (sds_percentiles(table, Indicator.QI, corpus),
+                   top_scientists(table, Indicator.FSS, corpus, 0.3)):
+        records = list(column)
+        n = len(column)
+        assert len(records) == n == len(column.rows)
+        for i in (0, 3, n - 1, -1, -n):
+            assert column[i] == records[i]
+        for part in (slice(2, 5), slice(None, None, -1), slice(1, None, 3), slice(-3, None), slice(n, None)):
+            assert column[part] == records[part]
+        for i in (n, -n - 1, 10**6):
+            with pytest.raises(IndexError):
+                column[i]
+        assert list(reversed(column)) == records[::-1]
+
+
+def test_each_indicator_is_sorted_once_per_table(monkeypatch):
+    sorts = []
+
+    def counted(*args):
+        sorts.append(args)
+        return group_sort(*args)
+
+    monkeypatch.setattr(ranking, "group_sort", counted)
+    corpus, table = _three_rank_table()
+    for indicator in INDICATORS:
+        sds_percentiles(table, indicator, corpus)
+    top_scientists(table, Indicator.FSS, corpus, 0.2)
+    for indicator in INDICATORS:
+        dominance_counts(table, corpus, indicator)
+    assert len(sorts) == 3
+    # a new table of the same columns sorts again
+    dominance_counts(indicator_table(corpus, table.values()), corpus, Indicator.FSS)
+    assert len(sorts) == 4
+
+
+def test_cached_ranking_is_read_only():
+    corpus, table = _three_rank_table()
+    for indicator in INDICATORS:
+        ranked = sds_ranking(table, indicator, corpus)
+        assert sds_ranking(table, indicator, corpus) is ranked
+        for array in (ranked.rows, ranked.sds, ranked.values, *ranked.ranked, ranked.out):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+    # the corpus and table columns it was taken from stay writeable
+    assert corpus.scientist_sds.flags.writeable and table.fss.flags.writeable
+
+
+def test_dominance_of_a_rank_over_itself_is_rejected():
+    corpus, table = _three_rank_table()
+    for rank in RANKS:
+        with pytest.raises(ValueError, match=f"two different rank groups, got {rank.value} twice"):
+            dominance_counts(table, corpus, Indicator.FSS, rank, rank)
+
+
 def test_columns_of_another_corpus_are_rejected():
     corpus = single_author_corpus([
         ("a", "S1", "U1", "FULL", [3]), ("b", "S1", "U1", "ASSISTANT", [1]), ("idle", "S2", "U1", "FULL", []),
@@ -184,6 +253,8 @@ def test_columns_of_another_corpus_are_rejected():
     filtered = filter_active_sds(corpus, 0.5)
     assert filtered.scientist_ids == ["a", "b"]
     unfiltered = compute_indicators(corpus, build_baselines(corpus))
+    # a ranking kept with the table does not bind it to another corpus
+    sds_percentiles(unfiltered, Indicator.FSS, corpus)
     for rank in (sds_percentiles, top_scientists):
         with pytest.raises(ValueError, match="IndicatorTable is bound to another corpus"):
             rank(unfiltered, Indicator.FSS, filtered)

@@ -12,6 +12,7 @@ library's batched kernel replaced.
 import math
 import random
 from collections import defaultdict
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from rankmetrics import (
     RANKS,
     Indicator,
+    IndicatorTable,
     Rank,
     build_baselines,
     compute_indicators,
@@ -222,6 +224,14 @@ def _column_bits(table):
     return [(column.dtype.str, column.tobytes()) for column in (table.n_p, table.qi, table.fss)]
 
 
+def _count_bits(counts):
+    return (
+        list(counts.per_uda.items()),
+        [_dominance_bits(res) for res in counts.sds_results.values()],
+        counts.excluded_sds,
+    )
+
+
 def _check_all(table, corpus, fractions=FRACTIONS):
     records = table.values()
     for indicator in INDICATORS:
@@ -232,13 +242,10 @@ def _check_all(table, corpus, fractions=FRACTIONS):
             assert _flag_bits(top_scientists(table, indicator, corpus, fraction)) == (
                 reference_top_flags(records, indicator, corpus, fraction)
             ), fraction
-        counts = dominance_counts(table, corpus, indicator)
-        assert (
-            list(counts.per_uda.items()),
-            [_dominance_bits(res) for res in counts.sds_results.values()],
-            counts.excluded_sds,
-        ) == reference_dominance(records, corpus, indicator)
-        assert list(counts.sds_results) == [res.sds_code for res in counts.sds_results.values()]
+        for group_a, group_b in permutations(RANKS, 2):
+            counts = dominance_counts(table, corpus, indicator, group_a, group_b)
+            assert _count_bits(counts) == reference_dominance(records, corpus, indicator, group_a, group_b)
+            assert list(counts.sds_results) == [res.sds_code for res in counts.sds_results.values()]
         for bottom, top in ((0.4, 0.2), (0.5, 0.1)):
             rows = concentration_rows(table, corpus, indicator, bottom, top)
             actual = [
@@ -266,6 +273,23 @@ def test_shuffled_records_match_reference(scored):
     from_shuffled = indicator_table(corpus, shuffled)
     assert _column_bits(from_shuffled) == _column_bits(table)
     _check_all(from_shuffled, corpus, fractions=(0.2,))
+
+
+def test_query_order_does_not_change_bits(scored):
+    # each indicator is sorted once per table, by whichever query comes first
+    corpus, table = scored
+    for indicator in INDICATORS:
+        results = {}
+        for dominance_first in (True, False):
+            fresh = IndicatorTable(corpus, table.n_p, table.qi, table.fss)
+            if dominance_first:
+                counts = dominance_counts(fresh, corpus, indicator)
+            percentiles = _percentile_bits(sds_percentiles(fresh, indicator, corpus))
+            flags = _flag_bits(top_scientists(fresh, indicator, corpus, 0.2))
+            if not dominance_first:
+                counts = dominance_counts(fresh, corpus, indicator)
+            results[dominance_first] = (_count_bits(counts), percentiles, flags)
+        assert results[True] == results[False]
 
 
 def test_midranks_match_reference_with_signed_zeros():
