@@ -165,7 +165,7 @@ def dominance_counts(
         raise ValueError(f"dominance needs two different rank groups, got {group_a.value} twice")
     code_a, code_b = RANKS.index(group_a), RANKS.index(group_b)
     ranking = sds_ranking(table, indicator, corpus)
-    order = ranking.ranked.order
+    order = ranking.order
     rank = corpus.scientist_rank[ranking.rows[order]]
     member = (rank == code_a) | (rank == code_b)
     in_a = rank[member] == code_a

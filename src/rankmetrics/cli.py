@@ -40,6 +40,27 @@ def _configure_logging() -> None:
     logging.getLogger("rankmetrics").setLevel(level)
 
 
+_INPUTS = ("scientists", "publications", "authorships")
+#: The key of each :class:`RunConfig` field, as a flag and in a config file.
+_RUN_KEYS = {f.name: f.name for f in dataclasses.fields(RunConfig)} | {"output_format": "format"}
+_SYNTH_DEFAULTS = SynthConfig()
+
+
+def _synth_keys(name: str) -> tuple[str, ...]:
+    """The config keys of a :class:`SynthConfig` field: ``<field>_full``,
+    ``<field>_associate`` and ``<field>_assistant`` for a per-rank mapping,
+    ``year_start`` and ``year_end`` for ``years``, else the field's name."""
+    if isinstance(getattr(_SYNTH_DEFAULTS, name), Mapping):
+        return tuple(f"{name}_{rank.value.lower()}" for rank in RANKS)
+    return ("year_start", "year_end") if name == "years" else (name,)
+
+
+_SYNTH_KEYS = {f.name: _synth_keys(f.name) for f in dataclasses.fields(SynthConfig)}
+#: Every key that some subcommand reads, so that one file serves them all.
+_KNOWN_KEYS = {*_RUN_KEYS.values(), *(key for keys in _SYNTH_KEYS.values() for key in keys),
+               "out", "indicators"}
+
+
 def _read_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
@@ -51,6 +72,9 @@ def _read_config_file(path: str | None) -> dict[str, str]:
     for section in parser.sections():
         for key, value in parser.items(section):
             flat[key.strip()] = value.strip()
+    unknown = sorted(flat.keys() - _KNOWN_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
     return flat
 
 
@@ -64,17 +88,9 @@ def _setting(args: argparse.Namespace, cfg: dict[str, str], key: str, default=No
     return cast(value)
 
 
-def _split_udas(value) -> tuple[str, ...]:
-    if not value:
-        return ()
-    if isinstance(value, str):
-        return tuple(u.strip() for u in value.split(",") if u.strip())
-    return tuple(value)
-
-
 def _input_paths(args, cfg) -> tuple[Path, Path, Path]:
     paths = []
-    for key in ("scientists", "publications", "authorships"):
+    for key in _INPUTS:
         value = _setting(args, cfg, key)
         if value is None:
             raise ValueError(f"missing required input '--{key}' (flag or config file)")
@@ -83,19 +99,11 @@ def _input_paths(args, cfg) -> tuple[Path, Path, Path]:
 
 
 def _run_config(args, cfg) -> RunConfig:
-    scientists, publications, authorships = _input_paths(args, cfg)
-    return RunConfig(
-        scientists=scientists,
-        publications=publications,
-        authorships=authorships,
-        baselines=_setting(args, cfg, "baselines"),
-        positional_udas=_split_udas(_setting(args, cfg, "positional_udas")),
-        sds_threshold=_setting(args, cfg, "sds_threshold", 0.5, float),
-        top_fraction=_setting(args, cfg, "top_fraction", 0.2, float),
-        bottom_fraction=_setting(args, cfg, "bottom_fraction", 0.4, float),
-        reference_year=_setting(args, cfg, "reference_year", None, int),
-        output_format=_setting(args, cfg, "format", "text"),
-    )
+    """Each :class:`RunConfig` field from its flag or config key; a field
+    given neither keeps its default, and :class:`RunConfig` types text."""
+    values = {name: _setting(args, cfg, key) for name, key in _RUN_KEYS.items()}
+    values.update(zip(_INPUTS, _input_paths(args, cfg)))
+    return RunConfig(**{name: value for name, value in values.items() if value is not None})
 
 
 def _out_dir(args, cfg, required: bool = True) -> Path | None:
@@ -110,26 +118,19 @@ def _out_dir(args, cfg, required: bool = True) -> Path | None:
 
 
 def _synth_config(args, cfg) -> SynthConfig:
-    """One key per :class:`SynthConfig` field, cast to the default's type:
-    ``<field>_full``, ``<field>_associate`` and ``<field>_assistant`` for the
-    per-rank mappings, ``year_start`` and ``year_end`` for ``years``."""
-    defaults = SynthConfig()
+    """Each :class:`SynthConfig` field from its :func:`_synth_keys`, cast to
+    the default's type."""
     values = {}
-    for field in dataclasses.fields(SynthConfig):
-        default = getattr(defaults, field.name)
+    for name, keys in _SYNTH_KEYS.items():
+        default = getattr(_SYNTH_DEFAULTS, name)
         if isinstance(default, Mapping):
-            values[field.name] = {
-                rank: type(default[rank])(
-                    cfg.get(f"{field.name}_{rank.value.lower()}", default[rank])
-                )
-                for rank in RANKS
+            values[name] = {
+                rank: type(default[rank])(cfg.get(key, default[rank])) for rank, key in zip(RANKS, keys)
             }
-        elif field.name == "years":
-            values[field.name] = tuple(
-                int(cfg.get(key, year)) for key, year in zip(("year_start", "year_end"), default)
-            )
+        elif name == "years":
+            values[name] = tuple(int(cfg.get(key, year)) for key, year in zip(keys, default))
         else:
-            values[field.name] = _setting(args, cfg, field.name, default, type(default))
+            values[name] = _setting(args, cfg, name, default, type(default))
     return SynthConfig(**values)
 
 
@@ -229,13 +230,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--authorships", help="authorships record file")
     common.add_argument("--baselines", help="baseline override file (year,category,median,mean,count)")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--format", choices=["text", "csv", "md"], help="report format (default text)")
+    common.add_argument("--format", choices=list(FORMAT_EXT),
+                        help=f"report format (default {RunConfig.output_format})")
     common.add_argument("--sds-threshold", dest="sds_threshold", type=float,
-                        help="minimum publishing fraction to keep an SDS (default 0.5)")
+                        help="minimum publishing fraction to keep an SDS "
+                             f"(default {RunConfig.sds_threshold})")
     common.add_argument("--top-fraction", dest="top_fraction", type=float,
-                        help="top-scientist fraction (default 0.2)")
+                        help=f"top-scientist fraction (default {RunConfig.top_fraction})")
     common.add_argument("--bottom-fraction", dest="bottom_fraction", type=float,
-                        help="bottom block fraction for concentration ratios (default 0.4)")
+                        help="bottom block fraction for concentration ratios "
+                             f"(default {RunConfig.bottom_fraction})")
     common.add_argument("--reference-year", dest="reference_year", type=int,
                         help="reference year for ages (default: last publication year + 1)")
     common.add_argument("--positional-udas", dest="positional_udas",

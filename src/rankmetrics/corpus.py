@@ -725,6 +725,7 @@ def roster_summary(corpus: Corpus, reference_year: int | None = None) -> RosterS
     Ages are computed against ``reference_year``; when omitted it defaults to
     the year after the last observed publication year (the citation-snapshot
     convention). Scientists without a birth year only enter the headcounts.
+    A scientist born after ``reference_year`` is an error.
     """
     if reference_year is None and len(corpus.pub_ids):
         reference_year = int(corpus.pub_year.max()) + 1
@@ -732,6 +733,10 @@ def roster_summary(corpus: Corpus, reference_year: int | None = None) -> RosterS
     years = corpus.scientist_birth_year
     aged = [year is not None and reference_year is not None for year in years]
     ages = [reference_year - year if a else 0 for year, a in zip(years, aged)]
+    if ages and min(ages) < 0:
+        row = next(i for i, age in enumerate(ages) if age < 0)
+        raise ValueError(f"reference year {reference_year} is before the birth year "
+                         f"{years[row]} of scientist '{corpus.scientist_ids[row]}'")
     cells = tally(
         RosterCell,
         corpus.udas,

@@ -11,7 +11,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
 
 from . import __version__
 from .analysis import dominance_counts, concentration_rows, top_distribution
@@ -56,7 +55,14 @@ class RunConfig:
         self.authorships = Path(self.authorships)
         if self.baselines is not None:
             self.baselines = Path(self.baselines)
+        # text, as a config file gives it, is typed; typed values are kept as given
+        if isinstance(self.positional_udas, str):
+            self.positional_udas = [u.strip() for u in self.positional_udas.split(",") if u.strip()]
         self.positional_udas = tuple(self.positional_udas)
+        for name, cast in (("sds_threshold", float), ("top_fraction", float),
+                           ("bottom_fraction", float), ("reference_year", int)):
+            if isinstance(getattr(self, name), str):
+                setattr(self, name, cast(getattr(self, name)))
 
     def validate(self) -> None:
         if not 0.0 <= self.sds_threshold <= 1.0:
@@ -97,6 +103,9 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
     config.validate()
     corpus = load_corpus_files(config.scientists, config.publications, config.authorships)
     filtered = filter_active_sds(corpus, config.sds_threshold)
+    if not filtered.sds_codes:
+        raise ValueError(f"no SDS reaches the activity threshold {config.sds_threshold}: "
+                         f"0 of the {len(corpus.sds_codes)} SDSs loaded are kept")
     baselines = None if config.baselines is None else read_baselines(config.baselines)
     if indicators:
         records = read_indicators(indicators, filtered)
@@ -109,9 +118,7 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
     return corpus, filtered, baselines, records
 
 
-def analysis_tables(
-    config: RunConfig, filtered: Corpus, records: IndicatorTable, metadata: Mapping[str, str] = ()
-) -> list[Table]:
+def analysis_tables(config: RunConfig, filtered: Corpus, records: IndicatorTable) -> list[Table]:
     """T8 dominance, T9 concentration, T10 top distribution and the
     chi-square table, in report order."""
     dominance = {
@@ -124,10 +131,10 @@ def analysis_tables(
     flags = top_scientists(records, Indicator.FSS, filtered, config.top_fraction)
     dist = top_distribution(flags, filtered, Indicator.FSS)
     return [
-        build_dominance_table(dominance, metadata),
-        build_concentration_table(concentration, metadata),
-        build_top_distribution_table(dist, metadata),
-        build_chi_square_table(dist, metadata),
+        build_dominance_table(dominance),
+        build_concentration_table(concentration),
+        build_top_distribution_table(dist),
+        build_chi_square_table(dist),
     ]
 
 
@@ -151,13 +158,15 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
 
     averages = [uda_rank_average(sds_percentiles(records, i, filtered), filtered) for i in INDICATORS]
     tables = [
-        build_roster_table(summary, metadata),
-        build_age_table(summary, metadata),
-        build_activity_table(activity, "publication", metadata),
-        build_activity_table(activity, "citation", metadata),
-        *(build_percentile_table(average, metadata) for average in averages),
-        *analysis_tables(config, filtered, records, metadata),
+        build_roster_table(summary),
+        build_age_table(summary),
+        build_activity_table(activity, "publication"),
+        build_activity_table(activity, "citation"),
+        *map(build_percentile_table, averages),
+        *analysis_tables(config, filtered, records),
     ]
+    for table in tables:
+        table.metadata = {**metadata, **table.metadata}
     return ReportBundle({table.key: table for table in tables}, metadata)
 
 

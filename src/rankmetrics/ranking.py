@@ -5,8 +5,8 @@ nationally) and expressed as percentiles, 0 worst to 100 best, so that values
 are comparable across fields of different size and citation intensity. Ties
 receive midranks, which keeps the within-field mean percentile at exactly 50.
 
-Every SDS is ranked at once: scientist rows are coded by SDS and ordered
-by (SDS, value) with :func:`group_sort`, which yields the midranks, sizes and
+Every SDS is ranked at once: :func:`sds_ranking` codes the scientist rows by
+SDS and orders them by (SDS, value), which yields the midranks, sizes and
 offsets of all fields at once. Results are columns over those rows.
 
 Each indicator is ranked once per :class:`IndicatorTable`: :func:`sds_ranking`
@@ -29,7 +29,6 @@ from .fileio import write_records
 from .indicators import IndicatorTable
 
 __all__ = [
-    "GroupSort",
     "INDICATORS",
     "Indicator",
     "MeanCell",
@@ -39,7 +38,6 @@ __all__ = [
     "SdsRanking",
     "TopFlag",
     "TopFlagColumn",
-    "group_sort",
     "midranks",
     "ranked_population",
     "sds_percentiles",
@@ -131,35 +129,6 @@ class TopFlagColumn(_RankedColumn):
     record = TopFlag
 
 
-class GroupSort(NamedTuple):
-    """Values sorted within integer groups; see :func:`group_sort`."""
-
-    order: np.ndarray
-    midrank: np.ndarray
-    size: np.ndarray
-    start: np.ndarray
-
-
-def group_sort(groups: np.ndarray, values: np.ndarray, n_groups: int) -> GroupSort:
-    """Sort ``values`` by ``(group, value)``, for group codes
-    ``0..n_groups - 1``, with :func:`~.corpus.stable_order`: a stable sort of
-    the values, then a stable sort of their groups (a radix sort below 2**16).
-
-    ``order`` is that sort order, the one of ``np.lexsort((values, groups))``;
-    ``midrank[i]`` is value ``i``'s ascending rank 1..n within its group,
-    tied values sharing the mean of their positions; ``size[g]`` and
-    ``start[g]`` are group ``g``'s member count and the offset of its first
-    member in ``order``. Values are compared exactly, so ``-0.0`` ties with
-    ``0.0``.
-    """
-    order = stable_order(groups, values)
-    size = np.bincount(groups, minlength=n_groups)
-    start = np.cumsum(size) - size
-    midrank = np.empty(len(values))
-    midrank[order] = sorted_midranks(groups[order], values[order], start)
-    return GroupSort(order, midrank, size, start)
-
-
 def sorted_midranks(groups: np.ndarray, values: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The midrank of each of the rows sorted by ``(group, value)``: its rank
     1..n within its group, runs of equal values sharing the mean of their
@@ -175,7 +144,10 @@ def sorted_midranks(groups: np.ndarray, values: np.ndarray, start: np.ndarray) -
 def midranks(values) -> np.ndarray:
     """Ascending ranks 1..n with tied values sharing the mean of their positions."""
     a = np.asarray(values, dtype=float)
-    return group_sort(np.zeros(len(a), dtype=np.int64), a, 1).midrank
+    order = np.argsort(a, kind="stable")
+    midrank = np.empty(len(a))
+    midrank[order] = sorted_midranks(np.zeros(len(a), dtype=np.int64), a[order], np.zeros(1, np.int64))
+    return midrank
 
 
 def ranked_population(
@@ -195,22 +167,33 @@ class SdsRanking(NamedTuple):
     rows: np.ndarray  # the population's corpus scientist rows, ascending
     sds: np.ndarray  # their SDS codes
     values: np.ndarray  # their values
-    ranked: GroupSort  # the rows sorted by (SDS, value)
+    order: np.ndarray  # the sort order of the rows by (SDS, value)
+    midrank: np.ndarray  # each row's midrank within its SDS
+    size: np.ndarray  # each SDS's member count
+    start: np.ndarray  # the offset of each SDS's first member in ``order``
     out: np.ndarray  # the output order: by SDS, then row
 
 
 def sds_ranking(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> SdsRanking:
-    """``indicator``'s :func:`ranked_population` sorted within SDSs by
-    :func:`group_sort`, built on the first call for a table and kept with it;
-    its arrays are read-only."""
+    """``indicator``'s :func:`ranked_population`, ordered by (SDS, value)
+    with :func:`~.corpus.stable_order`, the order of
+    ``np.lexsort((values, sds))``: a stable sort of the values, then of their
+    SDS codes. ``midrank[i]`` is row ``i``'s ascending rank 1..n within its
+    SDS, tied values sharing the mean of their positions; values are compared
+    exactly, so ``-0.0`` ties with ``0.0``. Built on the first call for a
+    table and kept with it; its arrays are read-only."""
     rankings = table.bound_to(corpus)._rankings
     ranking = rankings.get(indicator)
     if ranking is None:
         rows, values = ranked_population(table, indicator, corpus)
         sds = corpus.scientist_sds[rows]
-        ranking = SdsRanking(rows, sds, values, group_sort(sds, values, len(corpus.sds_codes)),
-                             stable_order(sds))
-        for array in (rows, sds, values, *ranking.ranked, ranking.out):
+        order = stable_order(sds, values)
+        size = np.bincount(sds, minlength=len(corpus.sds_codes))
+        start = np.cumsum(size) - size
+        midrank = np.empty(len(values))
+        midrank[order] = sorted_midranks(sds[order], values[order], start)
+        ranking = SdsRanking(rows, sds, values, order, midrank, size, start, stable_order(sds))
+        for array in ranking:
             array.flags.writeable = False
         rankings[indicator] = ranking
     return ranking
@@ -225,9 +208,9 @@ def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus)
     the population; the volume and total-impact indicators rank them at 0.
     Rows come out ordered by SDS code, and by corpus row within an SDS.
     """
-    rows, sds, _, ranked, out = sds_ranking(table, indicator, corpus)
-    n = ranked.size[sds]
-    pct = 100.0 * (ranked.midrank - 1.0) / np.maximum(n - 1.0, 1.0)
+    rows, sds, _, _, midrank, size, _, out = sds_ranking(table, indicator, corpus)
+    n = size[sds]
+    pct = 100.0 * (midrank - 1.0) / np.maximum(n - 1.0, 1.0)
     pct[n == 1] = 100.0
     return PercentileColumn(corpus, indicator, rows[out], pct[out])
 
@@ -273,11 +256,11 @@ def top_scientists(table: IndicatorTable, indicator: Indicator, corpus: Corpus,
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    rows, sds, values, ranked, out = sds_ranking(table, indicator, corpus)
-    n = ranked.size[sds]
+    rows, sds, values, order, _, size, start, out = sds_ranking(table, indicator, corpus)
+    n = size[sds]
     k = np.maximum(1, np.floor(fraction * n).astype(np.int64))
     # the k-th largest of a field is k places from the end of its sorted block
-    cutoff = values[ranked.order][ranked.start[sds] + n - k]
+    cutoff = values[order][start[sds] + n - k]
     return TopFlagColumn(corpus, indicator, rows[out], (values >= cutoff)[out])
 
 

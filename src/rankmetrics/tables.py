@@ -221,7 +221,7 @@ def _grid_rows(grid: Grid, row: Callable[[str | None], list], total: str = "Tota
     return [[uda, *row(uda)] for uda in grid.udas] + [[total, *row(None)]]
 
 
-def build_roster_table(summary: RosterSummary, metadata: Mapping[str, str] = ()) -> Table:
+def build_roster_table(summary: RosterSummary) -> Table:
     columns = [Column("UDA"), Column("SDS", "int"), *_rank_columns("count_pct"), Column("Total", "count")]
     sds = summary.sds_counts
 
@@ -233,13 +233,13 @@ def build_roster_table(summary: RosterSummary, metadata: Mapping[str, str] = ())
         ]
 
     rows = _grid_rows(summary, row)
-    return Table("T1_roster", "T1. Research staff by UDA and academic rank", columns, rows, dict(metadata))
+    return Table("T1_roster", "T1. Research staff by UDA and academic rank", columns, rows)
 
 
-def build_age_table(summary: RosterSummary, metadata: Mapping[str, str] = ()) -> Table:
+def build_age_table(summary: RosterSummary) -> Table:
     columns = [Column("UDA"), *_rank_columns("dec0"), Column("Average", "dec0")]
     rows = _grid_rows(summary, lambda uda: [summary.mean_age(uda, r) for r in (*RANKS, None)])
-    return Table("T2_mean_age", "T2. Average age of research staff by UDA and academic rank", columns, rows, dict(metadata))
+    return Table("T2_mean_age", "T2. Average age of research staff by UDA and academic rank", columns, rows)
 
 
 def _activity_cell(table: Grid, uda, rank, attribute: str):
@@ -249,11 +249,7 @@ def _activity_cell(table: Grid, uda, rank, attribute: str):
     return (count, pct)
 
 
-def build_activity_table(
-    activity: Grid,
-    which: str,
-    metadata: Mapping[str, str] = (),
-) -> Table:
+def build_activity_table(activity: Grid, which: str) -> Table:
     """``which`` is ``publication`` (T3, any publication) or ``citation``
     (T4, any citation impact)."""
     attribute = f"{which}_active"
@@ -265,7 +261,7 @@ def build_activity_table(
     rows = _grid_rows(
         activity, lambda uda: [_activity_cell(activity, uda, r, attribute) for r in (*RANKS, None)]
     )
-    return Table(key, title, columns, rows, dict(metadata))
+    return Table(key, title, columns, rows)
 
 
 _PERCENTILE_KEYS = {
@@ -275,17 +271,14 @@ _PERCENTILE_KEYS = {
 }
 
 
-def build_percentile_table(ptable: PercentileTable, metadata: Mapping[str, str] = ()) -> Table:
+def build_percentile_table(ptable: PercentileTable) -> Table:
     key, title = _PERCENTILE_KEYS[ptable.indicator]
     columns = [Column("UDA"), *_rank_columns("dec2")]
     rows = _grid_rows(ptable, lambda uda: [ptable.mean(uda, r) for r in RANKS])
-    return Table(key, title, columns, rows, dict(metadata))
+    return Table(key, title, columns, rows)
 
 
-def build_dominance_table(
-    counts_by_indicator: Mapping[Indicator, DominanceCounts],
-    metadata: Mapping[str, str] = (),
-) -> Table:
+def build_dominance_table(counts_by_indicator: Mapping[Indicator, DominanceCounts]) -> Table:
     order = [i for i in INDICATORS if i in counts_by_indicator]
     if not order:
         raise ValueError("no dominance counts to tabulate")
@@ -300,17 +293,14 @@ def build_dominance_table(
     for uda in udas:
         rows.append([uda, *[counts_by_indicator[i].per_uda.get(uda, (0, 0)) for i in order]])
     rows.append(["Total", *[counts_by_indicator[i].total for i in order]])
-    meta = dict(metadata)
+    meta = {}
     for i in order:
         if counts_by_indicator[i].excluded_sds:
             meta[f"excluded_sds_{i.value}"] = str(counts_by_indicator[i].excluded_sds)
     return Table("T8_dominance", title, columns, rows, meta)
 
 
-def build_concentration_table(
-    rows_by_cell: Mapping[tuple[str, Rank], ConcentrationRow],
-    metadata: Mapping[str, str] = (),
-) -> Table:
+def build_concentration_table(rows_by_cell: Mapping[tuple[str, Rank], ConcentrationRow]) -> Table:
     columns = [Column("UDA")]
     for rank in RANKS:
         columns.append(Column(f"{_RANK_TITLES[rank]} Gini", "dec3"))
@@ -329,11 +319,10 @@ def build_concentration_table(
         "T9. Concentration of fractional impact (FSS) by UDA and academic rank",
         columns,
         rows,
-        dict(metadata),
     )
 
 
-def build_top_distribution_table(dist: TopDistribution, metadata: Mapping[str, str] = ()) -> Table:
+def build_top_distribution_table(dist: TopDistribution) -> Table:
     columns = [Column("UDA"), *_rank_columns("pct_index")]
     rows = _grid_rows(dist, lambda uda: [(dist.top_share(uda, r), dist.index(uda, r)) for r in RANKS])
     return Table(
@@ -341,11 +330,10 @@ def build_top_distribution_table(dist: TopDistribution, metadata: Mapping[str, s
         f"T10. Distribution of top scientists ({dist.indicator.label}) by rank, concentration index in brackets",
         columns,
         rows,
-        dict(metadata),
     )
 
 
-def build_chi_square_table(dist: TopDistribution, metadata: Mapping[str, str] = ()) -> Table:
+def build_chi_square_table(dist: TopDistribution) -> Table:
     columns = [
         Column("UDA"),
         Column("Statistic", "dec3"),
@@ -365,5 +353,4 @@ def build_chi_square_table(dist: TopDistribution, metadata: Mapping[str, str] = 
         f"Association between top-scientist status ({dist.indicator.label}) and academic rank",
         columns,
         rows,
-        dict(metadata),
     )

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from rankmetrics.cli import _build_parser, _read_config_file, _synth_config, main
+from rankmetrics.cli import _build_parser, _read_config_file, _run_config, _synth_config, main
 from rankmetrics.corpus import Rank
+from rankmetrics.pipeline import RunConfig
 from rankmetrics.synth import SynthConfig
 from rankmetrics.tables import parse_table_csv
 
@@ -120,6 +121,65 @@ def test_config_file_and_flag_precedence(corpus_dir, tmp_path, capsys):
     assert main(["report", "--config", str(config), "--out", str(out2), "--format", "md"]) == 0
     assert (out2 / "T1_roster.md").is_file()
     assert not (out2 / "T1_roster.csv").exists()
+
+
+def test_run_config_from_input_flags_alone_is_the_default(corpus_dir):
+    args = _build_parser().parse_args(["report", *_inputs(corpus_dir)])
+    default = RunConfig(*(corpus_dir / f"{name}.csv" for name in ("scientists", "publications", "authorships")))
+    built = _run_config(args, {})
+    assert built == default and built.digest() == default.digest()
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("report", "analysis", "top_fracton"),
+    ("report", "analysis", "sds-threshold"),
+    ("synth", "synth", "seeed"),
+])
+def test_unknown_config_key_is_rejected(corpus_dir, tmp_path, capsys, command, section, key):
+    config = tmp_path / "run.conf"
+    config.write_text(f"[{section}]\n{key} = 0.5\n")
+    inputs = _inputs(corpus_dir) if command == "report" else []
+    assert main([command, *inputs, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert f"unknown config key(s) in {config}: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_config_file_serves_every_subcommand(corpus_dir, tmp_path):
+    config = tmp_path / "all.conf"
+    config.write_text(
+        "[inputs]\n"
+        f"scientists = {corpus_dir / 'scientists.csv'}\n"
+        f"publications = {corpus_dir / 'publications.csv'}\n"
+        f"authorships = {corpus_dir / 'authorships.csv'}\n"
+        "[analysis]\n"
+        "top_fraction = 0.25\n"
+        "[synth]\n"
+        "seed = 5\n"
+        "n_uda = 1\n"
+        "scientists_per_sds_full = 2\n"
+        "year_start = 2001\n"
+        "[output]\n"
+        "format = csv\n"
+    )
+    for command in ("validate", "synth", "indicators", "rank", "analyze", "report"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0, command
+
+
+def test_reference_year_before_a_birth_year_fails(corpus_dir, capsys):
+    assert main(["report", *_inputs(corpus_dir), "--reference-year", "1900"]) == 1
+    assert "reference year 1900 is before the birth year" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("baselines", [False, True])
+def test_activity_filter_that_keeps_no_sds_is_named(corpus_dir, tmp_path, capsys, baselines):
+    args = ["report", *_inputs(corpus_dir), "--sds-threshold", "1.0"]
+    if baselines:
+        # not a baselines file: the filter fails before it is read
+        bogus = tmp_path / "baselines.csv"
+        bogus.write_text("not,a,baselines,file\n")
+        args += ["--baselines", str(bogus)]
+    assert main(args) == 1
+    assert "activity threshold 1.0: 0 of the 27 SDSs loaded are kept" in capsys.readouterr().err
 
 
 def test_missing_config_file_errors(capsys):

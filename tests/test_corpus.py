@@ -142,6 +142,15 @@ def test_reference_year_defaults_to_snapshot(tiny_corpus):
     assert summary.reference_year == 2007  # last publication year 2006 + 1
 
 
+def test_reference_year_before_a_birth_year_is_rejected(tiny_corpus):
+    # birth years 1949 (A1) and 1957 (A2): the first scientist born later is named
+    with pytest.raises(ValueError, match="reference year 1950 is before the birth year 1957 of scientist 'A2'"):
+        roster_summary(tiny_corpus, reference_year=1950)
+    with pytest.raises(ValueError, match="birth year 1949 of scientist 'A1'"):
+        roster_summary(tiny_corpus, reference_year=1900)
+    assert roster_summary(tiny_corpus, reference_year=1957).mean_age("U1", Rank.ASSISTANT) == 0
+
+
 def test_single_scientist_share():
     corpus = single_author_corpus([("X", "S1", "U1", "FULL", [1])])
     summary = roster_summary(corpus)

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from rankmetrics import Corpus, Rank, RunConfig, load_corpus, run_pipeline, write_bundle
+from rankmetrics import Corpus, Rank, RunConfig, load_corpus, pipeline, prepare, run_pipeline, write_bundle
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 
 EXPECTED_TABLES = [
@@ -45,6 +45,33 @@ def test_bundle_complete_with_metadata(corpus_paths):
         assert table.metadata.get("config_sha256")
         assert table.metadata.get("scientists")
         assert table.metadata.get("publications")
+        # the run's lines lead, then the table's own (T8's excluded_sds_*)
+        lines, run = list(table.metadata.items()), list(bundle.metadata.items())
+        assert lines[:len(run)] == run
+        assert all(key.startswith("excluded_sds_") for key, _ in lines[len(run):])
+
+
+def test_config_text_is_typed_and_typed_values_keep_their_digest(corpus_paths):
+    typed = _run_config(corpus_paths, positional_udas=("UDA01", "UDA02"), sds_threshold=0.4,
+                        top_fraction=0.1, bottom_fraction=0.3, reference_year=2012)
+    text = _run_config(corpus_paths, positional_udas="UDA01, UDA02,", sds_threshold="0.4",
+                       top_fraction="0.1", bottom_fraction="0.3", reference_year="2012")
+    assert text == typed and text.digest() == typed.digest()
+    # settings given in code hash as they always have: these digests are the
+    # config_sha256 lines of existing reports
+    assert RunConfig("s.csv", "p.csv", "a.csv").digest() == "eb16025953a1b628"
+    assert RunConfig("s.csv", "p.csv", "a.csv", sds_threshold=1).digest() == "f71d8223f2154d5c"
+
+
+def test_activity_filter_that_keeps_no_sds_is_named(corpus_paths, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("baselines or indicators were read or built")
+
+    for name in ("read_baselines", "build_baselines", "read_indicators", "compute_indicators"):
+        monkeypatch.setattr(pipeline, name, unexpected)
+    # every SDS of the corpus has a scientist without publications
+    with pytest.raises(ValueError, match=r"activity threshold 1\.0: 0 of the 6 SDSs loaded are kept"):
+        prepare(_run_config(corpus_paths, sds_threshold=1.0))
 
 
 def test_identical_runs_are_byte_identical(corpus_paths, tmp_path):

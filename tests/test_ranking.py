@@ -23,7 +23,7 @@ from rankmetrics import (
 )
 from rankmetrics import ranking
 from rankmetrics.corpus import stable_order
-from rankmetrics.ranking import INDICATORS, group_sort, sds_ranking
+from rankmetrics.ranking import INDICATORS, sds_ranking
 
 from conftest import indicator_table, single_author_corpus
 
@@ -104,7 +104,7 @@ def test_midranks_match_naive():
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_group_sort_order_is_the_lexsort_order(data):
+def test_group_and_value_order_is_the_lexsort_order(data):
     # group codes spanning fewer and more than the 2**16 values of a radix sort
     n_groups = data.draw(st.sampled_from([1, 3, 2**16 - 1, 2**16, 2**16 + 1, 100_000]))
     n = data.draw(st.integers(0, 40))
@@ -112,8 +112,7 @@ def test_group_sort_order_is_the_lexsort_order(data):
     groups = np.array(data.draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.int64)
     values = np.array(data.draw(st.lists(
         st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 1e300]), min_size=n, max_size=n)))
-    ranked = group_sort(groups, values, n_groups)
-    assert ranked.order.tolist() == np.lexsort((values, groups)).tolist()
+    assert stable_order(groups, values).tolist() == np.lexsort((values, groups)).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,19 +210,20 @@ def test_each_indicator_is_sorted_once_per_table(monkeypatch):
 
     def counted(*args):
         sorts.append(args)
-        return group_sort(*args)
+        return stable_order(*args)
 
-    monkeypatch.setattr(ranking, "group_sort", counted)
+    # two sorts per ranking: by (SDS, value), and by SDS for the output order
+    monkeypatch.setattr(ranking, "stable_order", counted)
     corpus, table = _three_rank_table()
     for indicator in INDICATORS:
         sds_percentiles(table, indicator, corpus)
     top_scientists(table, Indicator.FSS, corpus, 0.2)
     for indicator in INDICATORS:
         dominance_counts(table, corpus, indicator)
-    assert len(sorts) == 3
+    assert len(sorts) == 6
     # a new table of the same columns sorts again
     dominance_counts(indicator_table(corpus, table.values()), corpus, Indicator.FSS)
-    assert len(sorts) == 4
+    assert len(sorts) == 8
 
 
 def test_cached_ranking_is_read_only():
@@ -231,7 +231,7 @@ def test_cached_ranking_is_read_only():
     for indicator in INDICATORS:
         ranked = sds_ranking(table, indicator, corpus)
         assert sds_ranking(table, indicator, corpus) is ranked
-        for array in (ranked.rows, ranked.sds, ranked.values, *ranked.ranked, ranked.out):
+        for array in ranked:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
