@@ -7,20 +7,19 @@ table through one schema, a chunk of rows at a time as a file is read, and
 still names the first offending row; checks across rows and files run once
 on the typed columns. The corpus is immutable, so every operation here is a
 pure read and :func:`filter_active_sds` returns a new corpus instead of
-mutating. Row objects (:class:`Scientist`, :class:`Publication`,
-:class:`Authorship`) exist only at the edge, in the views a corpus builds on
-request. Per-row counts per UDA and rank are summed by :func:`tally` into a
-:class:`Grid`.
+mutating. Records exist only at the edge, where one :class:`RowView` builds
+those of the rows asked for from the columns of a corpus table (laid out once
+by :meth:`Corpus.table`) or of a result. Per-row counts per UDA and rank are
+summed by :func:`tally` into a :class:`Grid`.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +53,7 @@ __all__ = [
     "Rank",
     "RosterCell",
     "RosterSummary",
+    "RowMap",
     "RowView",
     "Scientist",
     "activity_rates",
@@ -107,55 +107,66 @@ class Authorship:
     affiliation_id: str | None = None
 
 
-def decode(column) -> list:
-    """A column as a list: a list as it is, an integer array as ints, and a
-    ``(codes, names)`` pair as ``names[code]``, None where the code is -1."""
+def decode(column, rows: slice | np.ndarray = slice(None)) -> Iterable:
+    """The values at ``rows`` (a slice or an array of row numbers) of a
+    column: of a list as they are, of an integer array as ints, of a float
+    array as floats with NaN read as None, and of a ``(codes, names)`` pair
+    as ``names[code]``, None where the code is -1."""
     if isinstance(column, tuple):
         codes, names = column
-        names = [*names, None]
-        return [names[code] for code in codes.tolist()]
-    return column.tolist() if isinstance(column, np.ndarray) else column
+        codes = codes[rows]
+        if (codes < 0).any():
+            names = [*names, None]
+        return map(names.__getitem__, codes.tolist())
+    if isinstance(column, np.ndarray):
+        values = column[rows]
+        if values.dtype.kind == "f" and np.isnan(values).any():
+            values = np.where(np.isnan(values), None, values)
+        return values.tolist()
+    if isinstance(rows, slice):
+        return column[rows]
+    return map(column.__getitem__, rows.tolist())
 
 
-class _LazyRows:
-    """Rows built on first use by ``build``; ``len()`` builds nothing."""
+class RowView(Sequence):
+    """Read-only sequence of ``record`` objects, one per row of the
+    ``columns`` (each read by :func:`decode`), built only for the rows asked
+    for: an index builds one, a slice its length. A view holds the columns,
+    not the corpus. Tuple records are made without a Python frame per row;
+    any other record type through its constructor."""
 
-    __slots__ = ("_length", "_build", "_rows")
-    _container: type = tuple
+    __slots__ = ("_record", "_columns", "_length")
 
-    def __init__(self, length: int, build: Callable[[], Iterable]):
-        self._length, self._build, self._rows = length, build, None
+    def __init__(self, record: type, *columns):
+        first = columns[0]
+        self._record, self._columns = record, columns
+        self._length = len(first[0] if isinstance(first, tuple) else first)
 
-    def _materialize(self):
-        if self._build is not None:
-            self._rows, self._build = self._container(self._build()), None
-        return self._rows
+    def take(self, rows: slice | np.ndarray) -> list:
+        """The records of ``rows``, a slice or an array of row numbers."""
+        fields = [decode(column, rows) for column in self._columns]
+        if issubclass(self._record, tuple):
+            return list(map(tuple.__new__, repeat(self._record), zip(*fields)))
+        return list(map(self._record, *fields))
 
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, key):
-        return self._materialize()[key]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        row = range(self._length)[index]
+        return self.take(slice(row, row + 1))[0]
 
     def __iter__(self) -> Iterator:
-        return iter(self._materialize())
+        return iter(self.take(slice(None)))
 
-
-class RowView(_LazyRows, Sequence):
-    """Read-only sequence of ``row_type`` objects, one per row of the
-    ``columns`` (each read by :func:`decode`). A view holds the columns, not
-    the corpus."""
-
-    __slots__ = ()
-
-    def __init__(self, row_type: type, *columns):
-        first = columns[0]
-        length = len(first[0] if isinstance(first, tuple) else first)
-        super().__init__(length, lambda: map(row_type, *map(decode, columns)))
+    def __reversed__(self) -> Iterator:
+        return reversed(self.take(slice(None)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (RowView, tuple)):
-            return self._materialize() == tuple(other)
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     __hash__ = None
@@ -164,11 +175,23 @@ class RowView(_LazyRows, Sequence):
         return f"RowView({self._length} rows)"
 
 
-class _RowMap(_LazyRows, Mapping):
-    """Read-only mapping; ``build`` yields its items."""
+class RowMap(Mapping):
+    """Read-only mapping of each key of ``rows`` to the records of ``view`` at
+    ``rows[key]``: one record for a row number, a tuple for an array of row
+    numbers; built only for the key asked for."""
 
-    __slots__ = ()
-    _container = dict
+    def __init__(self, view: RowView, rows: Mapping):
+        self._view, self._rows = view, rows
+
+    def __getitem__(self, key):
+        rows = self._rows[key]
+        return self._view[rows] if isinstance(rows, int) else tuple(self._view.take(rows))
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 def _start(counts: np.ndarray) -> np.ndarray:
@@ -219,14 +242,15 @@ class Corpus:
     ``by_pub[pub_start[p]:pub_start[p + 1]]``; and ``scientist_pub_count``,
     each scientist's number of authorships.
 
-    Row objects exist only at the edge: ``scientists``, ``publications`` and
-    ``authorships`` are :class:`RowView` sequences, and ``scientists_by_id``
-    and ``scientists_by_sds`` (read by the benchmark harness) mappings, each
-    made afresh on every access from the columns alone; ``len()`` of any of
-    them builds no row. Build a corpus with
-    :func:`load_corpus`, which enforces the structural invariants (unique
-    keys, one UDA per SDS, resolvable references, byline positions covering
-    ``1..author_count``); the constructor trusts its columns.
+    Row objects exist only at the edge. :meth:`table` declares each input
+    table's fields and columns once, for the row views and the CSV writer of
+    :mod:`.synth`: ``scientists``, ``publications`` and ``authorships`` are
+    :class:`RowView` sequences, and ``scientists_by_id`` and
+    ``scientists_by_sds`` (read by the benchmark harness) :class:`RowMap`
+    mappings; each builds only the rows indexed, sliced or looked up. Build a
+    corpus with :func:`load_corpus`, which enforces the structural invariants
+    (unique keys, one UDA per SDS, resolvable references, byline positions
+    covering ``1..author_count``); the constructor trusts its columns.
     """
 
     scientist_ids: list[str]
@@ -285,69 +309,56 @@ class Corpus:
 
     # -- row objects at the edge --------------------------------------------
 
-    @property
-    def scientists(self) -> RowView:
-        return RowView(
-            Scientist,
-            self.scientist_ids,
-            (self.scientist_sds, self.sds_codes),
-            (self.scientist_uda, self.udas),
-            (self.scientist_rank, RANKS),
-            self.scientist_birth_year,
-        )
+    def table(self, name: str) -> dict:
+        """The columns of input table ``name`` (``scientists``,
+        ``publications`` or ``authorships``) by field, in the order of the
+        table's fields in a file and in its row type; each column is read by
+        :func:`decode`, ranks as :class:`Rank` members and subject categories
+        as tuples."""
+        return {
+            "scientists": {
+                "scientist_id": self.scientist_ids, "sds_code": (self.scientist_sds, self.sds_codes),
+                "uda_code": (self.scientist_uda, self.udas), "rank": (self.scientist_rank, RANKS),
+                "birth_year": self.scientist_birth_year,
+            },
+            "publications": {
+                "pub_id": self.pub_ids, "year": self.pub_year, "citation_count": self.pub_citations,
+                "subject_categories": (self.pub_categories, self.category_sets),
+                "author_count": self.pub_author_count,
+            },
+            "authorships": {
+                "pub_id": (self.auth_pub, self.pub_ids), "position": self.auth_position,
+                "scientist_id": (self.auth_scientist, self.scientist_ids),
+                "affiliation_id": (self.auth_affiliation, self.affiliations),
+            },
+        }[name]
 
-    @property
-    def publications(self) -> RowView:
-        return RowView(
-            Publication,
-            self.pub_ids,
-            self.pub_year,
-            self.pub_citations,
-            (self.pub_categories, self.category_sets),
-            self.pub_author_count,
-        )
-
-    @property
-    def authorships(self) -> RowView:
-        return RowView(
-            Authorship,
-            (self.auth_pub, self.pub_ids),
-            self.auth_position,
-            (self.auth_scientist, self.scientist_ids),
-            (self.auth_affiliation, self.affiliations),
-        )
+    scientists = property(lambda self: RowView(Scientist, *self.table("scientists").values()))
+    publications = property(lambda self: RowView(Publication, *self.table("publications").values()))
+    authorships = property(lambda self: RowView(Authorship, *self.table("authorships").values()))
 
     @property
     def scientists_by_id(self) -> Mapping[str, Scientist]:
-        ids, rows = self.scientist_ids, self.scientists
-        return _RowMap(len(ids), lambda: zip(ids, rows))
+        return RowMap(self.scientists, self.scientist_index)
 
     @property
     def scientists_by_sds(self) -> Mapping[str, tuple[Scientist, ...]]:
-        """Scientists per SDS, SDSs in order of first appearance."""
-        rows = self.scientists
-
-        def groups():
-            by_sds = defaultdict(list)
-            for sci in rows:
-                by_sds[sci.sds_code].append(sci)
-            return ((sds, tuple(group)) for sds, group in by_sds.items())
-
-        return _RowMap(len(self.sds_codes), groups)
+        """Scientists per SDS in row order, SDSs in order of first appearance."""
+        order = stable_order(self.scientist_sds)
+        start = _start(np.bincount(self.scientist_sds, minlength=len(self.sds_codes)))
+        groups = np.split(order, start[1:-1])
+        appearance = np.argsort(order[start[:-1]]).tolist()
+        return RowMap(self.scientists, {self.sds_codes[code]: groups[code] for code in appearance})
 
 
 class CorpusColumns:
-    """Columns over the rows of their ``corpus``, read as ``record`` tuples only at the edge."""
+    """Columns over the rows of their ``corpus``, read as records only at the edge."""
 
     def bound_to(self, corpus: Corpus):
         """Self, bound to ``corpus``; columns of another corpus, as the unfiltered one, raise."""
         if self.corpus is not corpus:
             raise ValueError(f"{type(self).__name__} is bound to another corpus")
         return self
-
-    def _build(self, rows: slice = slice(None)) -> list:
-        """The records of a slice of the rows, built without a Python frame per record."""
-        return list(map(tuple.__new__, repeat(self.record), zip(*self._fields(rows))))
 
 
 # ---------------------------------------------------------------------------

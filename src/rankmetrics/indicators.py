@@ -23,13 +23,14 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .baseline import BaselineTable
-from .corpus import Corpus, CorpusColumns
+from .corpus import Corpus, CorpusColumns, RowView
 from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
@@ -72,7 +73,6 @@ class IndicatorTable(CorpusColumns, Mapping):
     qi: np.ndarray
     fss: np.ndarray
     _rankings: dict = field(init=False, repr=False, default_factory=dict)
-    record = IndicatorRecord
 
     @classmethod
     def resolve(cls, corpus: Corpus, ids, n_p, qi, fss, source: str = "indicator records") -> IndicatorTable:
@@ -80,14 +80,13 @@ class IndicatorTable(CorpusColumns, Mapping):
         order = np.argsort(corpus.rows_of(ids, source))
         return cls(corpus, *(np.asarray(c, t)[order] for c, t in ((n_p, np.int64), (qi, float), (fss, float))))
 
-    def _fields(self, rows: slice):
-        qi = self.qi[rows]
-        return (self.corpus.scientist_ids[rows], self.n_p[rows].tolist(),
-                np.where(np.isnan(qi), None, qi).tolist(), self.fss[rows].tolist())
+    @cached_property
+    def view(self) -> RowView:
+        """The records in row order, built only for the rows read; a QI of NaN reads as None."""
+        return RowView(IndicatorRecord, self.corpus.scientist_ids, self.n_p, self.qi, self.fss)
 
     def __getitem__(self, scientist_id: str) -> IndicatorRecord:
-        row = self.corpus.scientist_index[scientist_id]
-        return self._build(slice(row, row + 1))[0]
+        return self.view[self.corpus.scientist_index[scientist_id]]
 
     def __iter__(self):
         return iter(self.corpus.scientist_ids)
@@ -96,7 +95,7 @@ class IndicatorTable(CorpusColumns, Mapping):
         return len(self.n_p)
 
     def values(self) -> list[IndicatorRecord]:
-        return self._build()
+        return self.view[:]
 
 
 def coauthor_weights(

@@ -72,7 +72,7 @@ class RunConfig:
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value}")
         if self.output_format not in FORMAT_EXT:
-            raise ValueError(f"output_format must be one of {sorted(FORMAT_EXT)}")
+            raise ValueError(f"format must be one of {sorted(FORMAT_EXT)}, got {self.output_format!r}")
         for name in ("scientists", "publications", "authorships", "baselines"):
             path = getattr(self, name)
             if path is not None and not Path(path).is_file():
@@ -102,6 +102,10 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
     without one."""
     config.validate()
     corpus = load_corpus_files(config.scientists, config.publications, config.authorships)
+    unknown = sorted(set(config.positional_udas) - set(corpus.udas))
+    if unknown:
+        raise ValueError(f"positional_udas names UDA code(s) not in the corpus: {', '.join(unknown)}; "
+                         f"the corpus has {', '.join(corpus.udas)}")
     filtered = filter_active_sds(corpus, config.sds_threshold)
     if not filtered.sds_codes:
         raise ValueError(f"no SDS reaches the activity threshold {config.sds_threshold}: "

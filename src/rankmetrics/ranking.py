@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import RANKS, Corpus, CorpusColumns, Grid, Rank, stable_order, tally
+from .corpus import RANKS, Corpus, CorpusColumns, Grid, Rank, RowView, stable_order, tally
 from .fileio import write_records
 from .indicators import IndicatorTable
 
@@ -89,28 +89,30 @@ class _RankedColumn(CorpusColumns, Sequence):
     indicator: Indicator
     rows: np.ndarray
 
-    def _fields(self, rows: slice):
-        corpus, scientist = self.corpus, self.rows[rows]
-        fields = (
-            map(corpus.scientist_ids.__getitem__, scientist.tolist()),
-            repeat(self.indicator),
-            getattr(self, self.record._fields[2])[rows].tolist(),
-            map(corpus.sds_codes.__getitem__, corpus.scientist_sds[scientist].tolist()),
-            map(RANKS.__getitem__, corpus.scientist_rank[scientist].tolist()),
+    @cached_property
+    def view(self) -> RowView:
+        """The records of the rows, built only for the rows read."""
+        corpus, rows = self.corpus, self.rows
+        columns = (
+            (rows, corpus.scientist_ids),
+            [self.indicator] * len(rows),
+            getattr(self, self.record._fields[2]),
+            (corpus.scientist_sds[rows], corpus.sds_codes),
+            (corpus.scientist_rank[rows], RANKS),
         )
-        return fields[:len(self.record._fields)]
+        return RowView(self.record, *columns[:len(self.record._fields)])
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __iter__(self):
-        return iter(self._build())
+        return iter(self.view)
+
+    def __reversed__(self):
+        return reversed(self.view)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._build(index)
-        row = range(len(self.rows))[index]
-        return self._build(slice(row, row + 1))[0]
+        return self.view[index]
 
 
 @dataclass(frozen=True, eq=False)

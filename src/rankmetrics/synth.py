@@ -186,41 +186,22 @@ def generate(config: SynthConfig) -> Corpus:
     return load_corpus(scientists, publications, authorships)
 
 
+#: The text written for a field whose column codes objects: a rank's name
+#: and a category set joined by ``;``.
+_TEXT = {"rank": lambda rank: rank.value, "subject_categories": ";".join}
+
+
 def write_corpus_csv(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
-    """Write the three corpus files in their canonical column order, from the
-    corpus's columns; a missing optional value is written empty."""
+    """Write the three corpus files from the columns of :meth:`Corpus.table`,
+    fields in its order; a missing optional value is written empty."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = {
-        "scientists": (
-            ["scientist_id", "sds_code", "uda_code", "rank", "birth_year"],
-            corpus.scientist_ids,
-            (corpus.scientist_sds, corpus.sds_codes),
-            (corpus.scientist_uda, corpus.udas),
-            (corpus.scientist_rank, [rank.value for rank in RANKS]),
-            corpus.scientist_birth_year,
-        ),
-        "publications": (
-            ["pub_id", "year", "citation_count", "subject_categories", "author_count"],
-            corpus.pub_ids,
-            corpus.pub_year,
-            corpus.pub_citations,
-            (corpus.pub_categories, [";".join(cats) for cats in corpus.category_sets]),
-            corpus.pub_author_count,
-        ),
-        "authorships": (
-            ["pub_id", "position", "scientist_id", "affiliation_id"],
-            (corpus.auth_pub, corpus.pub_ids),
-            corpus.auth_position,
-            (corpus.auth_scientist, corpus.scientist_ids),
-            (corpus.auth_affiliation, corpus.affiliations),
-        ),
-    }
-    return {
-        name: write_records(
-            out_dir / f"{name}.csv",
-            fields,
-            zip(*map(decode, columns)),
-        )
-        for name, (fields, *columns) in tables.items()
-    }
+    paths = {}
+    for name in ("scientists", "publications", "authorships"):
+        columns = corpus.table(name)
+        for key in columns.keys() & _TEXT.keys():
+            codes, names = columns[key]
+            columns[key] = (codes, list(map(_TEXT[key], names)))
+        rows = zip(*map(decode, columns.values()))
+        paths[name] = write_records(out_dir / f"{name}.csv", list(columns), rows)
+    return paths

@@ -182,6 +182,21 @@ def test_activity_filter_that_keeps_no_sds_is_named(corpus_dir, tmp_path, capsys
     assert "activity threshold 1.0: 0 of the 27 SDSs loaded are kept" in capsys.readouterr().err
 
 
+def test_positional_udas_not_in_the_corpus_fail(corpus_dir, tmp_path, capsys):
+    assert main(["report", *_inputs(corpus_dir), "--positional-udas", "UDA02,NOPE",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "positional_udas names UDA code(s) not in the corpus: NOPE; the corpus has UDA01," in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_format_in_a_config_file_names_the_key(corpus_dir, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("[run]\nformat = pdf\n")
+    assert main(["report", *_inputs(corpus_dir), "--config", str(config)]) == 1
+    assert "error: format must be one of ['csv', 'md', 'text'], got 'pdf'" in capsys.readouterr().err
+
+
 def test_missing_config_file_errors(capsys):
     assert main(["validate", "--config", "/nonexistent.conf"]) == 1
     assert "config" in capsys.readouterr().err

@@ -14,7 +14,10 @@ from rankmetrics import (
     load_corpus_files,
     roster_summary,
 )
-from rankmetrics.indicators import IndicatorRecord
+from rankmetrics.baseline import build_baselines
+from rankmetrics.corpus import Authorship, Publication, Scientist
+from rankmetrics.indicators import IndicatorRecord, compute_indicators
+from rankmetrics.ranking import Indicator, sds_percentiles, top_scientists
 from rankmetrics.synth import SynthConfig, generate
 
 from conftest import authorships_by_pub, publications_by_id, single_author_corpus, tiny_rows
@@ -34,6 +37,70 @@ def test_identity_load(tiny_corpus):
         Rank.FULL, Rank.ASSISTANT, Rank.ASSOCIATE
     ]
     assert tiny_corpus.scientist_birth_year == [1949, 1957, None]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The class name of every row object built while the test runs."""
+    built = []
+    for cls in (Scientist, Publication, Authorship):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_row_access_builds_only_the_rows_asked_for(built):
+    corpus = generate(SynthConfig(seed=5, n_uda=2, sds_per_uda=2))
+    scientists, publications, authorships = map(tuple, (
+        corpus.scientists, corpus.publications, corpus.authorships))
+    some = scientists[70]
+    members = tuple(s for s in scientists if s.sds_code == some.sds_code)
+    built.clear()
+
+    def once(read, expected, count):
+        assert read() == expected
+        assert len(built) == count
+        built.clear()
+
+    once(lambda: corpus.authorships[-1], authorships[-1], 1)
+    once(lambda: corpus.publications[0], publications[0], 1)
+    once(lambda: corpus.scientists_by_id[some.scientist_id], some, 1)
+    once(lambda: corpus.scientists_by_sds[some.sds_code], members, len(members))
+    once(lambda: corpus.authorships[5:12], list(authorships[5:12]), 7)
+    once(lambda: corpus.scientists[-len(scientists)], scientists[0], 1)
+    once(lambda: len(corpus.scientists_by_sds), len(corpus.sds_codes), 0)
+    for view in (corpus.scientists, corpus.authorships):
+        with pytest.raises(IndexError):
+            view[len(view)]
+        with pytest.raises(IndexError):
+            view[-len(view) - 1]
+    assert list(reversed(corpus.authorships)) == list(authorships[::-1])
+    assert corpus.scientists == generate(SynthConfig(seed=5, n_uda=2, sds_per_uda=2)).scientists
+    assert corpus.scientists == scientists and corpus.scientists != list(scientists)
+    assert corpus.publications != generate(SynthConfig(seed=6, n_uda=2, sds_per_uda=2)).publications
+    assert dict(corpus.scientists_by_id) == {s.scientist_id: s for s in scientists}
+    unsorted = single_author_corpus([("A1", "SB", "U1", "FULL", [1]), ("A2", "SA", "U1", "FULL", [2]),
+                                     ("A3", "SB", "U1", "FULL", [])])
+    assert list(unsorted.scientists_by_sds) == ["SB", "SA"]  # in order of first appearance
+    assert [s.scientist_id for s in unsorted.scientists_by_sds["SB"]] == ["A1", "A3"]
+    with pytest.raises(KeyError):
+        corpus.scientists_by_sds["NOPE"]
+
+
+def test_record_columns_build_the_rows_asked_for():
+    corpus = generate(SynthConfig(seed=5, n_uda=2, sds_per_uda=2))
+    table = compute_indicators(corpus, build_baselines(corpus))
+    records = table.values()
+    assert table[records[-1].scientist_id] == records[-1]
+    assert any(r.qi is None for r in records)
+    for column in (sds_percentiles(table, Indicator.QI, corpus), top_scientists(table, Indicator.FSS, corpus)):
+        rows = list(column)
+        assert len(rows) == len(column)
+        assert column[-1] == rows[-1] and column[3:9] == rows[3:9]
+        assert list(reversed(column)) == rows[::-1]
 
 
 def test_unknown_pub_reference():

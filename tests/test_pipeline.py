@@ -7,6 +7,8 @@ import pytest
 from rankmetrics import Corpus, Rank, RunConfig, load_corpus, pipeline, prepare, run_pipeline, write_bundle
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 
+from conftest import single_author_corpus
+
 EXPECTED_TABLES = [
     "T1_roster",
     "T2_mean_age",
@@ -72,6 +74,18 @@ def test_activity_filter_that_keeps_no_sds_is_named(corpus_paths, monkeypatch):
     # every SDS of the corpus has a scientist without publications
     with pytest.raises(ValueError, match=r"activity threshold 1\.0: 0 of the 6 SDSs loaded are kept"):
         prepare(_run_config(corpus_paths, sds_threshold=1.0))
+
+
+def test_positional_udas_must_name_loaded_udas(tmp_path):
+    # U2's only SDS has no publishing scientist, so the activity filter drops
+    # it; U2 is still a code of the loaded corpus
+    corpus = single_author_corpus([("A1", "S1", "U1", "FULL", [3]), ("A2", "S2", "U2", "FULL", [])])
+    paths = write_corpus_csv(corpus, tmp_path)
+    _, filtered, _, _ = prepare(_run_config(paths, positional_udas=("U2",)))
+    assert filtered.udas == ("U1",)
+    with pytest.raises(ValueError, match=r"positional_udas names UDA code\(s\) not in the corpus: "
+                                         r"NOPE, U3; the corpus has U1, U2$"):
+        prepare(_run_config(paths, positional_udas=("U3", "U1", "NOPE")))
 
 
 def test_identical_runs_are_byte_identical(corpus_paths, tmp_path):
