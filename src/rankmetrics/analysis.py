@@ -10,6 +10,8 @@ The inequality measures of many blocks come from one kernel: blocks of one
 length are gathered into one matrix, members in their given order, and each
 statistic is computed row-wise, so a block gets the same bits as it would
 alone. :func:`gini` and :func:`bottom_top_ratio` are one-block calls of it.
+Dominance counts and the sorted concentration blocks are kept with their
+:class:`~.indicators.IndicatorTable` (see :mod:`.ranking`).
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Grid, RANKS, Rank, stable_order, tally
 from .indicators import IndicatorTable
-from .ranking import Indicator, TopFlagColumn, midranks, ranked_population, sds_ranking, sorted_midranks
+from .ranking import (
+    Indicator, TopFlagColumn, _read_only, midranks, ranked_population, sds_ranking, sorted_midranks,
+)
 
 __all__ = [
     "ChiSquareResult",
@@ -132,10 +135,10 @@ class DominanceCounts:
     def sds_results(self) -> Mapping[str, DominanceResult]:
         """Each counted field's :class:`DominanceResult` by SDS code, in code order."""
         codes, *columns = self._per_sds
-        return {
+        return MappingProxyType({
             code: DominanceResult(self.group_a, self.group_b, eff_a, top_a, eff_b, top_b, code)
             for code, eff_a, top_a, eff_b, top_b in zip(codes, *(c.tolist() for c in columns))
-        }
+        })
 
     @property
     def total(self) -> tuple[int, int]:
@@ -159,10 +162,20 @@ def dominance_counts(
     one sort, the indicator's :func:`~.ranking.sds_ranking`, whose order
     keeps the two groups' members sorted by (SDS, value), and the midrank
     sums, being sums of half-integers, are exact in any order. The two
-    groups must differ.
+    groups must differ. The counts are kept with the table, read-only, and
+    returned on every call for the same indicator and groups.
     """
     if group_a == group_b:
         raise ValueError(f"dominance needs two different rank groups, got {group_a.value} twice")
+    return table.bound_to(corpus).derived(
+        ("dominance", indicator, group_a, group_b),
+        lambda: _dominance(table, corpus, indicator, group_a, group_b),
+    )
+
+
+def _dominance(
+    table: IndicatorTable, corpus: Corpus, indicator: Indicator, group_a: Rank, group_b: Rank
+) -> DominanceCounts:
     code_a, code_b = RANKS.index(group_a), RANKS.index(group_b)
     ranking = sds_ranking(table, indicator, corpus)
     order = ranking.order
@@ -193,38 +206,36 @@ def dominance_counts(
         indicator=indicator,
         group_a=group_a,
         group_b=group_b,
-        per_uda=per_uda,
+        per_uda=MappingProxyType(per_uda),
         excluded_sds=len(names) - len(kept),
-        _per_sds=(list(map(names.__getitem__, kept.tolist())), r_a, max_a, r_b, max_b),
+        _per_sds=(tuple(map(names.__getitem__, kept.tolist())), *_read_only(r_a, max_a, r_b, max_b)),
     )
 
 
 # ---------------------------------------------------------------------------
 # Inequality measures
 
-def _block_stats(
-    values: np.ndarray,
-    starts: np.ndarray,
-    sizes: np.ndarray,
-    bottom_fraction: float,
-    top_fraction: float,
-    caller: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gini coefficient and bottom/top ratio of every block
-    ``values[start:start + size]``; the ratio is NaN where it is undefined.
-
-    Blocks of one length ``n`` form one C-contiguous ``(blocks, n)`` matrix,
-    members in their given order, so each row sums exactly as the 1-D
-    ``.sum()`` of its block. See :func:`gini` and :func:`bottom_top_ratio`.
-    """
+def _check_inequality(values: np.ndarray, caller: str, bottom_fraction: float, top_fraction: float) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{caller} requires finite values")
     if (values < 0).any():
         raise ValueError(f"{caller} requires non-negative values")
     if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
         raise ValueError("fractions must be in (0, 1)")
+
+
+def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Every block ``values[start:start + size]`` sorted, as ``(indices,
+    sorted rows)`` per block length, and each block's Gini coefficient, all
+    read-only; :func:`_ratios` takes their bottom/top ratios. The values must
+    pass :func:`_check_inequality`.
+
+    Blocks of one length ``n`` form one C-contiguous ``(blocks, n)`` matrix,
+    members in their given order, so each row sums exactly as the 1-D
+    ``.sum()`` of its block. See :func:`gini` and :func:`bottom_top_ratio`.
+    """
     g = np.empty(len(sizes))
-    ratio = np.empty(len(sizes))
+    lengths = []
     # not np.unique, which imports numpy.ma on first use (about 1.5 MB resident)
     for n in np.flatnonzero(np.bincount(sizes)).tolist():
         idx = np.flatnonzero(sizes == n)
@@ -238,23 +249,31 @@ def _block_stats(
         # min(1.0, max(0.0, g)), which np.clip would not match on -0.0
         gi = np.where(gi > 0, gi, 0.0)
         g[idx] = np.where(gi < 1, gi, 1.0)
+        lengths.append(_read_only(idx, xs))
+    g.flags.writeable = False
+    return tuple(lengths), g
+
+
+def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: float) -> np.ndarray:
+    """The bottom/top ratio of each of the ``count`` blocks, NaN where it is undefined."""
+    ratio = np.empty(count)
+    for idx, xs in lengths:
+        n = xs.shape[1]
         k_top = max(1, math.floor(top_fraction * n))
         k_bottom = max(1, math.floor(bottom_fraction * n))
         top = np.array([math.fsum(r) for r in xs[:, n - k_top:].tolist()]) / k_top
         bottom = np.array([math.fsum(r) for r in xs[:, :k_bottom].tolist()]) / k_bottom
         ratio[idx] = np.divide(bottom, top, out=np.full(len(idx), np.nan), where=top != 0.0)
-    return g, ratio
+    return ratio
 
 
 def _one_block(values, caller: str, bottom_fraction: float = 0.4, top_fraction: float = 0.2):
-    """``(gini, ratio)`` of ``values`` as one block of :func:`_block_stats`."""
+    """``values`` as the one block of a :func:`_sorted_blocks` call."""
     x = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     if x.size == 0:
         raise ValueError(f"{caller} requires at least one value")
-    g, ratio = _block_stats(
-        x.ravel(), np.zeros(1, dtype=np.intp), np.array([x.size]), bottom_fraction, top_fraction, caller
-    )
-    return float(g[0]), float(ratio[0])
+    _check_inequality(x, caller, bottom_fraction, top_fraction)
+    return _sorted_blocks(x.ravel(), np.zeros(1, dtype=np.intp), np.array([x.size]))
 
 
 def gini(values) -> float:
@@ -265,7 +284,7 @@ def gini(values) -> float:
     O(n^2) pairwise definition to float precision. Values must be finite and
     non-negative.
     """
-    return _one_block(values, "gini")[0]
+    return float(_one_block(values, "gini")[1][0])
 
 
 def weighted_uda_gini(per_sds: Iterable[tuple[float, int]]) -> float:
@@ -296,7 +315,8 @@ def bottom_top_ratio(
     top; None (undefined) when the top block has zero output. Values must be
     finite and non-negative.
     """
-    ratio = _one_block(values, "bottom_top_ratio", bottom_fraction, top_fraction)[1]
+    lengths, _ = _one_block(values, "bottom_top_ratio", bottom_fraction, top_fraction)
+    ratio = float(_ratios(lengths, 1, bottom_fraction, top_fraction)[0])
     return None if math.isnan(ratio) else ratio
 
 
@@ -392,32 +412,44 @@ def concentration_rows(
     undefined (zero top output) are left out of the ratio average; if every
     field's ratio is undefined the UDA ratio is None. Every field's values
     enter one :func:`gini`/:func:`bottom_top_ratio` kernel call in corpus
-    row order, and each cell adds its fields in SDS-code order.
+    row order, and each cell adds its fields in SDS-code order. The sorted
+    blocks and the Gini columns are kept with the table; only the ratios are
+    computed per call.
     """
     rows, values = ranked_population(table, indicator, corpus)
-    names, udas = corpus.sds_codes, corpus.udas
+    _check_inequality(values, "concentration_rows", bottom_fraction, top_fraction)
+    lengths, sizes, cells = table.derived(
+        ("concentration", indicator), lambda: _concentration_blocks(corpus, rows, values)
+    )
+    ratio = _ratios(lengths, len(sizes), bottom_fraction, top_fraction).tolist()
+    out: dict[tuple[str, Rank], ConcentrationRow] = {}
+    for (uda, rank), g, lo, hi in cells:
+        defined = [(r, n) for r, n in zip(ratio[lo:hi], sizes[lo:hi]) if not math.isnan(r)]
+        out[(uda, rank)] = ConcentrationRow(uda, rank, g, weighted_uda_gini(defined) if defined else None)
+    return out
+
+
+def _concentration_blocks(corpus: Corpus, rows: np.ndarray, values: np.ndarray) -> tuple:
+    """The sorted blocks of :func:`concentration_rows`, one per (SDS, rank)
+    ordered by (UDA, rank, SDS code), members in row order; their headcounts;
+    and per (UDA, rank) cell its weighted Gini and its first and end block."""
+    names = corpus.sds_codes
     sds = corpus.scientist_sds[rows]
-    # one block per (SDS, rank), ordered by (UDA, rank, SDS code), members in row order
     key = (corpus.sds_uda[sds] * len(RANKS) + corpus.scientist_rank[rows]) * len(names) + sds
     order = stable_order(key)
-    key, values = key[order], values[order]
+    key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     sizes = np.diff(np.append(starts, len(key)))
-    g, ratio = _block_stats(values, starts, sizes, bottom_fraction, top_fraction, "concentration_rows")
-    blocks = zip((key[starts] // len(names)).tolist(), g.tolist(), ratio.tolist(), sizes.tolist())
-
-    out: dict[tuple[str, Rank], ConcentrationRow] = {}
-    for code, cell_blocks in groupby(blocks, key=itemgetter(0)):
-        cell_blocks = list(cell_blocks)
-        ratio_cells = [(r, size) for _, _, r, size in cell_blocks if not math.isnan(r)]
-        uda, rank = udas[code // len(RANKS)], RANKS[code % len(RANKS)]
-        out[(uda, rank)] = ConcentrationRow(
-            uda_code=uda,
-            rank=rank,
-            gini=weighted_uda_gini((gi, size) for _, gi, _, size in cell_blocks),
-            bottom_top_ratio=weighted_uda_gini(ratio_cells) if ratio_cells else None,
-        )
-    return out
+    lengths, g = _sorted_blocks(values[order], starts, sizes)
+    cell = key[starts] // len(names)
+    first = np.flatnonzero(np.diff(cell, prepend=-1)).tolist()
+    g, sizes = g.tolist(), tuple(sizes.tolist())
+    cells = tuple(
+        ((corpus.udas[code // len(RANKS)], RANKS[code % len(RANKS)]),
+         weighted_uda_gini(zip(g[lo:hi], sizes[lo:hi])), lo, hi)
+        for code, lo, hi in zip(cell[first].tolist(), first, [*first[1:], len(cell)])
+    )
+    return lengths, sizes, cells
 
 
 class TopShareCell(NamedTuple):
@@ -469,7 +501,8 @@ def top_distribution(
     Flags of another indicator than ``indicator`` raise."""
     if flags.indicator is not indicator:
         raise ValueError(f"top flags of {flags.indicator.label} given for {indicator.label}")
-    top = np.isin(np.arange(len(corpus.scientist_ids)), flags.bound_to(corpus).rows[flags.is_top])
+    top = np.zeros(len(corpus.scientist_ids), dtype=bool)
+    top[flags.bound_to(corpus).rows[flags.is_top]] = True
     cells = tally(TopShareCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank, top, np.ones(len(top)))
     grid = Grid(TopShareCell, cells)
     return TopDistribution(

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, stable_order
+from .corpus import Corpus, dense_codes, stable_order
 from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
@@ -97,7 +97,7 @@ def build_baselines(corpus: Corpus) -> BaselineTable:
     slots = np.full((len(corpus.category_sets), width), -1, dtype=np.int64)
     for row, cats in enumerate(corpus.category_sets):
         slots[row, : len(cats)] = [code[cat] for cat in cats]
-    years, year = np.unique(corpus.pub_year, return_inverse=True)
+    years, year = dense_codes(corpus.pub_year)
     # one (publication, category) pair per category of each publication
     pair_cat = slots[corpus.pub_categories]
     paired = pair_cat >= 0

@@ -18,7 +18,9 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +60,7 @@ __all__ = [
     "Scientist",
     "activity_rates",
     "decode",
+    "dense_codes",
     "filter_active_sds",
     "load_corpus",
     "load_corpus_files",
@@ -215,6 +218,16 @@ def stable_order(*keys: np.ndarray) -> np.ndarray:
         step = np.argsort(key, kind="stable")
         order = step if order is None else order[step]
     return order
+
+
+def dense_codes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)`` of an integer ``key``, counted with
+    ``np.bincount`` rather than sorted where it spans at most ``len(key) + 2**16`` values."""
+    low, high = (int(key.min()), int(key.max())) if key.size else (0, -1)
+    if high - low >= len(key) + (1 << 16):
+        return np.unique(key, return_inverse=True)
+    present = np.bincount(key - low, minlength=high - low + 1) > 0
+    return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[key - low]
 
 
 @dataclass(eq=False, repr=False, slots=True, kw_only=True)
@@ -655,7 +668,7 @@ class Grid:
 
     :meth:`cell` pools cells field by field for a UDA, a rank or the whole
     grid, adding them in grid order, so a pooled float total is the same
-    sequence of additions on every run.
+    sequence of additions on every run, once: later lookups are dict reads.
     """
 
     cell_type: type
@@ -665,12 +678,16 @@ class Grid:
     def udas(self) -> tuple[str, ...]:
         return tuple(sorted({u for u, _ in self.cells}))
 
-    def cell(self, uda: str | None = None, rank: Rank | None = None) -> tuple:
-        total = self.cell_type()
+    @cached_property
+    def _pooled(self) -> dict:
+        pooled: dict = {}
         for (u, r), c in self.cells.items():
-            if (uda is None or u == uda) and (rank is None or r == rank):
-                total = self.cell_type(*map(operator.add, total, c))
-        return total
+            for key in ((u, r), (u, None), (None, r), (None, None)):
+                pooled[key] = self.cell_type(*map(operator.add, pooled.get(key, self.cell_type()), c))
+        return pooled
+
+    def cell(self, uda: str | None = None, rank: Rank | None = None) -> tuple:
+        return self._pooled.get((uda, rank), self.cell_type())
 
     def percent(self, field: str, uda: str | None, rank: Rank) -> float | None:
         """``field`` of the (uda, rank) cell as a percent of the UDA's pooled
@@ -683,23 +700,23 @@ class Grid:
 
 def tally(
     cell_type: type, udas: Sequence[str], uda: np.ndarray, rank: np.ndarray, *columns
-) -> dict:
+) -> Mapping:
     """Sum per-row ``columns``, one per field of ``cell_type``, into one cell
     per distinct (UDA, rank) of the rows, in order of first appearance.
 
     ``uda`` and ``rank`` are each row's position in ``udas`` and in
     :data:`RANKS`. Each cell adds its rows in row order, as a loop over the
-    rows would; a field is cast to the type of its default.
+    rows would; a field is cast to the type of its default. Read-only.
     """
     key = uda * len(RANKS) + rank
     distinct, first = np.unique(key, return_index=True)
     sums = [np.bincount(key, weights=column).tolist() for column in columns]
     casts = [type(default) for default in cell_type._field_defaults.values()]
-    return {
+    return MappingProxyType({
         (udas[k // len(RANKS)], RANKS[k % len(RANKS)]):
             cell_type(*(cast(total[k]) for cast, total in zip(casts, sums)))
         for k in distinct[np.argsort(first)].tolist()
-    }
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -251,9 +251,14 @@ class FieldParser:
                 parts[key].append(kind(self, key, (None,) * length if values is None else values))
             if self.unique:
                 self._check_unique(*self.unique, [parts[key][-1] for key in self.unique[1]])
+            self.check_rows({key: part[-1] for key, part in parts.items()})
             self.check()
             self.offset += length
         return Records({key: kind.join(parts[key]) for key, kind in self.schema.items()}, self.offset)
+
+    def check_rows(self, chunk: dict) -> None:
+        """Checks across the fields of each row of one typed ``chunk``, made
+        after those of single fields; a subclass reports through :meth:`fail`."""
 
     def _check_unique(self, name: str, fields: tuple, columns: list) -> None:
         columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]

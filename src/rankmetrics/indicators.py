@@ -30,7 +30,7 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .baseline import BaselineTable
-from .corpus import Corpus, CorpusColumns, RowView
+from .corpus import Corpus, CorpusColumns, RowView, dense_codes
 from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
@@ -65,14 +65,22 @@ class IndicatorTable(CorpusColumns, Mapping):
     """The indicators of every scientist of ``corpus`` as columns aligned to its
     rows, ``n_p`` (int64), ``qi`` (float64, NaN where absent) and ``fss``; a
     read-only mapping of each scientist's :class:`IndicatorRecord` by id.
-    Each indicator's ranking within SDSs is built on first use and kept with
-    the table (see :mod:`.ranking`)."""
+    What the rankings and analyses derive from one indicator is built on
+    first use and kept with the table (see :meth:`derived`)."""
 
     corpus: Corpus
     n_p: np.ndarray
     qi: np.ndarray
     fss: np.ndarray
-    _rankings: dict = field(init=False, repr=False, default_factory=dict)
+    _derived: dict = field(init=False, repr=False, default_factory=dict)
+
+    def derived(self, key, build):
+        """``build()``, kept with the table under ``key`` from the first call
+        on (see :mod:`.ranking`); a build that raises keeps nothing."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     @classmethod
     def resolve(cls, corpus: Corpus, ids, n_p, qi, fss, source: str = "indicator records") -> IndicatorTable:
@@ -223,9 +231,9 @@ def _scored_cells(corpus: Corpus, baselines: BaselineTable):
     pubs = np.flatnonzero(
         np.bincount(corpus.auth_pub[corpus.auth_scientist >= 0], minlength=len(corpus.pub_ids))
     )
-    years, year = np.unique(corpus.pub_year[pubs], return_inverse=True)
+    years, year = dense_codes(corpus.pub_year[pubs])
     n_sets = len(corpus.category_sets)
-    codes, pub_cell = np.unique(year * n_sets + corpus.pub_categories[pubs], return_inverse=True)
+    codes, pub_cell = dense_codes(year * n_sets + corpus.pub_categories[pubs])
     year_code, set_code = np.divmod(codes, n_sets)
     sets = map(corpus.category_sets.__getitem__, set_code.tolist())
     cells = list(zip(years[year_code].tolist(), sets))
@@ -313,10 +321,23 @@ def write_indicators(table: Mapping[str, IndicatorRecord], path: str | Path) -> 
     return write_records(path, list(IndicatorRecord._fields), rows)
 
 
+class _IndicatorParser(FieldParser):
+    def check_rows(self, chunk: dict) -> None:
+        """Reject rows :func:`compute_indicators` cannot write: a QI exactly
+        when ``n_p`` is 0, or an FSS other than 0 when it is."""
+        idle = (chunk["n_p"] == 0).tolist()
+        for i, (no_pubs, qi, fss) in enumerate(zip(idle, chunk["qi"], chunk["fss"])):
+            if no_pubs == (qi is not None):
+                self.fail(i, "'qi' must be empty exactly when 'n_p' is 0")
+            elif no_pubs and fss:
+                self.fail(i, "'fss' must be 0 when 'n_p' is 0")
+
+
 def read_indicators(path: str | Path, corpus: Corpus) -> IndicatorTable:
     """The table of an indicators file, whose rows must cover the roster of
     ``corpus`` once each, in any order. A row with a missing, malformed,
-    non-finite or negative value, or repeating an earlier row's
+    non-finite or negative value, with a QI exactly when ``n_p`` is 0, with
+    a non-zero FSS when it is, or repeating an earlier row's
     ``scientist_id``, fails naming the row."""
     schema = {
         "scientist_id": Text(),
@@ -324,6 +345,6 @@ def read_indicators(path: str | Path, corpus: Corpus) -> IndicatorTable:
         "qi": Number(float, required=False),
         "fss": Number(float),
     }
-    parser = FieldParser("indicators", schema, unique=("scientist_id", ("scientist_id",)))
+    parser = _IndicatorParser("indicators", schema, unique=("scientist_id", ("scientist_id",)))
     columns = read_records(path, parser).columns.values()
     return IndicatorTable.resolve(corpus, *columns, source=f"indicators file {path}")

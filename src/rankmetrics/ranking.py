@@ -9,9 +9,11 @@ Every SDS is ranked at once: :func:`sds_ranking` codes the scientist rows by
 SDS and orders them by (SDS, value), which yields the midranks, sizes and
 offsets of all fields at once. Results are columns over those rows.
 
-Each indicator is ranked once per :class:`IndicatorTable`: :func:`sds_ranking`
-keeps the sort on the table, read-only, and percentiles, top flags and the
-dominance comparison of :mod:`.analysis` all read it.
+What no top or bottom fraction changes is derived once per table and
+indicator, kept read-only with the table (:meth:`IndicatorTable.derived`) and
+freed with it: the sort, the percentiles and their averages, and the dominance
+counts and concentration blocks of :mod:`.analysis`. Every call checks its
+arguments, and that the table is bound to its corpus, before reading it.
 """
 
 from __future__ import annotations
@@ -122,6 +124,16 @@ class PercentileColumn(_RankedColumn):
     percentile: np.ndarray
     record = PercentileRecord
 
+    @cached_property
+    def average(self) -> PercentileTable:
+        """The column's :func:`uda_rank_average`, computed once."""
+        corpus, rows = self.corpus, self.rows
+        if not len(rows):
+            raise ValueError("no percentile records")
+        uda, rank = corpus.scientist_uda[rows], corpus.scientist_rank[rows]
+        cells = tally(MeanCell, corpus.udas, uda, rank, self.percentile, np.ones(len(rows)))
+        return PercentileTable(MeanCell, cells, indicator=self.indicator)
+
 
 @dataclass(frozen=True, eq=False)
 class TopFlagColumn(_RankedColumn):
@@ -174,6 +186,13 @@ class SdsRanking(NamedTuple):
     size: np.ndarray  # each SDS's member count
     start: np.ndarray  # the offset of each SDS's first member in ``order``
     out: np.ndarray  # the output order: by SDS, then row
+    percentile: np.ndarray  # each row's percentile within its SDS
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def sds_ranking(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> SdsRanking:
@@ -182,11 +201,11 @@ def sds_ranking(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> 
     ``np.lexsort((values, sds))``: a stable sort of the values, then of their
     SDS codes. ``midrank[i]`` is row ``i``'s ascending rank 1..n within its
     SDS, tied values sharing the mean of their positions; values are compared
-    exactly, so ``-0.0`` ties with ``0.0``. Built on the first call for a
-    table and kept with it; its arrays are read-only."""
-    rankings = table.bound_to(corpus)._rankings
-    ranking = rankings.get(indicator)
-    if ranking is None:
+    exactly, so ``-0.0`` ties with ``0.0``. ``percentile`` is each row's
+    :func:`sds_percentiles` value. Built on the first call for a table and
+    kept with it; its arrays are read-only."""
+
+    def build() -> SdsRanking:
         rows, values = ranked_population(table, indicator, corpus)
         sds = corpus.scientist_sds[rows]
         order = stable_order(sds, values)
@@ -194,11 +213,12 @@ def sds_ranking(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> 
         start = np.cumsum(size) - size
         midrank = np.empty(len(values))
         midrank[order] = sorted_midranks(sds[order], values[order], start)
-        ranking = SdsRanking(rows, sds, values, order, midrank, size, start, stable_order(sds))
-        for array in ranking:
-            array.flags.writeable = False
-        rankings[indicator] = ranking
-    return ranking
+        n = size[sds]
+        pct = 100.0 * (midrank - 1.0) / np.maximum(n - 1.0, 1.0)
+        pct[n == 1] = 100.0
+        return SdsRanking(*_read_only(rows, sds, values, order, midrank, size, start, stable_order(sds), pct))
+
+    return table.bound_to(corpus).derived(("ranking", indicator), build)
 
 
 def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> PercentileColumn:
@@ -209,12 +229,15 @@ def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus)
     mean-impact indicator, scientists without publications are excluded from
     the population; the volume and total-impact indicators rank them at 0.
     Rows come out ordered by SDS code, and by corpus row within an SDS.
+    Built once per table, read-only.
     """
-    rows, sds, _, _, midrank, size, _, out = sds_ranking(table, indicator, corpus)
-    n = size[sds]
-    pct = 100.0 * (midrank - 1.0) / np.maximum(n - 1.0, 1.0)
-    pct[n == 1] = 100.0
-    return PercentileColumn(corpus, indicator, rows[out], pct[out])
+
+    def build() -> PercentileColumn:
+        ranking = sds_ranking(table, indicator, corpus)
+        out = ranking.out
+        return PercentileColumn(corpus, indicator, *_read_only(ranking.rows[out], ranking.percentile[out]))
+
+    return table.bound_to(corpus).derived(("percentiles", indicator), build)
 
 
 class MeanCell(NamedTuple):
@@ -238,13 +261,8 @@ class PercentileTable(Grid):
 
 def uda_rank_average(percentiles: PercentileColumn, corpus: Corpus) -> PercentileTable:
     """Average the SDS percentiles over every UDA x rank group; a percentile
-    counts in the group of its scientist's row in ``corpus``."""
-    rows = percentiles.bound_to(corpus).rows
-    if not len(rows):
-        raise ValueError("no percentile records")
-    uda, rank = corpus.scientist_uda[rows], corpus.scientist_rank[rows]
-    cells = tally(MeanCell, corpus.udas, uda, rank, percentiles.percentile, np.ones(len(rows)))
-    return PercentileTable(MeanCell, cells, indicator=percentiles.indicator)
+    counts in the group of its scientist's row in ``corpus``. Computed once per column."""
+    return percentiles.bound_to(corpus).average
 
 
 def top_scientists(table: IndicatorTable, indicator: Indicator, corpus: Corpus,
@@ -258,7 +276,7 @@ def top_scientists(table: IndicatorTable, indicator: Indicator, corpus: Corpus,
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    rows, sds, values, order, _, size, start, out = sds_ranking(table, indicator, corpus)
+    rows, sds, values, order, _, size, start, out, _ = sds_ranking(table, indicator, corpus)
     n = size[sds]
     k = np.maximum(1, np.floor(fraction * n).astype(np.int64))
     # the k-th largest of a field is k places from the end of its sorted block

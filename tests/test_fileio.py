@@ -213,9 +213,14 @@ def _bits(value):
     return None if value is None else float(value).hex()
 
 
+# (n_p, qi, fss) as compute_indicators writes them: no QI and no FSS without publications
+indicator_values = st.tuples(st.just(0), st.none(), st.just(0.0)) | st.tuples(
+    st.integers(1, 2**63 - 1), values, values
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(ids, st.tuples(st.integers(0, 2**63 - 1), st.none() | values, values),
-                       max_size=8))
+@given(st.dictionaries(ids, indicator_values, max_size=8))
 def test_indicators_round_trip_bitwise(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("ind") / "indicators.csv"
     records = {sid: IndicatorRecord(sid, n_p, qi, fss) for sid, (n_p, qi, fss) in rows.items()}

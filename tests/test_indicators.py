@@ -17,6 +17,7 @@ from rankmetrics import (
     read_indicators,
     write_indicators,
 )
+from rankmetrics import fileio
 from rankmetrics.baseline import BaselineTable
 
 from conftest import indicator_table, single_author_corpus
@@ -321,6 +322,13 @@ def test_indicator_table_is_a_mapping_in_roster_order():
     ("A,1,0.5,0.5", "indicators row 2: scientist_id 'A' repeats row 1"),
     (" A ,1,0.5,0.5", "indicators row 2: scientist_id 'A' repeats row 1"),
     ("  ,1,0.5,0.5", "indicators row 2: missing 'scientist_id'"),
+    # rows compute_indicators cannot write
+    ("B,0,1.5,0.0", "indicators row 2: 'qi' must be empty exactly when 'n_p' is 0"),
+    ("B,10,,2.0", "indicators row 2: 'qi' must be empty exactly when 'n_p' is 0"),
+    ("B,0,,2.1", "indicators row 2: 'fss' must be 0 when 'n_p' is 0"),
+    ("B,0,1.5,2.1", "indicators row 2: 'qi' must be empty exactly when 'n_p' is 0"),
+    # a malformed field of the row is named first
+    ("B,0,1.5,x", "indicators row 2: 'fss' must be a number, got 'x'"),
 ])
 def test_read_indicators_rejects_bad_rows(row, message, tmp_path):
     path = tmp_path / "indicators.csv"
@@ -347,6 +355,19 @@ def test_read_indicators_rejects_typed_json_rows(row, message, tmp_path):
     with pytest.raises(ValueError) as info:
         read_indicators(path, _roster("A", "B"))
     assert str(info.value) == message
+
+
+def test_read_indicators_names_the_first_inconsistent_row_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "CHUNK_ROWS", 2)
+    path = tmp_path / "indicators.csv"
+    # before a malformed row of the same chunk, and of a later chunk
+    for rows, message in (
+        ("A,3,1.25,0.75\nB,0,,0.0\nC,0,0.5,0.0\nD,x,,0.0", "row 3: 'qi' must be empty exactly"),
+        ("A,3,1.25,0.75\nB,0,,0.5\nC,0,,0.0\nD,x,,0.0", "row 2: 'fss' must be 0"),
+    ):
+        path.write_text(f"scientist_id,n_p,qi,fss\n{rows}\n")
+        with pytest.raises(ValueError, match=rf"^indicators {message} when 'n_p' is 0$"):
+            read_indicators(path, _roster("A", "B", "C", "D"))
 
 
 def test_read_indicators_strips_text(tmp_path):
