@@ -254,6 +254,19 @@ def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) ->
     return tuple(lengths), g
 
 
+def _fsums(m: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of finite values ``m``. Rows of one or two values
+    add in numpy, as a float sum of two floats is correctly rounded; ``+ 0.0``
+    makes -0.0 fsum's 0.0, and an overflow raises as fsum does."""
+    if m.shape[1] > 2:
+        return np.array([math.fsum(r) for r in m.tolist()])
+    with np.errstate(over="ignore"):
+        total = (m[:, 0] + m[:, 1] if m.shape[1] == 2 else m[:, 0]) + 0.0
+    if np.isinf(total).any():
+        raise OverflowError("intermediate overflow in fsum")
+    return total
+
+
 def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: float) -> np.ndarray:
     """The bottom/top ratio of each of the ``count`` blocks, NaN where it is undefined."""
     ratio = np.empty(count)
@@ -261,8 +274,8 @@ def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: fl
         n = xs.shape[1]
         k_top = max(1, math.floor(top_fraction * n))
         k_bottom = max(1, math.floor(bottom_fraction * n))
-        top = np.array([math.fsum(r) for r in xs[:, n - k_top:].tolist()]) / k_top
-        bottom = np.array([math.fsum(r) for r in xs[:, :k_bottom].tolist()]) / k_bottom
+        top = _fsums(xs[:, n - k_top:]) / k_top
+        bottom = _fsums(xs[:, :k_bottom]) / k_bottom
         ratio[idx] = np.divide(bottom, top, out=np.full(len(idx), np.nan), where=top != 0.0)
     return ratio
 
@@ -462,8 +475,14 @@ class TopDistribution(Grid):
     """How top scientists distribute over ranks, per UDA and overall."""
 
     indicator: Indicator
-    chi_square_by_uda: Mapping[str, ChiSquareResult | None]
-    chi_square_overall: ChiSquareResult | None
+
+    @cached_property
+    def chi_square_by_uda(self) -> Mapping[str, ChiSquareResult | None]:
+        return {uda: _rank_chi_square(self, uda) for uda in self.udas}
+
+    @cached_property
+    def chi_square_overall(self) -> ChiSquareResult | None:
+        return _rank_chi_square(self, None)
 
     def top_share(self, uda: str | None, rank: Rank) -> float | None:
         return self.percent("top_count", uda, rank)
@@ -504,11 +523,4 @@ def top_distribution(
     top = np.zeros(len(corpus.scientist_ids), dtype=bool)
     top[flags.bound_to(corpus).rows[flags.is_top]] = True
     cells = tally(TopShareCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank, top, np.ones(len(top)))
-    grid = Grid(TopShareCell, cells)
-    return TopDistribution(
-        TopShareCell,
-        cells,
-        indicator=indicator,
-        chi_square_by_uda={uda: _rank_chi_square(grid, uda) for uda in corpus.udas},
-        chi_square_overall=_rank_chi_square(grid, None),
-    )
+    return TopDistribution(TopShareCell, cells, indicator=indicator)

@@ -9,7 +9,7 @@ categories is scored as the arithmetic mean of its per-category values.
 from __future__ import annotations
 
 import math
-import statistics
+import weakref
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -52,6 +52,7 @@ class BaselineTable:
                 raise ValueError(f"duplicate baseline cell for {key}")
             table[key] = cell
         self._cells = table
+        self._scores = (None, None)
 
     def get(self, year: int, category: str) -> BaselineCell:
         try:
@@ -70,6 +71,17 @@ class BaselineTable:
                 f"no baseline cell for {len(missing)} (year, category) "
                 f"pair{'s' if len(missing) > 1 else ''}: {shown}{more}"
             )
+
+    def scores(self, corpus: Corpus, build) -> np.ndarray:
+        """``build()``, the publication scores of ``corpus``, kept read-only for
+        the last corpus scored under a weak reference that never keeps it alive;
+        a build that raises keeps nothing."""
+        ref, scores = self._scores
+        if ref is None or ref() is not corpus:
+            scores = build()
+            scores.flags.writeable = False
+            self._scores = (weakref.ref(corpus), scores)
+        return scores
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -128,8 +140,8 @@ def standardized_score(
 
     Per category the score is ``citation_count / median``; a zero median falls
     back to the cell mean, and a cell where both are zero scores 0 (every
-    member is uncited). The publication score is the mean over its categories,
-    so it is 0 exactly when the publication is uncited.
+    member is uncited). The publication score is the mean over its categories
+    (``math.fsum(scores) / k``), so it is 0 exactly when the publication is uncited.
     """
     scores = []
     for cat in categories:
@@ -140,7 +152,9 @@ def standardized_score(
             scores.append(citation_count / cell.mean_citations)
         else:
             scores.append(0.0)
-    return statistics.fmean(scores)
+    if not scores:
+        raise ValueError("a publication needs at least one category to be scored")
+    return math.fsum(scores) / len(scores)
 
 
 def write_baselines(baselines: BaselineTable, path: str | Path) -> Path:

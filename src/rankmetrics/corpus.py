@@ -230,8 +230,12 @@ def dense_codes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[key - low]
 
 
+class _WeaklyReferenced:  # as dataclass(weakref_slot=True), which needs Python 3.11
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(eq=False, repr=False, slots=True, kw_only=True)
-class Corpus:
+class Corpus(_WeaklyReferenced):
     """Validated, immutable collection of scientists, publications and
     authorships, each table held as columns in input row order:
 
@@ -858,11 +862,17 @@ class ActivityCell(NamedTuple):
 def activity_rates(corpus: Corpus, records: Iterable["IndicatorRecord"]) -> Grid:
     """Per UDA and rank: how many scientists published at all, and how many
     accumulated any citation impact (positive fractional strength); one
-    record per roster scientist (see :meth:`Corpus.rows_of`)."""
-    records = list(records)
-    rows = corpus.rows_of([r.scientist_id for r in records])
-    active = np.zeros((2, len(rows)), dtype=bool)
-    active[:, rows] = [[r.n_p >= 1 for r in records], [r.fss > 0 for r in records]]
+    record per roster scientist. The ``values()`` view of an indicator table
+    bound to ``corpus`` is read from the table's columns; any other records
+    are placed by id (see :meth:`Corpus.rows_of`)."""
+    table = getattr(records, "mapping", None)
+    if isinstance(table, CorpusColumns) and table.corpus is corpus:
+        n_p, fss = table.n_p, table.fss
+    else:
+        records = list(records)
+        rows = corpus.rows_of([r.scientist_id for r in records])
+        n_p, fss = np.empty((2, len(rows)))
+        n_p[rows], fss[rows] = [r.n_p for r in records], [r.fss for r in records]
     cells = tally(ActivityCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank,
-                  np.ones(len(rows)), *active)
+                  np.ones(len(n_p)), n_p >= 1, fss > 0)
     return Grid(ActivityCell, cells)

@@ -23,7 +23,6 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -88,13 +87,8 @@ class IndicatorTable(CorpusColumns, Mapping):
         order = np.argsort(corpus.rows_of(ids, source))
         return cls(corpus, *(np.asarray(c, t)[order] for c, t in ((n_p, np.int64), (qi, float), (fss, float))))
 
-    @cached_property
-    def view(self) -> RowView:
-        """The records in row order, built only for the rows read; a QI of NaN reads as None."""
-        return RowView(IndicatorRecord, self.corpus.scientist_ids, self.n_p, self.qi, self.fss)
-
     def __getitem__(self, scientist_id: str) -> IndicatorRecord:
-        return self.view[self.corpus.scientist_index[scientist_id]]
+        return self.values()[self.corpus.scientist_index[scientist_id]]
 
     def __iter__(self):
         return iter(self.corpus.scientist_ids)
@@ -102,8 +96,20 @@ class IndicatorTable(CorpusColumns, Mapping):
     def __len__(self) -> int:
         return len(self.n_p)
 
-    def values(self) -> list[IndicatorRecord]:
-        return self.view[:]
+    def values(self) -> _Values:
+        view = _Values(IndicatorRecord, self.corpus.scientist_ids, self.n_p, self.qi, self.fss)
+        view.mapping = self
+        return view
+
+
+class _Values(RowView):
+    """:meth:`IndicatorTable.values`: the records in row order, built only for the rows
+    read (a QI of NaN reads as None), equal to their list; ``mapping`` is the table."""
+
+    __slots__ = ("mapping",)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other if isinstance(other, list) else super().__eq__(other)
 
 
 def coauthor_weights(
@@ -183,11 +189,11 @@ def _byline_flags(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     codes at byline positions 1, 2, n-1 and n (-1 where missing)."""
     n = corpus.pub_author_count
     start, end = corpus.pub_start[:-1], corpus.pub_start[1:]
-    affiliation = corpus.auth_affiliation[corpus.by_pub]
     multi = n >= 2
-    first, last = affiliation[start], affiliation[end - 1]
-    second = affiliation[np.where(multi, start + 1, start)]
-    penult = affiliation[np.where(multi, end - 2, start)]
+    first, second, penult, last = (
+        corpus.auth_affiliation[corpus.by_pub[slot]]
+        for slot in (start, np.where(multi, start + 1, start), np.where(multi, end - 2, start), end - 1)
+    )
     same = multi & (first >= 0) & (first == last)
     differ = multi & ~same & (first >= 0) & (second >= 0) & (penult >= 0) & (last >= 0)
     # front positions (0, 1) against back positions (n-2, n-1), unless they coincide
@@ -201,9 +207,9 @@ def _byline_flags(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     return same, differ
 
 
-def _positional_weights(corpus: Corpus) -> np.ndarray:
-    """Each authorship row's credit under the positional scheme, with
-    :func:`coauthor_weights` computed once per (author count, byline pattern)."""
+def _positional_weights(corpus: Corpus, rows: np.ndarray) -> np.ndarray:
+    """The credit of each authorship of ``rows`` under the positional scheme,
+    with :func:`coauthor_weights` computed once per (author count, byline pattern)."""
     same, differ = _byline_flags(corpus)
     unrecognized = int(np.count_nonzero((corpus.pub_author_count > 1) & ~same & ~differ))
     if unrecognized:
@@ -220,14 +226,29 @@ def _positional_weights(corpus: Corpus) -> np.ndarray:
     ]
     offset = np.cumsum([0] + [len(v) for v in vectors[:-1]])
     flat = np.array([w for vector in vectors for w in vector])
-    return flat[offset[pub_pattern[corpus.auth_pub]] + corpus.auth_position - 1]
+    return flat[offset[pub_pattern[corpus.auth_pub[rows]]] + corpus.auth_position[rows] - 1]
 
 
-def _scored_cells(corpus: Corpus, baselines: BaselineTable):
-    """The rows of the publications with a roster author, each one's index
-    into the distinct (year, category set) pairs among them, and those pairs
-    as ``(year, categories)``, once ``baselines`` is checked to have every
-    (year, category) cell they need."""
+def require_baselines(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
+    """Check that ``baselines`` has a cell for every (year, category) of a
+    publication with a roster author, and return every publication's score,
+    kept read-only with ``baselines`` (:meth:`~.baseline.BaselineTable.scores`).
+
+    Each needed cell is looked up once, so all missing cells are reported
+    together in one :class:`MissingBaselineError`.
+    """
+    return baselines.scores(corpus, lambda: _publication_scores(corpus, baselines))
+
+
+def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
+    """:func:`~.baseline.standardized_score` of every publication with a
+    roster author (0 for the others, which are never read), from one row of
+    divisors per distinct (year, category set) pair among them, once
+    ``baselines`` is checked to have every (year, category) cell they need.
+    The mean over categories is ``fmean``'s ``math.fsum(scores) / k``; for
+    k <= 2 plain addition is that sum, as the float sum of two floats is
+    correctly rounded.
+    """
     pubs = np.flatnonzero(
         np.bincount(corpus.auth_pub[corpus.auth_scientist >= 0], minlength=len(corpus.pub_ids))
     )
@@ -238,27 +259,6 @@ def _scored_cells(corpus: Corpus, baselines: BaselineTable):
     sets = map(corpus.category_sets.__getitem__, set_code.tolist())
     cells = list(zip(years[year_code].tolist(), sets))
     baselines.require((year, cat) for year, cats in cells for cat in cats)
-    return pubs, pub_cell, cells
-
-
-def require_baselines(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
-    """Check that ``baselines`` has a cell for every (year, category) of a
-    publication with a roster author, and return those publications' rows.
-
-    Each needed cell is looked up once, so all missing cells are reported
-    together in one :class:`MissingBaselineError`.
-    """
-    return _scored_cells(corpus, baselines)[0]
-
-
-def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
-    """:func:`~.baseline.standardized_score` of every publication with a
-    roster author (0 for the others, which are never read), from one row of
-    divisors per (year, category set) pair. The mean over categories is
-    ``fmean``'s ``math.fsum(scores) / k``; for k <= 2 plain addition is that
-    sum, as the float sum of two floats is correctly rounded.
-    """
-    pubs, pub_cell, cells = _scored_cells(corpus, baselines)
     size = np.array([len(cats) for _, cats in cells], dtype=np.int64)
     # at least two columns; a slot past a publication's categories scores 0
     divisor = np.zeros((len(cells), max(2, size.max(initial=0))))
@@ -300,13 +300,13 @@ def compute_indicators(
     scientist = corpus.auth_scientist[rows]
     pub = corpus.auth_pub[rows]
 
-    score = _publication_scores(corpus, baselines)[pub]
+    score = require_baselines(corpus, baselines)[pub]
     weight = 1.0 / corpus.pub_author_count[pub]
     positional_uda = np.array([uda in positional for uda in corpus.udas], dtype=bool)
     uses_positional = positional_uda[corpus.scientist_uda]
     if uses_positional.any():
         chosen = uses_positional[scientist]
-        weight[chosen] = _positional_weights(corpus)[rows[chosen]]
+        weight[chosen] = _positional_weights(corpus, rows[chosen])
 
     n_p = np.bincount(scientist, minlength=n_scientists)
     score_sum = np.bincount(scientist, weights=score, minlength=n_scientists)

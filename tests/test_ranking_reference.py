@@ -268,7 +268,7 @@ def test_generated_corpus_matches_reference(scored):
 
 def test_shuffled_records_match_reference(scored):
     corpus, table = scored
-    shuffled = table.values()
+    shuffled = list(table.values())
     random.Random(7).shuffle(shuffled)
     from_shuffled = indicator_table(corpus, shuffled)
     assert _column_bits(from_shuffled) == _column_bits(table)

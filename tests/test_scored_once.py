@@ -1,0 +1,258 @@
+"""Score once per baseline table, count activity from columns, sum short
+ratio blocks exactly: each result stays that of a fresh computation, bit for
+bit."""
+
+import gc
+import math
+import random
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rankmetrics import (
+    BaselineTable,
+    Indicator,
+    IndicatorRecord,
+    MissingBaselineError,
+    Rank,
+    activity_rates,
+    build_baselines,
+    compute_indicators,
+    concentration_rows,
+    dominance_counts,
+    filter_active_sds,
+    roster_summary,
+    sds_percentiles,
+    top_distribution,
+    top_scientists,
+    uda_rank_average,
+)
+from rankmetrics import analysis, indicators
+from rankmetrics.indicators import require_baselines
+from rankmetrics.ranking import INDICATORS
+from rankmetrics.synth import SynthConfig, generate
+from rankmetrics.tables import (
+    build_activity_table,
+    build_age_table,
+    build_chi_square_table,
+    build_concentration_table,
+    build_dominance_table,
+    build_percentile_table,
+    build_roster_table,
+    build_top_distribution_table,
+    format_table,
+)
+
+TOP_FRACTIONS = (0.05, 0.1, 0.2, 0.3)
+
+
+@pytest.fixture(scope="module")
+def corpus_1x():
+    return generate(SynthConfig(seed=3))
+
+
+def _count_scoring(monkeypatch) -> list:
+    builds = []
+    score = indicators._publication_scores
+
+    def counted(corpus, baselines):
+        builds.append(corpus)
+        return score(corpus, baselines)
+
+    monkeypatch.setattr(indicators, "_publication_scores", counted)
+    return builds
+
+
+def _sweep_text(corpus, table, activity, top) -> str:
+    """The formatted tables of one configuration of the benchmark's sweep."""
+    summary = roster_summary(corpus)
+    averages = [uda_rank_average(sds_percentiles(table, i, corpus), corpus) for i in INDICATORS]
+    dominance = {i: dominance_counts(table, corpus, i, Rank.FULL, Rank.ASSISTANT) for i in INDICATORS}
+    dist = top_distribution(top_scientists(table, Indicator.FSS, corpus, top), corpus, Indicator.FSS)
+    built = [
+        build_roster_table(summary),
+        build_age_table(summary),
+        build_activity_table(activity, "publication"),
+        build_activity_table(activity, "citation"),
+        *map(build_percentile_table, averages),
+        build_dominance_table(dominance),
+        build_concentration_table(concentration_rows(table, corpus, Indicator.FSS, 0.4, top)),
+        build_top_distribution_table(dist),
+        build_chi_square_table(dist),
+    ]
+    # repr tells -0.0 from 0.0
+    return "".join(format_table(t, "text") for t in built) + repr([t.rows for t in built])
+
+
+def test_sweep_on_one_baseline_table_matches_fresh_runs(corpus_1x, monkeypatch):
+    builds = _count_scoring(monkeypatch)
+    baselines = build_baselines(corpus_1x)
+    for udas in ((), corpus_1x.udas):
+        table = compute_indicators(corpus_1x, baselines, udas)
+        activity = activity_rates(corpus_1x, table.values())
+        for top in TOP_FRACTIONS:
+            fresh = compute_indicators(corpus_1x, build_baselines(corpus_1x), udas)
+            fresh_activity = activity_rates(corpus_1x, list(fresh.values()))
+            assert _sweep_text(corpus_1x, table, activity, top) == _sweep_text(
+                corpus_1x, fresh, fresh_activity, top
+            )
+    # one scoring for both weighting sets on the shared table, one per fresh table
+    assert len(builds) == 1 + 2 * len(TOP_FRACTIONS)
+
+
+def _read_only(array):
+    assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array[:1] = 0
+
+
+def test_a_baseline_table_scores_a_corpus_once(corpus_1x, monkeypatch):
+    builds = _count_scoring(monkeypatch)
+    baselines = build_baselines(corpus_1x)
+    scores = require_baselines(corpus_1x, baselines)
+    _read_only(scores)
+    table = compute_indicators(corpus_1x, baselines, corpus_1x.udas)
+    assert require_baselines(corpus_1x, baselines) is scores
+    assert len(builds) == 1
+    fresh = compute_indicators(corpus_1x, build_baselines(corpus_1x), corpus_1x.udas)
+    for name in ("n_p", "qi", "fss"):
+        assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
+    # another corpus under the same table scores again, and the new scores are kept
+    other = filter_active_sds(corpus_1x, 0.9)
+    assert require_baselines(other, baselines) is not scores
+    assert len(builds) == 3
+
+
+def test_a_baseline_table_never_keeps_its_corpus_alive():
+    gc.disable()
+    try:
+        corpus = generate(SynthConfig(seed=5, n_uda=2, sds_per_uda=2))
+        baselines = build_baselines(corpus)
+        compute_indicators(corpus, baselines)
+        ref = weakref.ref(corpus)
+        del corpus
+        assert ref() is None
+        assert len(baselines)
+    finally:
+        gc.enable()
+
+
+def test_a_scoring_that_raises_keeps_nothing(corpus_1x, monkeypatch):
+    builds = _count_scoring(monkeypatch)
+    cells = build_baselines(corpus_1x).cells
+    partial = BaselineTable(cells[1:])
+    for _ in range(2):
+        with pytest.raises(MissingBaselineError, match="no baseline cell for 1"):
+            compute_indicators(corpus_1x, partial)
+        with pytest.raises(MissingBaselineError, match="no baseline cell for 1"):
+            require_baselines(corpus_1x, partial)
+    assert len(builds) == 4
+    assert partial._scores == (None, None)
+
+
+def test_the_values_view_reads_rows_on_demand(corpus_1x):
+    table = compute_indicators(corpus_1x, build_baselines(corpus_1x))
+    view = table.values()
+    records = list(view)
+    assert view.mapping is table
+    assert len(view) == len(records) == len(corpus_1x.scientist_ids)
+    assert view == records and records == view and view == table.values()
+    assert view != records[:-1] and view != records[::-1]
+    assert view[-1] == records[-1] and view[-len(view)] == records[0]
+    assert view[3:9] == records[3:9] and view[::-7] == records[::-7]
+    assert list(reversed(view)) == records[::-1]
+    assert table[records[5].scientist_id] == records[5]
+    with pytest.raises(IndexError):
+        view[len(view)]
+    with pytest.raises(TypeError):
+        view[0] = records[1]
+    with pytest.raises(TypeError):
+        del view[0]
+    assert not hasattr(view, "sort")
+
+
+def test_activity_is_the_same_from_view_list_or_shuffled_records(corpus_1x):
+    table = compute_indicators(corpus_1x, build_baselines(corpus_1x), corpus_1x.udas)
+    shuffled = list(table.values())
+    random.Random(7).shuffle(shuffled)
+    expected = activity_rates(corpus_1x, table.values()).cells
+    assert any(cell.citation_active < cell.headcount for cell in expected.values())
+    for records in (list(table.values()), shuffled, iter(shuffled)):
+        got = activity_rates(corpus_1x, records).cells
+        assert list(got.items()) == list(expected.items())
+
+
+def test_activity_of_a_view_of_another_corpus_raises_as_records_do(corpus_1x):
+    filtered = filter_active_sds(corpus_1x, 0.9)
+    assert filtered is not corpus_1x
+    view = compute_indicators(corpus_1x, build_baselines(corpus_1x)).values()
+    with pytest.raises(ValueError, match="roster mismatch in indicator records") as from_list:
+        activity_rates(filtered, list(view))
+    with pytest.raises(ValueError) as from_view:
+        activity_rates(filtered, view)
+    assert str(from_view.value) == str(from_list.value)
+    # a plain dict's view has a ``mapping`` too, and its records are placed by id
+    records = {r.scientist_id: r for r in view}
+    assert activity_rates(corpus_1x, records.values()).cells == activity_rates(corpus_1x, view).cells
+    with pytest.raises(ValueError, match="repeated indicator record"):
+        activity_rates(corpus_1x, [*view, IndicatorRecord(view[0].scientist_id, 0, None, 0.0)])
+
+
+def _fsum_ratios(lengths, count, bottom_fraction, top_fraction):
+    """``analysis._ratios`` with every block sum a ``math.fsum`` of its row."""
+    ratio = np.empty(count)
+    for idx, xs in lengths:
+        n = xs.shape[1]
+        k_top = max(1, math.floor(top_fraction * n))
+        k_bottom = max(1, math.floor(bottom_fraction * n))
+        top = np.array([math.fsum(r) for r in xs[:, n - k_top:].tolist()]) / k_top
+        bottom = np.array([math.fsum(r) for r in xs[:, :k_bottom].tolist()]) / k_bottom
+        ratio[idx] = np.divide(bottom, top, out=np.full(len(idx), np.nan), where=top != 0.0)
+    return ratio
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.0, 8.9e307, 1.6e308, 1.7e308, 1.7976931348623157e308]
+VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(min_value=0.0, max_value=2.3e-308),
+    st.floats(min_value=1e307, allow_infinity=False),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+@st.composite
+def short_blocks(draw):
+    """Blocks of 1 to 5 members, so that fractions up to 0.5 take 1 or 2 of them."""
+    lengths, count = [], 0
+    for n in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)):
+        rows = draw(st.integers(1, 4))
+        xs = np.array(draw(st.lists(st.lists(VALUES, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+        lengths.append((np.arange(count, count + rows), xs))
+        count += rows
+    return tuple(lengths), count
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_blocks(), st.sampled_from([(0.4, 0.2), (0.4, 0.4), (0.5, 0.5), (0.2, 0.5)]))
+def test_short_block_sums_match_fsum(blocks, fractions):
+    lengths, count = blocks
+    with np.errstate(all="ignore"):  # a ratio of a huge and a tiny sum overflows alike
+        try:
+            expected = _fsum_ratios(lengths, count, *fractions)
+        except OverflowError:
+            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                analysis._ratios(lengths, count, *fractions)
+            return
+        got = analysis._ratios(lengths, count, *fractions)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_short_block_sums_keep_fsum_signs_and_overflow():
+    for row, expected in (([-0.0], "0.0"), ([-0.0, -0.0], "0.0"), ([5e-324, 5e-324], "1e-323"),
+                          ([1.7e308], "1.7e+308")):
+        assert repr(analysis._fsums(np.array([row])).tolist()[0]) == expected == repr(math.fsum(row))
+    with pytest.raises(OverflowError):
+        analysis._fsums(np.array([[1.7e308, 1.7e308]]))
