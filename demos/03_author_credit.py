@@ -10,8 +10,8 @@ positional scheme driven by the boundary authors' affiliations:
 * anything else (or missing data)    -> equal split.
 """
 
-from rankmetrics import WeightScheme, byline_case_flags, coauthor_weights
-from rankmetrics.baseline import build_baselines
+from rankmetrics import WeightScheme, coauthor_weights, load_corpus
+from rankmetrics.baseline import BaselineCell, BaselineTable, build_baselines
 from rankmetrics.indicators import compute_indicators
 from rankmetrics.synth import SynthConfig, generate
 
@@ -22,11 +22,24 @@ for n in (4, 6):
     w = coauthor_weights(n, WeightScheme.POSITIONAL, boundary_pairs_differ=True)
     print(f"n={n} distinct boundaries: {[round(x, 4) for x in w]}")
 
-# The flags come straight from affiliation identifiers in byline order.
+# The pattern comes straight from affiliation identifiers in byline order. One
+# publication per byline, scoring 1.0, with a roster scientist at every
+# position of a positional UDA: each author's FSS is their credit.
+bylines = (["U1", "U2", "U1"], ["U1", "U2", "U3", "U4"], ["U1", None, "U3", "U4"])
+authors = [[f"P{p}-{pos}" for pos in range(1, len(byline) + 1)] for p, byline in enumerate(bylines)]
+corpus = load_corpus(
+    [{"scientist_id": sid, "sds_code": "S1", "uda_code": "U1", "rank": "FULL", "birth_year": ""}
+     for names in authors for sid in names],
+    [{"pub_id": f"P{p}", "year": 2005, "citation_count": 2, "subject_categories": "C1",
+      "author_count": len(byline)} for p, byline in enumerate(bylines)],
+    [{"pub_id": f"P{p}", "position": pos, "scientist_id": sid, "affiliation_id": affiliation or ""}
+     for p, (byline, names) in enumerate(zip(bylines, authors))
+     for pos, (affiliation, sid) in enumerate(zip(byline, names), start=1)],
+)
+credit = compute_indicators(corpus, BaselineTable([BaselineCell(2005, "C1", 2.0, 2.0, 3)]), ["U1"])
 print("\npattern detection:")
-for byline in (["U1", "U2", "U1"], ["U1", "U2", "U3", "U4"], ["U1", None, "U3", "U4"]):
-    print(f"  {byline} -> first_last_same={byline_case_flags(byline)[0]}, "
-          f"boundary_pairs_differ={byline_case_flags(byline)[1]}")
+for byline, names in zip(bylines, authors):
+    print(f"  {byline} -> credit {[round(credit[sid].fss, 4) for sid in names]}")
 
 # End to end: N_p counts publications, QI averages standardized scores, FSS
 # sums score x own-position weight. UDA02 uses the positional scheme here.

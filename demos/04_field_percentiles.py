@@ -7,7 +7,7 @@ the pooled rank-sum criterion decides, field by field, which of two ranks
 sits higher overall.
 """
 
-from rankmetrics import Indicator, Rank, sequence_criterion
+from rankmetrics import Indicator, IndicatorTable, Rank, load_corpus
 from rankmetrics.analysis import dominance_counts
 from rankmetrics.baseline import build_baselines
 from rankmetrics.indicators import compute_indicators
@@ -27,11 +27,18 @@ print("mean FSS percentile by rank (pooled over all UDAs):")
 for rank in Rank:
     print(f"  {rank.value:<10} {table.mean(None, rank):6.2f}  (n={table.cell(None, rank).count})")
 
-# The dominance criterion on two hand-made groups: distances to the ideal
-# "every member of my group outranks every member of yours" configuration.
-res = sequence_criterion([9.0, 7.5, 6.0], [5.0, 2.0], group_a="seniors", group_b="juniors")
+# The dominance criterion on one hand-made field, three full professors
+# against two assistants: distances to the ideal "every member of my group
+# outranks every member of yours" configuration.
+members = {"s1": ("FULL", 9.0), "s2": ("FULL", 7.5), "s3": ("FULL", 6.0),
+           "j1": ("ASSISTANT", 5.0), "j2": ("ASSISTANT", 2.0)}
+field = load_corpus([{"scientist_id": sid, "sds_code": "S1", "uda_code": "U1", "rank": rank,
+                      "birth_year": ""} for sid, (rank, _) in members.items()], [], [])
+fss = [value for _, value in members.values()]
+hand = IndicatorTable.resolve(field, list(members), [1] * len(fss), fss, fss)
+res = dominance_counts(hand, field, Indicator.FSS, Rank.FULL, Rank.ASSISTANT).sds_results["S1"]
 print(f"\nhand-made comparison: r_diff_a={res.r_diff_a}, r_diff_b={res.r_diff_b}, "
-      f"winner={res.winner} (identity: {res.r_diff_a + res.r_diff_b} == 3*2)")
+      f"winner={res.winner.value} (identity: {res.r_diff_a + res.r_diff_b} == 3*2)")
 
 # Counting fields where assistants outrank full professors:
 counts = dominance_counts(records, corpus, Indicator.FSS, Rank.FULL, Rank.ASSISTANT)

@@ -7,17 +7,30 @@ the best 20% of each field, normalizing by staff shares (concentration index,
 1 = neutral) and testing the association with a Pearson chi-square.
 """
 
-from rankmetrics import Indicator, Rank, bottom_top_ratio, gini
+from rankmetrics import Indicator, IndicatorTable, Rank, load_corpus
 from rankmetrics.analysis import concentration_rows, top_distribution
 from rankmetrics.baseline import build_baselines
 from rankmetrics.indicators import compute_indicators
 from rankmetrics.ranking import top_scientists
 from rankmetrics.synth import SynthConfig, generate
 
-print("gini([equal]) =", gini([4, 4, 4, 4]))
-print("gini([0,...,0,1]) with n=100 =", gini([0] * 99 + [1]))
-print("bottom/top on a uniform population =", bottom_top_ratio([5.0] * 20))
-print("bottom/top on a single spike =", bottom_top_ratio([0, 0, 0, 0, 10]))
+# Four hand-made fields, each the only field of its own discipline, so each
+# discipline's row shows its one field's Gini coefficient and bottom/top ratio.
+fields = {"equal": [4.0] * 4, "one of 100": [0.0] * 99 + [1.0],
+          "uniform": [5.0] * 20, "single spike": [0.0, 0.0, 0.0, 0.0, 10.0]}
+scientists, ids, fss = [], [], []
+for name, values in fields.items():
+    for i, value in enumerate(values):
+        ids.append(f"{name}-{i}")
+        scientists.append({"scientist_id": ids[-1], "sds_code": name, "uda_code": name,
+                           "rank": "FULL", "birth_year": ""})
+        fss.append(value)
+hand = load_corpus(scientists, [], [])
+hand_table = IndicatorTable.resolve(hand, ids, [1] * len(ids), fss, fss)
+hand_rows = concentration_rows(hand_table, hand, Indicator.FSS)
+for name in fields:
+    row = hand_rows[(name, Rank.FULL)]
+    print(f"{name:<12} gini={row.gini:.3f}  bottom/top={row.bottom_top_ratio}")
 
 corpus = generate(SynthConfig(seed=8, n_uda=3, sds_per_uda=3))
 records = compute_indicators(corpus, build_baselines(corpus))

@@ -17,14 +17,11 @@ from .analysis import (
     DominanceCounts,
     DominanceResult,
     TopDistribution,
-    bottom_top_ratio,
     chi_square_independence,
     chi_square_upper_tail,
     concentration_index,
     concentration_rows,
     dominance_counts,
-    gini,
-    sequence_criterion,
     top_distribution,
     weighted_uda_gini,
 )
@@ -56,7 +53,6 @@ from .indicators import (
     IndicatorRecord,
     IndicatorTable,
     WeightScheme,
-    byline_case_flags,
     coauthor_weights,
     compute_indicators,
     read_indicators,
@@ -68,7 +64,6 @@ from .ranking import (
     PercentileRecord,
     PercentileTable,
     TopFlag,
-    midranks,
     sds_percentiles,
     top_scientists,
     uda_rank_average,

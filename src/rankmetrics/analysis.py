@@ -6,12 +6,12 @@ configuration), inequality of output (Gini coefficient, bottom-40%/top-20%
 ratio), the over/under-representation index of a rank among top scientists,
 and the Pearson chi-square association test between excellence and rank.
 
-The inequality measures of many blocks come from one kernel: blocks of one
+Every field's dominance comes from one pooled ranking of all fields, and the
+inequality measures of every (SDS, rank) block from one kernel: blocks of one
 length are gathered into one matrix, members in their given order, and each
 statistic is computed row-wise, so a block gets the same bits as it would
-alone. :func:`gini` and :func:`bottom_top_ratio` are one-block calls of it.
-Dominance counts and the sorted concentration blocks are kept with their
-:class:`~.indicators.IndicatorTable` (see :mod:`.ranking`).
+alone. Dominance counts and the sorted concentration blocks are kept with
+their :class:`~.indicators.IndicatorTable` (see :mod:`.ranking`).
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .corpus import Corpus, Grid, RANKS, Rank, stable_order, tally
 from .indicators import IndicatorTable
 from .ranking import (
-    Indicator, TopFlagColumn, _read_only, midranks, ranked_population, sds_ranking, sorted_midranks,
+    Indicator, TopFlagColumn, _read_only, ranked_population, sds_ranking, sorted_midranks,
 )
 
 __all__ = [
@@ -38,13 +38,11 @@ __all__ = [
     "DominanceResult",
     "TopDistribution",
     "TopShareCell",
-    "bottom_top_ratio",
     "chi_square_independence",
+    "chi_square_upper_tail",
     "concentration_index",
     "concentration_rows",
     "dominance_counts",
-    "gini",
-    "sequence_criterion",
     "top_distribution",
     "weighted_uda_gini",
 ]
@@ -87,29 +85,6 @@ class DominanceResult(NamedTuple):
         if self.r_diff_b < self.r_diff_a:
             return self.group_b
         return None
-
-
-def sequence_criterion(
-    values_a: Sequence[float],
-    values_b: Sequence[float],
-    group_a: object = "A",
-    group_b: object = "B",
-    sds_code: str | None = None,
-) -> DominanceResult:
-    """Compare two groups of performance values by pooled rank sums."""
-    n_a, n_b = len(values_a), len(values_b)
-    if n_a == 0 or n_b == 0:
-        raise ValueError("both groups must be non-empty")
-    ranks = midranks(list(values_a) + list(values_b))
-    return DominanceResult(
-        group_a=group_a,
-        group_b=group_b,
-        r_eff_a=float(ranks[:n_a].sum()),
-        r_max_a=_top_rank_sum(n_a, n_a + n_b),
-        r_eff_b=float(ranks[n_a:].sum()),
-        r_max_b=_top_rank_sum(n_b, n_a + n_b),
-        sds_code=sds_code,
-    )
 
 
 def _top_rank_sum(size, n):
@@ -156,14 +131,20 @@ def dominance_counts(
 ) -> DominanceCounts:
     """Count, per UDA, the fields where ``group_b`` outranks ``group_a``.
 
-    Fields where either group has no ranked member are excluded from the
-    denominator (and reported in ``excluded_sds``). Each field's result is
-    :func:`sequence_criterion` on its two groups; all fields are ranked in
-    one sort, the indicator's :func:`~.ranking.sds_ranking`, whose order
-    keeps the two groups' members sorted by (SDS, value), and the midrank
-    sums, being sums of half-integers, are exact in any order. The two
-    groups must differ. The counts are kept with the table, read-only, and
-    returned on every call for the same indicator and groups.
+    In a field, the members of both groups are pooled and ranked ascending
+    with midranks, so the best of ``N = n_a + n_b`` values ranks N. A group
+    of ``n`` members holding the top block outright would have the rank sum
+    ``r_max = n*N - n(n-1)/2``; its distance from that is ``r_diff = r_max -
+    r_eff``, with ``r_eff`` its actual rank sum, and ``group_b`` outranks
+    ``group_a`` where its ``r_diff`` is strictly smaller. ``r_diff_a +
+    r_diff_b`` is ``n_a * n_b``. Fields where either group has no ranked
+    member are excluded from the denominator (and reported in
+    ``excluded_sds``). All fields are ranked in one sort, the indicator's
+    :func:`~.ranking.sds_ranking`, whose order keeps the two groups' members
+    sorted by (SDS, value), and the midrank sums, being sums of
+    half-integers, are exact in any order. The two groups must differ. The
+    counts are kept with the table, read-only, and returned on every call
+    for the same indicator and groups.
     """
     if group_a == group_b:
         raise ValueError(f"dominance needs two different rank groups, got {group_a.value} twice")
@@ -215,32 +196,30 @@ def _dominance(
 # ---------------------------------------------------------------------------
 # Inequality measures
 
-def _check_inequality(values: np.ndarray, caller: str, bottom_fraction: float, top_fraction: float) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{caller} requires finite values")
-    if (values < 0).any():
-        raise ValueError(f"{caller} requires non-negative values")
-    if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
-        raise ValueError("fractions must be in (0, 1)")
-
-
-def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Every block ``values[start:start + size]`` sorted, as ``(indices,
-    sorted rows)`` per block length, and each block's Gini coefficient, all
-    read-only; :func:`_ratios` takes their bottom/top ratios. The values must
-    pass :func:`_check_inequality`.
+def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray, name) -> tuple[tuple, np.ndarray]:
+    """Every block ``values[start:start + size]`` of finite non-negative
+    values sorted, as ``(indices, sorted rows)`` per block length, and each
+    block's Gini coefficient, all read-only; :func:`_ratios` takes their
+    bottom/top ratios. Raises ValueError naming (``name(i)``) the first block
+    ``i`` whose ``n * sum`` is not finite, so every value computed from a
+    block stays finite.
 
     Blocks of one length ``n`` form one C-contiguous ``(blocks, n)`` matrix,
     members in their given order, so each row sums exactly as the 1-D
-    ``.sum()`` of its block. See :func:`gini` and :func:`bottom_top_ratio`.
+    ``.sum()`` of its block.
     """
     g = np.empty(len(sizes))
-    lengths = []
+    lengths, overflow = [], []
     # not np.unique, which imports numpy.ma on first use (about 1.5 MB resident)
     for n in np.flatnonzero(np.bincount(sizes)).tolist():
         idx = np.flatnonzero(sizes == n)
         m = values[starts[idx, None] + np.arange(n)]
-        total = m.sum(axis=1)
+        with np.errstate(over="ignore"):
+            total = m.sum(axis=1)
+            finite = np.isfinite(n * total)
+        if not finite.all():
+            overflow.append(idx[~finite][0])
+            continue
         # stable, as Python's sorted(): tied 0.0 and -0.0 keep their order
         xs = np.sort(m, axis=1, kind="stable")
         spread = (total != 0.0) & (xs[:, 0] != xs[:, -1])
@@ -250,21 +229,21 @@ def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) ->
         gi = np.where(gi > 0, gi, 0.0)
         g[idx] = np.where(gi < 1, gi, 1.0)
         lengths.append(_read_only(idx, xs))
+    if overflow:
+        block = min(overflow)
+        raise ValueError(f"concentration_rows: values too large in {name(block)}: "
+                         f"{sizes[block]} * their sum is not finite")
     g.flags.writeable = False
     return tuple(lengths), g
 
 
 def _fsums(m: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of finite values ``m``. Rows of one or two values
-    add in numpy, as a float sum of two floats is correctly rounded; ``+ 0.0``
-    makes -0.0 fsum's 0.0, and an overflow raises as fsum does."""
+    """``math.fsum`` of each row of ``m``, whose sums are finite. Rows of one
+    or two values add in numpy, as a float sum of two floats is correctly
+    rounded; ``+ 0.0`` makes -0.0 fsum's 0.0."""
     if m.shape[1] > 2:
         return np.array([math.fsum(r) for r in m.tolist()])
-    with np.errstate(over="ignore"):
-        total = (m[:, 0] + m[:, 1] if m.shape[1] == 2 else m[:, 0]) + 0.0
-    if np.isinf(total).any():
-        raise OverflowError("intermediate overflow in fsum")
-    return total
+    return (m[:, 0] + m[:, 1] if m.shape[1] == 2 else m[:, 0]) + 0.0
 
 
 def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: float) -> np.ndarray:
@@ -280,26 +259,6 @@ def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: fl
     return ratio
 
 
-def _one_block(values, caller: str, bottom_fraction: float = 0.4, top_fraction: float = 0.2):
-    """``values`` as the one block of a :func:`_sorted_blocks` call."""
-    x = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
-    if x.size == 0:
-        raise ValueError(f"{caller} requires at least one value")
-    _check_inequality(x, caller, bottom_fraction, top_fraction)
-    return _sorted_blocks(x.ravel(), np.zeros(1, dtype=np.intp), np.array([x.size]))
-
-
-def gini(values) -> float:
-    """Population Gini coefficient: mean absolute difference over twice the mean.
-
-    0 means every value is equal, 1 maximal inequality; an all-zero vector is
-    defined as 0. Computed with the sorted-index identity, which matches the
-    O(n^2) pairwise definition to float precision. Values must be finite and
-    non-negative.
-    """
-    return float(_one_block(values, "gini")[1][0])
-
-
 def weighted_uda_gini(per_sds: Iterable[tuple[float, int]]) -> float:
     """Headcount-weighted mean of per-field Gini coefficients."""
     pairs = list(per_sds)
@@ -313,24 +272,6 @@ def weighted_uda_gini(per_sds: Iterable[tuple[float, int]]) -> float:
         total += g * headcount
         weight += headcount
     return total / weight
-
-
-def bottom_top_ratio(
-    values,
-    bottom_fraction: float = 0.4,
-    top_fraction: float = 0.2,
-) -> float | None:
-    """Per-capita output of the weakest block over that of the strongest block.
-
-    Block sizes are ``max(1, floor(fraction * n))`` and each block's output is
-    the correctly rounded ``math.fsum`` of its sorted values. 1 means a
-    perfectly uniform population, values toward 0 mean concentration at the
-    top; None (undefined) when the top block has zero output. Values must be
-    finite and non-negative.
-    """
-    lengths, _ = _one_block(values, "bottom_top_ratio", bottom_fraction, top_fraction)
-    ratio = float(_ratios(lengths, 1, bottom_fraction, top_fraction)[0])
-    return None if math.isnan(ratio) else ratio
 
 
 def concentration_index(top_share: float, staff_share: float) -> float:
@@ -420,17 +361,33 @@ def concentration_rows(
 ) -> dict[tuple[str, Rank], ConcentrationRow]:
     """Inequality of output per UDA and rank.
 
-    Gini and bottom/top ratios are computed per field, then weighted up to the
-    UDA by each field's staff share of that rank. Fields whose ratio is
-    undefined (zero top output) are left out of the ratio average; if every
-    field's ratio is undefined the UDA ratio is None. Every field's values
-    enter one :func:`gini`/:func:`bottom_top_ratio` kernel call in corpus
-    row order, and each cell adds its fields in SDS-code order. The sorted
-    blocks and the Gini columns are kept with the table; only the ratios are
-    computed per call.
+    The Gini coefficient of a field's ``n`` values is their mean absolute
+    difference over twice their mean, ``sum |x_i - x_j| / (2 n^2 mean)`` over
+    all pairs, taken from the sorted values as ``sum (2i - n - 1) x_(i) / (n *
+    sum)`` and clamped to [0, 1]: 0 when all values are equal, and defined as
+    0 when all are zero. The bottom/top ratio is the per-capita output of the
+    ``max(1, floor(bottom_fraction * n))`` lowest values over that of the
+    ``max(1, floor(top_fraction * n))`` highest, each block's output the
+    correctly rounded ``math.fsum`` of its sorted values: 1 for a uniform
+    field, toward 0 as output concentrates at the top, undefined when the
+    top block has zero output.
+
+    Both are computed per field, then weighted up to the UDA by each field's
+    staff share of that rank. Fields whose ratio is undefined are left out
+    of the ratio average; if every field's ratio is undefined the UDA ratio
+    is None. Values must be finite and non-negative, and a field whose
+    ``n * sum`` is not finite raises ValueError naming its SDS and rank.
+    Every field's values enter one kernel call in corpus row order, and each
+    cell adds its fields in SDS-code order. The sorted blocks and the Gini
+    columns are kept with the table; only the ratios are computed per call.
     """
     rows, values = ranked_population(table, indicator, corpus)
-    _check_inequality(values, "concentration_rows", bottom_fraction, top_fraction)
+    if not np.isfinite(values).all():
+        raise ValueError("concentration_rows requires finite values")
+    if (values < 0).any():
+        raise ValueError("concentration_rows requires non-negative values")
+    if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
+        raise ValueError("fractions must be in (0, 1)")
     lengths, sizes, cells = table.derived(
         ("concentration", indicator), lambda: _concentration_blocks(corpus, rows, values)
     )
@@ -453,7 +410,12 @@ def _concentration_blocks(corpus: Corpus, rows: np.ndarray, values: np.ndarray) 
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     sizes = np.diff(np.append(starts, len(key)))
-    lengths, g = _sorted_blocks(values[order], starts, sizes)
+
+    def name(block: int) -> str:
+        cell, sds_code = divmod(int(key[starts[block]]), len(names))
+        return f"SDS '{names[sds_code]}', rank {RANKS[cell % len(RANKS)].value}"
+
+    lengths, g = _sorted_blocks(values[order], starts, sizes, name)
     cell = key[starts] // len(names)
     first = np.flatnonzero(np.diff(cell, prepend=-1)).tolist()
     g, sizes = g.tolist(), tuple(sizes.tolist())

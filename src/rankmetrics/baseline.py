@@ -24,7 +24,6 @@ __all__ = [
     "MissingBaselineError",
     "build_baselines",
     "read_baselines",
-    "standardized_score",
     "write_baselines",
 ]
 
@@ -131,30 +130,6 @@ def build_baselines(corpus: Corpus) -> BaselineTable:
         cells.append(BaselineCell(years[year_code], names[category], float(median),
                                   math.fsum(group) / n, n))
     return BaselineTable(cells)
-
-
-def standardized_score(
-    year: int, citation_count: int, categories: Iterable[str], baselines: BaselineTable
-) -> float:
-    """Standardized citation score of a publication given by its fields.
-
-    Per category the score is ``citation_count / median``; a zero median falls
-    back to the cell mean, and a cell where both are zero scores 0 (every
-    member is uncited). The publication score is the mean over its categories
-    (``math.fsum(scores) / k``), so it is 0 exactly when the publication is uncited.
-    """
-    scores = []
-    for cat in categories:
-        cell = baselines.get(year, cat)
-        if cell.median_citations > 0:
-            scores.append(citation_count / cell.median_citations)
-        elif cell.mean_citations > 0:
-            scores.append(citation_count / cell.mean_citations)
-        else:
-            scores.append(0.0)
-    if not scores:
-        raise ValueError("a publication needs at least one category to be scored")
-    return math.fsum(scores) / len(scores)
 
 
 def write_baselines(baselines: BaselineTable, path: str | Path) -> Path:

@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "IndicatorRecord",
     "IndicatorTable",
     "WeightScheme",
-    "byline_case_flags",
     "coauthor_weights",
     "compute_indicators",
     "read_indicators",
@@ -160,33 +159,10 @@ def coauthor_weights(
     return [w / total for w in weights]
 
 
-def byline_case_flags(affiliations: Sequence[str | None]) -> tuple[bool, bool]:
-    """Derive the positional-scheme flags from a position-ordered affiliation list.
-
-    Returns ``(first_last_same, boundary_pairs_differ)``. The second flag
-    requires all four boundary affiliations (positions 1, 2, n-1, n) to be
-    present and pairwise different wherever the positions themselves differ;
-    a missing boundary affiliation makes the case undecidable and both flags
-    come back False (uniform fallback).
-    """
-    n = len(affiliations)
-    if n < 2:
-        return (False, False)
-    first, second = affiliations[0], affiliations[1]
-    penult, last = affiliations[n - 2], affiliations[n - 1]
-    if first is not None and last is not None and first == last:
-        return (True, False)
-    if None in (first, second, penult, last):
-        return (False, False)
-    front = ((0, first), (1, second))
-    back = ((n - 2, penult), (n - 1, last))
-    differ = all(fa != ba for fi, fa in front for bi, ba in back if fi != bi)
-    return (False, differ)
-
-
 def _byline_flags(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`byline_case_flags` of every publication, from the affiliation
-    codes at byline positions 1, 2, n-1 and n (-1 where missing)."""
+    """The byline pattern flags ``(first_last_same, boundary_pairs_differ)``
+    of every publication, from the affiliation codes at byline positions 1,
+    2, n-1 and n (-1 where missing); see the module docstring."""
     n = corpus.pub_author_count
     start, end = corpus.pub_start[:-1], corpus.pub_start[1:]
     multi = n >= 2
@@ -241,9 +217,10 @@ def require_baselines(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
 
 
 def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
-    """:func:`~.baseline.standardized_score` of every publication with a
-    roster author (0 for the others, which are never read), from one row of
-    divisors per distinct (year, category set) pair among them, once
+    """The standardized citation score of every publication with a roster
+    author (0 for the others, which are never read), the mean over its
+    categories of ``citations / median``, or of ``citations / mean`` where
+    the median is 0 (0 where both are), from one row of divisors per distinct (year, category set) pair among them, once
     ``baselines`` is checked to have every (year, category) cell they need.
     The mean over categories is ``fmean``'s ``math.fsum(scores) / k``; for
     k <= 2 plain addition is that sum, as the float sum of two floats is

@@ -40,7 +40,6 @@ __all__ = [
     "SdsRanking",
     "TopFlag",
     "TopFlagColumn",
-    "midranks",
     "ranked_population",
     "sds_percentiles",
     "sds_ranking",
@@ -153,15 +152,6 @@ def sorted_midranks(groups: np.ndarray, values: np.ndarray, start: np.ndarray) -
     count = np.diff(np.append(first, len(values)))
     mids = (first - start[groups[first]] + 1) + (count - 1) / 2.0
     return np.repeat(mids, count)
-
-
-def midranks(values) -> np.ndarray:
-    """Ascending ranks 1..n with tied values sharing the mean of their positions."""
-    a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="stable")
-    midrank = np.empty(len(a))
-    midrank[order] = sorted_midranks(np.zeros(len(a), dtype=np.int64), a[order], np.zeros(1, np.int64))
-    return midrank
 
 
 def ranked_population(

@@ -3,7 +3,10 @@ from operator import attrgetter
 
 import pytest
 
-from rankmetrics import IndicatorTable, fileio, load_corpus
+from rankmetrics import (
+    RANKS, Indicator, IndicatorRecord, IndicatorTable, Rank, concentration_rows, dominance_counts,
+    fileio, load_corpus,
+)
 
 
 def tiny_rows():
@@ -68,6 +71,52 @@ def indicator_table(corpus, records) -> IndicatorTable:
     :class:`IndicatorRecord` values, given in any order."""
     columns = list(zip(*records)) or [()] * 4
     return IndicatorTable.resolve(corpus, *map(list, columns))
+
+
+def block_table(blocks):
+    """A corpus of one block of scientists per ``(uda, rank, sds, values)``
+    in ``blocks``, and its indicator table, each scientist's FSS and QI the
+    value (QI absent where it is NaN)."""
+    scientists, records = [], []
+    for b, (uda, rank, sds, values) in enumerate(blocks):
+        for j, value in enumerate(values):
+            scientists.append({"scientist_id": f"B{b:05d}-{j}", "sds_code": sds, "uda_code": uda,
+                               "rank": rank.value, "birth_year": ""})
+            records.append(IndicatorRecord(f"B{b:05d}-{j}", 1, value, value))
+    corpus = load_corpus(scientists, [], [])
+    return corpus, indicator_table(corpus, records)
+
+
+def _cell(i):
+    """The (UDA, rank) cell of case ``i`` of :func:`one_block_table`."""
+    return f"U{i // 3:05d}", RANKS[i % 3]
+
+
+def one_block_table(cases):
+    """:func:`block_table` of one (UDA, SDS, rank) block per list of values
+    in ``cases``: case ``i`` is SDS ``S{i:05d}`` in the cell :func:`_cell`,
+    so every (UDA, rank) cell of :func:`concentration_rows` holds one block."""
+    return block_table([(*_cell(i), f"S{i:05d}", values) for i, values in enumerate(cases)])
+
+
+def one_block_rows(cases, bottom_fraction=0.4, top_fraction=0.2):
+    """The FSS :class:`ConcentrationRow` of each case of :func:`one_block_table`, in order."""
+    corpus, table = one_block_table(cases)
+    rows = concentration_rows(table, corpus, Indicator.FSS, bottom_fraction, top_fraction)
+    return [rows[_cell(i)] for i in range(len(cases))]
+
+
+def pair_results(pairs):
+    """The FSS dominance result of each ``(values_a, values_b)`` pair, each
+    pair one SDS of FULL members valued ``values_a`` and ASSISTANT members
+    valued ``values_b``, in order; None where a group is empty."""
+    corpus, table = block_table([
+        ("U1", rank, f"S{i:05d}", values)
+        for i, pair in enumerate(pairs)
+        for rank, values in zip((Rank.FULL, Rank.ASSISTANT), pair)
+    ])
+    results = dominance_counts(table, corpus, Indicator.FSS).sds_results
+    return [results.get(f"S{i:05d}") for i in range(len(pairs))]
 
 
 # Keyed views of a corpus, built from its row views for the tests that look

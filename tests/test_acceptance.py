@@ -21,23 +21,21 @@ from rankmetrics import (
     Rank,
     RunConfig,
     WeightScheme,
-    bottom_top_ratio,
     chi_square_independence,
     chi_square_upper_tail,
     coauthor_weights,
     concentration_index,
-    gini,
     load_corpus,
     roster_summary,
     run_pipeline,
     sds_percentiles,
-    sequence_criterion,
+    weighted_uda_gini,
     write_bundle,
 )
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 from rankmetrics.tables import half_up
 
-from conftest import indicator_table
+from conftest import indicator_table, one_block_rows, pair_results
 
 
 def criterion(label, budget_seconds):
@@ -139,7 +137,9 @@ def test_c2_roster_shares_cross_check():
 
 @criterion("C3 Gini brute-force oracle", 10.0)
 def test_c3_gini_oracle():
+    # one (UDA, SDS, rank) block per trial; a cell of one field weighs its Gini by 1
     rng = np.random.default_rng(33)
+    trials = []
     for trial in range(1000):
         n = int(rng.integers(1, 201))
         kind = trial % 4
@@ -152,32 +152,33 @@ def test_c3_gini_oracle():
         else:
             values = np.zeros(n)
             values[: max(1, n // 10)] = rng.uniform(1, 50, size=max(1, n // 10))
-        fast = gini(values)
-        x = np.asarray(values, dtype=float)
-        mean = x.mean()
+        trials.append(values)
+    *rows, equal, spike = one_block_rows([*trials, [7.3] * 25, [0.0] * 99 + [1.0]])
+    for trial, (x, row) in enumerate(zip(trials, rows)):
+        n, mean = x.size, x.mean()
         brute = 0.0 if mean == 0 else float(
             np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * mean)
         )
-        assert abs(fast - brute) <= 1e-10, (trial, fast, brute)
-    assert gini([7.3] * 25) == 0.0
-    assert gini([0.0] * 99 + [1.0]) == 0.99
+        assert abs(row.gini - brute) <= 1e-10, (trial, row.gini, brute)
+    assert equal.gini == 0.0
+    assert spike.gini == weighted_uda_gini([(0.99, 100)]) == 0.99
 
 
 @criterion("C4 rank-sum identity", 5.0)
 def test_c4_rank_sum_identity():
+    # one field per trial, FULL members against ASSISTANT members
     rng = np.random.default_rng(44)
+    pairs = []
     for trial in range(1000):
         n_a = int(rng.integers(1, 101))
         n_b = int(rng.integers(1, 101))
         # integer draws inject heavy ties
-        a = rng.integers(0, 12, size=n_a).astype(float).tolist()
-        b = rng.integers(0, 12, size=n_b).astype(float).tolist()
-        res = sequence_criterion(a, b)
-        assert abs(res.r_diff_a + res.r_diff_b - n_a * n_b) <= 1e-9
-        transformed = sequence_criterion(
-            [x ** 3 + 2.0 for x in a], [x ** 3 + 2.0 for x in b]
-        )
-        assert res.winner == transformed.winner
+        pairs.append((rng.integers(0, 12, size=n_a).astype(float).tolist(),
+                      rng.integers(0, 12, size=n_b).astype(float).tolist()))
+    transformed = pair_results([([x ** 3 + 2.0 for x in a], [x ** 3 + 2.0 for x in b]) for a, b in pairs])
+    for (a, b), res, other in zip(pairs, pair_results(pairs), transformed):
+        assert abs(res.r_diff_a + res.r_diff_b - len(a) * len(b)) <= 1e-9
+        assert res.winner == other.winner
 
 
 @criterion("C5 co-author weight exactness", 1.0)
@@ -298,8 +299,8 @@ def test_c8_end_to_end_recovery(tmp_path):
 
 @criterion("C9 uniformity endpoints", 1.0)
 def test_c9_bottom_top_endpoints():
-    for n in (1, 2, 5, 10, 100):
-        assert bottom_top_ratio([3.7] * n) == pytest.approx(1.0, abs=1e-12)
-    for n in (5, 10, 100):
-        values = [0.0] * (n - 1) + [10.0]
-        assert bottom_top_ratio(values) == 0.0
+    # one (UDA, SDS, rank) block per population
+    uniform = one_block_rows([[3.7] * n for n in (1, 2, 5, 10, 100)])
+    assert all(row.bottom_top_ratio == pytest.approx(1.0, abs=1e-12) for row in uniform)
+    spikes = one_block_rows([[0.0] * (n - 1) + [10.0] for n in (5, 10, 100)])
+    assert [row.bottom_top_ratio for row in spikes] == [0.0, 0.0, 0.0]

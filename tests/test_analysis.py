@@ -11,7 +11,6 @@ from rankmetrics import (
     Indicator,
     IndicatorRecord,
     Rank,
-    bottom_top_ratio,
     build_baselines,
     chi_square_independence,
     chi_square_upper_tail,
@@ -19,9 +18,7 @@ from rankmetrics import (
     concentration_index,
     concentration_rows,
     dominance_counts,
-    gini,
     read_indicators,
-    sequence_criterion,
     top_distribution,
     top_scientists,
     weighted_uda_gini,
@@ -29,37 +26,37 @@ from rankmetrics import (
 )
 from rankmetrics.synth import SynthConfig, generate
 
-from conftest import indicator_table, single_author_corpus
+from conftest import indicator_table, one_block_rows, one_block_table, pair_results, single_author_corpus
+from oracle import reference_gini
 
 
 # ---------------------------------------------------------------------------
-# Sequence criterion
+# Sequence criterion: one field per case, FULL as group a, ASSISTANT as group b
 
 def test_maximum_differentiation_realized():
-    res = sequence_criterion([10, 9], [1, 2])
+    res, = pair_results([([10, 9], [1, 2])])
     assert res.r_diff_a == 0
-    assert res.winner == "A"
+    assert res.winner is Rank.FULL
     assert res.r_diff_b == 4  # = n_a * n_b
 
 
 def test_single_values():
-    res = sequence_criterion([1], [2])
+    res, = pair_results([([1], [2])])
     assert res.r_diff_a == 1
     assert res.r_diff_b == 0
     assert res.r_diff_a + res.r_diff_b == 1
-    assert res.winner == "B"
+    assert res.winner is Rank.ASSISTANT
 
 
 def test_tied_groups():
-    res = sequence_criterion([5], [5])
+    res, = pair_results([([5], [5])])
     assert res.r_diff_a == pytest.approx(0.5)
     assert res.r_diff_b == pytest.approx(0.5)
     assert res.winner is None
 
 
-def test_empty_group_rejected():
-    with pytest.raises(ValueError):
-        sequence_criterion([], [1])
+def test_empty_group_is_excluded():
+    assert pair_results([([], [1]), ([1], []), ([1], [2])])[:2] == [None, None]
 
 
 @settings(max_examples=300)
@@ -68,7 +65,7 @@ def test_empty_group_rejected():
     st.lists(st.integers(0, 6), min_size=1, max_size=40),
 )
 def test_rank_sum_identity(a, b):
-    res = sequence_criterion(a, b)
+    res, = pair_results([(a, b)])
     assert res.r_diff_a + res.r_diff_b == pytest.approx(len(a) * len(b), abs=1e-9)
     assert res.r_diff_a >= -1e-9 and res.r_diff_b >= -1e-9
 
@@ -79,15 +76,13 @@ def test_rank_sum_identity(a, b):
     st.lists(st.integers(0, 8), min_size=1, max_size=25),
 )
 def test_winner_invariant_under_monotone_transform(a, b):
-    plain = sequence_criterion(a, b)
-    transformed = sequence_criterion(
-        [float(x) ** 3 + 1 for x in a], [float(x) ** 3 + 1 for x in b]
-    )
+    cubed = [float(x) ** 3 + 1 for x in a], [float(x) ** 3 + 1 for x in b]
+    plain, transformed = pair_results([(a, b), cubed])
     assert plain.winner == transformed.winner
 
 
 # ---------------------------------------------------------------------------
-# Gini
+# Gini: one (UDA, SDS, rank) block per case, each cell's Gini weighted over one field
 
 def _gini_brute(values):
     # sum over pairs / (2 n^2 mean), with n * mean as the total: a mean of
@@ -101,42 +96,44 @@ def _gini_brute(values):
 
 
 def test_gini_all_equal_is_zero():
-    assert gini([3.5] * 7) == 0.0
-    assert gini([0.0]) == 0.0
+    assert [row.gini for row in one_block_rows([[3.5] * 7, [0.0]])] == [0.0, 0.0]
 
 
 def test_gini_two_values():
-    assert gini([0, 1]) == pytest.approx(0.5)
+    row, = one_block_rows([[0, 1]])
+    assert row.gini == pytest.approx(0.5)
 
 
 def test_gini_single_spike():
-    values = [0.0] * 99 + [1.0]
-    assert gini(values) == 0.99  # (n-1)/n exactly
+    row, = one_block_rows([[0.0] * 99 + [1.0]])
+    assert row.gini == weighted_uda_gini([(0.99, 100)]) == 0.99  # (n-1)/n exactly
 
 
 def test_gini_negative_rejected():
-    with pytest.raises(ValueError):
-        gini([1.0, -0.1])
+    with pytest.raises(ValueError, match="concentration_rows requires non-negative values"):
+        one_block_rows([[1.0, 2.0], [1.0, -0.1]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_gini_rejects_non_finite(bad):
     # a NaN or an infinity must not read as perfect equality (0.0)
-    with pytest.raises(ValueError, match="gini requires finite values"):
-        gini([bad, 1.0])
+    with pytest.raises(ValueError, match="concentration_rows requires finite values"):
+        one_block_rows([[bad, 1.0]])
     with pytest.raises(ValueError, match="finite"):
-        gini(np.array([1.0, 2.0, bad]))
+        one_block_rows([[1.0, 2.0], [1.0, 2.0, bad]])
 
 
-def test_gini_empty_rejected():
-    with pytest.raises(ValueError):
-        gini([])
+def test_gini_empty_block_has_no_row():
+    # a field whose members all lack the indicator enters no cell
+    corpus, table = one_block_table([[math.nan, math.nan], [1.0, 2.0]])
+    assert list(concentration_rows(table, corpus, Indicator.QI)) == [("U00000", Rank.ASSOCIATE)]
 
 
 @settings(max_examples=300)
 @given(st.lists(st.floats(0, 1e4, allow_nan=False), min_size=1, max_size=120))
 def test_gini_matches_brute_force(values):
-    assert gini(values) == pytest.approx(_gini_brute(values), abs=1e-10)
+    row, = one_block_rows([values])
+    assert row.gini == pytest.approx(_gini_brute(values), abs=1e-10)
 
 
 @settings(max_examples=200)
@@ -145,12 +142,28 @@ def test_gini_matches_brute_force(values):
     st.floats(0.01, 1000),
 )
 def test_gini_scale_invariant(values, c):
-    assert gini([c * v for v in values]) == pytest.approx(gini(values), abs=1e-9)
+    scaled, plain = one_block_rows([[c * v for v in values], values])
+    assert scaled.gini == pytest.approx(plain.gini, abs=1e-9)
 
 
 def test_gini_translation_sensitive():
     values = [0.0, 1.0, 2.0]
-    assert gini([v + 10 for v in values]) < gini(values)
+    shifted, plain = one_block_rows([[v + 10 for v in values], values])
+    assert shifted.gini < plain.gini
+
+
+def test_concentration_rows_rejects_overflowing_block():
+    # 2 * (1e308 + 1.5e308) overflows; the kernel read such a block as Gini 0.0
+    for blocks in ([[1.0, 2.0], [1e308, 1.5e308]], [[1.0, 2.0], [1e308, 1.5e308], [1.7e308] * 3]):
+        corpus, table = one_block_table(blocks)
+        for _ in range(2):  # a build that raises keeps nothing
+            with pytest.raises(ValueError, match="concentration_rows: values too large in "
+                                                 r"SDS 'S00001', rank ASSOCIATE: 2 \* their sum"):
+                concentration_rows(table, corpus, Indicator.FSS)
+    # ten times smaller, every intermediate value is finite and the Gini is exact
+    row, = one_block_rows([[1e307, 1.5e307]])
+    assert row.gini == weighted_uda_gini([(reference_gini([1e307, 1.5e307]), 2)])
+    assert row.gini == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +198,34 @@ def test_weighted_gini_rejects_empty_and_bad_weights():
 
 
 # ---------------------------------------------------------------------------
-# Bottom/top ratio
+# Bottom/top ratio: one (UDA, SDS, rank) block per case
 
 def test_ratio_uniform_population_is_one():
-    assert bottom_top_ratio([2.0] * 10) == pytest.approx(1.0)
+    row, = one_block_rows([[2.0] * 10])
+    assert row.bottom_top_ratio == pytest.approx(1.0)
 
 
 def test_ratio_all_zero_is_undefined():
-    assert bottom_top_ratio([0.0, 0.0, 0.0]) is None
+    row, = one_block_rows([[0.0, 0.0, 0.0]])
+    assert row.bottom_top_ratio is None
 
 
 def test_ratio_single_spike_is_zero():
-    assert bottom_top_ratio([0, 0, 0, 0, 10]) == 0.0
+    row, = one_block_rows([[0, 0, 0, 0, 10]])
+    assert row.bottom_top_ratio == 0.0
 
 
 def test_ratio_block_sizes():
     # n=5: top block 1, bottom block 2
-    assert bottom_top_ratio([1, 1, 4, 4, 10]) == pytest.approx(1.0 / 10.0)
+    row, = one_block_rows([[1, 1, 4, 4, 10]])
+    assert row.bottom_top_ratio == pytest.approx(1.0 / 10.0)
 
 
 def test_ratio_bounds_property():
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        values = rng.integers(0, 20, size=int(rng.integers(1, 50))).astype(float)
-        ratio = bottom_top_ratio(values)
+    cases = [rng.integers(0, 20, size=int(rng.integers(1, 50))).astype(float) for _ in range(200)]
+    for values, row in zip(cases, one_block_rows(cases)):
+        ratio = row.bottom_top_ratio
         if ratio is not None:
             assert 0.0 <= ratio <= 1.0 + 1e-12
             if ratio == pytest.approx(1.0):
@@ -223,15 +240,16 @@ def test_ratio_bounds_property():
 )
 def test_ratio_rejects_non_finite(values):
     # wherever a NaN sits, it fails rather than giving nan or a number that depends on its place
-    with pytest.raises(ValueError, match="bottom_top_ratio requires finite values"):
-        bottom_top_ratio(values)
+    with pytest.raises(ValueError, match="concentration_rows requires finite values"):
+        one_block_rows([values])
 
 
 def test_ratio_validates_input():
-    with pytest.raises(ValueError):
-        bottom_top_ratio([])
-    with pytest.raises(ValueError):
-        bottom_top_ratio([-1.0, 2.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        one_block_rows([[-1.0, 2.0]])
+    for fractions in ((0.0, 0.2), (0.4, 1.0)):
+        with pytest.raises(ValueError, match=r"fractions must be in \(0, 1\)"):
+            one_block_rows([[1.0, 2.0]], *fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +393,9 @@ def test_concentration_rows_weighting():
     corpus, records = _two_rank_corpus()
     rows = concentration_rows(records, corpus, Indicator.FSS)
     full = rows[("U1", Rank.FULL)]
-    g1 = gini([9.0, 8.0, 7.0])
-    g2 = gini([1.0, 2.0])
-    assert full.gini == pytest.approx((3 * g1 + 2 * g2) / 5)
+    g1 = reference_gini([9.0, 8.0, 7.0])
+    g2 = reference_gini([1.0, 2.0])
+    assert full.gini == weighted_uda_gini([(g1, 3), (g2, 2)]) == pytest.approx((3 * g1 + 2 * g2) / 5)
     assert full.bottom_top_ratio is not None
 
 
@@ -400,9 +418,10 @@ def test_dominance_result_by_keyword():
     assert (res.r_diff_a, res.r_diff_b, res.winner) == (2.0, 1.0, Rank.ASSISTANT)
     tie = DominanceResult(group_a="A", group_b="B", r_eff_a=3.5, r_max_a=5.0, r_eff_b=3.5, r_max_b=5.0)
     assert (tie.r_diff_a, tie.r_diff_b, tie.winner, tie.sds_code) == (1.5, 1.5, None, None)
-    assert sequence_criterion([1.0], [2.0], "A", "B", "S1") == DominanceResult(
-        group_a="A", group_b="B", r_eff_a=1.0, r_max_a=2.0, r_eff_b=2.0, r_max_b=2.0, sds_code="S1"
-    )
+    assert pair_results([([1.0], [2.0])]) == [DominanceResult(
+        group_a=Rank.FULL, group_b=Rank.ASSISTANT, r_eff_a=1.0, r_max_a=2.0, r_eff_b=2.0, r_max_b=2.0,
+        sds_code="S00000",
+    )]
 
 
 def test_top_distribution_shares_and_index():

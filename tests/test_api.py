@@ -22,6 +22,20 @@ def test_all_names_resolve(name):
         assert hasattr(module, attr), f"rankmetrics.{name}.{attr}"
 
 
+def test_reexported_names_are_in_their_modules_all():
+    tree = ast.parse(Path(rankmetrics.__file__).read_text(encoding="utf-8"))
+    reexported = [
+        (node.module, alias.asname or alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert reexported
+    missing = [f"{module}.{name}" for module, name in reexported
+               if name not in importlib.import_module(f"rankmetrics.{module}").__all__]
+    assert missing == []
+
+
 def _trace_targets() -> dict:
     """``TARGETS`` of the benchmark's tracer, read from its source."""
     for node in ast.parse(BENCH_TRACE.read_text(encoding="utf-8")).body:

@@ -9,7 +9,10 @@ from rankmetrics import (
     read_baselines,
     write_baselines,
 )
-from rankmetrics.baseline import BaselineCell, BaselineTable, standardized_score
+from rankmetrics.baseline import BaselineCell, BaselineTable
+from rankmetrics.indicators import require_baselines
+
+from oracle import standardized_score
 
 
 def _corpus(citations, year=2005, category="C1"):
@@ -28,8 +31,26 @@ def _corpus(citations, year=2005, category="C1"):
 
 
 def _pub(citations, year=2005, categories=("C1",)):
-    """The leading arguments of :func:`standardized_score` for one publication."""
+    """One publication, as the leading arguments of the oracle's :func:`standardized_score`."""
     return year, citations, tuple(categories)
+
+
+def _scores(baselines, *pubs):
+    """:func:`require_baselines`' score of each of ``pubs`` (:func:`_pub`
+    tuples), each one sole-authored by a roster scientist, checked bitwise
+    against the oracle's :func:`standardized_score`."""
+    publications = [
+        {"pub_id": f"P{i}", "year": year, "citation_count": citations,
+         "subject_categories": list(categories), "author_count": 1}
+        for i, (year, citations, categories) in enumerate(pubs)
+    ]
+    authorships = [{"pub_id": f"P{i}", "position": 1, "scientist_id": "X", "affiliation_id": ""}
+                   for i in range(len(pubs))]
+    scientists = [{"scientist_id": "X", "sds_code": "S1", "uda_code": "U1", "rank": "FULL", "birth_year": ""}]
+    corpus = load_corpus(scientists, publications, authorships)
+    scores = require_baselines(corpus, baselines).tolist()
+    assert [s.hex() for s in scores] == [standardized_score(*pub, baselines).hex() for pub in pubs]
+    return scores
 
 
 def test_cell_median_and_mean():
@@ -52,43 +73,42 @@ def test_even_count_median_is_mean_of_central_values():
 
 def test_standardize_single_category():
     baselines = build_baselines(_corpus([0, 2, 10]))
-    assert standardized_score(*_pub(6), baselines) == pytest.approx(3.0)
+    assert _scores(baselines, _pub(6)) == [pytest.approx(3.0)]
 
 
 def test_standardize_at_median_is_one():
     baselines = build_baselines(_corpus([0, 2, 10]))
-    assert standardized_score(*_pub(2), baselines) == pytest.approx(1.0)
+    assert _scores(baselines, _pub(2)) == [pytest.approx(1.0)]
 
 
 def test_standardize_multi_category_mean():
     baselines = BaselineTable(
         [BaselineCell(2005, "C1", 2.0, 3.0, 5), BaselineCell(2005, "C2", 4.0, 5.0, 5)]
     )
-    score = standardized_score(*_pub(4, categories=("C1", "C2")), baselines)
-    assert score == pytest.approx(1.5)  # mean(4/2, 4/4)
+    assert _scores(baselines, _pub(4, categories=("C1", "C2"))) == [pytest.approx(1.5)]  # mean(4/2, 4/4)
 
 
 def test_missing_cell_names_year_and_category():
     baselines = build_baselines(_corpus([1]))
     with pytest.raises(MissingBaselineError, match=r"\(2007, 'C9'\)"):
-        standardized_score(*_pub(1, year=2007, categories=("C9",)), baselines)
+        _scores(baselines, _pub(1, year=2007, categories=("C9",)))
 
 
 def test_zero_median_falls_back_to_mean():
     baselines = build_baselines(_corpus([0, 0, 6]))  # median 0, mean 2
-    assert standardized_score(*_pub(6), baselines) == pytest.approx(3.0)
+    assert _scores(baselines, _pub(6)) == [pytest.approx(3.0)]
 
 
 def test_all_zero_cell_scores_zero():
     baselines = build_baselines(_corpus([0, 0]))
-    assert standardized_score(*_pub(0), baselines) == 0.0
+    assert _scores(baselines, _pub(0)) == [0.0]
 
 
 def test_score_zero_iff_uncited():
     baselines = build_baselines(_corpus([0, 1, 2, 5]))
-    assert standardized_score(*_pub(0), baselines) == 0.0
-    for c in (1, 2, 9):
-        assert standardized_score(*_pub(c), baselines) > 0.0
+    uncited, *cited = _scores(baselines, *(_pub(c) for c in (0, 1, 2, 9)))
+    assert uncited == 0.0
+    assert all(score > 0.0 for score in cited)
 
 
 def test_scaling_cell_leaves_scores_unchanged():
@@ -97,16 +117,15 @@ def test_scaling_cell_leaves_scores_unchanged():
         base = build_baselines(_corpus(citations))
         scaled = build_baselines(_corpus([k * c for c in citations]))
         assert scaled.get(2005, "C1").median_citations == k * base.get(2005, "C1").median_citations
-        for c in citations:
-            assert standardized_score(*_pub(k * c), scaled) == pytest.approx(
-                standardized_score(*_pub(c), base)
-            )
+        assert _scores(scaled, *(_pub(k * c) for c in citations)) == pytest.approx(
+            _scores(base, *map(_pub, citations))
+        )
 
 
 def test_median_property_half_at_most_one():
     citations = [0, 1, 1, 2, 3, 5, 8, 13, 40]
     baselines = build_baselines(_corpus(citations))
-    scores = [standardized_score(*_pub(c), baselines) for c in citations]
+    scores = _scores(baselines, *map(_pub, citations))
     assert sum(1 for s in scores if s <= 1.0) >= len(scores) / 2
 
 

@@ -245,6 +245,24 @@ def test_indicators_must_match_roster(corpus_dir, tmp_path, capsys):
     assert "1 extra (first: ghost)" in capsys.readouterr().err
 
 
+def test_analyze_rejects_fss_too_large_to_sum(corpus_dir, tmp_path, capsys):
+    # finite values whose n * sum per field overflows: an error line, not a traceback
+    stage1 = tmp_path / "stage1"
+    assert main(["indicators", *_inputs(corpus_dir), "--out", str(stage1)]) == 0
+    header, *rows = (stage1 / "indicators.csv").read_text().splitlines(keepends=True)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join([header, *(
+        row if row.split(",")[1] == "0" else ",".join([*row.split(",")[:3], "1e308\n"]) for row in rows
+    )]))
+    capsys.readouterr()
+    assert main(["analyze", *_inputs(corpus_dir), "--indicators", str(huge),
+                 "--out", str(tmp_path / "analysis")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: concentration_rows: values too large in SDS '"), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "analysis" / "T8_dominance.txt").exists()
+
+
 def test_shuffled_indicators_file_gives_the_same_outputs(corpus_dir, tmp_path):
     stage1 = tmp_path / "stage1"
     assert main(["indicators", *_inputs(corpus_dir), "--out", str(stage1)]) == 0

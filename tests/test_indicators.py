@@ -10,7 +10,6 @@ from rankmetrics import (
     IndicatorRecord,
     WeightScheme,
     build_baselines,
-    byline_case_flags,
     coauthor_weights,
     compute_indicators,
     load_corpus,
@@ -18,9 +17,10 @@ from rankmetrics import (
     write_indicators,
 )
 from rankmetrics import fileio
-from rankmetrics.baseline import BaselineTable
+from rankmetrics.baseline import BaselineCell, BaselineTable
 
 from conftest import indicator_table, single_author_corpus
+from oracle import byline_case_flags
 
 POSITIONAL = WeightScheme.POSITIONAL
 EQUAL = WeightScheme.EQUAL
@@ -93,34 +93,56 @@ def test_weights_sum_property(n, same, differ):
 
 
 # ---------------------------------------------------------------------------
-# Case flags from affiliations
+# Case flags from affiliations, read from the credit compute_indicators gives
+
+def _check_flags(*cases):
+    """Each ``(affiliations, flags)`` case's byline, one publication scoring
+    1.0 with a roster author at every position in a positional UDA, credits
+    each author the weight of ``flags``; the oracle derives the same flags."""
+    scientists, pubs = [], []
+    for p, (affiliations, _) in enumerate(cases):
+        authors = [f"P{p}-{position}" for position in range(1, len(affiliations) + 1)]
+        scientists += [(sid, "S1", "U1", "FULL") for sid in authors]
+        pubs.append((f"P{p}", 2, list(zip(range(1, len(authors) + 1), authors, affiliations))))
+    corpus = _corpus(pubs, scientists)
+    table = compute_indicators(corpus, BaselineTable([BaselineCell(2005, "C1", 2.0, 2.0, 1)]), ["U1"])
+    for p, (affiliations, (same, differ)) in enumerate(cases):
+        credit = [table[f"P{p}-{position}"].fss for position in range(1, len(affiliations) + 1)]
+        n = len(affiliations)
+        assert credit == coauthor_weights(n, POSITIONAL, first_last_same=same, boundary_pairs_differ=differ)
+        assert byline_case_flags(affiliations) == (same, differ)
+
 
 def test_flags_case_a():
-    assert byline_case_flags(["U1", "U2", "U3", "U1"]) == (True, False)
+    _check_flags((["U1", "U2", "U3", "U1"], (True, False)))
 
 
 def test_flags_case_b():
-    assert byline_case_flags(["U1", "U2", "U3", "U4"]) == (False, True)
-    # n=3: pairwise distinct boundary affiliations
-    assert byline_case_flags(["U1", "U2", "U3"]) == (False, True)
-    # n=2: the two authors differ
-    assert byline_case_flags(["U1", "U2"]) == (False, True)
+    _check_flags(
+        (["U1", "U2", "U3", "U4"], (False, True)),
+        # n=3: pairwise distinct boundary affiliations
+        (["U1", "U2", "U3"], (False, True)),
+        # n=2: the two authors differ
+        (["U1", "U2"], (False, True)),
+    )
 
 
 def test_flags_neither_case():
     # first/last differ but second matches penultimate
-    assert byline_case_flags(["U1", "U2", "U2", "U3"]) == (False, False)
+    _check_flags((["U1", "U2", "U2", "U3"], (False, False)))
 
 
 def test_flags_missing_affiliation_undecidable():
-    assert byline_case_flags(["U1", None, "U3", "U4"]) == (False, False)
-    assert byline_case_flags([None, "U2", "U3", "U4"]) == (False, False)
-    # ... but a present, equal first/last pair still resolves case A
-    assert byline_case_flags(["U1", None, None, "U1"]) == (True, False)
+    _check_flags(
+        (["U1", None, "U3", "U4"], (False, False)),
+        ([None, "U2", "U3", "U4"], (False, False)),
+        # ... but a present, equal first/last pair still resolves case A
+        (["U1", None, None, "U1"], (True, False)),
+    )
 
 
 def test_flags_sole_author():
-    assert byline_case_flags(["U1"]) == (False, False)
+    _check_flags((["U1"], (False, False)))
 
 
 # ---------------------------------------------------------------------------

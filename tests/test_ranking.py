@@ -14,7 +14,6 @@ from rankmetrics import (
     concentration_rows,
     dominance_counts,
     filter_active_sds,
-    midranks,
     sds_percentiles,
     top_distribution,
     top_scientists,
@@ -89,17 +88,19 @@ def test_percentiles_invariant_under_monotone_transform(values):
 
 
 def test_midranks_match_naive():
+    # a field's percentiles are its midranks, 100 * (midrank - 1) / (n - 1), 100 for a field of one
     rng = np.random.default_rng(5)
     for _ in range(50):
         values = rng.integers(0, 6, size=rng.integers(1, 40)).astype(float)
-        got = midranks(values)
+        got = np.array(list(_pcts(values.tolist()).values()))
         order = np.argsort(values, kind="stable")
         naive = np.empty(len(values))
         naive[order] = np.arange(1, len(values) + 1, dtype=float)
         for v in set(values.tolist()):
             mask = values == v
             naive[mask] = naive[mask].mean()
-        assert np.allclose(got, naive)
+        n = len(values)
+        assert np.allclose(got, [100.0] if n == 1 else 100.0 * (naive - 1.0) / (n - 1.0))
 
 
 @settings(max_examples=300, deadline=None)

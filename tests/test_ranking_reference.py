@@ -4,9 +4,10 @@ The references below rank one SDS at a time from per-field Python lists,
 the way percentiles, top flags, dominance and concentration were first
 written; the library ranks every field in one grouped sort and must agree
 with them bitwise, in the same output order, the references reading the
-records of an indicator table in corpus row order. The Gini coefficient and the
-bottom/top ratio are frozen copies of the one-field-at-a-time versions the
-library's batched kernel replaced.
+records of an indicator table in corpus row order. Midranks, the Gini
+coefficient and the bottom/top ratio come from the scalar references of
+``oracle``, and the dominance reference imports nothing from
+``rankmetrics.analysis``.
 """
 
 import math
@@ -30,65 +31,16 @@ from rankmetrics import (
     load_corpus,
     sds_percentiles,
     top_scientists,
+    weighted_uda_gini,
 )
-from rankmetrics.analysis import bottom_top_ratio, gini, sequence_criterion, weighted_uda_gini
 from rankmetrics.indicators import IndicatorRecord
-from rankmetrics.ranking import INDICATORS, midranks
+from rankmetrics.ranking import INDICATORS
 from rankmetrics.synth import SynthConfig, generate
 
-from conftest import indicator_table
+from conftest import indicator_table, one_block_rows
+from oracle import reference_bottom_top_ratio, reference_gini, reference_midranks
 
 FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.5)
-
-
-def reference_midranks(values) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="mergesort")
-    s = a[order]
-    starts = np.r_[True, s[1:] != s[:-1]]
-    group = np.cumsum(starts) - 1
-    first = np.flatnonzero(starts) + 1
-    counts = np.diff(np.r_[np.flatnonzero(starts), len(s)])
-    mids = first + (counts - 1) / 2.0
-    out = np.empty(len(a))
-    out[order] = mids[group]
-    return out
-
-
-def reference_gini(values) -> float:
-    x = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if x.size == 0:
-        raise ValueError("gini requires at least one value")
-    if np.any(x < 0):
-        raise ValueError("gini requires non-negative values")
-    total = float(x.sum())
-    if total == 0.0:
-        return 0.0
-    xs = np.sort(x)
-    if xs[0] == xs[-1]:
-        return 0.0
-    n = x.size
-    i = np.arange(1, n + 1, dtype=float)
-    g = float(((2.0 * i - n - 1.0) * xs).sum() / (n * total))
-    return min(1.0, max(0.0, g))
-
-
-def reference_bottom_top_ratio(values, bottom_fraction=0.4, top_fraction=0.2):
-    x = sorted(values)
-    n = len(x)
-    if n == 0:
-        raise ValueError("bottom_top_ratio requires at least one value")
-    if x[0] < 0:
-        raise ValueError("bottom_top_ratio requires non-negative values")
-    if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
-        raise ValueError("fractions must be in (0, 1)")
-    k_top = max(1, math.floor(top_fraction * n))
-    k_bottom = max(1, math.floor(bottom_fraction * n))
-    top_stat = math.fsum(x[n - k_top:]) / k_top
-    bottom_stat = math.fsum(x[:k_bottom]) / k_bottom
-    if top_stat == 0.0:
-        return None
-    return bottom_stat / top_stat
 
 
 def reference_value(record, indicator):
@@ -157,7 +109,7 @@ def reference_dominance(records, corpus, indicator, group_a=Rank.FULL, group_b=R
         if sci.rank in (group_a, group_b):
             by_sds[sci.sds_code][sci.rank].append(value)
     per_uda = defaultdict(lambda: [0, 0])
-    results = {}
+    results = []
     excluded = 0
     udas = sds_udas(corpus)
     for sds in sorted(udas):
@@ -166,17 +118,18 @@ def reference_dominance(records, corpus, indicator, group_a=Rank.FULL, group_b=R
         if not values_a or not values_b:
             excluded += 1
             continue
-        res = sequence_criterion(values_a, values_b, group_a, group_b, sds_code=sds)
-        results[sds] = res
+        # pooled ascending midranks; a group of k of n holding the top block would sum n*k - k(k-1)/2
+        n_a, n = len(values_a), len(values_a) + len(values_b)
+        ranks = reference_midranks(values_a + values_b)
+        r_eff_a, r_eff_b = float(ranks[:n_a].sum()), float(ranks[n_a:].sum())
+        r_max_a = n_a * n - n_a * (n_a - 1) / 2
+        r_max_b = (n - n_a) * n - (n - n_a) * (n - n_a - 1) / 2
+        results.append((sds, group_a, group_b, r_eff_a.hex(), r_max_a.hex(), r_eff_b.hex(), r_max_b.hex()))
         acc = per_uda[udas[sds]]
         acc[1] += 1
-        if res.winner is group_b:
+        if r_max_b - r_eff_b < r_max_a - r_eff_a:
             acc[0] += 1
-    return (
-        [(uda, (w, c)) for uda, (w, c) in per_uda.items()],
-        [_dominance_bits(res) for res in results.values()],
-        excluded,
-    )
+    return [(uda, (w, c)) for uda, (w, c) in per_uda.items()], results, excluded
 
 
 def reference_concentration(records, corpus, indicator, bottom_fraction, top_fraction):
@@ -294,8 +247,13 @@ def test_query_order_does_not_change_bits(scored):
 
 def test_midranks_match_reference_with_signed_zeros():
     values = [0.0, -0.0, 1.0, 0.0, -1.0, 1.0, 2.5, -0.0]
-    assert midranks(values).tolist() == reference_midranks(values).tolist()
-    assert midranks([]).tolist() == []
+    # one field; no member has a QI, so the QI ranking is empty
+    corpus, records = _population([("S1", Rank.FULL, 1, value, None) for value in values])
+    table = indicator_table(corpus, records)
+    percentiles = sds_percentiles(table, Indicator.FSS, corpus)
+    ranks = reference_midranks(values)
+    assert [p.percentile.hex() for p in percentiles] == [(100.0 * (r - 1.0) / 7.0).hex() for r in ranks]
+    assert list(sds_percentiles(table, Indicator.QI, corpus)) == []
 
 
 # Four SDSs in two UDAs; rank and values drawn with heavy ties.
@@ -411,6 +369,9 @@ FIELD_VALUE = st.one_of(
     st.sampled_from([(0.4, 0.2), (0.5, 0.1), (0.05, 0.3)]),
 )
 def test_one_block_matches_reference(values, fractions):
-    assert gini(values).hex() == reference_gini(values).hex()
-    assert gini(np.array(values)).hex() == reference_gini(values).hex()
-    assert _hex(bottom_top_ratio(values, *fractions)) == _hex(reference_bottom_top_ratio(values, *fractions))
+    row, = one_block_rows([values], *fractions)
+    # a cell of one field passes its Gini and ratio through weighted_uda_gini
+    ratio = reference_bottom_top_ratio(values, *fractions)
+    assert row.gini.hex() == weighted_uda_gini([(reference_gini(values), len(values))]).hex()
+    expected = None if ratio is None else weighted_uda_gini([(ratio, len(values))])
+    assert _hex(row.bottom_top_ratio) == _hex(expected)

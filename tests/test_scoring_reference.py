@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from rankmetrics import (
     Indicator,
     build_baselines,
-    byline_case_flags,
     coauthor_weights,
     compute_indicators,
     dominance_counts,
@@ -24,13 +23,14 @@ from rankmetrics import (
     top_distribution,
     top_scientists,
 )
-from rankmetrics.baseline import BaselineCell, standardized_score
+from rankmetrics.baseline import BaselineCell
 from rankmetrics.indicators import IndicatorRecord, WeightScheme
 from rankmetrics.ranking import INDICATORS
 from rankmetrics.synth import SynthConfig, generate
 from rankmetrics.tables import build_chi_square_table, build_top_distribution_table
 
 from conftest import authorships_by_pub, authorships_by_scientist, publications_by_id
+from oracle import byline_case_flags, standardized_score
 
 
 def reference_baselines(corpus) -> list[BaselineCell]:
