@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .baseline import write_baselines
-from .corpus import RANKS, CorpusError, load_corpus_files
+from .corpus import RANKS, SNAPSHOT_NAME, CorpusError, file_digests, load_corpus_files, save_snapshot
 from .indicators import write_indicators
 from .pipeline import FORMAT_EXT, RunConfig, analysis_tables, prepare, run_pipeline, write_bundle
 from .ranking import INDICATORS, sds_percentiles, top_scientists, write_percentiles, write_top_flags
@@ -162,18 +162,21 @@ def _cmd_synth(args, cfg) -> int:
 
 
 def _prepare(args, cfg):
-    """:func:`pipeline.prepare` on the run settings; only subcommands that
-    offer ``--indicators`` read precomputed indicators."""
+    """:func:`pipeline.prepare` on the run settings and the ``--indicators`` file, if any."""
     run = _run_config(args, cfg)
-    indicators = _setting(args, cfg, "indicators") if "indicators" in args else None
-    return (run, *prepare(run, indicators))
+    return (run, *prepare(run, _setting(args, cfg, "indicators")))
 
 
 def _cmd_indicators(args, cfg) -> int:
     out = _out_dir(args, cfg)
-    _, _, _, baselines, records = _prepare(args, cfg)
+    run = _run_config(args, cfg)
+    run.validate()
+    # hashed before the parse: an edit in between leaves the snapshot stale, never wrong
+    digests = file_digests((run.scientists, run.publications, run.authorships))
+    corpus, _, baselines, records = prepare(run)
     print(write_indicators(records, out / "indicators.csv"))
     print(write_baselines(baselines, out / "baselines.csv"))
+    print(save_snapshot(corpus, digests, out / SNAPSHOT_NAME))
     return 0
 
 

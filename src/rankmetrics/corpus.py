@@ -10,16 +10,22 @@ pure read and :func:`filter_active_sds` returns a new corpus instead of
 mutating. Records exist only at the edge, where one :class:`RowView` builds
 those of the rows asked for from the columns of a corpus table (laid out once
 by :meth:`Corpus.table`) or of a result. Per-row counts per UDA and rank are
-summed by :func:`tally` into a :class:`Grid`.
+summed by :func:`tally` into a :class:`Grid`. A snapshot of a corpus's columns
+(:func:`save_snapshot`), keyed by its files' SHA-256, is read back through the
+same checks across rows and files as a parse (:func:`load_snapshot`).
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
+import logging
 import operator
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import compress, repeat
+from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -43,6 +49,8 @@ from .fileio import (
 if TYPE_CHECKING:
     from .indicators import IndicatorRecord
 
+logger = logging.getLogger(__name__)
+
 __all__ = [
     "ActivityCell",
     "Authorship",
@@ -57,14 +65,18 @@ __all__ = [
     "RosterSummary",
     "RowMap",
     "RowView",
+    "SNAPSHOT_NAME",
     "Scientist",
     "activity_rates",
     "decode",
     "dense_codes",
+    "file_digests",
     "filter_active_sds",
     "load_corpus",
     "load_corpus_files",
+    "load_snapshot",
     "roster_summary",
+    "save_snapshot",
     "stable_order",
     "tally",
 ]
@@ -661,6 +673,128 @@ def load_corpus_files(scientists, publications, authorships) -> Corpus:
                          ("authorships", authorships)):
         tables[source] = read_records(path, _schema(source, **tables))
     return load_corpus(*tables.values())
+
+
+# ---------------------------------------------------------------------------
+# Snapshot: the typed input columns of a validated corpus in an .npz of
+# numeric arrays, keyed by the SHA-256 of its three files' bytes
+
+#: The file the ``indicators`` step writes beside its outputs.
+SNAPSHOT_NAME = "corpus.npz"
+#: A snapshot of another format version is ignored. Raise it when the stored
+#: columns or the parse's row checks change, as a snapshot skips those checks.
+SNAPSHOT_VERSION = 1
+
+
+def file_digests(paths: Iterable) -> list[str]:
+    """The SHA-256 of each file's bytes, in hex, read a MiB at a time."""
+    digests = []
+    for path in paths:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
+        digests.append(digest.hexdigest())
+    return digests
+
+
+def save_snapshot(corpus: Corpus, digests: Sequence[str], path) -> Path:
+    """Write the input columns of ``corpus`` (those of :meth:`Corpus.table`)
+    and ``digests``, the :func:`file_digests` of its files, as an ``.npz`` of
+    its int64 columns and of its texts: the UTF-32 code points of all of them
+    joined, with their lengths, so each str reads back exactly. Every zip
+    member is dated 1980-01-01: the same corpus and digests give the same bytes."""
+    texts = (corpus.scientist_ids, corpus.sds_codes, corpus.udas, corpus.pub_ids,
+             [cat for cats in corpus.category_sets for cat in cats], corpus.affiliations)
+    flat = [text for column in texts for text in column]
+    birth = corpus.scientist_birth_year
+    arrays = {
+        "version": np.array(SNAPSHOT_VERSION), "sha256": np.array(digests, dtype="U64"),
+        "text": np.frombuffer("".join(flat).encode("utf-32-le", "surrogatepass"), "<u4"),
+        "text_length": np.array(list(map(len, flat)), dtype=np.int64),
+        "text_count": np.array(list(map(len, texts)), dtype=np.int64),
+        "category_size": np.array(list(map(len, corpus.category_sets)), dtype=np.int64),
+        "birth_year": np.array([0 if year is None else year for year in birth], dtype=np.int64),
+        "birth_known": np.array([year is not None for year in birth], dtype=np.int64),
+        **{f.name: getattr(corpus, f.name) for f in fields(corpus)
+           if f.init and isinstance(getattr(corpus, f.name), np.ndarray)},
+    }
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, array in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+    return Path(path)
+
+
+def _split(items: Sequence, lengths: np.ndarray) -> list:
+    """``items`` cut into consecutive runs of ``lengths``, which must cover it."""
+    if int(lengths.sum()) != len(items):
+        raise ValueError("lengths do not cover their column")
+    end = np.cumsum(lengths).tolist()
+    return list(map(items.__getitem__, map(slice, [0, *end[:-1]], end)))
+
+
+def _snapshot_tables(a: Mapping[str, np.ndarray]) -> tuple[Records, Records, Records]:
+    """The typed tables of a snapshot's arrays ``a``, as :func:`load_corpus`
+    takes them; ValueError where a column does not fit its table."""
+    text = _split(a["text"].tobytes().decode("utf-32-le", "surrogatepass"), a["text_length"])
+    ids, sds_names, uda_names, pub_ids, categories, affiliations = _split(text, a["text_count"])
+    category_sets = tuple(map(tuple, _split(categories, a["category_size"])))
+    # each int64 column: its length and, for codes, the range they index
+    n_scientists, n_pubs, n_auths = len(ids), len(pub_ids), len(a["auth_pub"])
+    for key, rows, low, high in (
+        ("scientist_rank", n_scientists, 0, len(RANKS)), ("scientist_sds", n_scientists, 0, len(sds_names)),
+        ("sds_uda", len(sds_names), 0, len(uda_names)), ("birth_year", n_scientists, None, None),
+        ("birth_known", n_scientists, 0, 2), ("pub_categories", n_pubs, 0, len(category_sets)),
+        ("pub_year", n_pubs, None, None), ("pub_citations", n_pubs, None, None),
+        ("pub_author_count", n_pubs, None, None), ("auth_pub", n_auths, 0, n_pubs),
+        ("auth_position", n_auths, None, None), ("auth_scientist", n_auths, -1, n_scientists),
+        ("auth_affiliation", n_auths, -1, len(affiliations)),
+    ):
+        column = a[key]
+        if column.dtype != np.int64 or column.shape != (rows,) or (
+                low is not None and rows and not low <= column.min() <= column.max() < high):
+            raise ValueError(f"column '{key}' does not fit its table")
+    birth = zip(a["birth_year"].tolist(), a["birth_known"].tolist())
+    return (
+        Records({"rank": a["scientist_rank"], "scientist_id": ids,
+                 "sds_code": (a["scientist_sds"], tuple(sds_names)),
+                 "uda_code": (a["sds_uda"][a["scientist_sds"]], tuple(uda_names)),
+                 "birth_year": [year if known else None for year, known in birth]}, n_scientists),
+        Records({"subject_categories": (a["pub_categories"], category_sets), "pub_id": pub_ids,
+                 "year": a["pub_year"], "citation_count": a["pub_citations"],
+                 "author_count": a["pub_author_count"]}, n_pubs),
+        Records({"pub_id": (a["auth_pub"], None), "position": a["auth_position"],
+                 "scientist_id": (a["auth_scientist"], None),
+                 "affiliation_id": (a["auth_affiliation"], tuple(affiliations))}, n_auths),
+    )
+
+
+def load_snapshot(path, sources: Sequence) -> Corpus | None:
+    """The corpus of the snapshot at ``path`` (see :func:`save_snapshot`),
+    checked across rows and files by :func:`load_corpus` like freshly typed
+    tables; None, with the reason logged, unless it loads without unpickling,
+    has format :data:`SNAPSHOT_VERSION` and holds the :func:`file_digests`
+    of ``sources``, the three corpus files."""
+    reason = None
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        if int(arrays["version"]) != SNAPSHOT_VERSION:
+            reason = "another format version"
+        elif arrays["sha256"].tolist() != file_digests(sources):
+            reason = "other corpus file contents"
+        else:
+            tables = _snapshot_tables(arrays)
+    except FileNotFoundError:
+        reason = "absent"
+    except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        reason = f"unreadable: {exc}"
+    if reason:
+        logger.info("corpus snapshot %s not used (%s); parsing the corpus files", path, reason)
+        return None
+    logger.info("corpus read from snapshot %s", path)
+    return load_corpus(*tables)
 
 
 # ---------------------------------------------------------------------------

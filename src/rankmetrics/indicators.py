@@ -36,6 +36,7 @@ __all__ = [
     "IndicatorRecord",
     "IndicatorTable",
     "WeightScheme",
+    "check_baselines",
     "coauthor_weights",
     "compute_indicators",
     "read_indicators",
@@ -216,16 +217,11 @@ def require_baselines(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
     return baselines.scores(corpus, lambda: _publication_scores(corpus, baselines))
 
 
-def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
-    """The standardized citation score of every publication with a roster
-    author (0 for the others, which are never read), the mean over its
-    categories of ``citations / median``, or of ``citations / mean`` where
-    the median is 0 (0 where both are), from one row of divisors per distinct (year, category set) pair among them, once
-    ``baselines`` is checked to have every (year, category) cell they need.
-    The mean over categories is ``fmean``'s ``math.fsum(scores) / k``; for
-    k <= 2 plain addition is that sum, as the float sum of two floats is
-    correctly rounded.
-    """
+def check_baselines(corpus: Corpus, baselines: BaselineTable) -> tuple[np.ndarray, np.ndarray, list]:
+    """Raise the :class:`~.baseline.MissingBaselineError` of
+    :func:`require_baselines`, if any, without scoring; return the
+    publications with a roster author, the row of each in ``cells``, and
+    ``cells``, the distinct (year, category set) pairs among them."""
     pubs = np.flatnonzero(
         np.bincount(corpus.auth_pub[corpus.auth_scientist >= 0], minlength=len(corpus.pub_ids))
     )
@@ -236,6 +232,19 @@ def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
     sets = map(corpus.category_sets.__getitem__, set_code.tolist())
     cells = list(zip(years[year_code].tolist(), sets))
     baselines.require((year, cat) for year, cats in cells for cat in cats)
+    return pubs, pub_cell, cells
+
+
+def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
+    """The standardized citation score of every publication with a roster
+    author (0 for the others, which are never read), the mean over its
+    categories of ``citations / median``, or of ``citations / mean`` where
+    the median is 0 (0 where both are), from one row of divisors per cell of
+    :func:`check_baselines`. The mean over categories is ``fmean``'s
+    ``math.fsum(scores) / k``; for k <= 2 plain addition is that sum, as the
+    float sum of two floats is correctly rounded.
+    """
+    pubs, pub_cell, cells = check_baselines(corpus, baselines)
     size = np.array([len(cats) for _, cats in cells], dtype=np.int64)
     # at least two columns; a slot past a publication's categories scores 0
     divisor = np.zeros((len(cells), max(2, size.max(initial=0))))

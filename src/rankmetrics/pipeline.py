@@ -15,8 +15,9 @@ from pathlib import Path
 from . import __version__
 from .analysis import dominance_counts, concentration_rows, top_distribution
 from .baseline import build_baselines, read_baselines
-from .corpus import Corpus, Rank, activity_rates, filter_active_sds, load_corpus_files, roster_summary
-from .indicators import IndicatorTable, compute_indicators, read_indicators, require_baselines
+from .corpus import (SNAPSHOT_NAME, Corpus, Rank, activity_rates, filter_active_sds, load_corpus_files,
+                     load_snapshot, roster_summary)
+from .indicators import IndicatorTable, check_baselines, compute_indicators, read_indicators
 from .ranking import INDICATORS, Indicator, sds_percentiles, top_scientists, uda_rank_average
 from .tables import (
     Table,
@@ -99,9 +100,14 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
     needs, also when ``indicators``, the path of a precomputed indicator
     file, is given. The records are then read from that file and must cover
     exactly the filtered roster; ``baselines`` is the file's table, or None
-    without one."""
+    without one. The corpus comes from the snapshot of the ``indicators``
+    step beside the ``indicators`` file, else beside the baselines file,
+    where :func:`~.corpus.load_snapshot` accepts it; else from its files."""
     config.validate()
-    corpus = load_corpus_files(config.scientists, config.publications, config.authorships)
+    inputs = (config.scientists, config.publications, config.authorships)
+    beside = indicators or config.baselines
+    corpus = beside and load_snapshot(Path(beside).with_name(SNAPSHOT_NAME), inputs)
+    corpus = corpus or load_corpus_files(*inputs)
     unknown = sorted(set(config.positional_udas) - set(corpus.udas))
     if unknown:
         raise ValueError(f"positional_udas names UDA code(s) not in the corpus: {', '.join(unknown)}; "
@@ -114,7 +120,7 @@ def prepare(config: RunConfig, indicators: str | Path | None = None):
     if indicators:
         records = read_indicators(indicators, filtered)
         if baselines is not None:
-            require_baselines(filtered, baselines)
+            check_baselines(filtered, baselines)
         return corpus, filtered, baselines, records
     if baselines is None:
         baselines = build_baselines(filtered)
