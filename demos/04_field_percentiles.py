@@ -36,9 +36,11 @@ field = load_corpus([{"scientist_id": sid, "sds_code": "S1", "uda_code": "U1", "
                       "birth_year": ""} for sid, (rank, _) in members.items()], [], [])
 fss = [value for _, value in members.values()]
 hand = IndicatorTable.resolve(field, list(members), [1] * len(fss), fss, fss)
-res = dominance_counts(hand, field, Indicator.FSS, Rank.FULL, Rank.ASSISTANT).sds_results["S1"]
-print(f"\nhand-made comparison: r_diff_a={res.r_diff_a}, r_diff_b={res.r_diff_b}, "
-      f"winner={res.winner.value} (identity: {res.r_diff_a + res.r_diff_b} == 3*2)")
+# Each counted field is one entry of the result's columns; here only S1.
+res = dominance_counts(hand, field, Indicator.FSS, Rank.FULL, Rank.ASSISTANT)
+(r_diff_a,), (r_diff_b,), (b_wins,) = res.r_diff_a.tolist(), res.r_diff_b.tolist(), res.b_wins.tolist()
+print(f"\nhand-made comparison in {res.sds_codes[0]}: r_diff_a={r_diff_a}, r_diff_b={r_diff_b}, "
+      f"assistants win: {b_wins} (identity: {r_diff_a + r_diff_b} == 3*2)")
 
 # Counting fields where assistants outrank full professors:
 counts = dominance_counts(records, corpus, Indicator.FSS, Rank.FULL, Rank.ASSISTANT)

@@ -15,7 +15,6 @@ from .analysis import (
     ChiSquareResult,
     ConcentrationRow,
     DominanceCounts,
-    DominanceResult,
     TopDistribution,
     chi_square_independence,
     chi_square_upper_tail,
@@ -23,7 +22,6 @@ from .analysis import (
     concentration_rows,
     dominance_counts,
     top_distribution,
-    weighted_uda_gini,
 )
 from .baseline import (
     BaselineCell,

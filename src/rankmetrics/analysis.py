@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "ChiSquareResult",
     "ConcentrationRow",
     "DominanceCounts",
-    "DominanceResult",
     "TopDistribution",
     "TopShareCell",
     "chi_square_independence",
@@ -44,82 +43,33 @@ __all__ = [
     "concentration_rows",
     "dominance_counts",
     "top_distribution",
-    "weighted_uda_gini",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Dominance of one rank group over another
 
-class DominanceResult(NamedTuple):
-    """Rank-sum distance of two groups from their maximal-dominance layouts.
-
-    Both groups are pooled and ranked ascending with midranks (best value gets
-    rank N). ``r_max`` is the rank sum a group would hold if it occupied the
-    top block outright; ``r_diff = r_max - r_eff`` is its distance from that
-    ideal, so the group with the strictly smaller ``r_diff`` outranks the
-    other. ``r_diff_a + r_diff_b`` always equals ``len(a) * len(b)``.
-    """
-
-    group_a: object
-    group_b: object
-    r_eff_a: float
-    r_max_a: float
-    r_eff_b: float
-    r_max_b: float
-    sds_code: str | None = None
-
-    @property
-    def r_diff_a(self) -> float:
-        return self.r_max_a - self.r_eff_a
-
-    @property
-    def r_diff_b(self) -> float:
-        return self.r_max_b - self.r_eff_b
-
-    @property
-    def winner(self):
-        """Group label with the smaller distance, or None on a tie."""
-        if self.r_diff_a < self.r_diff_b:
-            return self.group_a
-        if self.r_diff_b < self.r_diff_a:
-            return self.group_b
-        return None
-
-
-def _top_rank_sum(size, n):
-    """Sum of the top ``size`` of the ranks 1..n: n + (n-1) + ... + (n-size+1).
-
-    Works on ints and on int64 arrays alike, exactly below 2**53."""
-    return size * n - size * (size - 1) / 2.0
-
-
 @dataclass(frozen=True)
 class DominanceCounts:
-    """Per-UDA counts of fields where ``group_b`` outranks ``group_a``."""
+    """Per-UDA counts of fields where ``group_b`` outranks ``group_a``, and
+    the counted fields as columns in SDS-code order: their ``sds_codes``,
+    each group's distance ``r_diff_a`` and ``r_diff_b`` (see
+    :func:`dominance_counts`), and the ``b_wins`` mask ``per_uda`` counts;
+    the arrays are read-only."""
 
     indicator: Indicator
     group_a: Rank
     group_b: Rank
     per_uda: Mapping[str, tuple[int, int]]  # uda -> (b_wins, fields counted)
     excluded_sds: int
-    # the counted fields' codes, then their r_eff_a, r_max_a, r_eff_b and r_max_b columns
-    _per_sds: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def sds_results(self) -> Mapping[str, DominanceResult]:
-        """Each counted field's :class:`DominanceResult` by SDS code, in code order."""
-        codes, *columns = self._per_sds
-        return MappingProxyType({
-            code: DominanceResult(self.group_a, self.group_b, eff_a, top_a, eff_b, top_b, code)
-            for code, eff_a, top_a, eff_b, top_b in zip(codes, *(c.tolist() for c in columns))
-        })
+    sds_codes: tuple[str, ...] = field(repr=False, compare=False)
+    r_diff_a: np.ndarray = field(repr=False, compare=False)
+    r_diff_b: np.ndarray = field(repr=False, compare=False)
+    b_wins: np.ndarray = field(repr=False, compare=False)
 
     @property
     def total(self) -> tuple[int, int]:
-        wins = sum(w for w, _ in self.per_uda.values())
-        counted = sum(c for _, c in self.per_uda.values())
-        return wins, counted
+        return int(self.b_wins.sum()), len(self.b_wins)
 
 
 def dominance_counts(
@@ -136,9 +86,10 @@ def dominance_counts(
     of ``n`` members holding the top block outright would have the rank sum
     ``r_max = n*N - n(n-1)/2``; its distance from that is ``r_diff = r_max -
     r_eff``, with ``r_eff`` its actual rank sum, and ``group_b`` outranks
-    ``group_a`` where its ``r_diff`` is strictly smaller. ``r_diff_a +
-    r_diff_b`` is ``n_a * n_b``. Fields where either group has no ranked
-    member are excluded from the denominator (and reported in
+    ``group_a`` where its ``r_diff`` is strictly smaller. ``r_diff_a`` is
+    the Mann-Whitney U of ``group_b`` and ``r_diff_b`` that of ``group_a``,
+    so they add up to ``n_a * n_b``. Fields where either group has no
+    ranked member are excluded from the denominator (and reported in
     ``excluded_sds``). All fields are ranked in one sort, the indicator's
     :func:`~.ranking.sds_ranking`, whose order keeps the two groups' members
     sorted by (SDS, value), and the midrank sums, being sums of
@@ -174,14 +125,16 @@ def _dominance(
     kept = np.flatnonzero((n_a > 0) & (n_b > 0))
     n_a, n_b = n_a[kept], n_b[kept]
     r_a = np.bincount(sds[in_a], midrank[in_a], minlength=len(names))[kept]
-    r_b = np.bincount(sds[~in_a], midrank[~in_a], minlength=len(names))[kept]
-    max_a = _top_rank_sum(n_a, n_a + n_b)
-    max_b = _top_rank_sum(n_b, n_a + n_b)
+    # group a's U is r_eff_a - n_a(n_a+1)/2; every term is a half-integer, exact below 2**53
+    r_diff_b = r_a - n_a * (n_a + 1) / 2.0
+    r_diff_a = n_a * n_b - r_diff_b
+    b_wins = r_diff_b < r_diff_a
+    _read_only(r_diff_a, r_diff_b, b_wins)
 
     # per UDA, in the order of each UDA's first counted SDS
     uda = corpus.sds_uda[kept]
     counted = np.bincount(uda, minlength=len(corpus.udas)).tolist()
-    wins = np.bincount(uda[max_b - r_b < max_a - r_a], minlength=len(corpus.udas)).tolist()
+    wins = np.bincount(uda[b_wins], minlength=len(corpus.udas)).tolist()
     per_uda = {corpus.udas[u]: (wins[u], counted[u]) for u in dict.fromkeys(uda.tolist())}
     return DominanceCounts(
         indicator=indicator,
@@ -189,7 +142,10 @@ def _dominance(
         group_b=group_b,
         per_uda=MappingProxyType(per_uda),
         excluded_sds=len(names) - len(kept),
-        _per_sds=(tuple(map(names.__getitem__, kept.tolist())), *_read_only(r_a, max_a, r_b, max_b)),
+        sds_codes=tuple(map(names.__getitem__, kept.tolist())),
+        r_diff_a=r_diff_a,
+        r_diff_b=r_diff_b,
+        b_wins=b_wins,
     )
 
 
@@ -257,21 +213,6 @@ def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: fl
         bottom = _fsums(xs[:, :k_bottom]) / k_bottom
         ratio[idx] = np.divide(bottom, top, out=np.full(len(idx), np.nan), where=top != 0.0)
     return ratio
-
-
-def weighted_uda_gini(per_sds: Iterable[tuple[float, int]]) -> float:
-    """Headcount-weighted mean of per-field Gini coefficients."""
-    pairs = list(per_sds)
-    if not pairs:
-        raise ValueError("weighted_uda_gini requires at least one field")
-    total = 0.0
-    weight = 0
-    for g, headcount in pairs:
-        if headcount <= 0:
-            raise ValueError(f"headcount must be positive, got {headcount}")
-        total += g * headcount
-        weight += headcount
-    return total / weight
 
 
 def concentration_index(top_share: float, staff_share: float) -> float:
@@ -378,8 +319,9 @@ def concentration_rows(
     is None. Values must be finite and non-negative, and a field whose
     ``n * sum`` is not finite raises ValueError naming its SDS and rank.
     Every field's values enter one kernel call in corpus row order, and each
-    cell adds its fields in SDS-code order. The sorted blocks and the Gini
-    columns are kept with the table; only the ratios are computed per call.
+    cell adds its fields in SDS-code order through :func:`~.corpus.tally`.
+    The sorted blocks and the Gini columns are kept with the table; only the
+    ratios are computed per call.
     """
     rows, values = ranked_population(table, indicator, corpus)
     if not np.isfinite(values).all():
@@ -388,21 +330,32 @@ def concentration_rows(
         raise ValueError("concentration_rows requires non-negative values")
     if not (0.0 < bottom_fraction < 1.0 and 0.0 < top_fraction < 1.0):
         raise ValueError("fractions must be in (0, 1)")
-    lengths, sizes, cells = table.derived(
+    lengths, g, size, uda, rank = table.derived(
         ("concentration", indicator), lambda: _concentration_blocks(corpus, rows, values)
     )
-    ratio = _ratios(lengths, len(sizes), bottom_fraction, top_fraction).tolist()
-    out: dict[tuple[str, Rank], ConcentrationRow] = {}
-    for (uda, rank), g, lo, hi in cells:
-        defined = [(r, n) for r, n in zip(ratio[lo:hi], sizes[lo:hi]) if not math.isnan(r)]
-        out[(uda, rank)] = ConcentrationRow(uda, rank, g, weighted_uda_gini(defined) if defined else None)
-    return out
+    ratio = _ratios(lengths, len(size), bottom_fraction, top_fraction)
+    defined = ~np.isnan(ratio)
+    cells = tally(_SpreadCell, corpus.udas, uda, rank,
+                  g * size, size, np.where(defined, ratio, 0.0) * size, defined * size)
+    return {
+        (u, r): ConcentrationRow(u, r, c.gini_total / c.headcount,
+                                 c.ratio_total / c.ratio_headcount if c.ratio_headcount else None)
+        for (u, r), c in cells.items()
+    }
+
+
+class _SpreadCell(NamedTuple):
+    """Headcount-weighted sums of one (UDA, rank) cell of :func:`concentration_rows`."""
+    gini_total: float = 0.0
+    headcount: int = 0
+    ratio_total: float = 0.0  # over the fields whose ratio is defined
+    ratio_headcount: int = 0
 
 
 def _concentration_blocks(corpus: Corpus, rows: np.ndarray, values: np.ndarray) -> tuple:
     """The sorted blocks of :func:`concentration_rows`, one per (SDS, rank)
-    ordered by (UDA, rank, SDS code), members in row order; their headcounts;
-    and per (UDA, rank) cell its weighted Gini and its first and end block."""
+    ordered by (UDA, rank, SDS code), members in row order; then each
+    block's Gini coefficient, headcount, UDA code and rank code, read-only."""
     names = corpus.sds_codes
     sds = corpus.scientist_sds[rows]
     key = (corpus.sds_uda[sds] * len(RANKS) + corpus.scientist_rank[rows]) * len(names) + sds
@@ -416,15 +369,7 @@ def _concentration_blocks(corpus: Corpus, rows: np.ndarray, values: np.ndarray) 
         return f"SDS '{names[sds_code]}', rank {RANKS[cell % len(RANKS)].value}"
 
     lengths, g = _sorted_blocks(values[order], starts, sizes, name)
-    cell = key[starts] // len(names)
-    first = np.flatnonzero(np.diff(cell, prepend=-1)).tolist()
-    g, sizes = g.tolist(), tuple(sizes.tolist())
-    cells = tuple(
-        ((corpus.udas[code // len(RANKS)], RANKS[code % len(RANKS)]),
-         weighted_uda_gini(zip(g[lo:hi], sizes[lo:hi])), lo, hi)
-        for code, lo, hi in zip(cell[first].tolist(), first, [*first[1:], len(cell)])
-    )
-    return lengths, sizes, cells
+    return lengths, g, *_read_only(sizes, *np.divmod(key[starts] // len(names), len(RANKS)))
 
 
 class TopShareCell(NamedTuple):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
+import math
 import operator
 import zipfile
 from dataclasses import dataclass, field, fields
@@ -564,14 +565,14 @@ def load_corpus(
         if not isinstance(table, Records):  # row mappings
             table = _schema(source, **tables).parse([Records.from_rows(table)])
         tables[source] = table
+    scientists, publications, authorships = (table.columns for table in tables.values())
     ranks, ids, (scientist_sds, sds_names), (scientist_uda, uda_names), birth_years = (
-        tables["scientists"].columns.values()
-    )
+        scientists[key] for key in ("rank", "scientist_id", "sds_code", "uda_code", "birth_year"))
     (pub_categories, category_sets), pub_ids, pub_year, pub_citations, pub_author_count = (
-        tables["publications"].columns.values()
-    )
+        publications[key] for key in ("subject_categories", "pub_id", "year", "citation_count", "author_count"))
     ((auth_pub, unknown_pub), auth_position, (auth_scientist, unknown_scientist),
-     (auth_affiliation, affiliations)) = tables["authorships"].columns.values()
+     (auth_affiliation, affiliations)) = (
+        authorships[key] for key in ("pub_id", "position", "scientist_id", "affiliation_id"))
 
     if len(set(ids)) < len(ids):
         raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)[0]]}'")
@@ -740,20 +741,21 @@ def _snapshot_tables(a: Mapping[str, np.ndarray]) -> tuple[Records, Records, Rec
     text = _split(a["text"].tobytes().decode("utf-32-le", "surrogatepass"), a["text_length"])
     ids, sds_names, uda_names, pub_ids, categories, affiliations = _split(text, a["text_count"])
     category_sets = tuple(map(tuple, _split(categories, a["category_size"])))
-    # each int64 column: its length and, for codes, the range they index
+    # each int64 column: its length and value range, of a code its table, else the parse's minimum
     n_scientists, n_pubs, n_auths = len(ids), len(pub_ids), len(a["auth_pub"])
     for key, rows, low, high in (
         ("scientist_rank", n_scientists, 0, len(RANKS)), ("scientist_sds", n_scientists, 0, len(sds_names)),
-        ("sds_uda", len(sds_names), 0, len(uda_names)), ("birth_year", n_scientists, None, None),
+        ("sds_uda", len(sds_names), 0, len(uda_names)), ("birth_year", n_scientists, -math.inf, math.inf),
         ("birth_known", n_scientists, 0, 2), ("pub_categories", n_pubs, 0, len(category_sets)),
-        ("pub_year", n_pubs, None, None), ("pub_citations", n_pubs, None, None),
-        ("pub_author_count", n_pubs, None, None), ("auth_pub", n_auths, 0, n_pubs),
-        ("auth_position", n_auths, None, None), ("auth_scientist", n_auths, -1, n_scientists),
+        ("category_size", len(category_sets), 1, math.inf),
+        ("pub_year", n_pubs, -math.inf, math.inf), ("pub_citations", n_pubs, 0, math.inf),
+        ("pub_author_count", n_pubs, 1, math.inf), ("auth_pub", n_auths, 0, n_pubs),
+        ("auth_position", n_auths, 1, math.inf), ("auth_scientist", n_auths, -1, n_scientists),
         ("auth_affiliation", n_auths, -1, len(affiliations)),
     ):
         column = a[key]
         if column.dtype != np.int64 or column.shape != (rows,) or (
-                low is not None and rows and not low <= column.min() <= column.max() < high):
+                rows and not low <= column.min() <= column.max() < high):
             raise ValueError(f"column '{key}' does not fit its table")
     birth = zip(a["birth_year"].tolist(), a["birth_known"].tolist())
     return (

@@ -1,5 +1,6 @@
 from collections import defaultdict
 from operator import attrgetter
+from typing import NamedTuple
 
 import pytest
 
@@ -106,16 +107,26 @@ def one_block_rows(cases, bottom_fraction=0.4, top_fraction=0.2):
     return [rows[_cell(i)] for i in range(len(cases))]
 
 
+class PairResult(NamedTuple):
+    """One counted field's dominance columns."""
+    r_diff_a: float
+    r_diff_b: float
+    b_wins: bool
+
+
 def pair_results(pairs):
-    """The FSS dominance result of each ``(values_a, values_b)`` pair, each
-    pair one SDS of FULL members valued ``values_a`` and ASSISTANT members
-    valued ``values_b``, in order; None where a group is empty."""
+    """The FSS dominance columns of each ``(values_a, values_b)`` pair as a
+    :class:`PairResult`, each pair one SDS of FULL members valued
+    ``values_a`` and ASSISTANT members valued ``values_b``, in order; None
+    where a group is empty."""
     corpus, table = block_table([
         ("U1", rank, f"S{i:05d}", values)
         for i, pair in enumerate(pairs)
         for rank, values in zip((Rank.FULL, Rank.ASSISTANT), pair)
     ])
-    results = dominance_counts(table, corpus, Indicator.FSS).sds_results
+    counts = dominance_counts(table, corpus, Indicator.FSS)
+    columns = (counts.r_diff_a.tolist(), counts.r_diff_b.tolist(), counts.b_wins.tolist())
+    results = dict(zip(counts.sds_codes, map(PairResult, *columns)))
     return [results.get(f"S{i:05d}") for i in range(len(pairs))]
 
 

@@ -1,7 +1,7 @@
 """Independent scalar references for the batched library kernels.
 
-Each function here takes one field, byline or publication as plain Python
-values and computes one rule the way it was first written, one case at a
+Each function here takes one field, byline, publication or (UDA, rank)
+cell as plain Python values and computes one rule the way it was first written, one case at a
 time, and imports nothing from ``rankmetrics`` (``standardized_score``
 reads cells through the ``get`` method of the baseline table it is given).
 The tests run the library's batched public API on corpora with one case per
@@ -113,3 +113,19 @@ def reference_bottom_top_ratio(values, bottom_fraction=0.4, top_fraction=0.2):
     if top_stat == 0.0:
         return None
     return bottom_stat / top_stat
+
+
+def weighted_uda_gini(per_sds: Iterable[tuple[float, int]]) -> float:
+    """Headcount-weighted mean of per-field Gini coefficients (or ratios),
+    the fields added in the order given."""
+    pairs = list(per_sds)
+    if not pairs:
+        raise ValueError("weighted_uda_gini requires at least one field")
+    total = 0.0
+    weight = 0
+    for g, headcount in pairs:
+        if headcount <= 0:
+            raise ValueError(f"headcount must be positive, got {headcount}")
+        total += g * headcount
+        weight += headcount
+    return total / weight

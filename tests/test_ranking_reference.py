@@ -31,14 +31,13 @@ from rankmetrics import (
     load_corpus,
     sds_percentiles,
     top_scientists,
-    weighted_uda_gini,
 )
 from rankmetrics.indicators import IndicatorRecord
 from rankmetrics.ranking import INDICATORS
 from rankmetrics.synth import SynthConfig, generate
 
 from conftest import indicator_table, one_block_rows
-from oracle import reference_bottom_top_ratio, reference_gini, reference_midranks
+from oracle import reference_bottom_top_ratio, reference_gini, reference_midranks, weighted_uda_gini
 
 FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.5)
 
@@ -124,11 +123,11 @@ def reference_dominance(records, corpus, indicator, group_a=Rank.FULL, group_b=R
         r_eff_a, r_eff_b = float(ranks[:n_a].sum()), float(ranks[n_a:].sum())
         r_max_a = n_a * n - n_a * (n_a - 1) / 2
         r_max_b = (n - n_a) * n - (n - n_a) * (n - n_a - 1) / 2
-        results.append((sds, group_a, group_b, r_eff_a.hex(), r_max_a.hex(), r_eff_b.hex(), r_max_b.hex()))
+        b_wins = r_max_b - r_eff_b < r_max_a - r_eff_a
+        results.append((sds, (float(r_max_a) - r_eff_a).hex(), (float(r_max_b) - r_eff_b).hex(), b_wins))
         acc = per_uda[udas[sds]]
         acc[1] += 1
-        if r_max_b - r_eff_b < r_max_a - r_eff_a:
-            acc[0] += 1
+        acc[0] += b_wins
     return [(uda, (w, c)) for uda, (w, c) in per_uda.items()], results, excluded
 
 
@@ -160,9 +159,10 @@ def _hex(value):
     return None if value is None else float(value).hex()
 
 
-def _dominance_bits(res):
-    return (res.sds_code, res.group_a, res.group_b,
-            res.r_eff_a.hex(), float(res.r_max_a).hex(), res.r_eff_b.hex(), float(res.r_max_b).hex())
+def _dominance_bits(counts):
+    """Each counted field's code, ``r_diff_a`` and ``r_diff_b`` bits and win flag."""
+    columns = counts.r_diff_a.tolist(), counts.r_diff_b.tolist(), counts.b_wins.tolist()
+    return [(code, a.hex(), b.hex(), wins) for code, a, b, wins in zip(counts.sds_codes, *columns)]
 
 
 def _percentile_bits(records):
@@ -180,7 +180,7 @@ def _column_bits(table):
 def _count_bits(counts):
     return (
         list(counts.per_uda.items()),
-        [_dominance_bits(res) for res in counts.sds_results.values()],
+        _dominance_bits(counts),
         counts.excluded_sds,
     )
 
@@ -198,7 +198,6 @@ def _check_all(table, corpus, fractions=FRACTIONS):
         for group_a, group_b in permutations(RANKS, 2):
             counts = dominance_counts(table, corpus, indicator, group_a, group_b)
             assert _count_bits(counts) == reference_dominance(records, corpus, indicator, group_a, group_b)
-            assert list(counts.sds_results) == [res.sds_code for res in counts.sds_results.values()]
         for bottom, top in ((0.4, 0.2), (0.5, 0.1)):
             rows = concentration_rows(table, corpus, indicator, bottom, top)
             actual = [

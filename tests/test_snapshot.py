@@ -25,6 +25,7 @@ from rankmetrics import corpus as corpus_module
 from rankmetrics import indicators as indicators_module
 from rankmetrics import pipeline
 from rankmetrics.cli import main
+from rankmetrics.fileio import read_records
 from rankmetrics.corpus import (
     SNAPSHOT_NAME, SNAPSHOT_VERSION, Corpus, CorpusError, file_digests, load_corpus, load_corpus_files,
     load_snapshot, save_snapshot,
@@ -122,6 +123,16 @@ def test_snapshot_reads_back_as_the_parsed_corpus(fmt, tmp_path):
 def test_snapshot_of_a_synthetic_corpus_reads_back(tmp_path):
     paths = list(write_corpus_csv(generate(SynthConfig(seed=7, n_uda=2, sds_per_uda=2)), tmp_path).values())
     assert_same_corpus(load_snapshot(_save(paths, tmp_path), paths), load_corpus_files(*paths))
+
+
+def test_typed_tables_are_read_by_field_name(tmp_path):
+    paths = _write_rows(tmp_path / "in", "csv")
+    tables = {}
+    for source, path in zip(SOURCES, paths):
+        tables[source] = read_records(path, corpus_module._schema(source, **tables))
+    for table in tables.values():  # columns in the reverse of the schema's order
+        table.columns = dict(reversed(table.columns.items()))
+    assert_same_corpus(load_corpus(*tables.values()), load_corpus_files(*paths))
 
 
 def test_snapshot_holds_numbers_and_fixed_width_text_only(tmp_path):
@@ -349,6 +360,26 @@ def _damage(kind: str, snapshot: Path) -> None:
     elif kind == "lengths that do not cover the text":
         with np.load(snapshot) as npz:
             _rewrite(snapshot, text_length=npz["text_length"][:-1])
+    elif kind == "an empty category set":
+        with np.load(snapshot) as npz:
+            size = npz["category_size"].copy()
+        size[1] += size[0]  # the first set's categories join the second
+        size[0] = 0
+        _rewrite(snapshot, category_size=size)
+    elif kind in BELOW_MINIMUM:
+        # one value below the minimum the parse's row checks enforce
+        key, value = BELOW_MINIMUM[kind]
+        with np.load(snapshot) as npz:
+            column = npz[key].copy()
+        column[0] = value
+        _rewrite(snapshot, **{key: column})
+
+
+BELOW_MINIMUM = {
+    "a negative citation count": ("pub_citations", -5),
+    "an author count of 0": ("pub_author_count", 0),
+    "a byline position 0": ("auth_position", 0),
+}
 
 
 DAMAGE = {
@@ -356,6 +387,8 @@ DAMAGE = {
     "an object array": "unreadable", "lengths that do not cover the text": "unreadable",
     "a code outside its column": "unreadable", "a column of another length": "unreadable",
     "another version": "another format version", "other contents": "other corpus file contents",
+    "an empty category set": "unreadable: column 'category_size' does not fit its table",
+    **{kind: f"unreadable: column '{key}' does not fit its table" for kind, (key, _) in BELOW_MINIMUM.items()},
 }
 
 
