@@ -13,6 +13,7 @@ from rankmetrics.baseline import build_baselines
 from rankmetrics.indicators import compute_indicators
 from rankmetrics.ranking import top_scientists
 from rankmetrics.synth import SynthConfig, generate
+from rankmetrics.tables import build_concentration_table, format_table
 
 # Four hand-made fields, each the only field of its own discipline, so each
 # discipline's row shows its one field's Gini coefficient and bottom/top ratio.
@@ -27,19 +28,18 @@ for name, values in fields.items():
         fss.append(value)
 hand = load_corpus(scientists, [], [])
 hand_table = IndicatorTable.resolve(hand, ids, [1] * len(ids), fss, fss)
-hand_rows = concentration_rows(hand_table, hand, Indicator.FSS)
+hand_grid = concentration_rows(hand_table, hand, Indicator.FSS)
 for name in fields:
-    row = hand_rows[(name, Rank.FULL)]
-    print(f"{name:<12} gini={row.gini:.3f}  bottom/top={row.bottom_top_ratio}")
+    cell = hand_grid.cell(name, Rank.FULL)
+    print(f"{name:<12} gini={cell.gini:.3f}  bottom/top={cell.bottom_top_ratio}")
 
 corpus = generate(SynthConfig(seed=8, n_uda=3, sds_per_uda=3))
 records = compute_indicators(corpus, build_baselines(corpus))
 
-print("\nconcentration of FSS by UDA and rank (field-weighted):")
-rows = concentration_rows(records, corpus, Indicator.FSS)
-for (uda, rank), row in sorted(rows.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-    ratio = "undefined" if row.bottom_top_ratio is None else f"{row.bottom_top_ratio:.3f}"
-    print(f"  {uda} {rank.value:<10} gini={row.gini:.3f}  bottom/top={ratio}")
+# One cell per (UDA, rank), each field's Gini and ratio weighted by its
+# staff; the report's T9 renders the grid, an empty cell as a blank.
+grid = concentration_rows(records, corpus, Indicator.FSS)
+print(f"\n{format_table(build_concentration_table(grid))}", end="")
 
 flags = top_scientists(records, Indicator.FSS, corpus, fraction=0.2)
 dist = top_distribution(flags, corpus, Indicator.FSS)
@@ -50,6 +50,6 @@ for rank in Rank:
     index = dist.index(None, rank)
     print(f"  {rank.value:<10} {share:5.1f}% ({index:.2f})")
 
-chi = dist.chi_square_overall
+chi = dist.chi_square()
 print(f"\nexcellence vs rank: chi2={chi.statistic:.2f}, df={chi.degrees_of_freedom}, "
       f"p={chi.p_value:.4f}")

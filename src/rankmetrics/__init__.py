@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 from .analysis import (
     ChiSquareResult,
-    ConcentrationRow,
     DominanceCounts,
+    SpreadCell,
     TopDistribution,
     chi_square_independence,
     chi_square_upper_tail,

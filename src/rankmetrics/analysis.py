@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, Grid, RANKS, Rank, stable_order, tally
+from .corpus import Corpus, Grid, RANKS, Rank, fsum_rows, stable_order, tally
 from .indicators import IndicatorTable
 from .ranking import (
     Indicator, TopFlagColumn, _read_only, ranked_population, sds_ranking, sorted_midranks,
@@ -33,8 +32,8 @@ from .ranking import (
 
 __all__ = [
     "ChiSquareResult",
-    "ConcentrationRow",
     "DominanceCounts",
+    "SpreadCell",
     "TopDistribution",
     "TopShareCell",
     "chi_square_independence",
@@ -193,15 +192,6 @@ def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray, na
     return tuple(lengths), g
 
 
-def _fsums(m: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of ``m``, whose sums are finite. Rows of one
-    or two values add in numpy, as a float sum of two floats is correctly
-    rounded; ``+ 0.0`` makes -0.0 fsum's 0.0."""
-    if m.shape[1] > 2:
-        return np.array([math.fsum(r) for r in m.tolist()])
-    return (m[:, 0] + m[:, 1] if m.shape[1] == 2 else m[:, 0]) + 0.0
-
-
 def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: float) -> np.ndarray:
     """The bottom/top ratio of each of the ``count`` blocks, NaN where it is undefined."""
     ratio = np.empty(count)
@@ -209,8 +199,8 @@ def _ratios(lengths: tuple, count: int, bottom_fraction: float, top_fraction: fl
         n = xs.shape[1]
         k_top = max(1, math.floor(top_fraction * n))
         k_bottom = max(1, math.floor(bottom_fraction * n))
-        top = _fsums(xs[:, n - k_top:]) / k_top
-        bottom = _fsums(xs[:, :k_bottom]) / k_bottom
+        top = fsum_rows(xs[:, n - k_top:], k_top) / k_top
+        bottom = fsum_rows(xs[:, :k_bottom], k_bottom) / k_bottom
         ratio[idx] = np.divide(bottom, top, out=np.full(len(idx), np.nan), where=top != 0.0)
     return ratio
 
@@ -285,22 +275,14 @@ def chi_square_independence(contingency) -> ChiSquareResult:
 # ---------------------------------------------------------------------------
 # UDA-level concentration and top-scientist distribution
 
-@dataclass(frozen=True)
-class ConcentrationRow:
-    uda_code: str
-    rank: Rank
-    gini: float
-    bottom_top_ratio: float | None
-
-
 def concentration_rows(
     table: IndicatorTable,
     corpus: Corpus,
     indicator: Indicator = Indicator.FSS,
     bottom_fraction: float = 0.4,
     top_fraction: float = 0.2,
-) -> dict[tuple[str, Rank], ConcentrationRow]:
-    """Inequality of output per UDA and rank.
+) -> Grid:
+    """Inequality of output per UDA and rank, a grid of :class:`SpreadCell`.
 
     The Gini coefficient of a field's ``n`` values is their mean absolute
     difference over twice their mean, ``sum |x_i - x_j| / (2 n^2 mean)`` over
@@ -335,21 +317,26 @@ def concentration_rows(
     )
     ratio = _ratios(lengths, len(size), bottom_fraction, top_fraction)
     defined = ~np.isnan(ratio)
-    cells = tally(_SpreadCell, corpus.udas, uda, rank,
+    cells = tally(SpreadCell, corpus.udas, uda, rank,
                   g * size, size, np.where(defined, ratio, 0.0) * size, defined * size)
-    return {
-        (u, r): ConcentrationRow(u, r, c.gini_total / c.headcount,
-                                 c.ratio_total / c.ratio_headcount if c.ratio_headcount else None)
-        for (u, r), c in cells.items()
-    }
+    return Grid(SpreadCell, cells)
 
 
-class _SpreadCell(NamedTuple):
+class SpreadCell(NamedTuple):
     """Headcount-weighted sums of one (UDA, rank) cell of :func:`concentration_rows`."""
     gini_total: float = 0.0
     headcount: int = 0
     ratio_total: float = 0.0  # over the fields whose ratio is defined
     ratio_headcount: int = 0
+
+    @property
+    def gini(self) -> float | None:
+        return self.gini_total / self.headcount if self.headcount else None
+
+    @property
+    def bottom_top_ratio(self) -> float | None:
+        """None also where no field's ratio is defined."""
+        return self.ratio_total / self.ratio_headcount if self.ratio_headcount else None
 
 
 def _concentration_blocks(corpus: Corpus, rows: np.ndarray, values: np.ndarray) -> tuple:
@@ -383,13 +370,16 @@ class TopDistribution(Grid):
 
     indicator: Indicator
 
-    @cached_property
-    def chi_square_by_uda(self) -> Mapping[str, ChiSquareResult | None]:
-        return {uda: _rank_chi_square(self, uda) for uda in self.udas}
-
-    @cached_property
-    def chi_square_overall(self) -> ChiSquareResult | None:
-        return _rank_chi_square(self, None)
+    def chi_square(self, uda: str | None = None) -> ChiSquareResult | None:
+        """The excellence-vs-rank test on the rank cells of ``uda`` (all UDAs
+        when None); None unless two ranks have staff and both the top and the
+        other scientists are present."""
+        columns = [c for c in (self.cell(uda, r) for r in RANKS) if c.staff_count > 0]
+        top = [c.top_count for c in columns]
+        rest = [c.staff_count - c.top_count for c in columns]
+        if len(columns) < 2 or sum(top) == 0 or sum(rest) == 0:
+            return None
+        return chi_square_independence([top, rest])
 
     def top_share(self, uda: str | None, rank: Rank) -> float | None:
         return self.percent("top_count", uda, rank)
@@ -403,18 +393,6 @@ class TopDistribution(Grid):
         if top is None or staff is None or staff == 0:
             return None
         return concentration_index(top, staff)
-
-
-def _rank_chi_square(grid: Grid, uda: str | None) -> ChiSquareResult | None:
-    """Excellence-vs-rank test on the rank cells of ``uda`` (all UDAs when None)."""
-    columns = [c for c in (grid.cell(uda, r) for r in RANKS) if c.staff_count > 0]
-    if len(columns) < 2:
-        return None
-    top = [c.top_count for c in columns]
-    rest = [c.staff_count - c.top_count for c in columns]
-    if sum(top) == 0 or sum(rest) == 0:
-        return None
-    return chi_square_independence([top, rest])
 
 
 def top_distribution(

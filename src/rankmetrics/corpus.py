@@ -48,7 +48,7 @@ from .fileio import (
 )
 
 if TYPE_CHECKING:
-    from .indicators import IndicatorRecord
+    from .indicators import IndicatorTable
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +73,7 @@ __all__ = [
     "dense_codes",
     "file_digests",
     "filter_active_sds",
+    "fsum_rows",
     "load_corpus",
     "load_corpus_files",
     "load_snapshot",
@@ -859,6 +860,18 @@ def tally(
     })
 
 
+def fsum_rows(m: np.ndarray, count) -> np.ndarray:
+    """``math.fsum`` of the first ``count`` values of each row of ``m`` (one
+    count per row, or one for all), whose sums are finite. Rows of one or two
+    values add in numpy, as a float sum of two floats is correctly rounded;
+    ``+ 0.0`` makes -0.0 fsum's 0.0."""
+    count = np.broadcast_to(count, len(m))
+    total = (np.where(count > 1, m[:, 0] + m[:, 1], m[:, 0]) if m.shape[1] > 1 else m[:, 0]) + 0.0
+    many = np.flatnonzero(count > 2)
+    total[many] = [math.fsum(row[:n]) for row, n in zip(m[many].tolist(), count[many].tolist())]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Roster summary
 
@@ -995,20 +1008,18 @@ class ActivityCell(NamedTuple):
     citation_active: int = 0
 
 
-def activity_rates(corpus: Corpus, records: Iterable["IndicatorRecord"]) -> Grid:
+def activity_rates(corpus: Corpus, indicators: IndicatorTable) -> Grid:
     """Per UDA and rank: how many scientists published at all, and how many
-    accumulated any citation impact (positive fractional strength); one
-    record per roster scientist. The ``values()`` view of an indicator table
-    bound to ``corpus`` is read from the table's columns; any other records
-    are placed by id (see :meth:`Corpus.rows_of`)."""
-    table = getattr(records, "mapping", None)
-    if isinstance(table, CorpusColumns) and table.corpus is corpus:
-        n_p, fss = table.n_p, table.fss
-    else:
-        records = list(records)
-        rows = corpus.rows_of([r.scientist_id for r in records])
-        n_p, fss = np.empty((2, len(rows)))
-        n_p[rows], fss[rows] = [r.n_p for r in records], [r.fss for r in records]
+    accumulated any citation impact (positive fractional strength), read from
+    ``indicators``, an :class:`~.indicators.IndicatorTable` bound to
+    ``corpus`` or its ``values()`` view; anything else raises."""
+    from .indicators import IndicatorTable  # which imports this module
+
+    table = getattr(indicators, "mapping", indicators)
+    if not isinstance(table, IndicatorTable):
+        raise TypeError("activity_rates needs an IndicatorTable or its values(), "
+                        f"got {type(indicators).__name__}")
+    table = table.bound_to(corpus)
     cells = tally(ActivityCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank,
-                  np.ones(len(n_p)), n_p >= 1, fss > 0)
+                  np.ones(len(table)), table.n_p >= 1, table.fss > 0)
     return Grid(ActivityCell, cells)

@@ -29,7 +29,7 @@ from typing import Collection, Mapping, NamedTuple
 import numpy as np
 
 from .baseline import BaselineTable
-from .corpus import Corpus, CorpusColumns, RowView, dense_codes
+from .corpus import Corpus, CorpusColumns, RowView, dense_codes, fsum_rows
 from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
 
 __all__ = [
@@ -241,8 +241,7 @@ def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
     categories of ``citations / median``, or of ``citations / mean`` where
     the median is 0 (0 where both are), from one row of divisors per cell of
     :func:`check_baselines`. The mean over categories is ``fmean``'s
-    ``math.fsum(scores) / k``; for k <= 2 plain addition is that sum, as the
-    float sum of two floats is correctly rounded.
+    ``math.fsum(scores) / k`` (:func:`~.corpus.fsum_rows`).
     """
     pubs, pub_cell, cells = check_baselines(corpus, baselines)
     size = np.array([len(cats) for _, cats in cells], dtype=np.int64)
@@ -258,12 +257,8 @@ def _publication_scores(corpus: Corpus, baselines: BaselineTable) -> np.ndarray:
     divisor, k = divisor[pub_cell], size[pub_cell]
     scores = np.divide(corpus.pub_citations[pubs, None], divisor,
                        out=np.zeros(divisor.shape), where=divisor > 0)
-    mean = (scores[:, 0] + scores[:, 1]) / k
-    many = np.flatnonzero(k > 2)
-    for row, n in zip(many.tolist(), k[many].tolist()):
-        mean[row] = math.fsum(scores[row, :n]) / n
     out = np.zeros(len(corpus.pub_ids))
-    out[pubs] = mean
+    out[pubs] = fsum_rows(scores, k) / k
     return out
 
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -81,64 +80,35 @@ class TopFlag(NamedTuple):
     is_top: bool
 
 
-@dataclass(frozen=True, eq=False)
-class _RankedColumn(CorpusColumns, Sequence):
-    """One value per ranked scientist row ``rows``, a read-only sequence of
-    records; the value column is named after the record's third field."""
+class _RankedColumn(CorpusColumns, RowView):
+    """One value per ranked scientist row ``rows`` of ``corpus``, a read-only
+    sequence of records built only for the rows read; the value column is
+    named after the record's third field."""
 
-    corpus: Corpus
-    indicator: Indicator
-    rows: np.ndarray
-
-    @cached_property
-    def view(self) -> RowView:
-        """The records of the rows, built only for the rows read."""
-        corpus, rows = self.corpus, self.rows
-        columns = (
-            (rows, corpus.scientist_ids),
-            [self.indicator] * len(rows),
-            getattr(self, self.record._fields[2]),
-            (corpus.scientist_sds[rows], corpus.sds_codes),
-            (corpus.scientist_rank[rows], RANKS),
-        )
-        return RowView(self.record, *columns[:len(self.record._fields)])
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.view)
-
-    def __reversed__(self):
-        return reversed(self.view)
-
-    def __getitem__(self, index):
-        return self.view[index]
+    def __init__(self, corpus: Corpus, indicator: Indicator, rows: np.ndarray, values: np.ndarray):
+        self.corpus, self.indicator, self.rows = corpus, indicator, rows
+        setattr(self, self.record._fields[2], values)
+        columns = ((rows, corpus.scientist_ids), [indicator] * len(rows), values,
+                   (corpus.scientist_sds[rows], corpus.sds_codes), (corpus.scientist_rank[rows], RANKS))
+        super().__init__(self.record, *columns[:len(self.record._fields)])
 
 
-@dataclass(frozen=True, eq=False)
 class PercentileColumn(_RankedColumn):
-    """SDS percentiles of one indicator; see :func:`sds_percentiles`."""
+    """SDS percentiles of one indicator (see :func:`sds_percentiles`), and
+    their :func:`uda_rank_average` as ``average``, built with the column."""
 
-    percentile: np.ndarray
     record = PercentileRecord
 
-    @cached_property
-    def average(self) -> PercentileTable:
-        """The column's :func:`uda_rank_average`, computed once."""
-        corpus, rows = self.corpus, self.rows
-        if not len(rows):
-            raise ValueError("no percentile records")
+    def __init__(self, corpus: Corpus, indicator: Indicator, rows: np.ndarray, percentile: np.ndarray):
+        super().__init__(corpus, indicator, rows, percentile)
         uda, rank = corpus.scientist_uda[rows], corpus.scientist_rank[rows]
-        cells = tally(MeanCell, corpus.udas, uda, rank, self.percentile, np.ones(len(rows)))
-        return PercentileTable(MeanCell, cells, indicator=self.indicator)
+        cells = tally(MeanCell, corpus.udas, uda, rank, percentile, np.ones(len(rows)))
+        self.average = PercentileTable(MeanCell, cells, indicator=indicator)
 
 
-@dataclass(frozen=True, eq=False)
 class TopFlagColumn(_RankedColumn):
     """Top-scientist flags of one indicator; see :func:`top_scientists`."""
 
-    is_top: np.ndarray
     record = TopFlag
 
 
@@ -251,8 +221,10 @@ class PercentileTable(Grid):
 
 def uda_rank_average(percentiles: PercentileColumn, corpus: Corpus) -> PercentileTable:
     """Average the SDS percentiles over every UDA x rank group; a percentile
-    counts in the group of its scientist's row in ``corpus``. Computed once per column."""
-    return percentiles.bound_to(corpus).average
+    counts in the group of its scientist's row in ``corpus``. Computed with the column."""
+    if not len(percentiles.bound_to(corpus)):
+        raise ValueError("no percentile records")
+    return percentiles.average
 
 
 def top_scientists(table: IndicatorTable, indicator: Indicator, corpus: Corpus,

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
-from .analysis import ConcentrationRow, DominanceCounts, TopDistribution
+from .analysis import DominanceCounts, TopDistribution
 from .corpus import Grid, RANKS, Rank, RosterSummary
 from .ranking import INDICATORS, Indicator, PercentileTable
 
@@ -216,9 +216,10 @@ def _rank_columns(kind: str) -> list[Column]:
     return [Column(_RANK_TITLES[r], kind) for r in RANKS]
 
 
-def _grid_rows(grid: Grid, row: Callable[[str | None], list], total: str = "Total") -> list[list]:
-    """One row per UDA of ``grid``, then the pooled row ``row(None)``."""
-    return [[uda, *row(uda)] for uda in grid.udas] + [[total, *row(None)]]
+def _grid_rows(grid: Grid, row: Callable[[str | None], list], total: str | None = "Total") -> list[list]:
+    """One row per UDA of ``grid``, then the pooled row ``row(None)`` unless ``total`` is None."""
+    rows = [[uda, *row(uda)] for uda in grid.udas]
+    return rows if total is None else rows + [[total, *row(None)]]
 
 
 def build_roster_table(summary: RosterSummary) -> Table:
@@ -300,25 +301,21 @@ def build_dominance_table(counts_by_indicator: Mapping[Indicator, DominanceCount
     return Table("T8_dominance", title, columns, rows, meta)
 
 
-def build_concentration_table(rows_by_cell: Mapping[tuple[str, Rank], ConcentrationRow]) -> Table:
-    columns = [Column("UDA")]
-    for rank in RANKS:
-        columns.append(Column(f"{_RANK_TITLES[rank]} Gini", "dec3"))
-        columns.append(Column(f"{_RANK_TITLES[rank]} Bottom/Top", "dec3"))
-    udas = sorted({u for u, _ in rows_by_cell})
-    rows = []
-    for uda in udas:
-        row: list = [uda]
-        for rank in RANKS:
-            cell = rows_by_cell.get((uda, rank))
-            row.append(None if cell is None else cell.gini)
-            row.append(None if cell is None else cell.bottom_top_ratio)
-        rows.append(row)
+def build_concentration_table(grid: Grid) -> Table:
+    """T9 from the :class:`~.analysis.SpreadCell` grid of
+    :func:`~.analysis.concentration_rows`; a cell without staff is empty."""
+    measures = ("Gini", "Bottom/Top")
+    columns = [Column("UDA"), *(Column(f"{_RANK_TITLES[r]} {m}", "dec3") for r in RANKS for m in measures)]
+
+    def row(uda):
+        cells = [grid.cell(uda, r) for r in RANKS]
+        return [value for c in cells for value in (c.gini, c.bottom_top_ratio)]
+
     return Table(
         "T9_concentration",
         "T9. Concentration of fractional impact (FSS) by UDA and academic rank",
         columns,
-        rows,
+        _grid_rows(grid, row, total=None),
     )
 
 
@@ -342,7 +339,7 @@ def build_chi_square_table(dist: TopDistribution) -> Table:
     ]
 
     def row(uda):
-        result = dist.chi_square_overall if uda is None else dist.chi_square_by_uda.get(uda)
+        result = dist.chi_square(uda)
         if result is None:
             return [None, None, None]
         return [result.statistic, result.degrees_of_freedom, result.p_value]

@@ -101,10 +101,10 @@ def one_block_table(cases):
 
 
 def one_block_rows(cases, bottom_fraction=0.4, top_fraction=0.2):
-    """The FSS :class:`ConcentrationRow` of each case of :func:`one_block_table`, in order."""
+    """The FSS :class:`SpreadCell` of each case of :func:`one_block_table`, in order."""
     corpus, table = one_block_table(cases)
-    rows = concentration_rows(table, corpus, Indicator.FSS, bottom_fraction, top_fraction)
-    return [rows[_cell(i)] for i in range(len(cases))]
+    grid = concentration_rows(table, corpus, Indicator.FSS, bottom_fraction, top_fraction)
+    return [grid.cell(*_cell(i)) for i in range(len(cases))]
 
 
 class PairResult(NamedTuple):

@@ -23,6 +23,7 @@ from rankmetrics import (
     write_indicators,
 )
 from rankmetrics.synth import SynthConfig, generate
+from rankmetrics.tables import build_concentration_table, format_table
 
 from conftest import (
     block_table, indicator_table, one_block_rows, one_block_table, pair_results, single_author_corpus,
@@ -99,6 +100,22 @@ def test_gini_all_equal_is_zero():
     assert [row.gini for row in one_block_rows([[3.5] * 7, [0.0]])] == [0.0, 0.0]
 
 
+def test_gini_rounding_below_zero_is_clamped():
+    # six equal values and one a unit in the last place above: the sorted
+    # formula rounds to a tiny negative Gini, which must read 0.0, not -0.000
+    values = [12.3] * 6 + [math.nextafter(12.3, math.inf)]
+    xs = np.sort(values)
+    raw = ((2.0 * np.arange(1, 8) - 8.0) * xs).sum() / (7 * xs.sum())
+    assert raw < 0.0
+    corpus, table = one_block_table([values])
+    grid = concentration_rows(table, corpus, Indicator.FSS)
+    gini = grid.cell("U00000", Rank.FULL).gini
+    assert gini == 0.0 and math.copysign(1.0, gini) == 1.0
+    t9 = build_concentration_table(grid)
+    assert t9.rows[0][:2] == ["U00000", gini]
+    assert format_table(t9).splitlines()[-1].split()[:2] == ["U00000", "0.000"]
+
+
 def test_gini_two_values():
     row, = one_block_rows([[0, 1]])
     assert row.gini == pytest.approx(0.5)
@@ -126,7 +143,10 @@ def test_gini_rejects_non_finite(bad):
 def test_gini_empty_block_has_no_row():
     # a field whose members all lack the indicator enters no cell
     corpus, table = one_block_table([[math.nan, math.nan], [1.0, 2.0]])
-    assert list(concentration_rows(table, corpus, Indicator.QI)) == [("U00000", Rank.ASSOCIATE)]
+    grid = concentration_rows(table, corpus, Indicator.QI)
+    assert list(grid.cells) == [("U00000", Rank.ASSOCIATE)]
+    empty = grid.cell("U00000", Rank.FULL)
+    assert empty.headcount == 0 and empty.gini is None and empty.bottom_top_ratio is None
 
 
 @settings(max_examples=300)
@@ -170,10 +190,10 @@ def test_concentration_rows_rejects_overflowing_block():
 # Weighted UDA Gini and ratio: several fields in one (UDA, rank) cell
 
 def _cell_row(fields, bottom_fraction=0.4, top_fraction=0.2):
-    """The FSS :class:`ConcentrationRow` of one (UDA, rank) cell of one SDS per list of values."""
+    """The FSS :class:`SpreadCell` of one (UDA, rank) cell of one SDS per list of values."""
     corpus, table = block_table([("U1", Rank.FULL, f"S{i:05d}", values) for i, values in enumerate(fields)])
-    rows = concentration_rows(table, corpus, Indicator.FSS, bottom_fraction, top_fraction)
-    return rows[("U1", Rank.FULL)]
+    grid = concentration_rows(table, corpus, Indicator.FSS, bottom_fraction, top_fraction)
+    return grid.cell("U1", Rank.FULL)
 
 
 def test_weighted_gini_single_field_identity():
@@ -411,8 +431,7 @@ def test_dominance_excludes_sds_with_empty_group():
 
 def test_concentration_rows_weighting():
     corpus, records = _two_rank_corpus()
-    rows = concentration_rows(records, corpus, Indicator.FSS)
-    full = rows[("U1", Rank.FULL)]
+    full = concentration_rows(records, corpus, Indicator.FSS).cell("U1", Rank.FULL)
     g1 = reference_gini([9.0, 8.0, 7.0])
     g2 = reference_gini([1.0, 2.0])
     assert full.gini == weighted_uda_gini([(g1, 3), (g2, 2)]) == pytest.approx((3 * g1 + 2 * g2) / 5)
@@ -427,7 +446,7 @@ def test_concentration_rows_rejects_non_finite(bad):
     records = indicator_table(corpus, records.values())
     with pytest.raises(ValueError, match="concentration_rows requires finite values"):
         concentration_rows(records, corpus, Indicator.FSS)
-    assert concentration_rows(records, corpus, Indicator.QI)[("U1", Rank.ASSISTANT)].gini > 0
+    assert concentration_rows(records, corpus, Indicator.QI).cell("U1", Rank.ASSISTANT).gini > 0
 
 
 def test_top_distribution_shares_and_index():
@@ -440,8 +459,8 @@ def test_top_distribution_shares_and_index():
     assert dist.top_share("U1", Rank.FULL) == pytest.approx(100.0 * 2 / 3)
     staff_share = 100.0 * 5 / 9
     assert dist.index("U1", Rank.FULL) == pytest.approx((100.0 * 2 / 3) / staff_share)
-    assert dist.chi_square_by_uda["U1"] is not None
-    assert dist.chi_square_overall is not None
+    assert dist.chi_square("U1") is not None
+    assert dist.chi_square() is not None
 
 
 def test_top_distribution_rejects_flags_of_another_indicator():

@@ -16,7 +16,7 @@ from rankmetrics import (
 )
 from rankmetrics.baseline import build_baselines
 from rankmetrics.corpus import Authorship, Publication, Scientist
-from rankmetrics.indicators import IndicatorRecord, compute_indicators
+from rankmetrics.indicators import IndicatorTable, compute_indicators
 from rankmetrics.ranking import Indicator, sds_percentiles, top_scientists
 from rankmetrics.synth import SynthConfig, generate
 
@@ -309,12 +309,14 @@ def test_filter_unlinks_removed_coauthors():
 # ---------------------------------------------------------------------------
 # Activity rates
 
-def _records(**values):
-    return [IndicatorRecord(sid, np, qi, fss) for sid, (np, qi, fss) in values.items()]
+def _table(corpus, **values):
+    """The indicator table of ``corpus`` from ``id=(n_p, qi, fss)``, in any order."""
+    ids, *columns = zip(*((sid, *value) for sid, value in values.items()))
+    return IndicatorTable.resolve(corpus, ids, *columns)
 
 
 def test_activity_rates(tiny_corpus):
-    records = _records(A1=(1, 3.0, 3.0), A2=(1, 3.0, 1.5), A3=(1, 0.0, 0.0))
+    records = _table(tiny_corpus, A1=(1, 3.0, 3.0), A2=(1, 3.0, 1.5), A3=(1, 0.0, 0.0))
     table = activity_rates(tiny_corpus, records)
     cell = table.cell("U1")
     assert cell.headcount == 3
@@ -326,21 +328,10 @@ def test_activity_rates(tiny_corpus):
 
 def test_activity_all_active():
     corpus = single_author_corpus([("X", "S1", "U1", "FULL", [1]), ("Y", "S1", "U1", "FULL", [2])])
-    records = _records(X=(1, 1.0, 1.0), Y=(1, 2.0, 2.0))
+    records = _table(corpus, Y=(1, 2.0, 2.0), X=(1, 1.0, 1.0))
     table = activity_rates(corpus, records)
     cell = table.cell()
     assert cell.publication_active == cell.headcount == 2
-
-
-def test_activity_requires_all_records(tiny_corpus):
-    with pytest.raises(ValueError, match="A3"):
-        activity_rates(tiny_corpus, _records(A1=(1, 3.0, 3.0), A2=(0, None, 0.0)))
-
-
-def test_activity_rejects_repeated_records(tiny_corpus):
-    records = _records(A1=(1, 3.0, 3.0), A2=(1, 3.0, 1.5), A3=(1, 0.0, 0.0))
-    with pytest.raises(ValueError, match="repeated indicator record for scientist 'A2'"):
-        activity_rates(tiny_corpus, [*records, IndicatorRecord("A2", 0, None, 0.0)])
 
 
 def test_citation_active_never_exceeds_publication_active():

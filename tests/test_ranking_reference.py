@@ -199,10 +199,10 @@ def _check_all(table, corpus, fractions=FRACTIONS):
             counts = dominance_counts(table, corpus, indicator, group_a, group_b)
             assert _count_bits(counts) == reference_dominance(records, corpus, indicator, group_a, group_b)
         for bottom, top in ((0.4, 0.2), (0.5, 0.1)):
-            rows = concentration_rows(table, corpus, indicator, bottom, top)
+            grid = concentration_rows(table, corpus, indicator, bottom, top)
             actual = [
-                (uda, rank, row.gini.hex(), _hex(row.bottom_top_ratio))
-                for (uda, rank), row in rows.items()
+                (uda, rank, cell.gini.hex(), _hex(cell.bottom_top_ratio))
+                for (uda, rank), cell in grid.cells.items()
             ]
             assert actual == reference_concentration(records, corpus, indicator, bottom, top)
 
@@ -350,9 +350,9 @@ def test_concentration_matches_reference_on_long_blocks(blocks, fractions, seed)
     rng.shuffle(records)
     corpus = load_corpus(scientists, [], [])
     table = indicator_table(corpus, records)
-    rows = concentration_rows(table, corpus, Indicator.FSS, *fractions)
+    grid = concentration_rows(table, corpus, Indicator.FSS, *fractions)
     actual = [
-        (uda, rank, row.gini.hex(), _hex(row.bottom_top_ratio)) for (uda, rank), row in rows.items()
+        (uda, rank, cell.gini.hex(), _hex(cell.bottom_top_ratio)) for (uda, rank), cell in grid.cells.items()
     ]
     assert actual == reference_concentration(table.values(), corpus, Indicator.FSS, *fractions)
 

@@ -4,7 +4,6 @@ bit."""
 
 import gc
 import math
-import random
 import weakref
 
 import numpy as np
@@ -14,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from rankmetrics import (
     BaselineTable,
     Indicator,
-    IndicatorRecord,
     MissingBaselineError,
     Rank,
     activity_rates,
@@ -30,6 +28,7 @@ from rankmetrics import (
     uda_rank_average,
 )
 from rankmetrics import analysis, indicators
+from rankmetrics.corpus import fsum_rows
 from rankmetrics.indicators import require_baselines
 from rankmetrics.ranking import INDICATORS
 from rankmetrics.synth import SynthConfig, generate
@@ -94,7 +93,7 @@ def test_sweep_on_one_baseline_table_matches_fresh_runs(corpus_1x, monkeypatch):
         activity = activity_rates(corpus_1x, table.values())
         for top in TOP_FRACTIONS:
             fresh = compute_indicators(corpus_1x, build_baselines(corpus_1x), udas)
-            fresh_activity = activity_rates(corpus_1x, list(fresh.values()))
+            fresh_activity = activity_rates(corpus_1x, fresh)
             assert _sweep_text(corpus_1x, table, activity, top) == _sweep_text(
                 corpus_1x, fresh, fresh_activity, top
             )
@@ -173,31 +172,27 @@ def test_the_values_view_reads_rows_on_demand(corpus_1x):
     assert not hasattr(view, "sort")
 
 
-def test_activity_is_the_same_from_view_list_or_shuffled_records(corpus_1x):
+def test_activity_is_the_same_from_the_table_or_its_view(corpus_1x):
     table = compute_indicators(corpus_1x, build_baselines(corpus_1x), corpus_1x.udas)
-    shuffled = list(table.values())
-    random.Random(7).shuffle(shuffled)
     expected = activity_rates(corpus_1x, table.values()).cells
     assert any(cell.citation_active < cell.headcount for cell in expected.values())
-    for records in (list(table.values()), shuffled, iter(shuffled)):
-        got = activity_rates(corpus_1x, records).cells
-        assert list(got.items()) == list(expected.items())
+    assert list(activity_rates(corpus_1x, table).cells.items()) == list(expected.items())
+    # records are not placed by id, not even a dict's view, which has a ``mapping`` too
+    for records in (list(table.values()), {r.scientist_id: r for r in table.values()}.values()):
+        with pytest.raises(TypeError, match=r"activity_rates needs an IndicatorTable or its values\(\)"):
+            activity_rates(corpus_1x, records)
 
 
-def test_activity_of_a_view_of_another_corpus_raises_as_records_do(corpus_1x):
+def test_activity_of_a_view_of_another_corpus_raises_as_other_consumers_do(corpus_1x):
     filtered = filter_active_sds(corpus_1x, 0.9)
     assert filtered is not corpus_1x
-    view = compute_indicators(corpus_1x, build_baselines(corpus_1x)).values()
-    with pytest.raises(ValueError, match="roster mismatch in indicator records") as from_list:
-        activity_rates(filtered, list(view))
-    with pytest.raises(ValueError) as from_view:
-        activity_rates(filtered, view)
-    assert str(from_view.value) == str(from_list.value)
-    # a plain dict's view has a ``mapping`` too, and its records are placed by id
-    records = {r.scientist_id: r for r in view}
-    assert activity_rates(corpus_1x, records.values()).cells == activity_rates(corpus_1x, view).cells
-    with pytest.raises(ValueError, match="repeated indicator record"):
-        activity_rates(corpus_1x, [*view, IndicatorRecord(view[0].scientist_id, 0, None, 0.0)])
+    table = compute_indicators(corpus_1x, build_baselines(corpus_1x))
+    with pytest.raises(ValueError, match="IndicatorTable is bound to another corpus") as expected:
+        sds_percentiles(table, Indicator.FSS, filtered)
+    for indicators in (table, table.values()):
+        with pytest.raises(ValueError) as got:
+            activity_rates(filtered, indicators)
+        assert str(got.value) == str(expected.value)
 
 
 def _fsum_ratios(lengths, count, bottom_fraction, top_fraction):
@@ -253,4 +248,7 @@ def test_short_block_sums_keep_fsum_signs():
     # a block whose n * sum overflows never reaches the sums: concentration_rows rejects it
     for row, expected in (([-0.0], "0.0"), ([-0.0, -0.0], "0.0"), ([5e-324, 5e-324], "1e-323"),
                           ([1.7e308], "1.7e+308"), ([4.4e307, 4.4e307], "8.8e+307")):
-        assert repr(analysis._fsums(np.array([row])).tolist()[0]) == expected == repr(math.fsum(row))
+        assert repr(fsum_rows(np.array([row]), len(row)).tolist()[0]) == expected == repr(math.fsum(row))
+    # one count per row, slots past it unread, as for publications of one to three categories
+    m = np.array([[1e16, 1.0, -1e16], [0.1, 0.2, 7.0], [0.3, 5.0, 7.0]])
+    assert fsum_rows(m, np.array([3, 2, 1])).tolist() == [1.0, 0.1 + 0.2, 0.3]
