@@ -35,13 +35,15 @@ try:
 except CorpusError as exc:
     print(f"rejected bad input: {exc}")
 
-# Roster summary: headcounts, staff shares and mean ages per UDA and rank.
+# Roster summary: one cell per UDA and rank, with its headcount and mean age;
+# a staff share is the cell's percent of its UDA's headcount.
 summary = roster_summary(corpus, reference_year=2009)
 for rank in Rank:
+    cell = summary.cell("MATH", rank)
     print(
-        f"{rank.value:<10} headcount={summary.headcount('MATH', rank)}"
-        f" share={summary.share('MATH', rank):.1f}%"
-        f" mean_age={summary.mean_age('MATH', rank)}"
+        f"{rank.value:<10} headcount={cell.headcount}"
+        f" share={summary.percent('headcount', 'MATH', rank):.1f}%"
+        f" mean_age={cell.mean_age}"
     )
 
 # Fields where under half the scientists published are dropped; MATH-2 keeps

@@ -10,16 +10,16 @@ positional scheme driven by the boundary authors' affiliations:
 * anything else (or missing data)    -> equal split.
 """
 
-from rankmetrics import WeightScheme, coauthor_weights, load_corpus
+from rankmetrics import coauthor_weights, load_corpus
 from rankmetrics.baseline import BaselineCell, BaselineTable, build_baselines
 from rankmetrics.indicators import compute_indicators
 from rankmetrics.synth import SynthConfig, generate
 
 for n in (1, 2, 4, 6):
-    w = coauthor_weights(n, WeightScheme.POSITIONAL, first_last_same=True)
+    w = coauthor_weights(n, first_last_same=True)
     print(f"n={n} shared first/last:   {[round(x, 4) for x in w]}")
 for n in (4, 6):
-    w = coauthor_weights(n, WeightScheme.POSITIONAL, boundary_pairs_differ=True)
+    w = coauthor_weights(n, boundary_pairs_differ=True)
     print(f"n={n} distinct boundaries: {[round(x, 4) for x in w]}")
 
 # The pattern comes straight from affiliation identifiers in byline order. One
@@ -39,18 +39,18 @@ corpus = load_corpus(
 credit = compute_indicators(corpus, BaselineTable([BaselineCell(2005, "C1", 2.0, 2.0, 3)]), ["U1"])
 print("\npattern detection:")
 for byline, names in zip(bylines, authors):
-    print(f"  {byline} -> credit {[round(credit[sid].fss, 4) for sid in names]}")
+    print(f"  {byline} -> credit {[round(credit[corpus.scientist_index[sid]].fss, 4) for sid in names]}")
 
 # End to end: N_p counts publications, QI averages standardized scores, FSS
 # sums score x own-position weight. UDA02 uses the positional scheme here.
 # The indicators are columns aligned to the corpus's scientist rows; QI is NaN
-# where it is absent, and a record read by scientist id shows it as None.
+# where it is absent, and the record of a row shows it as None.
 corpus = generate(SynthConfig(seed=3, n_uda=2, sds_per_uda=1))
 table = compute_indicators(corpus, build_baselines(corpus), positional_udas=["UDA02"])
 
 active = table.n_p > 0
 print(f"\n{int(active.sum())} active scientists, {int((~active).sum())} without publications")
-best = table[corpus.scientist_ids[int(table.fss.argmax())]]
+best = table[int(table.fss.argmax())]
 print(f"strongest scientist: n_p={best.n_p}, qi={best.qi:.2f}, fss={best.fss:.2f}")
-idle = table[corpus.scientist_ids[int(active.argmin())]]
+idle = table[int(active.argmin())]
 print(f"inactive scientists report qi=ABSENT, fss=0: {idle.qi is None and idle.fss == 0.0}")

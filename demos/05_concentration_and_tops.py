@@ -46,7 +46,7 @@ dist = top_distribution(flags, corpus, Indicator.FSS)
 print(f"\ntop scientists flagged: {int(flags.is_top.sum())} of {len(flags)}")
 print("share of top scientists by rank, concentration index in brackets:")
 for rank in Rank:
-    share = dist.top_share(None, rank)
+    share = dist.percent("top_count", None, rank)
     index = dist.index(None, rank)
     print(f"  {rank.value:<10} {share:5.1f}% ({index:.2f})")
 

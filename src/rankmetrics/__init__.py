@@ -50,7 +50,6 @@ from .corpus import (
 from .indicators import (
     IndicatorRecord,
     IndicatorTable,
-    WeightScheme,
     coauthor_weights,
     compute_indicators,
     read_indicators,

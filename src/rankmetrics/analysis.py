@@ -175,14 +175,13 @@ def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray, na
         if not finite.all():
             overflow.append(idx[~finite][0])
             continue
-        # stable, as Python's sorted(): tied 0.0 and -0.0 keep their order
-        xs = np.sort(m, axis=1, kind="stable")
+        xs = np.sort(m, axis=1)
         spread = (total != 0.0) & (xs[:, 0] != xs[:, -1])
         weighted = ((2.0 * np.arange(1, n + 1) - n - 1.0) * xs).sum(axis=1)
         gi = np.divide(weighted, n * total, out=np.zeros(len(idx)), where=spread)
-        # min(1.0, max(0.0, g)), which np.clip would not match on -0.0
-        gi = np.where(gi > 0, gi, 0.0)
-        g[idx] = np.where(gi < 1, gi, 1.0)
+        # max(0.0, g), which np.clip would not match on -0.0; no upper clamp, as
+        # sum (2i - n - 1) x_(i) <= (n - 1) sum, so g <= (n - 1) / n
+        g[idx] = np.where(gi > 0, gi, 0.0)
         lengths.append(_read_only(idx, xs))
     if overflow:
         block = min(overflow)
@@ -287,13 +286,13 @@ def concentration_rows(
     The Gini coefficient of a field's ``n`` values is their mean absolute
     difference over twice their mean, ``sum |x_i - x_j| / (2 n^2 mean)`` over
     all pairs, taken from the sorted values as ``sum (2i - n - 1) x_(i) / (n *
-    sum)`` and clamped to [0, 1]: 0 when all values are equal, and defined as
-    0 when all are zero. The bottom/top ratio is the per-capita output of the
-    ``max(1, floor(bottom_fraction * n))`` lowest values over that of the
-    ``max(1, floor(top_fraction * n))`` highest, each block's output the
-    correctly rounded ``math.fsum`` of its sorted values: 1 for a uniform
-    field, toward 0 as output concentrates at the top, undefined when the
-    top block has zero output.
+    sum)``, at most ``(n - 1) / n`` and clamped below at 0: 0 when all values
+    are equal, and defined as 0 when all are zero. The bottom/top ratio is the
+    per-capita output of the ``max(1, floor(bottom_fraction * n))`` lowest
+    values over that of the ``max(1, floor(top_fraction * n))`` highest, each
+    block's output the correctly rounded ``math.fsum`` of its sorted values:
+    1 for a uniform field, toward 0 as output concentrates at the top,
+    undefined when the top block has zero output.
 
     Both are computed per field, then weighted up to the UDA by each field's
     staff share of that rank. Fields whose ratio is undefined are left out
@@ -366,7 +365,9 @@ class TopShareCell(NamedTuple):
 
 @dataclass(frozen=True)
 class TopDistribution(Grid):
-    """How top scientists distribute over ranks, per UDA and overall."""
+    """How top scientists distribute over ranks, per UDA and overall, a grid
+    of :class:`TopShareCell`: a rank's share of the top scientists is
+    ``percent("top_count", uda, rank)``."""
 
     indicator: Indicator
 
@@ -381,15 +382,11 @@ class TopDistribution(Grid):
             return None
         return chi_square_independence([top, rest])
 
-    def top_share(self, uda: str | None, rank: Rank) -> float | None:
-        return self.percent("top_count", uda, rank)
-
-    def staff_share(self, uda: str | None, rank: Rank) -> float | None:
-        return self.percent("staff_count", uda, rank)
-
     def index(self, uda: str | None, rank: Rank) -> float | None:
-        top = self.top_share(uda, rank)
-        staff = self.staff_share(uda, rank)
+        """:func:`concentration_index` of the rank's ``percent`` of the top
+        scientists and of the staff of ``uda`` (all UDAs when None)."""
+        top = self.percent("top_count", uda, rank)
+        staff = self.percent("staff_count", uda, rank)
         if top is None or staff is None or staff == 0:
             return None
         return concentration_index(top, staff)

@@ -178,9 +178,6 @@ class RowView(Sequence):
     def __iter__(self) -> Iterator:
         return iter(self.take(slice(None)))
 
-    def __reversed__(self) -> Iterator:
-        return reversed(self.take(slice(None)))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (RowView, tuple)):
             return tuple(self) == tuple(other)
@@ -880,24 +877,18 @@ class RosterCell(NamedTuple):
     age_total: int = 0
     aged_count: int = 0
 
+    @property
+    def mean_age(self) -> float | None:
+        return self.age_total / self.aged_count if self.aged_count else None
+
 
 @dataclass(frozen=True)
 class RosterSummary(Grid):
-    """Headcounts, staff shares and mean ages per UDA and rank."""
+    """Headcounts and ages per UDA and rank, a grid of :class:`RosterCell`:
+    a staff share is ``percent("headcount", uda, rank)``."""
 
     sds_counts: Mapping[str, int]
     reference_year: int | None
-
-    def headcount(self, uda: str | None = None, rank: Rank | None = None) -> int:
-        return self.cell(uda, rank).headcount
-
-    def share(self, uda: str | None, rank: Rank) -> float | None:
-        """Percent of the UDA staff (or of the grand total when ``uda`` is None)."""
-        return self.percent("headcount", uda, rank)
-
-    def mean_age(self, uda: str | None = None, rank: Rank | None = None) -> float | None:
-        cell = self.cell(uda, rank)
-        return cell.age_total / cell.aged_count if cell.aged_count else None
 
 
 def roster_summary(corpus: Corpus, reference_year: int | None = None) -> RosterSummary:
@@ -1011,15 +1002,8 @@ class ActivityCell(NamedTuple):
 def activity_rates(corpus: Corpus, indicators: IndicatorTable) -> Grid:
     """Per UDA and rank: how many scientists published at all, and how many
     accumulated any citation impact (positive fractional strength), read from
-    ``indicators``, an :class:`~.indicators.IndicatorTable` bound to
-    ``corpus`` or its ``values()`` view; anything else raises."""
-    from .indicators import IndicatorTable  # which imports this module
-
-    table = getattr(indicators, "mapping", indicators)
-    if not isinstance(table, IndicatorTable):
-        raise TypeError("activity_rates needs an IndicatorTable or its values(), "
-                        f"got {type(indicators).__name__}")
-    table = table.bound_to(corpus)
+    ``indicators``, an :class:`~.indicators.IndicatorTable` bound to ``corpus``."""
+    table = indicators.bound_to(corpus)
     cells = tally(ActivityCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank,
                   np.ones(len(table)), table.n_p >= 1, table.fss > 0)
     return Grid(ActivityCell, cells)

@@ -19,12 +19,10 @@ Any other pattern, or missing boundary affiliations, falls back to uniform.
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Mapping, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .fileio import FieldParser, Integer, Number, Text, read_records, write_reco
 __all__ = [
     "IndicatorRecord",
     "IndicatorTable",
-    "WeightScheme",
     "check_baselines",
     "coauthor_weights",
     "compute_indicators",
@@ -47,11 +44,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-class WeightScheme(enum.Enum):
-    EQUAL = "EQUAL"
-    POSITIONAL = "POSITIONAL"
-
-
 class IndicatorRecord(NamedTuple):
     scientist_id: str
     n_p: int
@@ -59,19 +51,19 @@ class IndicatorRecord(NamedTuple):
     fss: float
 
 
-@dataclass(frozen=True, eq=False)
-class IndicatorTable(CorpusColumns, Mapping):
+class IndicatorTable(CorpusColumns, RowView):
     """The indicators of every scientist of ``corpus`` as columns aligned to its
     rows, ``n_p`` (int64), ``qi`` (float64, NaN where absent) and ``fss``; a
-    read-only mapping of each scientist's :class:`IndicatorRecord` by id.
+    read-only sequence of each scientist's :class:`IndicatorRecord` in row
+    order, built only for the rows read (a QI of NaN reads as None), so a
+    scientist's record is ``table[corpus.scientist_index[scientist_id]]``.
     What the rankings and analyses derive from one indicator is built on
     first use and kept with the table (see :meth:`derived`)."""
 
-    corpus: Corpus
-    n_p: np.ndarray
-    qi: np.ndarray
-    fss: np.ndarray
-    _derived: dict = field(init=False, repr=False, default_factory=dict)
+    def __init__(self, corpus: Corpus, n_p: np.ndarray, qi: np.ndarray, fss: np.ndarray):
+        self.corpus, self.n_p, self.qi, self.fss = corpus, n_p, qi, fss
+        self._derived = {}
+        super().__init__(IndicatorRecord, corpus.scientist_ids, n_p, qi, fss)
 
     def derived(self, key, build):
         """``build()``, kept with the table under ``key`` from the first call
@@ -87,54 +79,29 @@ class IndicatorTable(CorpusColumns, Mapping):
         order = np.argsort(corpus.rows_of(ids, source))
         return cls(corpus, *(np.asarray(c, t)[order] for c, t in ((n_p, np.int64), (qi, float), (fss, float))))
 
-    def __getitem__(self, scientist_id: str) -> IndicatorRecord:
-        return self.values()[self.corpus.scientist_index[scientist_id]]
-
-    def __iter__(self):
-        return iter(self.corpus.scientist_ids)
-
-    def __len__(self) -> int:
-        return len(self.n_p)
-
-    def values(self) -> _Values:
-        view = _Values(IndicatorRecord, self.corpus.scientist_ids, self.n_p, self.qi, self.fss)
-        view.mapping = self
-        return view
-
-
-class _Values(RowView):
-    """:meth:`IndicatorTable.values`: the records in row order, built only for the rows
-    read (a QI of NaN reads as None), equal to their list; ``mapping`` is the table."""
-
-    __slots__ = ("mapping",)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other if isinstance(other, list) else super().__eq__(other)
+    def values(self) -> IndicatorTable:
+        """The table itself, for callers that pass ``records.values()``, as
+        the benchmark's sweep does to :func:`~.corpus.activity_rates`."""
+        return self
 
 
 def coauthor_weights(
-    author_count: int,
-    scheme: WeightScheme = WeightScheme.EQUAL,
-    *,
-    first_last_same: bool = False,
-    boundary_pairs_differ: bool = False,
+    author_count: int, *, first_last_same: bool = False, boundary_pairs_differ: bool = False
 ) -> list[float]:
-    """Per-position credit fractions for a byline of ``author_count`` authors.
+    """Per-position credit fractions of the positional scheme for a byline of
+    ``author_count`` authors.
 
-    Always sums to 1. Under the positional scheme the flags select the byline
-    pattern (``first_last_same`` wins when both are set); neither flag means
-    the pattern is unrecognized and credit is uniform. Short bylines where the
-    named roles overlap accumulate their nominal weights per position and the
-    vector is renormalized, which keeps the sum exact for every length.
+    Always sums to 1. The flags select the byline pattern
+    (``first_last_same`` wins when both are set); neither flag means the
+    pattern is unrecognized and credit is uniform, ``[1/n] * n``. Short
+    bylines where the named roles overlap accumulate their nominal weights
+    per position and the vector is renormalized, which keeps the sum exact
+    for every length.
     """
     if author_count < 1:
         raise ValueError(f"author_count must be >= 1, got {author_count}")
     n = author_count
-    if (
-        scheme is WeightScheme.EQUAL
-        or n == 1
-        or not (first_last_same or boundary_pairs_differ)
-    ):
+    if n == 1 or not (first_last_same or boundary_pairs_differ):
         return [1.0 / n] * n
 
     weights = [0.0] * n
@@ -195,10 +162,7 @@ def _positional_weights(corpus: Corpus, rows: np.ndarray) -> np.ndarray:
     pattern = corpus.pub_author_count * 4 + same * 2 + differ
     patterns, pub_pattern = np.unique(pattern, return_inverse=True)
     vectors = [
-        coauthor_weights(
-            key >> 2, WeightScheme.POSITIONAL,
-            first_last_same=bool(key & 2), boundary_pairs_differ=bool(key & 1),
-        )
+        coauthor_weights(key >> 2, first_last_same=bool(key & 2), boundary_pairs_differ=bool(key & 1))
         for key in patterns.tolist()
     ]
     offset = np.cumsum([0] + [len(v) for v in vectors[:-1]])
@@ -297,8 +261,8 @@ def compute_indicators(
     return IndicatorTable(corpus, n_p, qi, fss)
 
 
-def write_indicators(table: Mapping[str, IndicatorRecord], path: str | Path) -> Path:
-    rows = sorted(table.values(), key=lambda r: r.scientist_id)
+def write_indicators(records: Iterable[IndicatorRecord], path: str | Path) -> Path:
+    rows = sorted(records, key=lambda r: r.scientist_id)
     return write_records(path, list(IndicatorRecord._fields), rows)
 
 

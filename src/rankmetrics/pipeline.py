@@ -152,7 +152,7 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
     """Run the full analysis and return every report table, in report order."""
     corpus, filtered, _, records = prepare(config)
     summary = roster_summary(filtered, config.reference_year)
-    activity = activity_rates(filtered, records.values())
+    activity = activity_rates(filtered, records)
 
     metadata = {
         "tool": f"rankmetrics {__version__}",

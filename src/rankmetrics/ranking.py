@@ -83,14 +83,13 @@ class TopFlag(NamedTuple):
 class _RankedColumn(CorpusColumns, RowView):
     """One value per ranked scientist row ``rows`` of ``corpus``, a read-only
     sequence of records built only for the rows read; the value column is
-    named after the record's third field."""
+    named after the record's third field, and ``more`` are the columns of
+    the fields after it."""
 
-    def __init__(self, corpus: Corpus, indicator: Indicator, rows: np.ndarray, values: np.ndarray):
+    def __init__(self, corpus: Corpus, indicator: Indicator, rows: np.ndarray, values: np.ndarray, *more):
         self.corpus, self.indicator, self.rows = corpus, indicator, rows
         setattr(self, self.record._fields[2], values)
-        columns = ((rows, corpus.scientist_ids), [indicator] * len(rows), values,
-                   (corpus.scientist_sds[rows], corpus.sds_codes), (corpus.scientist_rank[rows], RANKS))
-        super().__init__(self.record, *columns[:len(self.record._fields)])
+        super().__init__(self.record, (rows, corpus.scientist_ids), [indicator] * len(rows), values, *more)
 
 
 class PercentileColumn(_RankedColumn):
@@ -100,9 +99,9 @@ class PercentileColumn(_RankedColumn):
     record = PercentileRecord
 
     def __init__(self, corpus: Corpus, indicator: Indicator, rows: np.ndarray, percentile: np.ndarray):
-        super().__init__(corpus, indicator, rows, percentile)
-        uda, rank = corpus.scientist_uda[rows], corpus.scientist_rank[rows]
-        cells = tally(MeanCell, corpus.udas, uda, rank, percentile, np.ones(len(rows)))
+        sds, rank = corpus.scientist_sds[rows], corpus.scientist_rank[rows]
+        super().__init__(corpus, indicator, rows, percentile, (sds, corpus.sds_codes), (rank, RANKS))
+        cells = tally(MeanCell, corpus.udas, corpus.sds_uda[sds], rank, percentile, np.ones(len(rows)))
         self.average = PercentileTable(MeanCell, cells, indicator=indicator)
 
 

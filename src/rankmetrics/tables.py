@@ -229,8 +229,8 @@ def build_roster_table(summary: RosterSummary) -> Table:
     def row(uda):
         return [
             sum(sds.values()) if uda is None else sds.get(uda, 0),
-            *[(summary.headcount(uda, r), summary.share(uda, r)) for r in RANKS],
-            summary.headcount(uda),
+            *[(summary.cell(uda, r).headcount, summary.percent("headcount", uda, r)) for r in RANKS],
+            summary.cell(uda).headcount,
         ]
 
     rows = _grid_rows(summary, row)
@@ -239,7 +239,7 @@ def build_roster_table(summary: RosterSummary) -> Table:
 
 def build_age_table(summary: RosterSummary) -> Table:
     columns = [Column("UDA"), *_rank_columns("dec0"), Column("Average", "dec0")]
-    rows = _grid_rows(summary, lambda uda: [summary.mean_age(uda, r) for r in (*RANKS, None)])
+    rows = _grid_rows(summary, lambda uda: [summary.cell(uda, r).mean_age for r in (*RANKS, None)])
     return Table("T2_mean_age", "T2. Average age of research staff by UDA and academic rank", columns, rows)
 
 
@@ -321,7 +321,7 @@ def build_concentration_table(grid: Grid) -> Table:
 
 def build_top_distribution_table(dist: TopDistribution) -> Table:
     columns = [Column("UDA"), *_rank_columns("pct_index")]
-    rows = _grid_rows(dist, lambda uda: [(dist.top_share(uda, r), dist.index(uda, r)) for r in RANKS])
+    rows = _grid_rows(dist, lambda uda: [(dist.percent("top_count", uda, r), dist.index(uda, r)) for r in RANKS])
     return Table(
         "T10_top_distribution",
         f"T10. Distribution of top scientists ({dist.indicator.label}) by rank, concentration index in brackets",

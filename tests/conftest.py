@@ -3,11 +3,16 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 
 from rankmetrics import (
     RANKS, Indicator, IndicatorRecord, IndicatorTable, Rank, concentration_rows, dominance_counts,
     fileio, load_corpus,
 )
+
+# The CI workflow runs with --hypothesis-profile=ci: every job draws the same
+# examples, and a slow runner fails no example on time.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def tiny_rows():

@@ -20,7 +20,6 @@ from rankmetrics import (
     IndicatorRecord,
     Rank,
     RunConfig,
-    WeightScheme,
     chi_square_independence,
     chi_square_upper_tail,
     coauthor_weights,
@@ -121,17 +120,17 @@ def test_c2_roster_shares_cross_check():
                 )
     corpus = load_corpus(scientists, [], [])
     summary = roster_summary(corpus, reference_year=2009)
-    assert summary.headcount() == 30677
+    assert summary.cell().headcount == 30677
 
     for uda, (sds_count, *cells) in STAFF_TABLE.items():
         assert summary.sds_counts[uda] == sds_count
         for rank, (count, printed) in zip(Rank, cells):
-            assert summary.headcount(uda, rank) == count
-            rendered = float(half_up(summary.share(uda, rank), 1))
+            assert summary.cell(uda, rank).headcount == count
+            rendered = float(half_up(summary.percent("headcount", uda, rank), 1))
             assert abs(rendered - printed) <= 0.05 + 1e-9, (uda, rank, rendered, printed)
     for rank, (count, printed) in zip(Rank, STAFF_TOTALS):
-        assert summary.headcount(None, rank) == count
-        rendered = float(half_up(summary.share(None, rank), 1))
+        assert summary.cell(None, rank).headcount == count
+        rendered = float(half_up(summary.percent("headcount", None, rank), 1))
         assert abs(rendered - printed) <= 0.05 + 1e-9
 
 
@@ -191,20 +190,19 @@ def test_c5_weight_sums_and_vectors():
     )
     for n in range(1, 51):
         for flags in flag_cases:
-            for scheme in (WeightScheme.EQUAL, WeightScheme.POSITIONAL):
-                weights = coauthor_weights(n, scheme, **flags)
-                assert abs(math.fsum(weights) - 1.0) <= 1e-12, (n, scheme, flags)
+            weights = coauthor_weights(n, **flags)
+            assert abs(math.fsum(weights) - 1.0) <= 1e-12, (n, flags)
 
-    shared = coauthor_weights(5, WeightScheme.POSITIONAL, first_last_same=True)
+    shared = coauthor_weights(5, first_last_same=True)
     expected = [0.40, 0.20 / 3, 0.20 / 3, 0.20 / 3, 0.40]
     assert all(abs(w - e) <= 1e-12 for w, e in zip(shared, expected))
 
-    distinct = coauthor_weights(6, WeightScheme.POSITIONAL, boundary_pairs_differ=True)
+    distinct = coauthor_weights(6, boundary_pairs_differ=True)
     expected = [0.30, 0.15, 0.05, 0.05, 0.15, 0.30]
     assert all(abs(w - e) <= 1e-12 for w, e in zip(distinct, expected))
 
-    assert coauthor_weights(1, WeightScheme.POSITIONAL, first_last_same=True) == [1.0]
-    assert coauthor_weights(4, WeightScheme.EQUAL) == [0.25] * 4
+    assert coauthor_weights(1, first_last_same=True) == [1.0]
+    assert coauthor_weights(4) == [0.25] * 4
 
 
 @criterion("C6 percentile invariants", 5.0)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankmetrics import (
     Indicator,
@@ -124,6 +124,42 @@ def test_gini_two_values():
 def test_gini_single_spike():
     row, = one_block_rows([[0.0] * 99 + [1.0]])
     assert row.gini == weighted_uda_gini([(0.99, 100)]) == 0.99  # (n-1)/n exactly
+
+
+# magnitudes from subnormal to 1e300, so that n * sum stays finite for n < 60
+GINI_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1.0), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(GINI_VALUES, min_size=1, max_size=59), min_size=1, max_size=6))
+@example([[0.0, 1.0], [0.0] * 58 + [1e300], [5e-324, 0.0, 0.0]])
+def test_gini_is_at_most_n_minus_one_over_n(cases):
+    # sum (2i - n - 1) x_(i) <= (n - 1) sum for sorted non-negative values,
+    # so the Gini needs no upper clamp; the mass on one member reaches the bound
+    for values, row in zip(cases, one_block_rows(cases)):
+        n = len(values)
+        assert 0.0 <= row.gini <= (n - 1) / n + 1e-12, values
+
+
+def test_signed_zero_fss_in_either_row_order_gives_the_same_t9(tmp_path):
+    # -0.0 == 0.0, so a sort may put either first; T9 must not tell which
+    path = tmp_path / "indicators.csv"
+    path.write_text("scientist_id,n_p,qi,fss\n"
+                    "neg,1,0.5,-0.0\npos,1,0.5,0.0\ntwo,1,0.5,2.0\nfive,1,0.5,5.0\n"  # a block with spread
+                    "idle-neg,0,,-0.0\nidle-pos,0,,0.0\n")  # an all-zero block
+    cells = []
+    for first, second in (("neg", "pos"), ("pos", "neg")):
+        corpus = single_author_corpus([
+            (first, "S1", "U1", "FULL", []), (second, "S1", "U1", "FULL", []),
+            ("two", "S1", "U1", "FULL", []), ("five", "S1", "U1", "FULL", []),
+            (f"idle-{first}", "S2", "U1", "ASSOCIATE", []), (f"idle-{second}", "S2", "U1", "ASSOCIATE", []),
+        ])
+        table = read_indicators(path, corpus)
+        assert np.signbit(table.fss).tolist() == [sid.endswith("neg") for sid in corpus.scientist_ids]
+        grid = concentration_rows(table, corpus, Indicator.FSS)
+        cells.append(repr(list(grid.cells.items())))  # repr tells -0.0 from 0.0
+    assert cells[0] == cells[1]
+    assert grid.cell("U1", Rank.FULL).gini > 0 and grid.cell("U1", Rank.ASSOCIATE).gini == 0.0
 
 
 def test_gini_negative_rejected():
@@ -400,7 +436,7 @@ def _two_rank_corpus():
 def test_repeated_record_is_rejected(tmp_path):
     corpus, records = _two_rank_corpus()
     with pytest.raises(ValueError, match="repeated indicator record for scientist 'a20'"):
-        indicator_table(corpus, [*records.values(), records["a20"]])
+        indicator_table(corpus, [*records, records[corpus.scientist_index["a20"]]])
     path = write_indicators(records, tmp_path / "indicators.csv")
     with path.open("a") as fh:
         fh.write("a20,1,8.0,8.0\n")
@@ -441,9 +477,9 @@ def test_concentration_rows_weighting():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_concentration_rows_rejects_non_finite(bad):
     corpus, table = _two_rank_corpus()
-    records = dict(table)
-    records["a21"] = IndicatorRecord("a21", 1, 9.0, bad)
-    records = indicator_table(corpus, records.values())
+    records = list(table)
+    records[corpus.scientist_index["a21"]] = IndicatorRecord("a21", 1, 9.0, bad)
+    records = indicator_table(corpus, records)
     with pytest.raises(ValueError, match="concentration_rows requires finite values"):
         concentration_rows(records, corpus, Indicator.FSS)
     assert concentration_rows(records, corpus, Indicator.QI).cell("U1", Rank.ASSISTANT).gini > 0
@@ -456,7 +492,7 @@ def test_top_distribution_shares_and_index():
     # S1 flags its best 2 of 5 (both FULL); S2 flags its best 1 of 4 (ASSISTANT)
     assert dist.cell("U1", Rank.FULL).top_count == 2
     assert dist.cell("U1", Rank.ASSISTANT).top_count == 1
-    assert dist.top_share("U1", Rank.FULL) == pytest.approx(100.0 * 2 / 3)
+    assert dist.percent("top_count", "U1", Rank.FULL) == pytest.approx(100.0 * 2 / 3)
     staff_share = 100.0 * 5 / 9
     assert dist.index("U1", Rank.FULL) == pytest.approx((100.0 * 2 / 3) / staff_share)
     assert dist.chi_square("U1") is not None

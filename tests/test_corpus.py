@@ -93,10 +93,10 @@ def test_row_access_builds_only_the_rows_asked_for(built):
 def test_record_columns_build_the_rows_asked_for():
     corpus = generate(SynthConfig(seed=5, n_uda=2, sds_per_uda=2))
     table = compute_indicators(corpus, build_baselines(corpus))
-    records = table.values()
-    assert table[records[-1].scientist_id] == records[-1]
+    records = list(table)
+    assert table[corpus.scientist_index[records[-1].scientist_id]] == records[-1]
     assert any(r.qi is None for r in records)
-    for column in (sds_percentiles(table, Indicator.QI, corpus), top_scientists(table, Indicator.FSS, corpus)):
+    for column in (table, sds_percentiles(table, Indicator.QI, corpus), top_scientists(table, Indicator.FSS, corpus)):
         rows = list(column)
         assert len(rows) == len(column)
         assert column[-1] == rows[-1] and column[3:9] == rows[3:9]
@@ -197,11 +197,11 @@ def test_jsonl_and_csv_load_identically(tmp_path):
 def test_mean_age_reference_year(tiny_corpus):
     summary = roster_summary(tiny_corpus, reference_year=2009)
     # birth years 1949 and 1957 -> ages 60 and 52 -> mean 56
-    assert summary.mean_age("U1") == pytest.approx(56.0)
-    assert summary.mean_age("U1", Rank.FULL) == pytest.approx(60.0)
+    assert summary.cell("U1").mean_age == pytest.approx(56.0)
+    assert summary.cell("U1", Rank.FULL).mean_age == pytest.approx(60.0)
     # scientist without birth year only counts toward headcounts
-    assert summary.headcount("U1", Rank.ASSOCIATE) == 1
-    assert summary.mean_age("U1", Rank.ASSOCIATE) is None
+    assert summary.cell("U1", Rank.ASSOCIATE).headcount == 1
+    assert summary.cell("U1", Rank.ASSOCIATE).mean_age is None
 
 
 def test_reference_year_defaults_to_snapshot(tiny_corpus):
@@ -215,13 +215,13 @@ def test_reference_year_before_a_birth_year_is_rejected(tiny_corpus):
         roster_summary(tiny_corpus, reference_year=1950)
     with pytest.raises(ValueError, match="birth year 1949 of scientist 'A1'"):
         roster_summary(tiny_corpus, reference_year=1900)
-    assert roster_summary(tiny_corpus, reference_year=1957).mean_age("U1", Rank.ASSISTANT) == 0
+    assert roster_summary(tiny_corpus, reference_year=1957).cell("U1", Rank.ASSISTANT).mean_age == 0
 
 
 def test_single_scientist_share():
     corpus = single_author_corpus([("X", "S1", "U1", "FULL", [1])])
     summary = roster_summary(corpus)
-    assert summary.share("U1", Rank.FULL) == pytest.approx(100.0)
+    assert summary.percent("headcount", "U1", Rank.FULL) == pytest.approx(100.0)
     assert summary.sds_counts == {"U1": 1}
 
 
@@ -234,7 +234,7 @@ def test_shares_sum_to_100_within_rounding():
     corpus = generate(SynthConfig(seed=7, n_uda=4, sds_per_uda=2))
     summary = roster_summary(corpus)
     for uda in summary.udas:
-        total = sum(round(summary.share(uda, r), 1) for r in Rank)
+        total = sum(round(summary.percent("headcount", uda, r), 1) for r in Rank)
         assert abs(total - 100.0) <= 0.1 + 1e-9
 
 
@@ -339,7 +339,7 @@ def test_citation_active_never_exceeds_publication_active():
     from rankmetrics import build_baselines, compute_indicators
 
     records = compute_indicators(corpus, build_baselines(corpus))
-    table = activity_rates(corpus, records.values())
+    table = activity_rates(corpus, records)
     for (uda, rank), cell in table.cells.items():
         assert cell.citation_active <= cell.publication_active <= cell.headcount
 
@@ -369,7 +369,7 @@ def test_grid_marginals_pool_their_cells():
     records = compute_indicators(corpus, build_baselines(corpus))
     grids = [
         roster_summary(corpus),
-        activity_rates(corpus, records.values()),
+        activity_rates(corpus, records),
         uda_rank_average(sds_percentiles(records, Indicator.QI, corpus), corpus),
         top_distribution(top_scientists(records, Indicator.FSS, corpus), corpus),
     ]

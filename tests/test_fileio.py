@@ -223,15 +223,14 @@ indicator_values = st.tuples(st.just(0), st.none(), st.just(0.0)) | st.tuples(
 @given(st.dictionaries(ids, indicator_values, max_size=8))
 def test_indicators_round_trip_bitwise(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("ind") / "indicators.csv"
-    records = {sid: IndicatorRecord(sid, n_p, qi, fss) for sid, (n_p, qi, fss) in rows.items()}
+    records = [IndicatorRecord(sid, n_p, qi, fss) for sid, (n_p, qi, fss) in rows.items()]
     roster = load_corpus(
         [{"scientist_id": sid, "sds_code": "S1", "uda_code": "U1", "rank": "FULL"} for sid in rows], [], []
     )
     loaded = read_indicators(write_indicators(records, path), roster)
-    assert list(loaded) == list(records)
-    assert {sid: (r.n_p, _bits(r.qi), _bits(r.fss)) for sid, r in loaded.items()} == {
-        sid: (n_p, _bits(qi), _bits(fss)) for sid, (n_p, qi, fss) in rows.items()
-    }
+    assert [(r.scientist_id, r.n_p, _bits(r.qi), _bits(r.fss)) for r in loaded] == [
+        (sid, n_p, _bits(qi), _bits(fss)) for sid, (n_p, qi, fss) in rows.items()
+    ]
 
 
 @settings(max_examples=60, deadline=None)

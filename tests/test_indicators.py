@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from rankmetrics import (
     IndicatorRecord,
-    WeightScheme,
     build_baselines,
     coauthor_weights,
     compute_indicators,
@@ -22,15 +21,11 @@ from rankmetrics.baseline import BaselineCell, BaselineTable
 from conftest import indicator_table, single_author_corpus
 from oracle import byline_case_flags
 
-POSITIONAL = WeightScheme.POSITIONAL
-EQUAL = WeightScheme.EQUAL
-
-
 # ---------------------------------------------------------------------------
 # Weight vectors
 
 def test_case_a_five_authors():
-    w = coauthor_weights(5, POSITIONAL, first_last_same=True)
+    w = coauthor_weights(5, first_last_same=True)
     assert w[0] == pytest.approx(0.40, abs=1e-12)
     assert w[4] == pytest.approx(0.40, abs=1e-12)
     for i in (1, 2, 3):
@@ -38,32 +33,31 @@ def test_case_a_five_authors():
 
 
 def test_case_b_six_authors():
-    w = coauthor_weights(6, POSITIONAL, boundary_pairs_differ=True)
+    w = coauthor_weights(6, boundary_pairs_differ=True)
     assert w == pytest.approx([0.30, 0.15, 0.05, 0.05, 0.15, 0.30], abs=1e-12)
 
 
 def test_sole_author():
-    for scheme in (EQUAL, POSITIONAL):
-        assert coauthor_weights(1, scheme, first_last_same=True) == [1.0]
+    assert coauthor_weights(1) == coauthor_weights(1, first_last_same=True) == [1.0]
 
 
 def test_equal_four_authors():
-    assert coauthor_weights(4, EQUAL) == [0.25, 0.25, 0.25, 0.25]
+    assert coauthor_weights(4) == [0.25, 0.25, 0.25, 0.25]
 
 
 def test_unrecognized_pattern_falls_back_to_equal():
-    assert coauthor_weights(5, POSITIONAL) == [0.2] * 5
+    assert coauthor_weights(5) == [0.2] * 5
 
 
 def test_overlapping_roles_renormalize():
     # first and last share the 0.40+0.40 for n=2 under case A
-    assert coauthor_weights(2, POSITIONAL, first_last_same=True) == pytest.approx([0.5, 0.5])
+    assert coauthor_weights(2, first_last_same=True) == pytest.approx([0.5, 0.5])
     # case B with n=2: (0.30+0.15) each, renormalized
-    assert coauthor_weights(2, POSITIONAL, boundary_pairs_differ=True) == pytest.approx([0.5, 0.5])
+    assert coauthor_weights(2, boundary_pairs_differ=True) == pytest.approx([0.5, 0.5])
     # case B with n=3: middle holds both 15% roles
-    assert coauthor_weights(3, POSITIONAL, boundary_pairs_differ=True) == pytest.approx([1 / 3] * 3)
+    assert coauthor_weights(3, boundary_pairs_differ=True) == pytest.approx([1 / 3] * 3)
     # case B with n=4: no remainder group, renormalized 0.9 -> 1
-    assert coauthor_weights(4, POSITIONAL, boundary_pairs_differ=True) == pytest.approx(
+    assert coauthor_weights(4, boundary_pairs_differ=True) == pytest.approx(
         [1 / 3, 1 / 6, 1 / 6, 1 / 3]
     )
 
@@ -80,14 +74,13 @@ def test_weights_sum_to_one_all_cases():
             dict(first_last_same=True),
             dict(boundary_pairs_differ=True),
         ):
-            for scheme in (EQUAL, POSITIONAL):
-                total = math.fsum(coauthor_weights(n, scheme, **kwargs))
-                assert abs(total - 1.0) < 1e-12
+            total = math.fsum(coauthor_weights(n, **kwargs))
+            assert abs(total - 1.0) < 1e-12
 
 
 @given(st.integers(1, 50), st.booleans(), st.booleans())
 def test_weights_sum_property(n, same, differ):
-    w = coauthor_weights(n, POSITIONAL, first_last_same=same, boundary_pairs_differ=differ)
+    w = coauthor_weights(n, first_last_same=same, boundary_pairs_differ=differ)
     assert abs(math.fsum(w) - 1.0) < 1e-12
     assert all(x >= 0 for x in w)
 
@@ -107,9 +100,10 @@ def _check_flags(*cases):
     corpus = _corpus(pubs, scientists)
     table = compute_indicators(corpus, BaselineTable([BaselineCell(2005, "C1", 2.0, 2.0, 1)]), ["U1"])
     for p, (affiliations, (same, differ)) in enumerate(cases):
-        credit = [table[f"P{p}-{position}"].fss for position in range(1, len(affiliations) + 1)]
+        credit = [table[corpus.scientist_index[f"P{p}-{position}"]].fss
+                  for position in range(1, len(affiliations) + 1)]
         n = len(affiliations)
-        assert credit == coauthor_weights(n, POSITIONAL, first_last_same=same, boundary_pairs_differ=differ)
+        assert credit == coauthor_weights(n, first_last_same=same, boundary_pairs_differ=differ)
         assert byline_case_flags(affiliations) == (same, differ)
 
 
@@ -176,7 +170,7 @@ def test_inactive_scientist():
         scientists=[("X", "S1", "U1", "FULL"), ("lazy", "S1", "U1", "FULL")],
     )
     records = compute_indicators(corpus, build_baselines(corpus))
-    rec = records["lazy"]
+    rec = records[corpus.scientist_index["lazy"]]
     assert (rec.n_p, rec.qi, rec.fss) == (0, None, 0.0)
 
 
@@ -190,7 +184,7 @@ def test_sole_author_indicators():
         ]
     )
     records = compute_indicators(corpus, build_baselines(corpus))
-    rec = records["X"]
+    rec = records[corpus.scientist_index["X"]]
     assert rec.n_p == 1
     assert rec.qi == pytest.approx(3.0)
     assert rec.fss == pytest.approx(3.0)  # sole author carries weight 1
@@ -207,7 +201,7 @@ def test_two_publication_example():
         ]
     )
     baselines = BaselineTable([BaselineCell(2005, "C1", 2.0, 2.0, 2)])
-    rec = compute_indicators(corpus, baselines)["X"]
+    rec = compute_indicators(corpus, baselines)[corpus.scientist_index["X"]]
     assert rec.n_p == 2
     assert rec.qi == pytest.approx(3.0)  # mean(2.0, 4.0)
     assert rec.fss == pytest.approx(2.0)  # 2.0/2 + 4.0/4
@@ -217,8 +211,9 @@ def test_positional_scheme_only_for_configured_udas():
     byline = [(1, "X", "U1"), (2, None, "U2"), (3, None, "U3"), (4, None, "U1")]
     corpus = _corpus([("P1", 5, [(1, "X", "U1"), (2, None, "U2"), (3, None, "U3"), (4, None, "U1")])])
     baselines = build_baselines(corpus)
-    equal = compute_indicators(corpus, baselines)["X"]
-    positional = compute_indicators(corpus, baselines, positional_udas=["U1"])["X"]
+    row = corpus.scientist_index["X"]
+    equal = compute_indicators(corpus, baselines)[row]
+    positional = compute_indicators(corpus, baselines, positional_udas=["U1"])[row]
     score = equal.fss * 4  # equal weight was 1/4
     assert positional.fss == pytest.approx(score * 0.40)  # first author, case A
     assert positional.qi == equal.qi  # qi ignores weights
@@ -232,8 +227,8 @@ def test_fss_conservation_across_byline():
     baselines = build_baselines(corpus)
     for udas in ((), ("U1",)):
         records = compute_indicators(corpus, baselines, positional_udas=udas)
-        total = sum(records[f"A{i}"].fss for i in range(1, 6))
-        score = records["A1"].qi  # single publication: qi equals its score
+        total = sum(records[corpus.scientist_index[f"A{i}"]].fss for i in range(1, 6))
+        score = records[corpus.scientist_index["A1"]].qi  # single publication: qi equals its score
         assert abs(total - score) < 1e-12
 
 
@@ -247,8 +242,9 @@ def test_fss_invariant_under_middle_permutation_case_a():
     b = compute_indicators(
         (c := _corpus([("P1", 9, swapped)], scientists=scientists)), build_baselines(c), ["U1"]
     )
-    for sid in ("A1", "A2", "A3", "A4", "A5"):
-        assert a[sid].fss == pytest.approx(b[sid].fss, abs=1e-12)
+    for sid in ("A1", "A2", "A3", "A4", "A5"):  # both rosters in the order of ``scientists``
+        row = c.scientist_index[sid]
+        assert a[row].fss == pytest.approx(b[row].fss, abs=1e-12)
 
 
 def test_equal_scheme_sole_authored_identity():
@@ -256,18 +252,15 @@ def test_equal_scheme_sole_authored_identity():
         [("P1", 2, [(1, "X", "U1")]), ("P2", 2, [(1, "X", "U1")])],
         scientists=[("X", "S1", "U1", "FULL")],
     )
-    rec = compute_indicators(corpus, build_baselines(corpus))["X"]
+    rec = compute_indicators(corpus, build_baselines(corpus))[corpus.scientist_index["X"]]
     assert rec.fss == pytest.approx(rec.n_p * rec.qi)
 
 
 def test_export_import_round_trip(tmp_path):
-    records = {
-        "X": IndicatorRecord("X", 3, 1.25, 0.75),
-        "idle": IndicatorRecord("idle", 0, None, 0.0),
-    }
+    records = [IndicatorRecord("X", 3, 1.25, 0.75), IndicatorRecord("idle", 0, None, 0.0)]
     path = write_indicators(records, tmp_path / "indicators.csv")
     loaded = read_indicators(path, _roster("idle", "X"))
-    assert loaded == records
+    assert list(loaded) == records[::-1]
     assert (loaded.n_p.tolist(), loaded.fss.tolist()) == ([0, 3], [0.0, 0.75])
     assert math.isnan(loaded.qi[0]) and loaded.qi[1] == 1.25
 
@@ -282,7 +275,7 @@ def test_indicators_without_authorships_are_floats(tmp_path):
     path = write_indicators(table, tmp_path / "indicators.csv")
     assert path.read_text().splitlines() == ["scientist_id,n_p,qi,fss", "A,0,,0.0", "B,0,,0.0"]
     loaded = read_indicators(path, corpus)
-    assert loaded.values() == table.values() == [("A", 0, None, 0.0), ("B", 0, None, 0.0)]
+    assert list(loaded) == list(table) == [("A", 0, None, 0.0), ("B", 0, None, 0.0)]
     for column in ("n_p", "qi", "fss"):
         assert getattr(loaded, column).dtype == getattr(table, column).dtype, column
 
@@ -294,7 +287,8 @@ def _roster(*ids):
 def test_read_indicators_must_cover_the_roster(tmp_path):
     path = tmp_path / "indicators.csv"
     path.write_text("scientist_id,n_p,qi,fss\nA,3,1.25,0.75\nghost,0,,0.0\nB,0,,0.0\n")
-    assert read_indicators(path, _roster("B", "A", "ghost"))["A"] == ("A", 3, 1.25, 0.75)
+    roster = _roster("B", "A", "ghost")
+    assert read_indicators(path, roster)[roster.scientist_index["A"]] == ("A", 3, 1.25, 0.75)
     with pytest.raises(ValueError) as info:
         read_indicators(path, _roster("A", "B", "C", "D"))
     assert str(info.value) == (
@@ -322,18 +316,16 @@ def test_rows_of_gives_each_id_its_roster_row():
     assert sorted(corpus.rows_of(corpus.scientist_ids).tolist()) == [0, 1, 2]
 
 
-def test_indicator_table_is_a_mapping_in_roster_order():
+def test_indicator_table_is_a_sequence_in_roster_order():
     corpus = _roster("B", "A", "C")
     records = [IndicatorRecord("A", 2, 0.5, 1.0), IndicatorRecord("C", 0, None, 0.0),
                IndicatorRecord("B", 1, 3.0, 3.0)]
     table = indicator_table(corpus, records)
-    assert list(table) == corpus.scientist_ids and len(table) == 3
-    assert [r.scientist_id for r in table.values()] == corpus.scientist_ids
-    assert dict(table) == {r.scientist_id: r for r in records}
-    assert table["C"] == ("C", 0, None, 0.0) and "C" in table
-    assert "ghost" not in table and table.get("ghost") is None
-    with pytest.raises(KeyError):
-        table["ghost"]
+    assert [r.scientist_id for r in table] == corpus.scientist_ids and len(table) == 3
+    assert list(table) == [records[2], records[0], records[1]] and table.values() is table
+    assert table[corpus.scientist_index["C"]] == ("C", 0, None, 0.0) and records[1] in table
+    with pytest.raises(IndexError):
+        table[len(table)]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -395,7 +387,7 @@ def test_read_indicators_names_the_first_inconsistent_row_across_chunks(tmp_path
 def test_read_indicators_strips_text(tmp_path):
     path = tmp_path / "indicators.csv"
     path.write_text("scientist_id,n_p,qi,fss\n A ,3, 1.25 ,0.75\nB, 0 , ,0.0\n")
-    assert read_indicators(path, _roster("A", "B")) == {
-        "A": IndicatorRecord("A", 3, 1.25, 0.75),
-        "B": IndicatorRecord("B", 0, None, 0.0),
-    }
+    assert list(read_indicators(path, _roster("A", "B"))) == [
+        IndicatorRecord("A", 3, 1.25, 0.75),
+        IndicatorRecord("B", 0, None, 0.0),
+    ]

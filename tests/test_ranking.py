@@ -223,7 +223,7 @@ def test_each_indicator_is_sorted_once_per_table(monkeypatch):
         dominance_counts(table, corpus, indicator)
     assert len(sorts) == 6
     # a new table of the same columns sorts again
-    dominance_counts(indicator_table(corpus, table.values()), corpus, Indicator.FSS)
+    dominance_counts(indicator_table(corpus, table), corpus, Indicator.FSS)
     assert len(sorts) == 8
 
 

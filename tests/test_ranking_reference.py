@@ -186,7 +186,7 @@ def _count_bits(counts):
 
 
 def _check_all(table, corpus, fractions=FRACTIONS):
-    records = table.values()
+    records = list(table)
     for indicator in INDICATORS:
         assert _percentile_bits(sds_percentiles(table, indicator, corpus)) == reference_percentiles(
             records, indicator, corpus
@@ -220,7 +220,7 @@ def test_generated_corpus_matches_reference(scored):
 
 def test_shuffled_records_match_reference(scored):
     corpus, table = scored
-    shuffled = list(table.values())
+    shuffled = list(table)
     random.Random(7).shuffle(shuffled)
     from_shuffled = indicator_table(corpus, shuffled)
     assert _column_bits(from_shuffled) == _column_bits(table)
@@ -354,7 +354,7 @@ def test_concentration_matches_reference_on_long_blocks(blocks, fractions, seed)
     actual = [
         (uda, rank, cell.gini.hex(), _hex(cell.bottom_top_ratio)) for (uda, rank), cell in grid.cells.items()
     ]
-    assert actual == reference_concentration(table.values(), corpus, Indicator.FSS, *fractions)
+    assert actual == reference_concentration(table, corpus, Indicator.FSS, *fractions)
 
 
 FIELD_VALUE = st.one_of(

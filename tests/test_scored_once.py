@@ -90,7 +90,7 @@ def test_sweep_on_one_baseline_table_matches_fresh_runs(corpus_1x, monkeypatch):
     baselines = build_baselines(corpus_1x)
     for udas in ((), corpus_1x.udas):
         table = compute_indicators(corpus_1x, baselines, udas)
-        activity = activity_rates(corpus_1x, table.values())
+        activity = activity_rates(corpus_1x, table)
         for top in TOP_FRACTIONS:
             fresh = compute_indicators(corpus_1x, build_baselines(corpus_1x), udas)
             fresh_activity = activity_rates(corpus_1x, fresh)
@@ -151,36 +151,34 @@ def test_a_scoring_that_raises_keeps_nothing(corpus_1x, monkeypatch):
     assert partial._scores == (None, None)
 
 
-def test_the_values_view_reads_rows_on_demand(corpus_1x):
+def test_the_table_reads_rows_on_demand(corpus_1x):
     table = compute_indicators(corpus_1x, build_baselines(corpus_1x))
-    view = table.values()
-    records = list(view)
-    assert view.mapping is table
-    assert len(view) == len(records) == len(corpus_1x.scientist_ids)
-    assert view == records and records == view and view == table.values()
-    assert view != records[:-1] and view != records[::-1]
-    assert view[-1] == records[-1] and view[-len(view)] == records[0]
-    assert view[3:9] == records[3:9] and view[::-7] == records[::-7]
-    assert list(reversed(view)) == records[::-1]
-    assert table[records[5].scientist_id] == records[5]
+    records = list(table)
+    assert table.values() is table
+    assert len(table) == len(records) == len(corpus_1x.scientist_ids)
+    assert table == tuple(records) and tuple(records) == table
+    assert table != tuple(records[:-1]) and table != tuple(records[::-1])
+    assert table[-1] == records[-1] and table[-len(table)] == records[0]
+    assert table[3:9] == records[3:9] and table[::-7] == records[::-7]
+    assert list(reversed(table)) == records[::-1]
+    assert table[corpus_1x.scientist_index[records[5].scientist_id]] == records[5]
     with pytest.raises(IndexError):
-        view[len(view)]
+        table[len(table)]
     with pytest.raises(TypeError):
-        view[0] = records[1]
+        table[0] = records[1]
     with pytest.raises(TypeError):
-        del view[0]
-    assert not hasattr(view, "sort")
+        del table[0]
+    assert not hasattr(table, "sort")
 
 
-def test_activity_is_the_same_from_the_table_or_its_view(corpus_1x):
+def test_activity_reads_only_a_table(corpus_1x):
     table = compute_indicators(corpus_1x, build_baselines(corpus_1x), corpus_1x.udas)
-    expected = activity_rates(corpus_1x, table.values()).cells
+    expected = activity_rates(corpus_1x, table).cells
     assert any(cell.citation_active < cell.headcount for cell in expected.values())
-    assert list(activity_rates(corpus_1x, table).cells.items()) == list(expected.items())
-    # records are not placed by id, not even a dict's view, which has a ``mapping`` too
-    for records in (list(table.values()), {r.scientist_id: r for r in table.values()}.values()):
-        with pytest.raises(TypeError, match=r"activity_rates needs an IndicatorTable or its values\(\)"):
-            activity_rates(corpus_1x, records)
+    # records are not placed by id: a list of them raises, as in the rankings
+    for consume in (lambda t: activity_rates(corpus_1x, t), lambda t: sds_percentiles(t, Indicator.FSS, corpus_1x)):
+        with pytest.raises(AttributeError, match="'list' object has no attribute 'bound_to'"):
+            consume(list(table))
 
 
 def test_activity_of_a_view_of_another_corpus_raises_as_other_consumers_do(corpus_1x):
@@ -189,10 +187,9 @@ def test_activity_of_a_view_of_another_corpus_raises_as_other_consumers_do(corpu
     table = compute_indicators(corpus_1x, build_baselines(corpus_1x))
     with pytest.raises(ValueError, match="IndicatorTable is bound to another corpus") as expected:
         sds_percentiles(table, Indicator.FSS, filtered)
-    for indicators in (table, table.values()):
-        with pytest.raises(ValueError) as got:
-            activity_rates(filtered, indicators)
-        assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError) as got:
+        activity_rates(filtered, table)
+    assert str(got.value) == str(expected.value)
 
 
 def _fsum_ratios(lengths, count, bottom_fraction, top_fraction):
