@@ -8,9 +8,9 @@ and the Pearson chi-square association test between excellence and rank.
 
 Every field's dominance comes from one pooled ranking of all fields, and the
 inequality measures of every (SDS, rank) block from one kernel: blocks of one
-length are gathered into one matrix, members in their given order, and each
-statistic is computed row-wise, so a block gets the same bits as it would
-alone. Dominance counts and the sorted concentration blocks are kept with
+length are gathered into one matrix of sorted rows, and each statistic is
+computed row-wise, so a block gets the same bits as it would alone, in any
+order. Dominance counts and the sorted concentration blocks are kept with
 their :class:`~.indicators.IndicatorTable` (see :mod:`.ranking`).
 """
 
@@ -98,7 +98,7 @@ def dominance_counts(
     """
     if group_a == group_b:
         raise ValueError(f"dominance needs two different rank groups, got {group_a.value} twice")
-    return table.bound_to(corpus).derived(
+    return IndicatorTable.bound(table, corpus).derived(
         ("dominance", indicator, group_a, group_b),
         lambda: _dominance(table, corpus, indicator, group_a, group_b),
     )
@@ -159,23 +159,22 @@ def _sorted_blocks(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray, na
     ``i`` whose ``n * sum`` is not finite, so every value computed from a
     block stays finite.
 
-    Blocks of one length ``n`` form one C-contiguous ``(blocks, n)`` matrix,
-    members in their given order, so each row sums exactly as the 1-D
-    ``.sum()`` of its block.
+    Blocks of one length ``n`` form one ``(blocks, n)`` matrix of sorted
+    rows, so each block's total is the 1-D ``.sum()`` of its sorted values,
+    whatever the order of its members.
     """
     g = np.empty(len(sizes))
     lengths, overflow = [], []
     # not np.unique, which imports numpy.ma on first use (about 1.5 MB resident)
     for n in np.flatnonzero(np.bincount(sizes)).tolist():
         idx = np.flatnonzero(sizes == n)
-        m = values[starts[idx, None] + np.arange(n)]
+        xs = np.sort(values[starts[idx, None] + np.arange(n)], axis=1)
         with np.errstate(over="ignore"):
-            total = m.sum(axis=1)
+            total = xs.sum(axis=1)
             finite = np.isfinite(n * total)
         if not finite.all():
             overflow.append(idx[~finite][0])
             continue
-        xs = np.sort(m, axis=1)
         spread = (total != 0.0) & (xs[:, 0] != xs[:, -1])
         weighted = ((2.0 * np.arange(1, n + 1) - n - 1.0) * xs).sum(axis=1)
         gi = np.divide(weighted, n * total, out=np.zeros(len(idx)), where=spread)
@@ -299,8 +298,8 @@ def concentration_rows(
     of the ratio average; if every field's ratio is undefined the UDA ratio
     is None. Values must be finite and non-negative, and a field whose
     ``n * sum`` is not finite raises ValueError naming its SDS and rank.
-    Every field's values enter one kernel call in corpus row order, and each
-    cell adds its fields in SDS-code order through :func:`~.corpus.tally`.
+    Every field's values enter one kernel call, which sorts each block, and
+    each cell adds its fields in SDS-code order through :func:`~.corpus.tally`.
     The sorted blocks and the Gini columns are kept with the table; only the
     ratios are computed per call.
     """
@@ -340,7 +339,7 @@ class SpreadCell(NamedTuple):
 
 def _concentration_blocks(corpus: Corpus, rows: np.ndarray, values: np.ndarray) -> tuple:
     """The sorted blocks of :func:`concentration_rows`, one per (SDS, rank)
-    ordered by (UDA, rank, SDS code), members in row order; then each
+    ordered by (UDA, rank, SDS code), members sorted; then each
     block's Gini coefficient, headcount, UDA code and rank code, read-only."""
     names = corpus.sds_codes
     sds = corpus.scientist_sds[rows]
@@ -400,9 +399,9 @@ def top_distribution(
     """Distribution of flagged top scientists over ranks, with the association
     test between excellence and rank (per UDA and for the whole population).
     Flags of another indicator than ``indicator`` raise."""
-    if flags.indicator is not indicator:
+    if TopFlagColumn.bound(flags, corpus).indicator is not indicator:
         raise ValueError(f"top flags of {flags.indicator.label} given for {indicator.label}")
     top = np.zeros(len(corpus.scientist_ids), dtype=bool)
-    top[flags.bound_to(corpus).rows[flags.is_top]] = True
+    top[flags.rows[flags.is_top]] = True
     cells = tally(TopShareCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank, top, np.ones(len(top)))
     return TopDistribution(TopShareCell, cells, indicator=indicator)

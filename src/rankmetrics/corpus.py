@@ -1,8 +1,8 @@
 """Scientist / publication / authorship data model.
 
 A :class:`Corpus` holds each of its three tables as columns: one list or
-integer array per field, one entry per input row in file order, with a
-scientist's SDS, UDA and rank as integer codes. Loading types each input
+integer array per field, one entry per input row, with a scientist's
+SDS, UDA and rank as integer codes. Loading types each input
 table through one schema, a chunk of rows at a time as a file is read, and
 still names the first offending row; checks across rows and files run once
 on the typed columns. The corpus is immutable, so every operation here is a
@@ -248,7 +248,8 @@ class _WeaklyReferenced:  # as dataclass(weakref_slot=True), which needs Python 
 @dataclass(eq=False, repr=False, slots=True, kw_only=True)
 class Corpus(_WeaklyReferenced):
     """Validated, immutable collection of scientists, publications and
-    authorships, each table held as columns in input row order:
+    authorships as columns, publications in ``pub_id`` order and authorships
+    in (publication, position) order, whatever the order of the files:
 
     * the roster: ``scientist_ids`` (list of str; ``scientist_index`` maps an
       id to its row), int64 arrays ``scientist_sds`` (position in
@@ -265,9 +266,8 @@ class Corpus(_WeaklyReferenced):
       where the affiliation is missing.
 
     The constructor takes those columns by keyword and derives the rest:
-    ``scientist_index``; ``by_pub``, the authorship rows by (publication,
-    position), so publication ``p``'s byline is
-    ``by_pub[pub_start[p]:pub_start[p + 1]]``; and ``scientist_pub_count``,
+    ``scientist_index``; ``pub_start``, so publication ``p``'s byline is
+    rows ``pub_start[p]:pub_start[p + 1]``; and ``scientist_pub_count``,
     each scientist's number of authorships.
 
     Row objects exist only at the edge. :meth:`table` declares each input
@@ -278,7 +278,8 @@ class Corpus(_WeaklyReferenced):
     mappings; each builds only the rows indexed, sliced or looked up. Build a
     corpus with :func:`load_corpus`, which enforces the structural invariants
     (unique keys, one UDA per SDS, resolvable references, byline positions
-    covering ``1..author_count``); the constructor trusts its columns.
+    covering ``1..author_count``) and sets the row order; the constructor
+    trusts its columns.
     """
 
     scientist_ids: list[str]
@@ -301,16 +302,11 @@ class Corpus(_WeaklyReferenced):
     affiliations: Sequence[str]
     scientist_index: dict[str, int] = field(init=False)
     pub_start: np.ndarray = field(init=False)
-    by_pub: np.ndarray = field(init=False)
     scientist_pub_count: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.scientist_index = dict(zip(self.scientist_ids, range(len(self.scientist_ids))))
-        # Bylines cover 1..author_count, so each row's byline slot is known.
-        auth_pub = self.auth_pub
         self.pub_start = _start(self.pub_author_count)
-        self.by_pub = np.empty(len(auth_pub), dtype=np.int64)
-        self.by_pub[self.pub_start[auth_pub] + self.auth_position - 1] = np.arange(len(auth_pub))
         roster = self.auth_scientist[self.auth_scientist >= 0]
         self.scientist_pub_count = np.bincount(roster, minlength=len(self.scientist_ids))
 
@@ -382,11 +378,14 @@ class Corpus(_WeaklyReferenced):
 class CorpusColumns:
     """Columns over the rows of their ``corpus``, read as records only at the edge."""
 
-    def bound_to(self, corpus: Corpus):
-        """Self, bound to ``corpus``; columns of another corpus, as the unfiltered one, raise."""
-        if self.corpus is not corpus:
-            raise ValueError(f"{type(self).__name__} is bound to another corpus")
-        return self
+    @classmethod
+    def bound(cls, columns, corpus: Corpus):
+        """``columns``, a ``cls`` of ``corpus``: TypeError for another type, ValueError for another corpus."""
+        if not isinstance(columns, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(columns).__name__}")
+        if columns.corpus is not corpus:
+            raise ValueError(f"{cls.__name__} is bound to another corpus")
+        return columns
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +553,9 @@ def load_corpus(
     checks come first, table by table; then the checks across rows and
     files: duplicate scientists and an SDS in two UDAs, then duplicate
     publications and categories, then unknown references and repeated
-    bylines or authorships, then byline coverage.
+    bylines or authorships, then byline coverage. Only then, so that errors
+    name rows of the input, do publications move into ``pub_id`` order and
+    authorships into (publication, position) order, if they are not in it.
     """
     tables: dict[str, Records] = {}
     for source, table in (("scientists", scientist_records),
@@ -591,6 +592,13 @@ def load_corpus(
         problems.append((row, 1, f"publication '{pub_ids[row]}': duplicate subject category"))
     _raise_first(problems)
 
+    # Rows move into key order, publications by pub_id and authorships by
+    # (publication, position), once every check named its row in the files.
+    pubs, auth_key = slice(None), auth_pub
+    if any(map(operator.gt, pub_ids[:-1], pub_ids[1:])):
+        pubs = np.array(sorted(range(len(pub_ids)), key=pub_ids.__getitem__), dtype=np.int64)
+        auth_key = np.where(auth_pub < 0, auth_pub, np.argsort(pubs)[auth_pub])  # unknown: -2
+
     # A repeat among rows with an unknown publication follows the first of
     # them, whose unknown pub_id is reported instead; so only repeats of rows
     # that resolved count. Whole columns are sorted, so no subset is copied.
@@ -599,7 +607,10 @@ def load_corpus(
         row, text = unknown_pub
         problems.append((row, 0, f"authorship references unknown pub_id '{text}'"))
     linked = auth_pub >= 0
-    repeats = _repeats(stable_order(auth_pub, auth_position), auth_pub, auth_position)
+    auths = stable_order(auth_key, auth_position)
+    repeats = _repeats(auths, auth_key, auth_position)
+    # kept only if rows move: held to the end, it added 4 MB to the peak RSS of 536k authorships
+    auths = auths if (auths[1:] < auths[:-1]).any() else slice(None)
     repeats = repeats[linked[repeats]]
     if repeats.size:
         row = int(repeats.min())
@@ -643,16 +654,16 @@ def load_corpus(
         sds_codes=sds_codes,
         sds_uda=sds_uda,
         udas=udas,
-        pub_ids=pub_ids,
-        pub_year=pub_year,
-        pub_citations=pub_citations,
-        pub_author_count=pub_author_count,
-        pub_categories=pub_categories,
+        pub_ids=pub_ids if isinstance(pubs, slice) else list(map(pub_ids.__getitem__, pubs.tolist())),
+        pub_year=pub_year[pubs],
+        pub_citations=pub_citations[pubs],
+        pub_author_count=pub_author_count[pubs],
+        pub_categories=pub_categories[pubs],
         category_sets=category_sets,
-        auth_pub=auth_pub,
-        auth_scientist=auth_scientist,
-        auth_position=auth_position,
-        auth_affiliation=auth_affiliation,
+        auth_pub=auth_key[auths],
+        auth_scientist=auth_scientist[auths],
+        auth_position=auth_position[auths],
+        auth_affiliation=auth_affiliation[auths],
         affiliations=affiliations,
     )
 
@@ -802,11 +813,11 @@ def load_snapshot(path, sources: Sequence) -> Corpus | None:
 
 @dataclass(frozen=True)
 class Grid:
-    """One cell of a tuple type per (UDA, rank), in order of first appearance.
+    """One cell of a tuple type per (UDA, rank), in (UDA, rank) order.
 
     :meth:`cell` pools cells field by field for a UDA, a rank or the whole
-    grid, adding them in grid order, so a pooled float total is the same
-    sequence of additions on every run, once: later lookups are dict reads.
+    grid, adding them in that order, so a pooled float total follows no row
+    order, once: later lookups are dict reads.
     """
 
     cell_type: type
@@ -840,20 +851,20 @@ def tally(
     cell_type: type, udas: Sequence[str], uda: np.ndarray, rank: np.ndarray, *columns
 ) -> Mapping:
     """Sum per-row ``columns``, one per field of ``cell_type``, into one cell
-    per distinct (UDA, rank) of the rows, in order of first appearance.
+    per distinct (UDA, rank) of the rows, in (UDA, rank) order.
 
     ``uda`` and ``rank`` are each row's position in ``udas`` and in
-    :data:`RANKS`. Each cell adds its rows in row order, as a loop over the
-    rows would; a field is cast to the type of its default. Read-only.
+    :data:`RANKS`. Each cell adds its rows in the order given, so a float
+    column is passed in an order of the data, not of a file; a field is
+    cast to the type of its default. Read-only.
     """
     key = uda * len(RANKS) + rank
-    distinct, first = np.unique(key, return_index=True)
     sums = [np.bincount(key, weights=column).tolist() for column in columns]
     casts = [type(default) for default in cell_type._field_defaults.values()]
     return MappingProxyType({
         (udas[k // len(RANKS)], RANKS[k % len(RANKS)]):
             cell_type(*(cast(total[k]) for cast, total in zip(casts, sums)))
-        for k in distinct[np.argsort(first)].tolist()
+        for k in np.unique(key).tolist()
     })
 
 
@@ -1003,7 +1014,8 @@ def activity_rates(corpus: Corpus, indicators: IndicatorTable) -> Grid:
     """Per UDA and rank: how many scientists published at all, and how many
     accumulated any citation impact (positive fractional strength), read from
     ``indicators``, an :class:`~.indicators.IndicatorTable` bound to ``corpus``."""
-    table = indicators.bound_to(corpus)
+    from .indicators import IndicatorTable
+    table = IndicatorTable.bound(indicators, corpus)
     cells = tally(ActivityCell, corpus.udas, corpus.scientist_uda, corpus.scientist_rank,
                   np.ones(len(table)), table.n_p >= 1, table.fss > 0)
     return Grid(ActivityCell, cells)

@@ -135,7 +135,7 @@ def _byline_flags(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     start, end = corpus.pub_start[:-1], corpus.pub_start[1:]
     multi = n >= 2
     first, second, penult, last = (
-        corpus.auth_affiliation[corpus.by_pub[slot]]
+        corpus.auth_affiliation[slot]
         for slot in (start, np.where(multi, start + 1, start), np.where(multi, end - 2, start), end - 1)
     )
     same = multi & (first >= 0) & (first == last)
@@ -236,8 +236,9 @@ def compute_indicators(
     ``positional_udas`` lists the disciplines whose scientists receive
     positional co-author weights; everyone else uses uniform weights. Each
     scientist's credit is read from the weight vector of their own
-    discipline's scheme. Sums run over each scientist's authorships in file
-    order, so results are the same float for float as a row-by-row loop.
+    discipline's scheme. Sums run over each scientist's authorships in
+    ``pub_id`` order, whatever the order of the files, so results are the
+    same float for float as a row-by-row loop.
     """
     positional = frozenset(positional_udas)
     n_scientists = len(corpus.scientist_ids)

@@ -93,15 +93,20 @@ class _RankedColumn(CorpusColumns, RowView):
 
 
 class PercentileColumn(_RankedColumn):
-    """SDS percentiles of one indicator (see :func:`sds_percentiles`), and
-    their :func:`uda_rank_average` as ``average``, built with the column."""
+    """SDS percentiles of one indicator (see :func:`sds_percentiles`) from its
+    ``ranking``, and their :func:`uda_rank_average` as ``average``, built with
+    the column: each cell adds its percentiles in the ranking's (SDS, value)
+    order, where tied rows hold equal percentiles."""
 
     record = PercentileRecord
 
-    def __init__(self, corpus: Corpus, indicator: Indicator, rows: np.ndarray, percentile: np.ndarray):
+    def __init__(self, corpus: Corpus, indicator: Indicator, ranking: SdsRanking):
+        rows, percentile = _read_only(ranking.rows[ranking.out], ranking.percentile[ranking.out])
         sds, rank = corpus.scientist_sds[rows], corpus.scientist_rank[rows]
         super().__init__(corpus, indicator, rows, percentile, (sds, corpus.sds_codes), (rank, RANKS))
-        cells = tally(MeanCell, corpus.udas, corpus.sds_uda[sds], rank, percentile, np.ones(len(rows)))
+        order = ranking.order
+        cells = tally(MeanCell, corpus.udas, corpus.sds_uda[ranking.sds[order]],
+                      corpus.scientist_rank[ranking.rows[order]], ranking.percentile[order], np.ones(len(order)))
         self.average = PercentileTable(MeanCell, cells, indicator=indicator)
 
 
@@ -129,7 +134,7 @@ def ranked_population(
     """``(rows, values)``: the corpus scientist rows in ``indicator``'s
     ranking population, ascending, and their values. QI ranks only the
     scientists with a value; N_p and FSS rank every scientist."""
-    values = getattr(table.bound_to(corpus), indicator.value)
+    values = getattr(IndicatorTable.bound(table, corpus), indicator.value)
     rows = np.flatnonzero(~np.isnan(values)) if indicator is Indicator.QI else np.arange(len(values))
     return rows, values[rows].astype(float)
 
@@ -177,7 +182,7 @@ def sds_ranking(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> 
         pct[n == 1] = 100.0
         return SdsRanking(*_read_only(rows, sds, values, order, midrank, size, start, stable_order(sds), pct))
 
-    return table.bound_to(corpus).derived(("ranking", indicator), build)
+    return IndicatorTable.bound(table, corpus).derived(("ranking", indicator), build)
 
 
 def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus) -> PercentileColumn:
@@ -192,11 +197,9 @@ def sds_percentiles(table: IndicatorTable, indicator: Indicator, corpus: Corpus)
     """
 
     def build() -> PercentileColumn:
-        ranking = sds_ranking(table, indicator, corpus)
-        out = ranking.out
-        return PercentileColumn(corpus, indicator, *_read_only(ranking.rows[out], ranking.percentile[out]))
+        return PercentileColumn(corpus, indicator, sds_ranking(table, indicator, corpus))
 
-    return table.bound_to(corpus).derived(("percentiles", indicator), build)
+    return IndicatorTable.bound(table, corpus).derived(("percentiles", indicator), build)
 
 
 class MeanCell(NamedTuple):
@@ -221,7 +224,7 @@ class PercentileTable(Grid):
 def uda_rank_average(percentiles: PercentileColumn, corpus: Corpus) -> PercentileTable:
     """Average the SDS percentiles over every UDA x rank group; a percentile
     counts in the group of its scientist's row in ``corpus``. Computed with the column."""
-    if not len(percentiles.bound_to(corpus)):
+    if not len(PercentileColumn.bound(percentiles, corpus)):
         raise ValueError("no percentile records")
     return percentiles.average
 

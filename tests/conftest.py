@@ -151,7 +151,7 @@ def authorships_by_pub(corpus) -> dict:
 
 
 def authorships_by_scientist(corpus) -> dict:
-    """Each publishing roster scientist's authorships, in file order."""
+    """Each publishing roster scientist's authorships, in corpus row order (by publication, then position)."""
     rows = defaultdict(list)
     for auth in corpus.authorships:
         if auth.scientist_id is not None:

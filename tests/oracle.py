@@ -85,10 +85,10 @@ def reference_gini(values) -> float:
         raise ValueError("gini requires at least one value")
     if np.any(x < 0):
         raise ValueError("gini requires non-negative values")
-    total = float(x.sum())
+    xs = np.sort(x)
+    total = float(xs.sum())
     if total == 0.0:
         return 0.0
-    xs = np.sort(x)
     if xs[0] == xs[-1]:
         return 0.0
     n = x.size

@@ -471,6 +471,22 @@ def test_row_errors_come_before_reference_errors():
     assert _load_error(scientists, publications, authorships) == "duplicate scientist_id 'A1'"
 
 
+def test_rows_move_into_key_order_after_the_checks_name_rows_of_the_input():
+    scientists, publications, authorships = tiny_rows()
+    expected = load_corpus(scientists, publications, authorships)
+    publications, authorships = publications[::-1], authorships[::-1]
+    corpus = load_corpus(scientists, publications, authorships)
+    assert corpus.pub_ids == ["P1", "P2"] and corpus.auth_position.tolist() == [1, 2, 1, 2]
+    for name in ("publications", "authorships"):
+        assert tuple(getattr(corpus, name)) == tuple(getattr(expected, name))
+    # of two incomplete bylines, the publication first in the file is named
+    authorships[0]["position"] = "3"  # P2's position 2
+    authorships[3]["position"] = "3"  # P1's position 1
+    assert _load_error(scientists, publications, authorships) == (
+        "pub_id 'P2': byline positions [1, 3] do not cover 1..2"
+    )
+
+
 def test_incomplete_byline_message_lists_positions():
     scientists, publications, authorships = tiny_rows()
     authorships[1]["position"] = "3"

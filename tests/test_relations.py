@@ -4,12 +4,17 @@ differ in one known direction moves its results only that way."""
 
 import csv
 import dataclasses
+import random
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from rankmetrics import Indicator, RunConfig, build_baselines, compute_indicators, run_pipeline, sds_percentiles
+from rankmetrics import (
+    RANKS, Indicator, RunConfig, build_baselines, compute_indicators, dominance_counts, run_pipeline,
+    sds_percentiles, write_bundle,
+)
 from rankmetrics.cli import main
+from rankmetrics.ranking import INDICATORS
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 
 #: The fields of each corpus file that hold an SDS, UDA, scientist or publication id.
@@ -133,3 +138,110 @@ def test_citations_raised_for_a_sole_roster_author_only_raise_their_fss(
         assert new_fss[others].tobytes() == fss[others].tobytes()
         assert new_fss[author] >= fss[author] and new_percentile[author] >= percentile[author]
         assert (new_percentile[others] <= percentile[others]).all()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_uda=st.integers(1, 3),
+    citation_mean=st.sampled_from([1.5, 6.0]),  # about a fifth of the cells at 1.5 have a zero median
+    positional=st.booleans(),
+    factor=st.sampled_from([2, 3, 7]),
+)
+@example(seed=3, n_uda=3, citation_mean=1.5, positional=True, factor=3)
+def test_scaled_citations_keep_fss_and_qi_where_every_cell_has_a_median(
+    seed, n_uda, citation_mean, positional, factor
+):
+    # Every citation count and every median scale by the factor exactly, so
+    # (k c) / (k m) rounds to the same float as c / m. A cell with a zero
+    # median divides by its mean, fsum(k c) / n, which is not exactly k times
+    # the rounded fsum(c) / n: its publications' authors are left out.
+    corpus = generate(SynthConfig(seed=seed, n_uda=n_uda, sds_per_uda=2, citation_mean=citation_mean))
+    scaled = dataclasses.replace(corpus, pub_citations=corpus.pub_citations * factor)
+    udas = corpus.udas[:1] if positional else ()
+    before, after = (compute_indicators(c, build_baselines(c), udas) for c in (corpus, scaled))
+    baselines = build_baselines(corpus)
+    fallback = np.array([
+        any(baselines.get(year, cat).median_citations == 0 for cat in corpus.category_sets[cats])
+        for year, cats in zip(corpus.pub_year.tolist(), corpus.pub_categories.tolist())
+    ], dtype=bool)
+    roster = corpus.auth_scientist >= 0
+    left_out = np.bincount(corpus.auth_scientist[roster], fallback[corpus.auth_pub[roster]],
+                           minlength=len(corpus.scientist_ids)) > 0
+    kept = ~left_out
+    assert (kept & (corpus.scientist_pub_count > 0)).any()
+    for column in ("fss", "qi"):
+        assert getattr(after, column)[kept].tobytes() == getattr(before, column)[kept].tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_uda=st.integers(1, 3),
+    sds_per_uda=st.integers(1, 3),
+    groups=st.permutations(RANKS).map(lambda ranks: ranks[:2]),
+)
+def test_swapped_groups_swap_their_distances(seed, n_uda, sds_per_uda, groups):
+    corpus = generate(SynthConfig(seed=seed, n_uda=n_uda, sds_per_uda=sds_per_uda))
+    table = compute_indicators(corpus, build_baselines(corpus), corpus.udas[:1])
+    a, b = groups
+    for indicator in INDICATORS:
+        ab, ba = dominance_counts(table, corpus, indicator, a, b), dominance_counts(table, corpus, indicator, b, a)
+        assert ab.sds_codes == ba.sds_codes and ab.excluded_sds == ba.excluded_sds
+        assert ab.r_diff_a.tobytes() == ba.r_diff_b.tobytes() and ab.r_diff_b.tobytes() == ba.r_diff_a.tobytes()
+        uda = [corpus.udas[corpus.sds_uda[corpus.sds_codes.index(code)]] for code in ab.sds_codes]
+        tied = ab.r_diff_a == ab.r_diff_b
+        assert list(ab.per_uda) == list(ba.per_uda)
+        for name, (b_wins, counted) in ab.per_uda.items():
+            a_wins, counted_too = ba.per_uda[name]
+            ties = sum(t for u, t in zip(uda, tied.tolist()) if u == name)
+            assert counted == counted_too == b_wins + a_wins + ties
+
+
+def _shuffle_rows(path, seed):
+    """Permute the data rows of the CSV file at ``path`` in place, its header first."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)
+    path.write_text(header + "".join(rows), encoding="utf-8")
+
+
+def _outputs(paths, positional, out):
+    """The bytes of the files of the ``indicators`` and ``rank`` commands and
+    of the report bundle, by name, and the raw rows of every report table.
+    The corpus snapshot is left out: it holds the digests of the files."""
+    args = [f"--{name}={path}" for name, path in paths.items()]
+    for command in ("indicators", "rank"):
+        assert main([command, *args, f"--positional-udas={','.join(positional)}", f"--out={out / command}"]) == 0
+    bundle = run_pipeline(RunConfig(**paths, positional_udas=positional))
+    write_bundle(bundle, out / "report")
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file() and p.name != "corpus.npz"}
+    return files, {key: repr(table.rows) for key, table in bundle.tables.items()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_uda=st.integers(1, 3),
+    sds_per_uda=st.integers(1, 2),
+    shuffled=st.sampled_from([("scientists",), ("publications",), ("authorships",),
+                              ("scientists", "publications", "authorships")]),
+    order=st.integers(0, 2**32),
+)
+@example(seed=3, n_uda=3, sds_per_uda=2, shuffled=("authorships",), order=1)
+@example(seed=3, n_uda=3, sds_per_uda=2, shuffled=("scientists",), order=1)
+@example(seed=7, n_uda=3, sds_per_uda=2, shuffled=("scientists", "publications", "authorships"), order=2)
+def test_permuted_rows_give_the_same_results(tmp_path_factory, seed, n_uda, sds_per_uda, shuffled, order):
+    # the shuffled files are written to the same paths, so even config_sha256 is unchanged
+    root = tmp_path_factory.mktemp("permuted")
+    corpus = generate(SynthConfig(seed=seed, n_uda=n_uda, sds_per_uda=sds_per_uda))
+    paths = write_corpus_csv(corpus, root / "input")
+    positional = corpus.udas[:1]
+    before = _outputs(paths, positional, root / "before")
+    for name in shuffled:
+        _shuffle_rows(paths[name], order)
+    after = _outputs(paths, positional, root / "after")
+    assert sorted(after[0]) == sorted(before[0])
+    for name, content in before[0].items():
+        assert after[0][name] == content, f"{name} differs after shuffling {', '.join(shuffled)}"
+    assert [key for key, rows in before[1].items() if after[1][key] != rows] == []

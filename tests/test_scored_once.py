@@ -175,10 +175,21 @@ def test_activity_reads_only_a_table(corpus_1x):
     table = compute_indicators(corpus_1x, build_baselines(corpus_1x), corpus_1x.udas)
     expected = activity_rates(corpus_1x, table).cells
     assert any(cell.citation_active < cell.headcount for cell in expected.values())
-    # records are not placed by id: a list of them raises, as in the rankings
-    for consume in (lambda t: activity_rates(corpus_1x, t), lambda t: sds_percentiles(t, Indicator.FSS, corpus_1x)):
-        with pytest.raises(AttributeError, match="'list' object has no attribute 'bound_to'"):
+    # records are not placed by id: a list of them raises, as in the rankings and analyses
+    for consume in (
+        lambda t: activity_rates(corpus_1x, t),
+        lambda t: sds_percentiles(t, Indicator.FSS, corpus_1x),
+        lambda t: top_scientists(t, Indicator.FSS, corpus_1x),
+        lambda t: dominance_counts(t, corpus_1x, Indicator.FSS),
+        lambda t: concentration_rows(t, corpus_1x),
+    ):
+        with pytest.raises(TypeError, match="^expected IndicatorTable, got list$"):
             consume(list(table))
+    flags = top_scientists(table, Indicator.FSS, corpus_1x)
+    with pytest.raises(TypeError, match="^expected TopFlagColumn, got list$"):
+        top_distribution(list(flags), corpus_1x)
+    with pytest.raises(TypeError, match="^expected PercentileColumn, got TopFlagColumn$"):
+        uda_rank_average(flags, corpus_1x)
 
 
 def test_activity_of_a_view_of_another_corpus_raises_as_other_consumers_do(corpus_1x):

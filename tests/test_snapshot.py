@@ -125,6 +125,22 @@ def test_snapshot_of_a_synthetic_corpus_reads_back(tmp_path):
     assert_same_corpus(load_snapshot(_save(paths, tmp_path), paths), load_corpus_files(*paths))
 
 
+def test_a_snapshot_in_file_order_reads_back_in_key_order(tmp_path):
+    # as written before the corpus held its rows in key order: publications
+    # out of pub_id order, bylines out of position order
+    paths = _write_rows(tmp_path / "in", "csv")
+    parsed = load_corpus_files(*paths)
+    last = len(parsed.pub_ids) - 1
+    unordered = dataclasses.replace(
+        parsed, pub_ids=parsed.pub_ids[::-1], auth_pub=(last - parsed.auth_pub)[::-1],
+        **{key: getattr(parsed, key)[::-1] for key in (
+            "pub_year", "pub_citations", "pub_author_count", "pub_categories",
+            "auth_scientist", "auth_position", "auth_affiliation")},
+    )
+    snapshot = save_snapshot(unordered, file_digests(paths), tmp_path / SNAPSHOT_NAME)
+    assert_same_corpus(load_snapshot(snapshot, paths), parsed)
+
+
 def test_typed_tables_are_read_by_field_name(tmp_path):
     paths = _write_rows(tmp_path / "in", "csv")
     tables = {}
@@ -411,13 +427,14 @@ def test_a_snapshot_breaking_a_cross_file_invariant_raises_as_load_corpus_does(t
     parsed = load_corpus_files(*paths)
     snapshot = _save(paths, tmp_path)
     # the external author of Pé0 moves to position 2, which Müller holds
+    row = int(np.flatnonzero((parsed.auth_pub == parsed.pub_ids.index("Pé0")) & (parsed.auth_scientist < 0))[0])
     position = parsed.auth_position.copy()
-    position[1] = 2
+    position[row] = 2
     _rewrite(snapshot, auth_position=position)
     with pytest.raises(CorpusError) as from_snapshot:
         load_snapshot(snapshot, paths)
     rows = [list(table) for table in (parsed.scientists, parsed.publications, parsed.authorships)]
-    rows[2][1] = dataclasses.replace(rows[2][1], position=2)
+    rows[2][row] = dataclasses.replace(rows[2][row], position=2)
     records = [[{key: value.value if hasattr(value, "value") else value
                  for key, value in dataclasses.asdict(row).items()} for row in table] for table in rows]
     with pytest.raises(CorpusError) as from_rows:
