@@ -500,7 +500,7 @@ class _Reference(Text):
             out = self._resolve(text)
             unknown = _first(out == -2)
             if self.unresolved is None and unknown is not None:
-                self.unresolved = (rows.offset + unknown, text[unknown])
+                self.unresolved = (rows.row(unknown), text[unknown])
         return out
 
     def join(self, parts: list) -> tuple[np.ndarray, tuple[int, str] | None]:

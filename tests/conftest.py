@@ -35,12 +35,17 @@ def tiny_rows():
     return scientists, publications, authorships
 
 
-@pytest.fixture(params=[fileio.CHUNK_ROWS, 1, 2, 3])
+@pytest.fixture(params=[(fileio.CHUNK_ROWS, fileio.BLOCK_BYTES), (1, 1), (2, 7), (3, 24)],
+                ids=lambda sizes: str(sizes[0]))
 def chunk_rows(request, monkeypatch):
-    """Run each case at the module's chunk size and at sizes that put chunk
-    boundaries between the interesting rows."""
-    monkeypatch.setattr(fileio, "CHUNK_ROWS", request.param)
-    return request.param
+    """Run each case at the module's chunk and block sizes, and at sizes that
+    put chunk boundaries, and the CSV fast path's block boundaries, between
+    the interesting rows, so that a file can switch from the fast path to the
+    csv module mid-file."""
+    rows, block = request.param
+    monkeypatch.setattr(fileio, "CHUNK_ROWS", rows)
+    monkeypatch.setattr(fileio, "BLOCK_BYTES", block)
+    return rows
 
 
 @pytest.fixture

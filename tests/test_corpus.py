@@ -516,7 +516,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
                 with path.open("w", encoding="utf-8", newline="") as fh:
                     fh.write(bom)
                     if suffix == "csv":
-                        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
                         writer.writeheader()
                         writer.writerows(rows)
                     else:
@@ -674,8 +674,9 @@ def _as_int(value):
 
 
 def _write_tables(tmp_path, rows_by_file, suffix: str) -> list:
-    """Write each table as CSV (a missing key empty) or JSON lines (integer
-    text as JSON numbers, a missing key absent)."""
+    """Write each table as CSV (a missing key empty; ``crlf.csv`` with CRLF
+    line ends, which the fast path leaves to the csv module) or JSON lines
+    (integer text as JSON numbers, a missing key absent)."""
     import csv
 
     if suffix == "jsonl":
@@ -689,7 +690,8 @@ def _write_tables(tmp_path, rows_by_file, suffix: str) -> list:
                 fh.write("".join(json.dumps(row) + "\n" for row in rows))
             else:
                 fields = list(dict.fromkeys(key for row in rows for key in row))
-                writer = csv.DictWriter(fh, fieldnames=fields)
+                writer = csv.DictWriter(fh, fieldnames=fields,
+                                        lineterminator="\r\n" if suffix == "crlf.csv" else "\n")
                 writer.writeheader()
                 writer.writerows(rows)
         paths.append(path)
@@ -706,7 +708,7 @@ def _rows_in(path) -> list:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+@pytest.mark.parametrize("suffix", ["csv", "crlf.csv", "jsonl"])
 @pytest.mark.parametrize("case", sorted(FILE_CASES))
 def test_file_errors_match_row_errors_at_every_chunk_size(case, suffix, chunk_rows, tmp_path):
     edits, message = FILE_CASES[case]
@@ -718,7 +720,7 @@ def test_file_errors_match_row_errors_at_every_chunk_size(case, suffix, chunk_ro
         assert str(info.value) == message  # typed JSON values are text in CSV
 
 
-@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+@pytest.mark.parametrize("suffix", ["csv", "crlf.csv", "jsonl"])
 def test_optional_keys_first_in_a_later_row_load_as_rows_do(suffix, chunk_rows, tmp_path):
     rows = tiny_rows()
     for row in rows[0][:2]:
