@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import Corpus, dense_codes, stable_order
-from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
+from .fileio import FieldParser, Number, Text, read_records, write_records
 
 __all__ = [
     "BaselineCell",
@@ -142,11 +142,11 @@ def read_baselines(path: str | Path) -> BaselineTable:
     count below 1, or repeating an earlier row's (year, category), fails
     naming the row."""
     schema = {
-        "year": Integer(),
+        "year": Number(),
         "category": Text(),
         "median": Number(float),
         "mean": Number(float),
-        "count": Integer(minimum=1),
+        "count": Number(minimum=1),
     }
     parser = FieldParser("baselines", schema, unique=("(year, category)", ("year", "category")))
     year, category, median, mean, count = read_records(path, parser).columns.values()

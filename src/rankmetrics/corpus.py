@@ -34,15 +34,14 @@ import numpy as np
 
 from .fileio import (
     Code,
-    Coded,
     FieldParser,
-    Integer,
+    Kind,
     Number,
     Records,
     Text,
     _clean,
-    _first,
     _first_repeat,
+    _Invalid,
     _text,
     read_records,
 )
@@ -424,53 +423,44 @@ class _Rows(FieldParser):
 _RANK_POSITION = {rank.value: i for i, rank in enumerate(RANKS)}
 
 
-class _Ranks(Coded):
+class _Ranks(Kind):
     """Kind: the rank as its position in :data:`RANKS`."""
 
-    def code(self, raw) -> int:
+    def value(self, raw) -> int:
         name = _text(raw)
-        return _RANK_POSITION.get(name.upper(), -2) if name else -1
-
-    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
-        out = super().__call__(rows, key, values)
-        bad = _first(out == -2)
-        if bad is not None:
-            name = _text(values[bad])
-            rows.fail(bad, f"rank must be one of FULL/ASSOCIATE/ASSISTANT, got {name!r}")
-        return out
+        if not name:
+            raise _Invalid("missing '{key}'")
+        position = _RANK_POSITION.get(name.upper())
+        if position is None:
+            raise _Invalid("rank must be one of FULL/ASSOCIATE/ASSISTANT, got {value!r}", value=name)
+        return position
 
 
-class _CategorySets(Coded):
-    """Kind: subject categories (``;``-separated text or a list) as codes of
-    the distinct category tuples, in order of first appearance; a row with
-    none fails. The column is the pair ``(codes, category tuples)``."""
-
-    memo_types = {*Coded.memo_types, tuple}
+class _CategorySets(Kind):
+    """Kind: subject categories (``;``-separated text, or a JSON list of
+    text or numbers) as codes of the distinct category tuples, in order of
+    first appearance; a row with none fails. The column is the pair
+    ``(codes, category tuples)``."""
 
     def __init__(self):
         self.sets: dict[tuple[str, ...], int] = {}
-        super().__init__()
 
-    def code(self, raw) -> int:
+    def value(self, raw) -> int:
+        if type(raw) is list and {str}.issuperset(map(type, raw)):
+            # a JSON list of text, memoized as a tuple of text; with a number
+            # in it, the key could equal another list's: (1,) == (True,)
+            return self.memo[tuple(raw)]
         value = _clean(raw)
         if value is None:
-            return -1
+            raise _Invalid("missing '{key}'")
         if isinstance(value, str):
-            cats = tuple(c.strip() for c in value.split(";") if c.strip())
-        else:
-            cats = tuple(str(c).strip() for c in value if str(c).strip())
+            value = value.split(";")
+        elif not isinstance(value, (list, tuple)) or not {list, dict}.isdisjoint(map(type, value)):
+            raise _Invalid("'{key}' must be text or a list of text, got {value!r}", value=raw)
+        cats = tuple(filter(None, map(str.strip, map(str, value))))
+        if not cats:
+            raise _Invalid("'{key}' must be non-empty")
         return self.sets.setdefault(cats, len(self.sets))
-
-    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
-        if list in set(map(type, values)):
-            # JSON lists as hashable tuples of text, so that the memo keeps
-            # [1] and [true] apart (1 == True)
-            values = [tuple(map(str, v)) if isinstance(v, list) else v for v in values]
-        out = super().__call__(rows, key, values)
-        empty = self.sets.get(())
-        if empty is not None and (row := _first(out == empty)) is not None:
-            rows.fail(row, f"'{key}' must be non-empty")
-        return out
 
     def join(self, parts: list) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
         return super().join(parts), tuple(self.sets)
@@ -498,9 +488,9 @@ class _Reference(Text):
         if out is None or (out == -2).any():  # stripped text, empty or unknown
             text = super().__call__(rows, key, values)
             out = self._resolve(text)
-            unknown = _first(out == -2)
-            if self.unresolved is None and unknown is not None:
-                self.unresolved = (rows.row(unknown), text[unknown])
+            unknown = np.flatnonzero(out == -2)
+            if self.unresolved is None and unknown.size:
+                self.unresolved = (rows.row(int(unknown[0])), text[unknown[0]])
         return out
 
     def join(self, parts: list) -> tuple[np.ndarray, tuple[int, str] | None]:
@@ -524,15 +514,15 @@ def _schema(source: str, scientists: Records | None = None,
         return _Rows(source, {
             "subject_categories": _CategorySets(),
             "pub_id": Text(),
-            "year": Integer(),
-            "citation_count": Integer(minimum=0),
-            "author_count": Integer(minimum=1),
+            "year": Number(),
+            "citation_count": Number(minimum=0),
+            "author_count": Number(minimum=1),
         })
     ids, pub_ids = scientists.columns["scientist_id"], publications.columns["pub_id"]
     external = {"": -1, None: -1}
     return _Rows(source, {
         "pub_id": _Reference(dict(zip(pub_ids, range(len(pub_ids))))),
-        "position": Integer(minimum=1),
+        "position": Number(minimum=1),
         "scientist_id": _Reference({**dict(zip(ids, range(len(ids)))), **external}, False),
         "affiliation_id": Code(required=False),
     })
@@ -576,8 +566,9 @@ def load_corpus(
     if len(set(ids)) < len(ids):
         raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)[0]]}'")
     first_uda = scientist_uda[np.unique(scientist_sds, return_index=True)[1]]  # per SDS code
-    row = _first(scientist_uda != first_uda[scientist_sds])
-    if row is not None:
+    mixed = np.flatnonzero(scientist_uda != first_uda[scientist_sds])
+    if mixed.size:
+        row = mixed[0]
         code = scientist_sds[row]
         raise CorpusError(f"SDS '{sds_names[code]}' mapped to both UDA "
                           f"'{uda_names[first_uda[code]]}' and '{uda_names[scientist_uda[row]]}'")
@@ -693,7 +684,7 @@ def load_corpus_files(scientists, publications, authorships) -> Corpus:
 SNAPSHOT_NAME = "corpus.npz"
 #: A snapshot of another format version is ignored. Raise it when the stored
 #: columns or the parse's row checks change, as a snapshot skips those checks.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def file_digests(paths: Iterable) -> list[str]:

@@ -14,8 +14,9 @@ through either:
 
 * the fast path reads :data:`BLOCK_BYTES` at a time, cut at the block's last
   line end, and finds the fields' bounds in numpy. Each column's distinct
-  values are found from their bytes; only they are decoded and typed, in
-  order of first appearance, and the typed values are gathered to the rows;
+  values are found exactly, by sorting the fields' 8-byte words; only they
+  are decoded and typed, in order of first appearance, and the typed values
+  are gathered to the rows;
 * the csv module reads the rest of a file, :data:`CHUNK_ROWS` rows at a time,
   from the first byte of the first block the fast path refuses: one with a
   double quote, a CR byte, a byte outside printable ASCII, a line without
@@ -34,14 +35,15 @@ import io
 import json
 import math
 from contextlib import closing
+from functools import cached_property
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_BYTES", "CHUNK_ROWS", "Code", "Coded", "FieldParser", "Integer", "Kind", "Number",
-           "Records", "Text", "read_records", "write_records"]
+__all__ = ["BLOCK_BYTES", "CHUNK_ROWS", "Code", "FieldParser", "Kind", "Number", "Records", "Text",
+           "read_records", "write_records"]
 
 #: Rows read, transposed and typed per step. A chunk's raw cells and row
 #: lists die young: loading the 10x benchmark corpus (686k rows) runs two
@@ -188,15 +190,6 @@ _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _hash(words: list[np.ndarray], length: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each field, from its 8-byte words and its length."""
-    h = length.astype(np.uint64)
-    for word in words:
-        h = (h ^ word) * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-    return h
-
-
 class _Distinct(NamedTuple):
     """One column of a block: its distinct raw values in order of first
     appearance, the row each first appears at, and each row's value."""
@@ -218,34 +211,26 @@ def _texts(block: np.ndarray, start: np.ndarray, length: np.ndarray) -> list[str
     return buffer[:-1].tobytes().decode("ascii").split(",")
 
 
-def _distinct(view: np.ndarray, block: np.ndarray, start: np.ndarray,
-              length: np.ndarray) -> _Distinct | None:
+def _distinct(view: np.ndarray, block: np.ndarray, start: np.ndarray, length: np.ndarray) -> _Distinct:
     """The distinct values of the fields of ``block`` at ``start`` of
-    ``length`` bytes; None on a hash collision. ``view[i]`` is the 8 bytes
-    from byte ``i`` of the block."""
+    ``length`` bytes. ``view[i]`` is the 8 bytes from byte ``i`` of the
+    block; a field's words, zero past its end, are its value, as a block
+    holds no NUL byte."""
     n = len(start)
-    words = [view[start] & _MASKS[np.minimum(length, 8)]]
-    for j in range(8, int(length.max()), 8):
-        words.append(view[start + j] & _MASKS[np.clip(length - j, 0, 8)])
-    # a field of up to 8 bytes, none of them NUL, is its word
-    key = words[0] if len(words) == 1 else _hash(words, length)
-    order = np.argsort(key)
-    sorted_key = key[order]
-    new = np.empty(n, dtype=bool)
+    words = [view[start + j] & _MASKS[np.clip(length - j, 0, 8)]
+             for j in range(0, max(int(length.max()), 1), 8)]
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    new = np.zeros(n, dtype=bool)
     new[:1] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    for word in words:  # a run of equal values breaks where any word differs
+        sorted_word = word[order]
+        new[1:] |= sorted_word[1:] != sorted_word[:-1]
     first_rows = np.minimum.reduceat(order, np.flatnonzero(new))  # each value's first row
     is_first = np.zeros(n, dtype=bool)
     is_first[first_rows] = True
     inverse = np.empty(n, dtype=np.int32)
     inverse[order] = (np.cumsum(is_first, dtype=np.int32) - 1)[first_rows][np.cumsum(new) - 1]
     first = np.flatnonzero(is_first)
-    if len(words) > 1:  # every word of every field equals its value's
-        same = length[first][inverse] == length
-        for word in words:
-            same &= word[first][inverse] == word
-        if not same.all():
-            return None
     return _Distinct(_texts(block, start[first], length[first]), first, inverse)
 
 
@@ -253,8 +238,7 @@ def _split_block(block: bytes, width: int, last: dict) -> Records | None:
     """The rows of ``block``, whole lines, as :class:`_Distinct` columns; None
     where the csv module could read a line otherwise (a quote, a CR byte, a
     byte outside printable ASCII, a line not of ``width`` fields, such as a
-    blank line), where a field is longer than the csv module's limit, or on
-    a hash collision."""
+    blank line), or where a field is longer than the csv module's limit."""
     if block.translate(None, _PLAIN):
         return None
     bytes_ = np.frombuffer(block, dtype=np.uint8)
@@ -273,13 +257,8 @@ def _split_block(block: bytes, width: int, last: dict) -> Records | None:
     # each field's words, read at its start + 8j, stay inside the zero padding
     padded = block + bytes(longest + 8)
     view = np.ndarray((len(block) + longest,), dtype="<u8", buffer=padded, strides=(1,))
-    columns = {}
-    for name, i in last.items():
-        column = _distinct(view, bytes_, start[i::width], length[i::width])
-        if column is None:
-            return None
-        columns[name] = column
-    return Records(columns, rows)
+    return Records({name: _distinct(view, bytes_, start[i::width], length[i::width])
+                    for name, i in last.items()}, rows)
 
 
 #: ``json.loads`` minus its per-call set-up: on a stripped line, a value
@@ -372,10 +351,14 @@ def write_records(path: str | Path, fieldnames: list[str], rows: Iterable[Sequen
 # Typed columns
 
 _INT64 = np.iinfo(np.int64)
-_KIND_NAMES = {int: "an integer", float: "a number"}
-# Raw value types a memo may key on: True == 1 == 1.0 would share an entry.
-_TEXT_TYPES = {str, type(None)}
-_INT_TYPES = {str, int, type(None)}
+
+
+class _Invalid(Exception):
+    """A raw value a kind refuses: the message ``template``, formatted with
+    the field's ``key`` and the ``fields`` given."""
+
+    def __init__(self, template: str, **fields):
+        self.template, self.fields = template, fields
 
 
 def _clean(value):
@@ -385,29 +368,12 @@ def _clean(value):
 
 
 def _text(raw) -> str:
-    """A raw value as stripped text, "" where it is empty."""
+    """A raw value as stripped text, "" where it is empty. A JSON number is
+    its text; a JSON list or object is refused."""
+    if isinstance(raw, (list, dict)):
+        raise _Invalid("'{key}' must be text, got {value!r}", value=raw)
     raw = _clean(raw)
     return "" if raw is None else str(raw)
-
-
-def _convert(kind: type, raw):
-    """``kind(raw)``, where text holds no underscore and no non-ASCII
-    character, which int() and float() would also read."""
-    if isinstance(raw, str) and ("_" in raw or not raw.isascii()):
-        raise ValueError(raw)
-    return kind(raw)
-
-
-def _int(raw) -> int | None:
-    """A raw str or int as an int, None where it is empty; OverflowError
-    outside 64 bits."""
-    raw = _clean(raw)
-    if raw is None:
-        return None
-    value = _convert(int, raw)
-    if not _INT64.min <= value <= _INT64.max:
-        raise OverflowError(value)
-    return value
 
 
 class _Memo(dict):
@@ -505,30 +471,6 @@ class FieldParser:
                 self.fail(i - self.offset, f"{name} {key!r} repeats row {first + 1}")
                 return
 
-    def number(self, index: int, raw, key: str, required: bool, kind: type):
-        """``raw`` as ``kind``: an int that fits in 64 bits, or a finite
-        float >= 0. None where it is empty or malformed; a bool is
-        malformed, and so is a float for an int, as ``kind()`` would
-        convert them silently."""
-        raw = _clean(raw)
-        if raw is None:
-            if required:
-                self.fail(index, f"missing '{key}'")
-            return None
-        try:
-            if isinstance(raw, (bool, float) if kind is int else bool):
-                raise TypeError
-            value = _convert(kind, raw)
-        except (TypeError, ValueError, OverflowError):
-            self.fail(index, f"'{key}' must be {_KIND_NAMES[kind]}, got {raw!r}")
-            return None
-        if kind is int and not _INT64.min <= value <= _INT64.max:
-            self.fail(index, f"'{key}' must fit in a 64-bit integer, got {value}")
-            return None
-        if kind is float and not 0 <= value < math.inf:
-            self.fail(index, f"'{key}' must be finite and >= 0, got {value!r}")
-        return value
-
 
 #: The most values a slab of a typed array column holds (see :class:`_Column`).
 _SLAB_VALUES = 1 << 17
@@ -580,16 +522,40 @@ def _take(values, rows: np.ndarray):
     return list(map(values.__getitem__, rows.tolist()))
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True in ``mask``, or None."""
-    return int(mask.argmax()) if mask.any() else None
-
-
 class Kind:
-    """How one field's raw values become typed: calling a kind with
-    ``(parser, key, values)`` types one chunk's values (``None`` where a row
-    lacks the field) and reports each failing row through
-    :meth:`FieldParser.fail`; :meth:`join` makes the column of the parts."""
+    """How one field's raw values become typed. :meth:`value` types one raw
+    value (``None`` where a row lacks the field) or raises
+    :class:`_Invalid`. Calling a kind with ``(parser, key, values)`` types
+    one chunk's values, through a memo by raw value where every value's
+    type is one of :attr:`memo_keys`; at the first value refused it reports
+    the value's row through :meth:`FieldParser.fail`, and the rest of the
+    chunk is 0 (None in a list). The chunk's column is an int64 array where
+    :attr:`array` is set, else a list; :meth:`join` makes the file's column
+    of the parts."""
+
+    #: Raw value types a memo may key on, or None for no memo. A float or
+    #: bool key would share an entry: True == 1 == 1.0, and -0.0 == 0.0.
+    memo_keys: frozenset | None = frozenset({str, type(None)})
+    array = True
+
+    def value(self, raw):
+        raise NotImplementedError
+
+    @cached_property
+    def memo(self) -> _Memo:
+        return _Memo(self.value)
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence):
+        value = self.value
+        if self.memo_keys is not None and set(map(type, values)) <= self.memo_keys:
+            value = self.memo.__getitem__
+        out = []
+        try:  # the values typed before a refusal stay in the list
+            out.extend(map(value, values))
+        except _Invalid as exc:
+            rows.fail(len(out), exc.template.format(key=key, **exc.fields))
+            out.extend(repeat(0 if self.array else None, len(values) - len(out)))
+        return np.array(out, dtype=np.int64) if self.array else out
 
     def join(self, parts: list):
         if isinstance(parts[0], np.ndarray):
@@ -599,98 +565,82 @@ class Kind:
 
 class Text(Kind):
     """Kind: stripped text, "" where the field is empty (a failure when
-    ``required``)."""
+    ``required``), as a list. Ids are unique, so no memo."""
+
+    memo_keys = None
+    array = False
 
     def __init__(self, required: bool = True):
         self.required = required
 
-    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list[str]:
-        try:
+    def value(self, raw) -> str:
+        text = _text(raw)
+        if not text and self.required:
+            raise _Invalid("missing '{key}'")
+        return text
+
+    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list:
+        try:  # raw text, stripped in bulk
             out = list(map(str.strip, values))
-        except TypeError:  # typed values: JSON numbers, null
-            out = list(map(_text, values))
-        if self.required and "" in out:
-            rows.fail(out.index(""), f"missing '{key}'")
+        except TypeError:  # typed values: JSON numbers, null, lists
+            out = None
+        if out is None or (self.required and "" in out):
+            out = super().__call__(rows, key, values)
         return out
-
-
-class Integer(Kind):
-    """Kind: a required integer as int64, at least ``minimum`` if given."""
-
-    def __init__(self, minimum: int | None = None):
-        self.minimum = minimum
-        self.memo = _Memo(_int)
-
-    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
-        try:  # int() strips whitespace itself, as the field cleaning does
-            if not set(map(type, values)) <= _INT_TYPES:
-                raise TypeError
-            array = np.fromiter(map(self.memo.__getitem__, values), np.int64, len(values))
-        except (TypeError, ValueError, OverflowError):  # None, bad text, floats, bools
-            parsed = [rows.number(i, v, key, True, int) for i, v in enumerate(values)]
-            array = np.array([0 if v is None else v for v in parsed], dtype=np.int64)
-        if self.minimum is not None:
-            low = _first(array < self.minimum)
-            if low is not None:
-                rows.fail(low, f"'{key}' must be >= {self.minimum}, got {int(array[low])}")
-        return array
 
 
 class Number(Kind):
-    """Kind: ``kind`` values (see :meth:`FieldParser.number`) as a list,
-    None where an optional field is empty."""
+    """Kind: a ``kind`` value: an int that fits in 64 bits, at least
+    ``minimum`` if given, or a finite float >= 0. Text must be ASCII and
+    hold no underscore, which int() and float() would also read; a bool is
+    malformed, and so is a float for an int, as ``kind()`` would convert
+    them silently. A required int is an int64 array; otherwise the column
+    is a list, None where an optional field is empty."""
 
-    def __init__(self, kind: type, required: bool = True):
-        self.kind, self.required = kind, required
-        self.memo = _Memo(_int)
+    def __init__(self, kind: type = int, required: bool = True, minimum: int | None = None):
+        self.kind, self.required, self.minimum = kind, required, minimum
+        self.array = kind is int and required
+        self.memo_keys = Kind.memo_keys | {int} if kind is int else None
 
-    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> list:
-        out = None
-        if self.kind is int and set(map(type, values)) <= _INT_TYPES:
-            try:
-                out = list(map(self.memo.__getitem__, values))
-            except (ValueError, OverflowError):
-                pass
-        if out is None or (self.required and None in out):
-            out = [rows.number(i, v, key, self.required, self.kind) for i, v in enumerate(values)]
-        return out
-
-
-class Coded(Kind):
-    """Kind: each value's :meth:`code` as int64, memoized by raw value;
-    code -1 means the field is empty (a failure when ``required``)."""
-
-    required = True
-    memo_types = _TEXT_TYPES
-
-    def __init__(self):
-        self.memo = _Memo(self.code)
-
-    def code(self, raw) -> int:
-        raise NotImplementedError
-
-    def __call__(self, rows: FieldParser, key: str, values: Sequence) -> np.ndarray:
-        code = self.memo.__getitem__ if set(map(type, values)) <= self.memo_types else self.code
-        out = np.fromiter(map(code, values), np.int64, len(values))
-        missing = _first(out == -1) if self.required else None
-        if missing is not None:
-            rows.fail(missing, f"missing '{key}'")
-        return out
+    def value(self, raw):
+        raw = _clean(raw)
+        if raw is None:
+            if self.required:
+                raise _Invalid("missing '{key}'")
+            return None
+        try:
+            if isinstance(raw, (bool, float) if self.kind is int else bool) or (
+                    isinstance(raw, str) and ("_" in raw or not raw.isascii())):
+                raise ValueError(raw)
+            value = self.kind(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise _Invalid("'{key}' must be {name}, got {value!r}",
+                           name="an integer" if self.kind is int else "a number", value=raw) from None
+        if self.kind is int and not _INT64.min <= value <= _INT64.max:
+            raise _Invalid("'{key}' must fit in a 64-bit integer, got {value}", value=value)
+        if self.kind is float and not 0 <= value < math.inf:
+            raise _Invalid("'{key}' must be finite and >= 0, got {value!r}", value=value)
+        if self.minimum is not None and value < self.minimum:
+            raise _Invalid("'{key}' must be >= {minimum}, got {value}", minimum=self.minimum, value=value)
+        return value
 
 
-class Code(Coded):
+class Code(Kind):
     """Kind: text interned as consecutive codes in order of first
-    appearance, -1 where the field is empty; the column is the pair
-    ``(codes, names)``."""
+    appearance, -1 where the field is empty (a failure when ``required``);
+    the column is the pair ``(codes, names)``."""
 
     def __init__(self, required: bool = True):
         self.required = required
         self.names: dict[str, int] = {}
-        super().__init__()
 
-    def code(self, raw) -> int:
-        value = _text(raw)
-        return self.names.setdefault(value, len(self.names)) if value else -1
+    def value(self, raw) -> int:
+        text = _text(raw)
+        if text:
+            return self.names.setdefault(text, len(self.names))
+        if self.required:
+            raise _Invalid("missing '{key}'")
+        return -1
 
     def join(self, parts: list) -> tuple[np.ndarray, tuple[str, ...]]:
         return super().join(parts), tuple(self.names)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baseline import BaselineTable
 from .corpus import Corpus, CorpusColumns, RowView, dense_codes, fsum_rows
-from .fileio import FieldParser, Integer, Number, Text, read_records, write_records
+from .fileio import FieldParser, Number, Text, read_records, write_records
 
 __all__ = [
     "IndicatorRecord",
@@ -287,7 +287,7 @@ def read_indicators(path: str | Path, corpus: Corpus) -> IndicatorTable:
     ``scientist_id``, fails naming the row."""
     schema = {
         "scientist_id": Text(),
-        "n_p": Integer(minimum=0),
+        "n_p": Number(minimum=0),
         "qi": Number(float, required=False),
         "fss": Number(float),
     }

@@ -148,6 +148,14 @@ def test_bad_rank_rejected():
         load_corpus(scientists, publications, authorships)
 
 
+def test_rank_is_read_stripped_and_in_any_case():
+    scientists, publications, authorships = tiny_rows()
+    scientists[0]["rank"] = " full "
+    scientists[1]["rank"] = "Assistant"
+    corpus = load_corpus(scientists, publications, authorships)
+    assert corpus.scientists == load_corpus(*tiny_rows()).scientists
+
+
 def test_incomplete_byline_rejected():
     scientists, publications, authorships = tiny_rows()
     del authorships[1]  # P1 now misses position 2 of 2
@@ -570,6 +578,45 @@ def test_json_float_or_boolean_in_an_integer_field_names_its_row(changes, expect
     assert _load_error(*rows) == expected  # row mappings go through the same parser
 
 
+@pytest.mark.parametrize("changes, expected", [
+    ({(1, 0, "subject_categories"): 5},
+     "publications row 1: 'subject_categories' must be text or a list of text, got 5"),
+    ({(1, 1, "subject_categories"): True},
+     "publications row 2: 'subject_categories' must be text or a list of text, got True"),
+    ({(1, 0, "subject_categories"): 2.5},
+     "publications row 1: 'subject_categories' must be text or a list of text, got 2.5"),
+    ({(1, 0, "subject_categories"): {"CAT1": 1}},
+     "publications row 1: 'subject_categories' must be text or a list of text, got {'CAT1': 1}"),
+    ({(1, 1, "subject_categories"): ["C1", ["a"]]},
+     "publications row 2: 'subject_categories' must be text or a list of text, got ['C1', ['a']]"),
+    ({(0, 1, "sds_code"): [1]}, "scientists row 2: 'sds_code' must be text, got [1]"),
+    ({(0, 0, "rank"): ["FULL"]}, "scientists row 1: 'rank' must be text, got ['FULL']"),
+    ({(1, 1, "pub_id"): {"id": "P2"}}, "publications row 2: 'pub_id' must be text, got {'id': 'P2'}"),
+    ({(2, 0, "affiliation_id"): [1]}, "authorships row 1: 'affiliation_id' must be text, got [1]"),
+    ({(2, 2, "scientist_id"): ["A3"]}, "authorships row 3: 'scientist_id' must be text, got ['A3']"),
+    # a later row's value that is no list, after an earlier row's empty set
+    ({(1, 0, "subject_categories"): " ; ;", (1, 1, "subject_categories"): 5},
+     "publications row 1: 'subject_categories' must be non-empty"),
+])
+def test_json_value_that_is_not_text_in_a_text_field_names_its_row(changes, expected, tmp_path):
+    rows = tiny_rows()
+    for (table, row, key), value in changes.items():
+        rows[table][row][key] = value
+    with pytest.raises(CorpusError) as info:
+        load_corpus_files(*_typed_jsonl(tmp_path, rows))
+    assert str(info.value) == expected
+    assert _load_error(*rows) == expected
+
+
+def test_json_numbers_in_text_fields_load_as_their_text():
+    scientists, publications, authorships = tiny_rows()
+    for row in scientists:
+        row["sds_code"] = 7
+    authorships[0]["affiliation_id"] = 12
+    corpus = load_corpus(scientists, publications, authorships)
+    assert corpus.sds_codes == ("7",) and "12" in corpus.affiliations
+
+
 def test_json_category_lists_keep_their_text():
     scientists, publications, authorships = tiny_rows()
     publications[0]["subject_categories"] = [1]
@@ -651,6 +698,17 @@ FILE_CASES = {
                          "scientists row 1: 'birth_year' must be an integer, got 1949.0"),
     "boolean_position": ([(2, 0, "position", True)],
                          "authorships row 1: 'position' must be an integer, got True"),
+    # one value failing two checks of its field: the first check names it
+    "malformed_and_below_minimum": ([(1, 0, "citation_count", "-1.5")],
+                                    "publications row 1: 'citation_count' must be an integer, got '-1.5'"),
+    "outside_int64_and_below_minimum": ([(1, 1, "author_count", str(-2**64))],
+                                        f"publications row 2: 'author_count' must fit in a 64-bit "
+                                        f"integer, got {-2**64}"),
+    # a later row's JSON number where a list or text belongs, after an earlier bad row
+    "number_categories_after_an_empty_set": (
+        [(1, 0, "subject_categories", " ; ;"), (1, 1, "subject_categories", 5)],
+        "publications row 1: 'subject_categories' must be non-empty",
+    ),
 }
 
 

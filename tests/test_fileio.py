@@ -355,16 +355,21 @@ def test_generated_files_take_the_fast_path_whole(bom, synth_csv, monkeypatch, t
     assert len(taken) == blocks  # the fast path saw no block of the second load
 
 
-def test_a_hash_collision_sends_the_block_to_the_csv_module(synth_csv, monkeypatch):
-    paths, _, parsers = synth_csv
+def test_distinct_values_are_found_over_every_word(chunk_rows, monkeypatch, tmp_path):
+    """Fields of one length that share their first 8 bytes and differ only
+    in a later word, and fields of 8, 9, 16 and 17 bytes, each keep their
+    own value on the fast path, which takes every row."""
+    values = ["ABCDEFGH", "ABCDEFGHI", "ABCDEFGHIJKLMNOP", "ABCDEFGHIJKLMNOPQ",
+              "ABCDEFGHIJKLMNOQ", "ABCDEFGHIJKLMNOPR", "ABCDEFGHZ", "ABCDEFGG", "", "A"]
+    lines = [f"{v},{values[i * 7 % len(values)]}\n" for i, v in enumerate(values * 3)]
+    path = tmp_path / "words.csv"
+    path.write_text("a,b\n" + "".join(lines), encoding="ascii")
     with _csv_module_only():
-        expected = _outcome(paths["scientists"], parsers["scientists"])
-    monkeypatch.setattr(fileio, "BLOCK_BYTES", 256)
+        expected = _read(path, "ab").columns
     taken = _taken_rows(monkeypatch)
-    # every id (14 bytes, two words) of a length hashes alike
-    monkeypatch.setattr(fileio, "_hash", lambda words, length: length.astype(np.uint64))
-    assert _outcome(paths["scientists"], parsers["scientists"]) == expected
-    assert taken == [None]
+    assert _read(path, "ab").columns == expected
+    assert None not in taken and sum(taken) == len(lines)
+    assert expected["a"] == values * 3
 
 
 # Fields that the fast path refuses, or that the kinds must read as the csv
