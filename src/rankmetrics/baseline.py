@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import Corpus, dense_codes, stable_order
-from .fileio import FieldParser, Number, Text, read_records, write_records
+from .fileio import FieldParser, Number, Text, check_keys, first_repeat, read_records, write_records
 
 __all__ = [
     "BaselineCell",
@@ -138,9 +138,9 @@ def write_baselines(baselines: BaselineTable, path: str | Path) -> Path:
 
 def read_baselines(path: str | Path) -> BaselineTable:
     """The cells of a file :func:`write_baselines` wrote. A row with a
-    missing or malformed value, a non-finite or negative median or mean, a
-    count below 1, or repeating an earlier row's (year, category), fails
-    naming the row."""
+    missing or malformed value, a non-finite or negative median or mean, or
+    a count below 1 fails naming the row; then the first row repeating an
+    earlier row's (year, category) fails naming both."""
     schema = {
         "year": Number(),
         "category": Text(),
@@ -148,6 +148,7 @@ def read_baselines(path: str | Path) -> BaselineTable:
         "mean": Number(float),
         "count": Number(minimum=1),
     }
-    parser = FieldParser("baselines", schema, unique=("(year, category)", ("year", "category")))
-    year, category, median, mean, count = read_records(path, parser).columns.values()
+    year, category, median, mean, count = read_records(path, FieldParser("baselines", schema)).columns.values()
+    check_keys(ValueError, "baselines", ("(year, category)", first_repeat(year, category),
+                                         lambda row: (int(year[row]), category[row])))
     return BaselineTable(map(BaselineCell, year.tolist(), category, median, mean, count.tolist()))

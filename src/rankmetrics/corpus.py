@@ -40,9 +40,10 @@ from .fileio import (
     Records,
     Text,
     _clean,
-    _first_repeat,
     _Invalid,
     _text,
+    check_keys,
+    first_repeat,
     read_records,
 )
 
@@ -321,7 +322,7 @@ class Corpus(_WeaklyReferenced):
         rows = np.fromiter(map(self.scientist_index.get, ids, repeat(-1)), np.int64, len(ids))
         seen = np.bincount(rows + 1, minlength=len(self.scientist_ids) + 1)[1:]
         if seen.max(initial=0) > 1:
-            raise ValueError(f"repeated indicator record for scientist '{ids[_first_repeat(ids)[0]]}'")
+            raise ValueError(f"repeated indicator record for scientist '{ids[first_repeat(ids)[0]]}'")
         missing = list(compress(self.scientist_ids, (seen == 0).tolist()))
         extra = list(compress(ids, (rows < 0).tolist()))
         if missing or extra:
@@ -391,22 +392,6 @@ class CorpusColumns:
 # Loading: each table is typed chunk by chunk as it is read; checks across
 # rows and files run once on the typed columns
 
-def _raise_first(problems: list[tuple[int, int, str]]) -> None:
-    """Raise the problem of the earliest row; within a row, the check made first."""
-    if problems:
-        raise CorpusError(min(problems)[2])
-
-
-def _repeats(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Rows that repeat the key of an earlier row; ``order`` sorts the rows
-    stably by the keys."""
-    same = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for key in keys:
-        sorted_key = key[order]
-        same &= sorted_key[1:] == sorted_key[:-1]
-    return order[1:][same]
-
-
 def _sorted(names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Each name's position among the sorted names, and the sorted names."""
     ordered = tuple(sorted(names))
@@ -439,8 +424,8 @@ class _Ranks(Kind):
 class _CategorySets(Kind):
     """Kind: subject categories (``;``-separated text, or a JSON list of
     text or numbers) as codes of the distinct category tuples, in order of
-    first appearance; a row with none fails. The column is the pair
-    ``(codes, category tuples)``."""
+    first appearance; a row with none, or with one twice, fails. The column
+    is the pair ``(codes, category tuples)``."""
 
     def __init__(self):
         self.sets: dict[tuple[str, ...], int] = {}
@@ -455,11 +440,13 @@ class _CategorySets(Kind):
             raise _Invalid("missing '{key}'")
         if isinstance(value, str):
             value = value.split(";")
-        elif not isinstance(value, (list, tuple)) or not {list, dict}.isdisjoint(map(type, value)):
+        elif not isinstance(value, (list, tuple)) or not {str, int, float}.issuperset(map(type, value)):
             raise _Invalid("'{key}' must be text or a list of text, got {value!r}", value=raw)
         cats = tuple(filter(None, map(str.strip, map(str, value))))
         if not cats:
             raise _Invalid("'{key}' must be non-empty")
+        if repeat := first_repeat(cats):
+            raise _Invalid("'{key}' repeats category {value!r}", value=cats[repeat[0]])
         return self.sets.setdefault(cats, len(self.sets))
 
     def join(self, parts: list) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
@@ -467,15 +454,12 @@ class _CategorySets(Kind):
 
 
 class _Reference(Text):
-    """Kind: text resolved to a row number through ``index``, -2 where the
-    index lacks it. Only the first such value is kept: the column is the
-    pair ``(rows, (row, text) of the first unknown value or None)``, as an
-    unknown reference is reported after every row check."""
+    """Kind: text resolved to a row number through ``index``; text the index
+    lacks fails as ``unknown <key> '<text>'``."""
 
     def __init__(self, index: Mapping, required: bool = True):
         super().__init__(required)
         self.index = index
-        self.unresolved: tuple[int, str] | None = None
 
     def _resolve(self, values: Sequence) -> np.ndarray:
         return np.fromiter(map(self.index.get, values, repeat(-2)), np.int64, len(values))
@@ -489,12 +473,9 @@ class _Reference(Text):
             text = super().__call__(rows, key, values)
             out = self._resolve(text)
             unknown = np.flatnonzero(out == -2)
-            if self.unresolved is None and unknown.size:
-                self.unresolved = (rows.row(int(unknown[0])), text[unknown[0]])
+            if unknown.size:
+                rows.fail(int(unknown[0]), f"unknown {key} {text[unknown[0]]!r}")
         return out
-
-    def join(self, parts: list) -> tuple[np.ndarray, tuple[int, str] | None]:
-        return super().join(parts), self.unresolved
 
 
 def _schema(source: str, scientists: Records | None = None,
@@ -535,17 +516,19 @@ def load_corpus(
 ) -> Corpus:
     """Parse and validate raw rows into a :class:`Corpus`.
 
-    Malformed rows are rejected with their 1-based record number; duplicate
-    keys and dangling references are rejected naming the offending key.
-    Integers must fit in 64 bits. Each table of row mappings is typed as one
-    chunk through the schema :func:`load_corpus_files` types each chunk of a
-    file with, and the tables that function passes are typed already. Row
-    checks come first, table by table; then the checks across rows and
-    files: duplicate scientists and an SDS in two UDAs, then duplicate
-    publications and categories, then unknown references and repeated
-    bylines or authorships, then byline coverage. Only then, so that errors
-    name rows of the input, do publications move into ``pub_id`` order and
-    authorships into (publication, position) order, if they are not in it.
+    Each table of row mappings is typed as one chunk through the schema
+    :func:`load_corpus_files` types each chunk of a file with, and the tables
+    that function passes are typed already. Errors name the row of the input
+    and come in two passes. First every table's rows, table by table, each
+    row's fields in schema order: a malformed value, a category given twice
+    in one row, or an authorship's ``pub_id`` or ``scientist_id`` missing
+    from the table before. Then the checks across rows, in this order: a
+    repeated ``scientist_id``, an SDS in two UDAs, a repeated ``pub_id``, a
+    repeated ``(pub_id, position)`` or ``(pub_id, scientist_id)`` of a roster
+    author (the first row repeating either), and byline coverage; a repeat
+    names its earlier twin. Only then do publications move into ``pub_id``
+    order and authorships into (publication, position) order, if they are
+    not in it.
     """
     tables: dict[str, Records] = {}
     for source, table in (("scientists", scientist_records),
@@ -559,12 +542,10 @@ def load_corpus(
         scientists[key] for key in ("rank", "scientist_id", "sds_code", "uda_code", "birth_year"))
     (pub_categories, category_sets), pub_ids, pub_year, pub_citations, pub_author_count = (
         publications[key] for key in ("subject_categories", "pub_id", "year", "citation_count", "author_count"))
-    ((auth_pub, unknown_pub), auth_position, (auth_scientist, unknown_scientist),
-     (auth_affiliation, affiliations)) = (
+    auth_pub, auth_position, auth_scientist, (auth_affiliation, affiliations) = (
         authorships[key] for key in ("pub_id", "position", "scientist_id", "affiliation_id"))
 
-    if len(set(ids)) < len(ids):
-        raise CorpusError(f"duplicate scientist_id '{ids[_first_repeat(ids)[0]]}'")
+    check_keys(CorpusError, "scientists", ("scientist_id", first_repeat(ids), ids.__getitem__))
     first_uda = scientist_uda[np.unique(scientist_sds, return_index=True)[1]]  # per SDS code
     mixed = np.flatnonzero(scientist_uda != first_uda[scientist_sds])
     if mixed.size:
@@ -572,52 +553,26 @@ def load_corpus(
         code = scientist_sds[row]
         raise CorpusError(f"SDS '{sds_names[code]}' mapped to both UDA "
                           f"'{uda_names[first_uda[code]]}' and '{uda_names[scientist_uda[row]]}'")
-
-    problems = []
-    if len(set(pub_ids)) < len(pub_ids):
-        row = _first_repeat(pub_ids)[0]
-        problems.append((row, 0, f"duplicate pub_id '{pub_ids[row]}'"))
-    repeated = [code for code, cats in enumerate(category_sets) if len(set(cats)) < len(cats)]
-    if repeated:
-        row = int(np.flatnonzero(np.isin(pub_categories, repeated))[0])
-        problems.append((row, 1, f"publication '{pub_ids[row]}': duplicate subject category"))
-    _raise_first(problems)
+    check_keys(CorpusError, "publications", ("pub_id", first_repeat(pub_ids), pub_ids.__getitem__))
 
     # Rows move into key order, publications by pub_id and authorships by
-    # (publication, position), once every check named its row in the files.
+    # (publication, position), once every check named its row in the files;
+    # the byline order finds the repeated positions too.
     pubs, auth_key = slice(None), auth_pub
     if any(map(operator.gt, pub_ids[:-1], pub_ids[1:])):
         pubs = np.array(sorted(range(len(pub_ids)), key=pub_ids.__getitem__), dtype=np.int64)
-        auth_key = np.where(auth_pub < 0, auth_pub, np.argsort(pubs)[auth_pub])  # unknown: -2
-
-    # A repeat among rows with an unknown publication follows the first of
-    # them, whose unknown pub_id is reported instead; so only repeats of rows
-    # that resolved count. Whole columns are sorted, so no subset is copied.
-    problems = []
-    if unknown_pub:
-        row, text = unknown_pub
-        problems.append((row, 0, f"authorship references unknown pub_id '{text}'"))
-    linked = auth_pub >= 0
+        auth_key = np.argsort(pubs)[auth_pub]
     auths = stable_order(auth_key, auth_position)
-    repeats = _repeats(auths, auth_key, auth_position)
+    roster = np.flatnonzero(auth_scientist >= 0)
+    check_keys(CorpusError, "authorships",
+               ("(pub_id, position)", first_repeat(auth_key, auth_position, order=auths),
+                lambda row: (pub_ids[auth_pub[row]], int(auth_position[row]))),
+               ("(pub_id, scientist_id)", first_repeat(auth_pub, auth_scientist, order=roster[
+                   stable_order(auth_pub[roster], auth_scientist[roster])]),
+                lambda row: (pub_ids[auth_pub[row]], ids[auth_scientist[row]])))
     # kept only if rows move: held to the end, it added 4 MB to the peak RSS of 536k authorships
     auths = auths if (auths[1:] < auths[:-1]).any() else slice(None)
-    repeats = repeats[linked[repeats]]
-    if repeats.size:
-        row = int(repeats.min())
-        problems.append((row, 1, f"duplicate byline position {int(auth_position[row])} "
-                                 f"for pub_id '{pub_ids[auth_pub[row]]}'"))
-    if unknown_scientist:
-        row, text = unknown_scientist
-        problems.append((row, 2, f"authorship references unknown scientist_id '{text}'"))
-    linked &= auth_scientist >= 0
-    repeats = _repeats(stable_order(auth_pub, auth_scientist), auth_pub, auth_scientist)
-    repeats = repeats[linked[repeats]]
-    if repeats.size:
-        row = int(repeats.min())
-        problems.append((row, 3, f"duplicate authorship ('{pub_ids[auth_pub[row]]}', "
-                                 f"'{ids[auth_scientist[row]]}')"))
-    _raise_first(problems)
+    del roster  # nor is this held
 
     # With positions >= 1 and unique per publication, a byline covers
     # 1..author_count exactly when it has author_count rows, none beyond it.
@@ -664,10 +619,11 @@ def load_corpus_files(scientists, publications, authorships) -> Corpus:
 
     The rules and messages are those of :func:`load_corpus`. Each file is
     typed a chunk at a time as it is read, and read only once the files
-    before it are typed and checked, so errors come in file order: the first
-    bad row or line of scientists, then of publications, then of
-    authorships, and only then the checks across rows and files. An invalid
-    JSON line in the authorships is not reached while a scientists row is bad.
+    before it are typed and their rows checked, so errors come in file order:
+    the first bad row or line of scientists, then of publications, then of
+    authorships (an unknown reference among them), and only then the checks
+    across rows. An invalid JSON line in the authorships is not reached while
+    a scientists row is bad.
     """
     tables: dict[str, Records] = {}
     for source, path in (("scientists", scientists), ("publications", publications),
@@ -683,7 +639,8 @@ def load_corpus_files(scientists, publications, authorships) -> Corpus:
 #: The file the ``indicators`` step writes beside its outputs.
 SNAPSHOT_NAME = "corpus.npz"
 #: A snapshot of another format version is ignored. Raise it when the stored
-#: columns or the parse's row checks change, as a snapshot skips those checks.
+#: columns change, or a row check of the parse that :func:`_snapshot_tables`
+#: does not repeat, as a snapshot skips the parse.
 SNAPSHOT_VERSION = 2
 
 
@@ -737,7 +694,8 @@ def _split(items: Sequence, lengths: np.ndarray) -> list:
 
 def _snapshot_tables(a: Mapping[str, np.ndarray]) -> tuple[Records, Records, Records]:
     """The typed tables of a snapshot's arrays ``a``, as :func:`load_corpus`
-    takes them; ValueError where a column does not fit its table."""
+    takes them; ValueError where a column does not fit its table, or where a
+    value breaks a row check of the parse, which a snapshot skips."""
     text = _split(a["text"].tobytes().decode("utf-32-le", "surrogatepass"), a["text_length"])
     ids, sds_names, uda_names, pub_ids, categories, affiliations = _split(text, a["text_count"])
     category_sets = tuple(map(tuple, _split(categories, a["category_size"])))
@@ -757,6 +715,8 @@ def _snapshot_tables(a: Mapping[str, np.ndarray]) -> tuple[Records, Records, Rec
         if column.dtype != np.int64 or column.shape != (rows,) or (
                 rows and not low <= column.min() <= column.max() < high):
             raise ValueError(f"column '{key}' does not fit its table")
+    if any(map(first_repeat, category_sets)):
+        raise ValueError("a category set repeats a category")
     birth = zip(a["birth_year"].tolist(), a["birth_known"].tolist())
     return (
         Records({"rank": a["scientist_rank"], "scientist_id": ids,
@@ -766,8 +726,8 @@ def _snapshot_tables(a: Mapping[str, np.ndarray]) -> tuple[Records, Records, Rec
         Records({"subject_categories": (a["pub_categories"], category_sets), "pub_id": pub_ids,
                  "year": a["pub_year"], "citation_count": a["pub_citations"],
                  "author_count": a["pub_author_count"]}, n_pubs),
-        Records({"pub_id": (a["auth_pub"], None), "position": a["auth_position"],
-                 "scientist_id": (a["auth_scientist"], None),
+        Records({"pub_id": a["auth_pub"], "position": a["auth_position"],
+                 "scientist_id": a["auth_scientist"],
                  "affiliation_id": (a["auth_affiliation"], tuple(affiliations))}, n_auths),
     )
 

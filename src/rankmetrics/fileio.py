@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 __all__ = ["BLOCK_BYTES", "CHUNK_ROWS", "Code", "FieldParser", "Kind", "Number", "Records", "Text",
-           "read_records", "write_records"]
+           "check_keys", "first_repeat", "read_records", "write_records"]
 
 #: Rows read, transposed and typed per step. A chunk's raw cells and row
 #: lists die young: loading the 10x benchmark corpus (686k rows) runs two
@@ -393,15 +393,17 @@ class FieldParser:
 
     ``schema`` maps each field to its :class:`Kind`, in the order a
     row-by-row parse checks a row's fields. A kind's memos persist across
-    chunks. With ``unique = (name, fields)``, a row whose typed ``fields``
-    repeat an earlier row's fails, naming both rows.
+    chunks. A parser makes the checks of one row only: a value a kind
+    refuses, such as a reference the kind cannot resolve, and the checks
+    across a row's fields (:meth:`check_rows`). A key that repeats across
+    rows is found once the whole file is typed, by :func:`first_repeat`.
 
     ``offset`` counts the rows of the chunks before the current one, so each
     failure names its row in the file. A chunk's column may hold the
     distinct values of its rows (:class:`_Distinct`), in order of first
     appearance: a kind then types each value once, a failure names the row
     the value first appears at, and the typed values are gathered to the
-    rows before the checks across rows. After each chunk :meth:`check` raises
+    rows before :meth:`check_rows`. After each chunk :meth:`check` raises
     the earliest failure as :attr:`error`, ``"<source> row <n>: <message>"``;
     a later check only wins on a strictly earlier row, so the error is the
     one a row-by-row parse would have raised.
@@ -409,22 +411,16 @@ class FieldParser:
 
     error: type[Exception] = ValueError
 
-    def __init__(self, source: str, schema: Mapping, unique: tuple[str, tuple] | None = None):
+    def __init__(self, source: str, schema: Mapping):
         self.source = source
         self.schema = schema
-        self.unique = unique
         self.offset = 0
         self._error: tuple[int, str] | None = None
-        self._seen: dict = {}
         self._first: np.ndarray | None = None
 
-    def row(self, index: int) -> int:
-        """The row in the file, from 0, of value ``index`` a kind was given."""
-        return self.offset + (index if self._first is None else int(self._first[index]))
-
     def fail(self, index: int, message: str) -> None:
-        """Record a failure of the value at ``index`` (see :meth:`row`)."""
-        row = self.row(index)
+        """Record a failure of the value at ``index`` a kind was given."""
+        row = self.offset + (index if self._first is None else int(self._first[index]))  # in the file, from 0
         if self._error is None or row < self._error[0]:
             self._error = (row, f"{self.source} row {row + 1}: {message}")
 
@@ -450,8 +446,6 @@ class FieldParser:
                 else:
                     typed[key] = kind(self, key, (None,) * length if values is None else values)
                 columns[key].add(typed[key])
-            if self.unique:
-                self._check_unique(*self.unique, [typed[key] for key in self.unique[1]])
             self.check_rows(typed)
             self.check()
             self.offset += length
@@ -461,15 +455,6 @@ class FieldParser:
     def check_rows(self, chunk: dict) -> None:
         """Checks across the fields of each row of one typed ``chunk``, made
         after those of single fields; a subclass reports through :meth:`fail`."""
-
-    def _check_unique(self, name: str, fields: tuple, columns: list) -> None:
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        keys = columns[0] if len(fields) == 1 else zip(*columns)
-        for i, key in enumerate(keys, start=self.offset):
-            first = self._seen.setdefault(key, i)
-            if first != i:
-                self.fail(i - self.offset, f"{name} {key!r} repeats row {first + 1}")
-                return
 
 
 #: The most values a slab of a typed array column holds (see :class:`_Column`).
@@ -646,10 +631,40 @@ class Code(Kind):
         return super().join(parts), tuple(self.names)
 
 
-def _first_repeat(keys: Iterable) -> tuple[int, int] | None:
-    """``(row, earlier row)`` of the first key equal to an earlier one, or None."""
+def first_repeat(*keys: Sequence, order: np.ndarray | None = None) -> tuple[int, int] | None:
+    """``(row, earlier row)`` of the first row whose key, its values in
+    ``keys``, equals an earlier row's; None where no key repeats. With
+    ``order``, the rows it lists, sorted stably by ``keys`` (integer arrays),
+    are compared, each with the row before it in that order; without, every
+    row is, through a set and then a dict."""
+    if order is not None:
+        same = np.ones(max(len(order) - 1, 0), dtype=bool)
+        for key in keys:
+            sorted_key = key[order]
+            same &= sorted_key[1:] == sorted_key[:-1]
+        later = np.flatnonzero(same) + 1  # a run of equal keys holds its rows in file order
+        if not later.size:
+            return None
+        at = later[order[later].argmin()]
+        return int(order[at]), int(order[at - 1])
+    columns = [key.tolist() if isinstance(key, np.ndarray) else key for key in keys]
+    values = columns[0] if len(columns) == 1 else list(zip(*columns))
+    if len(set(values)) == len(values):
+        return None
     first: dict = {}
-    for i, key in enumerate(keys):
-        if first.setdefault(key, i) != i:
-            return i, first[key]
-    return None
+    for i, value in enumerate(values):
+        if first.setdefault(value, i) != i:
+            return i, first[value]
+
+
+def check_keys(error: type, source: str, *keys: tuple) -> None:
+    """Raise ``error`` naming the first row of ``source`` whose key repeats an
+    earlier row's, ``"<source> row <n>: <name> <value> repeats row <m>"``.
+    Each key is ``(name, found, value)``: ``found`` is what
+    :func:`first_repeat` returned for it, and ``value(row)`` the key's value
+    at a row. A row that repeats two keys is named by the one given first."""
+    repeats = [(found[0], i, found[1]) for i, (_, found, _) in enumerate(keys) if found]
+    if repeats:
+        row, i, earlier = min(repeats)
+        name, _, value = keys[i]
+        raise error(f"{source} row {row + 1}: {name} {value(row)!r} repeats row {earlier + 1}")

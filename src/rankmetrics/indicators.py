@@ -28,7 +28,7 @@ import numpy as np
 
 from .baseline import BaselineTable
 from .corpus import Corpus, CorpusColumns, RowView, dense_codes, fsum_rows
-from .fileio import FieldParser, Number, Text, read_records, write_records
+from .fileio import FieldParser, Number, Text, check_keys, first_repeat, read_records, write_records
 
 __all__ = [
     "IndicatorRecord",
@@ -282,15 +282,15 @@ class _IndicatorParser(FieldParser):
 def read_indicators(path: str | Path, corpus: Corpus) -> IndicatorTable:
     """The table of an indicators file, whose rows must cover the roster of
     ``corpus`` once each, in any order. A row with a missing, malformed,
-    non-finite or negative value, with a QI exactly when ``n_p`` is 0, with
-    a non-zero FSS when it is, or repeating an earlier row's
-    ``scientist_id``, fails naming the row."""
+    non-finite or negative value, with a QI exactly when ``n_p`` is 0, or
+    with a non-zero FSS when it is fails naming the row; then the first row
+    repeating an earlier row's ``scientist_id`` fails naming both."""
     schema = {
         "scientist_id": Text(),
         "n_p": Number(minimum=0),
         "qi": Number(float, required=False),
         "fss": Number(float),
     }
-    parser = _IndicatorParser("indicators", schema, unique=("scientist_id", ("scientist_id",)))
-    columns = read_records(path, parser).columns.values()
-    return IndicatorTable.resolve(corpus, *columns, source=f"indicators file {path}")
+    ids, *columns = read_records(path, _IndicatorParser("indicators", schema)).columns.values()
+    check_keys(ValueError, "indicators", ("scientist_id", first_repeat(ids), ids.__getitem__))
+    return IndicatorTable.resolve(corpus, ids, *columns, source=f"indicators file {path}")

@@ -35,8 +35,12 @@ def tiny_rows():
     return scientists, publications, authorships
 
 
-@pytest.fixture(params=[(fileio.CHUNK_ROWS, fileio.BLOCK_BYTES), (1, 1), (2, 7), (3, 24)],
-                ids=lambda sizes: str(sizes[0]))
+#: (CHUNK_ROWS, BLOCK_BYTES): the module's sizes, and sizes that put chunk and
+#: block boundaries between the interesting rows of a tiny table.
+CHUNK_SIZES = [(fileio.CHUNK_ROWS, fileio.BLOCK_BYTES), (1, 1), (2, 7), (3, 24)]
+
+
+@pytest.fixture(params=CHUNK_SIZES, ids=lambda sizes: str(sizes[0]))
 def chunk_rows(request, monkeypatch):
     """Run each case at the module's chunk and block sizes, and at sizes that
     put chunk boundaries, and the CSV fast path's block boundaries, between

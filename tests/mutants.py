@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 CORPUS = "tests/test_corpus.py"
 FILEIO = "tests/test_fileio.py"
 FILE_CASES = f"{CORPUS}::test_file_errors_match_row_errors_at_every_chunk_size"
+PERMUTED = "tests/test_relations.py::test_permuted_rows_give_the_same_results"
 
 MUTANTS = [
     # The typing loop: one value function per field kind
@@ -70,8 +71,13 @@ MUTANTS = [
            "_RANK_POSITION.get(name.upper())", "_RANK_POSITION.get(name)",
            (f"{CORPUS}::test_rank_is_read_stripped_and_in_any_case", "tests/test_snapshot.py")),
     Mutant("nested category list taken as text", "corpus.py",
-           " or not {list, dict}.isdisjoint(map(type, value))", "",
+           " or not {str, int, float}.issuperset(map(type, value))", "",
            (f"{CORPUS}::test_json_value_that_is_not_text_in_a_text_field_names_its_row",)),
+    Mutant("null and booleans in a category list taken as text", "corpus.py",
+           "{str, int, float}.issuperset(map(type, value))",
+           "{str, int, float, bool, type(None)}.issuperset(map(type, value))",
+           (f"{CORPUS}::test_json_value_that_is_not_text_in_a_text_field_names_its_row",
+            f"{CORPUS}::test_json_category_lists_keep_their_text")),
     Mutant("JSON list taken as text", "fileio.py",
            "if isinstance(raw, (list, dict)):\n        raise", "if False:\n        raise",
            (f"{CORPUS}::test_json_value_that_is_not_text_in_a_text_field_names_its_row",)),
@@ -83,9 +89,9 @@ MUTANTS = [
     Mutant("first row from the unstable sort's first", "fileio.py",
            "first_rows = np.minimum.reduceat(order, np.flatnonzero(new))", "first_rows = order[new]",
            (f"{FILEIO}::test_generated_files_take_the_fast_path_whole",)),
-    Mutant("FieldParser.row ignoring the first rows", "fileio.py",
-           "return self.offset + (index if self._first is None else int(self._first[index]))",
-           "return self.offset + index",
+    Mutant("FieldParser.fail naming a row without the first rows", "fileio.py",
+           "row = self.offset + (index if self._first is None else int(self._first[index]))",
+           "row = self.offset + index",
            (FILE_CASES,)),
     Mutant("double quote allowed", "fileio.py",
            """_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\\n\"""",
@@ -106,6 +112,40 @@ MUTANTS = [
            "if len(ends) != rows * width or newline.sum() != rows or not newline[width - 1::width].all():",
            "if len(ends) != rows * width:",
            (f"{FILEIO}::test_csv_rows_match_dict_reader",)),
+    # Load checks: each row check in the parse, each key by first_repeat
+    Mutant("reference fail dropped", "corpus.py",
+           """rows.fail(int(unknown[0]), f"unknown {key} {text[unknown[0]]!r}")""", "pass",
+           (FILE_CASES, f"{CORPUS}::test_one_fault_is_named_at_its_row_in_every_format")),
+    Mutant("repeated-category check dropped", "corpus.py",
+           "if repeat := first_repeat(cats):", "if False:",
+           (f"{CORPUS}::test_duplicate_category_rejected", FILE_CASES)),
+    Mutant("snapshot category sets not checked for repeats", "corpus.py",
+           "if any(map(first_repeat, category_sets)):", "if False:",
+           ("tests/test_snapshot.py::test_a_damaged_or_foreign_snapshot_is_ignored",)),
+    Mutant("external authors counted in the authorship repeat", "corpus.py",
+           "roster = np.flatnonzero(auth_scientist >= 0)", "roster = np.flatnonzero(auth_scientist >= -1)",
+           (f"{CORPUS}::test_two_external_authors_on_one_byline_load",)),
+    Mutant("first repeat taken by max instead of min", "fileio.py",
+           "at = later[order[later].argmin()]", "at = later[order[later].argmax()]",
+           (f"{FILEIO}::test_first_repeat_names_the_first_row_repeating_an_earlier_one",
+            f"{CORPUS}::test_one_fault_is_named_at_its_row_in_every_format")),
+    # One row order, set at load: publications by pub_id, bylines by position
+    Mutant("no publication reorder", "corpus.py",
+           "if any(map(operator.gt, pub_ids[:-1], pub_ids[1:])):", "if False:",
+           (PERMUTED,)),
+    Mutant("no authorship reorder", "corpus.py",
+           "auths = auths if (auths[1:] < auths[:-1]).any() else slice(None)", "auths = slice(None)",
+           (PERMUTED,)),
+    Mutant("PercentileColumn tallying in out order", "ranking.py",
+           "        order = ranking.order\n", "        order = ranking.out\n",
+           (PERMUTED,)),
+    Mutant("block total from the unsorted values", "analysis.py",
+           "total = xs.sum(axis=1)", "total = values[starts[idx, None] + np.arange(n)].sum(axis=1)",
+           (PERMUTED,)),
+    Mutant("tally in first-appearance order", "corpus.py",
+           "for k in np.unique(key).tolist()", "for k in dict.fromkeys(key.tolist())",
+           equivalent="every float tally receives its rows in an order of the data, so first "
+                      "appearance is data-defined; the tallies over roster rows in file order sum integers"),
     # Kernels: the mutants of the ROADMAP re-anchor at PR 25
     Mutant("activity filter made exclusive", "corpus.py",
            "kept_sds = publishing >= threshold", "kept_sds = publishing > threshold",

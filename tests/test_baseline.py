@@ -153,6 +153,14 @@ def test_read_baselines_rejects_impossible_cells(row, message, tmp_path):
     assert str(info.value) == message
 
 
+def test_a_bad_row_after_a_repeated_cell_is_named_first(tmp_path):
+    path = tmp_path / "baselines.csv"
+    path.write_text("year,category,median,mean,count\n2004,A,0.0,0.0,1\n2004,A,1,1,1\n2005,B,1,x,1\n")
+    with pytest.raises(ValueError) as info:
+        read_baselines(path)
+    assert str(info.value) == "baselines row 3: 'mean' must be a number, got 'x'"
+
+
 def test_every_missing_cell_is_reported_before_scoring():
     from rankmetrics import compute_indicators
 

@@ -1,14 +1,17 @@
 """Corpus loading, validation, roster summaries and the SDS activity filter."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankmetrics import (
     RANKS,
     CorpusError,
     Rank,
     activity_rates,
+    fileio,
     filter_active_sds,
     load_corpus,
     load_corpus_files,
@@ -20,7 +23,7 @@ from rankmetrics.indicators import IndicatorTable, compute_indicators
 from rankmetrics.ranking import Indicator, sds_percentiles, top_scientists
 from rankmetrics.synth import SynthConfig, generate
 
-from conftest import authorships_by_pub, publications_by_id, single_author_corpus, tiny_rows
+from conftest import CHUNK_SIZES, authorships_by_pub, publications_by_id, single_author_corpus, tiny_rows
 
 
 def test_identity_load(tiny_corpus):
@@ -173,7 +176,7 @@ def test_sds_in_two_udas_rejected():
 def test_duplicate_category_rejected():
     scientists, publications, authorships = tiny_rows()
     publications[0]["subject_categories"] = "C1;C1"
-    with pytest.raises(CorpusError, match="P1"):
+    with pytest.raises(CorpusError, match="publications row 1: 'subject_categories' repeats category 'C1'"):
         load_corpus(scientists, publications, authorships)
 
 
@@ -404,7 +407,7 @@ def _load_error(scientists, publications, authorships) -> str:
 def test_duplicate_pub_id_message():
     scientists, publications, authorships = tiny_rows()
     publications.append(dict(publications[0]))
-    assert _load_error(scientists, publications, authorships) == "duplicate pub_id 'P1'"
+    assert _load_error(scientists, publications, authorships) == "publications row 3: pub_id 'P1' repeats row 1"
 
 
 @pytest.mark.parametrize(
@@ -443,7 +446,7 @@ def test_duplicate_authorship_link_message():
     scientists, publications, authorships = tiny_rows()
     authorships[1]["scientist_id"] = "A1"
     assert _load_error(scientists, publications, authorships) == (
-        "duplicate authorship ('P1', 'A1')"
+        "authorships row 2: (pub_id, scientist_id) ('P1', 'A1') repeats row 1"
     )
 
 
@@ -476,7 +479,9 @@ def test_row_errors_come_before_reference_errors():
         "authorships row 4: 'position' must be an integer, got 'x'"
     )
     authorships[3]["position"] = "2"
-    assert _load_error(scientists, publications, authorships) == "duplicate scientist_id 'A1'"
+    assert _load_error(scientists, publications, authorships) == (
+        "scientists row 4: scientist_id 'A1' repeats row 1"
+    )
 
 
 def test_rows_move_into_key_order_after_the_checks_name_rows_of_the_input():
@@ -589,6 +594,10 @@ def test_json_float_or_boolean_in_an_integer_field_names_its_row(changes, expect
      "publications row 1: 'subject_categories' must be text or a list of text, got {'CAT1': 1}"),
     ({(1, 1, "subject_categories"): ["C1", ["a"]]},
      "publications row 2: 'subject_categories' must be text or a list of text, got ['C1', ['a']]"),
+    ({(1, 0, "subject_categories"): ["C1", None]},
+     "publications row 1: 'subject_categories' must be text or a list of text, got ['C1', None]"),
+    ({(1, 1, "subject_categories"): ["C2", False]},
+     "publications row 2: 'subject_categories' must be text or a list of text, got ['C2', False]"),
     ({(0, 1, "sds_code"): [1]}, "scientists row 2: 'sds_code' must be text, got [1]"),
     ({(0, 0, "rank"): ["FULL"]}, "scientists row 1: 'rank' must be text, got ['FULL']"),
     ({(1, 1, "pub_id"): {"id": "P2"}}, "publications row 2: 'pub_id' must be text, got {'id': 'P2'}"),
@@ -620,9 +629,13 @@ def test_json_numbers_in_text_fields_load_as_their_text():
 def test_json_category_lists_keep_their_text():
     scientists, publications, authorships = tiny_rows()
     publications[0]["subject_categories"] = [1]
-    publications[1]["subject_categories"] = [True]  # equal to 1 as a dict key
+    publications[1]["subject_categories"] = [2.5, "C2"]
     corpus = load_corpus(scientists, publications, authorships)
-    assert [corpus.category_sets[code] for code in corpus.pub_categories] == [("1",), ("True",)]
+    assert [corpus.category_sets[code] for code in corpus.pub_categories] == [("1",), ("2.5", "C2")]
+    publications[1]["subject_categories"] = [True]  # equal to 1 as a dict key, and no number
+    assert _load_error(scientists, publications, authorships) == (
+        "publications row 2: 'subject_categories' must be text or a list of text, got [True]"
+    )
 
 
 def test_typed_json_integers_load_as_their_text(tmp_path):
@@ -640,7 +653,7 @@ DELETE = object()
 # (edits, message): each edit is (table, row, key, value); a value of DELETE
 # removes the key, and a row of None appends a copy of the table's first row.
 FILE_CASES = {
-    "duplicate_pub_id": ([(1, None, None, None)], "duplicate pub_id 'P1'"),
+    "duplicate_pub_id": ([(1, None, None, None)], "publications row 3: pub_id 'P1' repeats row 1"),
     "blank_sds_code": ([(0, 1, "sds_code", "  ")], "scientists row 2: missing 'sds_code'"),
     "absent_year": ([(1, 0, "year", DELETE)], "publications row 1: missing 'year'"),
     "blank_pub_id": ([(2, 2, "pub_id", "  ")], "authorships row 3: missing 'pub_id'"),
@@ -658,30 +671,31 @@ FILE_CASES = {
                            "scientists row 2: rank must be one of FULL/ASSOCIATE/ASSISTANT, got 'DEAN'"),
     "row_error_before_duplicate_id": ([(0, None, None, None), (2, 3, "position", "x")],
                                       "authorships row 4: 'position' must be an integer, got 'x'"),
-    "duplicate_scientist_id": ([(0, None, None, None)], "duplicate scientist_id 'A1'"),
+    "duplicate_scientist_id": ([(0, None, None, None)], "scientists row 4: scientist_id 'A1' repeats row 1"),
     "sds_in_two_udas": ([(0, 1, "uda_code", "U2")], "SDS 'S1' mapped to both UDA 'U1' and 'U2'"),
     "duplicate_category": ([(1, 0, "subject_categories", "C1;C1")],
-                           "publication 'P1': duplicate subject category"),
+                           "publications row 1: 'subject_categories' repeats category 'C1'"),
     "integer_outside_int64": ([(1, 1, "citation_count", str(2**63))],
                               f"publications row 2: 'citation_count' must fit in a 64-bit "
                               f"integer, got {2**63}"),
     "incomplete_byline": ([(2, 1, "position", "3")],
                           "pub_id 'P1': byline positions [1, 3] do not cover 1..2"),
-    "duplicate_authorship": ([(2, 1, "scientist_id", "A1")], "duplicate authorship ('P1', 'A1')"),
+    "duplicate_authorship": ([(2, 1, "scientist_id", "A1")],
+                             "authorships row 2: (pub_id, scientist_id) ('P1', 'A1') repeats row 1"),
     # across chunk boundaries
     "unknown_pub_id_in_a_later_chunk": ([(2, 3, "pub_id", "P9")],
-                                        "authorship references unknown pub_id 'P9'"),
+                                        "authorships row 4: unknown pub_id 'P9'"),
     "unknown_scientist_id_in_a_later_chunk": ([(2, 3, "scientist_id", " A9 ")],
-                                              "authorship references unknown scientist_id 'A9'"),
+                                              "authorships row 4: unknown scientist_id 'A9'"),
     "unknown_pub_id_before_a_bad_row": ([(2, 0, "pub_id", "P9"), (2, 3, "position", "x")],
-                                        "authorships row 4: 'position' must be an integer, got 'x'"),
+                                        "authorships row 1: unknown pub_id 'P9'"),
     "unknown_scientist_before_unknown_pub": (
         [(2, 1, "scientist_id", "A9"), (2, 3, "pub_id", "P9")],
-        "authorship references unknown scientist_id 'A9'",
+        "authorships row 2: unknown scientist_id 'A9'",
     ),
     "duplicate_byline_across_rows_2_and_3": (
         [(2, 2, "pub_id", "P1"), (2, 2, "position", "2")],
-        "duplicate byline position 2 for pub_id 'P1'",
+        "authorships row 3: (pub_id, position) ('P1', 2) repeats row 2",
     ),
     "required_key_first_in_a_later_row": (
         [(2, 0, "position", DELETE), (2, 1, "position", DELETE), (2, 2, "position", DELETE)],
@@ -821,6 +835,93 @@ def test_errors_come_in_file_order(chunk_rows, tmp_path):
     with pytest.raises(ValueError) as info:
         load_corpus_files(*paths)
     assert str(info.value).startswith("authorships.jsonl line 5: invalid JSON record")
+
+
+def test_two_external_authors_on_one_byline_load(chunk_rows, tmp_path):
+    scientists, publications, authorships = tiny_rows()
+    publications[1]["author_count"] = "3"
+    authorships.append({"pub_id": "P2", "position": "3", "scientist_id": "", "affiliation_id": ""})
+    corpus = load_corpus(scientists, publications, authorships)
+    assert corpus.auth_scientist.tolist() == [0, 1, 2, -1, -1]
+    for suffix in ("csv", "jsonl"):
+        loaded = load_corpus_files(*_write_tables(tmp_path, (scientists, publications, authorships), suffix))
+        assert loaded.authorships == corpus.authorships
+
+
+# Ids of one table share a first letter, so a Q or Z id is unknown; a comma
+# or a non-ASCII letter sends a CSV file to the csv module.
+_ID_TAILS = st.text("1Aé,", max_size=2)
+
+
+@st.composite
+def faulty_tables(draw):
+    """Small valid tables, then one fault at random rows: a repeated
+    scientist_id, pub_id, byline position or roster authorship, or an
+    unknown pub_id or scientist_id; with the message naming its row, and
+    for a repeat its earlier twin."""
+    ids = draw(st.lists(_ID_TAILS.map("X".__add__), min_size=1, max_size=5, unique=True))
+    pub_ids = draw(st.lists(_ID_TAILS.map("P".__add__), min_size=1, max_size=4, unique=True))
+    scientists = [{"scientist_id": sid, "sds_code": f"S{i % 2}", "uda_code": f"U{i % 2}", "rank": "FULL",
+                   "birth_year": ""} for i, sid in enumerate(ids)]
+    publications, authorships = [], []
+    for pid in pub_ids:
+        roster = draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
+        byline = draw(st.permutations(roster + [""] * draw(st.integers(not roster, 2))))
+        publications.append({"pub_id": pid, "year": "2005", "citation_count": "1",
+                             "subject_categories": "C1", "author_count": str(len(byline))})
+        authorships += [{"pub_id": pid, "position": str(k), "scientist_id": sid, "affiliation_id": ""}
+                        for k, sid in enumerate(byline, start=1)]
+    authorships = draw(st.permutations(authorships))
+    linked = [i for i, row in enumerate(authorships) if row["scientist_id"]]
+    fault = draw(st.sampled_from(["scientist_id", "pub_id", "position", "unknown pub_id",
+                                  "unknown scientist_id"] + ["authorship"] * bool(linked)))
+
+    def repeat(source, table, original, row, name, value):
+        """Insert ``row`` at a random place; the message of the later of it
+        and ``original`` repeating the other."""
+        at = draw(st.integers(0, len(table)))
+        table.insert(at, row)
+        earlier, later = sorted((at, original + (at <= original)))
+        return f"{source} row {later + 1}: {name} {value!r} repeats row {earlier + 1}"
+
+    if fault == "scientist_id":
+        i = draw(st.integers(0, len(scientists) - 1))
+        message = repeat("scientists", scientists, i, dict(scientists[i]), "scientist_id", ids[i])
+    elif fault == "pub_id":
+        i = draw(st.integers(0, len(publications) - 1))
+        message = repeat("publications", publications, i, dict(publications[i]), "pub_id", pub_ids[i])
+    elif fault == "position":  # an external author at a taken position
+        i = draw(st.integers(0, len(authorships) - 1))
+        row = {**authorships[i], "scientist_id": ""}
+        message = repeat("authorships", authorships, i, row, "(pub_id, position)",
+                         (row["pub_id"], int(row["position"])))
+    elif fault == "authorship":  # a roster author again, beyond the byline
+        i = draw(st.sampled_from(linked))
+        row = {**authorships[i], "position": "9"}
+        message = repeat("authorships", authorships, i, row, "(pub_id, scientist_id)",
+                         (row["pub_id"], row["scientist_id"]))
+    else:
+        key = fault.split()[1]
+        i = draw(st.integers(0, len(authorships) - 1))
+        text = draw(_ID_TAILS.map(("Q" if key == "pub_id" else "Z").__add__))
+        authorships[i][key] = text
+        message = f"authorships row {i + 1}: unknown {key} {text!r}"
+    return (scientists, publications, authorships), message
+
+
+@settings(max_examples=100, deadline=None)
+@given(faulty_tables())
+def test_one_fault_is_named_at_its_row_in_every_format(tmp_path_factory, tables_and_message):
+    tables, message = tables_and_message
+    assert _load_error(*tables) == message
+    out = tmp_path_factory.mktemp("faulty")
+    for suffix in ("csv", "crlf.csv", "jsonl"):
+        paths = _write_tables(out, tables, suffix)
+        for rows, block in CHUNK_SIZES:
+            with mock.patch.object(fileio, "CHUNK_ROWS", rows), mock.patch.object(fileio, "BLOCK_BYTES", block):
+                with pytest.raises(CorpusError) as info:
+                    load_corpus_files(*paths)
+            assert str(info.value) == message, (suffix, rows)
 
 
 @pytest.mark.parametrize("suffix", ["csv", "jsonl"])

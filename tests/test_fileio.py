@@ -24,8 +24,8 @@ from rankmetrics import (
     write_indicators,
 )
 from rankmetrics.baseline import BaselineCell, BaselineTable
-from rankmetrics.corpus import _schema
-from rankmetrics.fileio import FieldParser, Kind, Records, read_records
+from rankmetrics.corpus import _schema, stable_order
+from rankmetrics.fileio import FieldParser, Kind, Records, first_repeat, read_records
 from rankmetrics.synth import SynthConfig, generate, write_corpus_csv
 
 from conftest import tiny_rows
@@ -435,6 +435,30 @@ def test_fast_path_matches_the_csv_module(synth_csv, tmp_path_factory, data):
         assert fast[0] is expected[0] and "invalid UTF-8 byte 0xff" in fast[1] + expected[1]
     else:
         assert fast == expected
+
+
+# ---------------------------------------------------------------------------
+# Repeated keys: the first row repeating an earlier one, with its earliest twin
+
+
+def _first_repeat_by_rows(keys: list, rows: list):
+    for i, row in enumerate(rows):
+        for earlier in rows[:i]:
+            if keys[earlier] == keys[row]:
+                return row, earlier
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 2)), max_size=30))
+def test_first_repeat_names_the_first_row_repeating_an_earlier_one(keys):
+    a, b = (np.array(column, dtype=np.int64) for column in zip(*keys)) if keys else [np.zeros(0, np.int64)] * 2
+    expected = _first_repeat_by_rows(keys, list(range(len(keys))))
+    assert first_repeat(keys) == first_repeat(a, b) == first_repeat(a, b, order=stable_order(a, b)) == expected
+    # the rows an order lists, alone: here those whose second key is not -1
+    rows = np.flatnonzero(b >= 0)
+    order = rows[stable_order(a[rows], b[rows])]
+    assert first_repeat(a, b, order=order) == _first_repeat_by_rows(keys, rows.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,14 @@ def test_read_indicators_rejects_bad_rows(row, message, tmp_path):
     assert str(info.value) == message
 
 
+def test_a_bad_row_after_a_repeated_id_is_named_first(tmp_path):
+    path = tmp_path / "indicators.csv"
+    path.write_text("scientist_id,n_p,qi,fss\nA,3,1.25,0.75\nA,3,1.25,0.75\nB,0,1.5,0.0\n")
+    with pytest.raises(ValueError) as info:
+        read_indicators(path, _roster("A", "B"))
+    assert str(info.value) == "indicators row 3: 'qi' must be empty exactly when 'n_p' is 0"
+
+
 @pytest.mark.parametrize("row, message", [
     ('{"scientist_id": "B", "n_p": 2.9, "qi": 1.0, "fss": 1.0}',
      "indicators row 2: 'n_p' must be an integer, got 2.9"),

@@ -382,6 +382,12 @@ def _damage(kind: str, snapshot: Path) -> None:
         size[1] += size[0]  # the first set's categories join the second
         size[0] = 0
         _rewrite(snapshot, category_size=size)
+    elif kind == "a category set that repeats a category":
+        with np.load(snapshot) as npz:
+            size = npz["category_size"].copy()
+        size[0] -= 1  # the first set's last category, B, joins the second set, (B,)
+        size[1] += 1
+        _rewrite(snapshot, category_size=size)
     elif kind in BELOW_MINIMUM:
         # one value below the minimum the parse's row checks enforce
         key, value = BELOW_MINIMUM[kind]
@@ -404,6 +410,7 @@ DAMAGE = {
     "a code outside its column": "unreadable", "a column of another length": "unreadable",
     "another version": "another format version", "other contents": "other corpus file contents",
     "an empty category set": "unreadable: column 'category_size' does not fit its table",
+    "a category set that repeats a category": "unreadable: a category set repeats a category",
     **{kind: f"unreadable: column '{key}' does not fit its table" for kind, (key, _) in BELOW_MINIMUM.items()},
 }
 
@@ -439,4 +446,6 @@ def test_a_snapshot_breaking_a_cross_file_invariant_raises_as_load_corpus_does(t
                  for key, value in dataclasses.asdict(row).items()} for row in table] for table in rows]
     with pytest.raises(CorpusError) as from_rows:
         load_corpus(*records)
-    assert str(from_snapshot.value) == str(from_rows.value) == "duplicate byline position 2 for pub_id 'Pé0'"
+    # in key order, Pé0's byline is rows 1-3: the external author, then Müller
+    assert str(from_snapshot.value) == str(from_rows.value) == (
+        "authorships row 2: (pub_id, position) ('Pé0', 2) repeats row 1")
